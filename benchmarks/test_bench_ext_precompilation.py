@@ -2,9 +2,10 @@
 
 "Precompilation of D/KB queries can prove to be very useful ... especially
 for frequently occurring queries with large R_rs values."  This bench
-measures the repeated-query latency with and without the precompiled-query
-cache, across R_rs, and checks the paper's claim: the benefit grows with
-the compilation cost being amortised.
+measures the repeated-query latency with the precompiled-query cache (the
+default path of ``Testbed.query``) and without it (``precompile=False``),
+across R_rs, and checks the paper's claim: the benefit grows with the
+compilation cost being amortised.
 """
 
 from __future__ import annotations

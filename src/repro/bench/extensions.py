@@ -151,11 +151,11 @@ def run_precompilation(
         query = rule_base.query_text()
 
         compile_run = timed(lambda: testbed.compile_query(query), repetitions)
-        uncached = timed(lambda: testbed.query(query), repetitions)
-        testbed.query(query, precompile=True)  # warm the cache
-        cached = timed(
-            lambda: testbed.query(query, precompile=True), repetitions
+        uncached = timed(
+            lambda: testbed.query(query, precompile=False), repetitions
         )
+        testbed.query(query)  # warm the cache
+        cached = timed(lambda: testbed.query(query), repetitions)
         points.append(
             PrecompilePoint(
                 relevant,

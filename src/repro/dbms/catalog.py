@@ -19,6 +19,17 @@ EPREDICATES = "epredicates"
 ECOLUMNS = "ecolumns"
 FACT_TABLE_PREFIX = "e_"
 
+#: Scalar subqueries whose values move when *any* handle on the database
+#: registers or drops a base relation — what a holder of compiled plans
+#: re-reads (one statement, no scan beyond the primary key) to learn that
+#: the dictionary it type-checked against has changed.  A relation dropped
+#: and re-created between two reads can leave both values as they were;
+#: :attr:`ExtensionalCatalog.generation` covers that for this handle.
+DICTIONARY_STAMP_SQL = (
+    f"(SELECT COUNT(*) FROM {EPREDICATES}), "
+    f"(SELECT MAX(rowid) FROM {EPREDICATES})"
+)
+
 
 def fact_table_name(predicate: str) -> str:
     """Physical table name holding the facts of ``predicate``."""
@@ -30,6 +41,8 @@ class ExtensionalCatalog:
 
     def __init__(self, database: Database):
         self.database = database
+        #: Bumped by every create/drop made through this handle.
+        self.generation = 0
         self._ensure_dictionary()
 
     def _ensure_dictionary(self) -> None:
@@ -80,6 +93,7 @@ class ExtensionalCatalog:
                     f"idx_{schema.name}_{position}", schema.name, [column]
                 )
         self.database.commit()
+        self.generation += 1
         return schema
 
     def drop_relation(self, predicate: str) -> None:
@@ -98,6 +112,7 @@ class ExtensionalCatalog:
             f"DELETE FROM {ECOLUMNS} WHERE predname = ?", (predicate,)
         )
         self.database.commit()
+        self.generation += 1
 
     def has_relation(self, predicate: str) -> bool:
         """Whether ``predicate`` is a registered base relation."""

@@ -25,7 +25,12 @@ from .policy import (
     LfpStrategyDecision,
     decide_clique_strategy,
 )
-from .precompile import CacheStatistics, PrecompiledQueryCache, cache_key
+from .precompile import (
+    CacheStatistics,
+    PrecompiledQueryCache,
+    cache_key,
+    query_form,
+)
 from .semantic import SemanticReport, check_semantics
 from .session import QueryResult, Testbed
 from .stored import StoredDKB
@@ -63,5 +68,6 @@ __all__ = [
     "link_program",
     "optimization_applies",
     "optimize",
+    "query_form",
     "update_stored_dkb",
 ]

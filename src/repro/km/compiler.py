@@ -100,6 +100,10 @@ class CompilationResult:
     optimization dynamically (``optimize_query="auto"``).
     ``diagnostics`` holds the full collect-all lint report when the compiler
     was invoked with ``lint=True`` (otherwise ``None``).
+    ``cached`` marks a plan served by the precompiled-query cache: its
+    ``timings`` are zero (nothing was compiled for that call) and
+    ``fragment_source`` is the fragment of the compilation that filled the
+    cache, which may name other constants.
     """
 
     program: QueryProgram
@@ -110,6 +114,7 @@ class CompilationResult:
     optimized: bool = False
     adaptive_decision: "AdaptiveDecision | None" = None
     diagnostics: DiagnosticReport | None = None
+    cached: bool = False
 
 
 class QueryCompiler:

@@ -6,38 +6,80 @@ precompilation is that, for precompiled queries, information about rules and
 relations must be recorded.  During updates, this information is checked to
 see whether the update invalidates any compiled query."
 
-:class:`PrecompiledQueryCache` implements exactly that: compiled query
-programs are cached keyed by canonical query text and compilation options;
-each entry records the predicates its compilation depended on; the session
-checks every workspace definition and stored-D/KB update against those
-dependency sets and drops the entries an update could invalidate.
+:class:`PrecompiledQueryCache` implements exactly that, and is the default
+path of ``Testbed.query``.  Compiled query programs are cached keyed by the
+query's *form* (:func:`query_form`) and the compilation options; each entry
+records the predicates its compilation depended on; the session checks every
+workspace definition and stored-D/KB update against those dependency sets
+and drops the entries an update could invalidate.
 
-Correctness note: entries only need invalidation on *rule* changes.  Fact
-loads never invalidate — the compiled program reads base relations at
-execution time — though a plan chosen by the adaptive policy may become
-suboptimal (never wrong) as data drifts.
+Why the form is enough: without optimization the constants of a query reach
+the compiled program in one place only, the final answer SELECT
+(``QueryProgram._answer_rows``) — relevant-rule extraction, type checking
+(which sees only each constant's type), the evaluation order and every
+per-rule SQL statement are the same for ``p('a', X)`` and ``p('b', X)``.  A
+hit therefore rebinds the cached program to the incoming query and runs it.
+A rewriting compile (``optimize`` truthy) embeds the constants — magic seed
+facts, the adaptive policy's selectivity estimate — so its key keeps the
+whole query.
+
+Entries only need dropping on *rule* and *schema* changes.  Fact loads never
+invalidate — the compiled program reads base relations at execution time —
+though a plan chosen by the adaptive policy may become suboptimal (never
+wrong) as data drifts.  Changes the session does not see happen (another
+handle on the same database storing rules, the workspace or catalog edited
+directly) are caught by :meth:`PrecompiledQueryCache.validate`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Union
+from dataclasses import dataclass, replace
+from typing import Hashable, Iterable, Union
 
 from ..datalog.clauses import Query
+from ..datalog.terms import Variable
 from ..runtime.program import LfpStrategy
-from .compiler import CompilationResult
+from .compiler import CompilationResult, CompilationTimings
 
-CacheKey = tuple[str, str, str]
+CacheKey = tuple[Hashable, str, str]
+
+
+def query_form(query: Query) -> Hashable:
+    """What of ``query`` a non-rewriting compilation depends on.
+
+    The goals in order — predicate, negation flag, and per argument either
+    the variable's first-occurrence number (so ``p(X, X)`` and ``p(X, Y)``
+    differ, ``p(X, Y)`` and ``p(A, B)`` do not) or, for a constant, only its
+    SQL type — plus which variables are answered, in output order.
+    """
+    numbering: dict[Variable, int] = {}
+    goals = tuple(
+        (
+            goal.predicate,
+            goal.negated,
+            tuple(
+                numbering.setdefault(term, len(numbering))
+                if isinstance(term, Variable)
+                else term.sql_type
+                for term in goal.terms
+            ),
+        )
+        for goal in query.goals
+    )
+    return goals, tuple(numbering[v] for v in query.answer_variables)
 
 
 def cache_key(
-    query: Union[Query, str],
+    query: Query,
     optimize: Union[bool, str],
     strategy: LfpStrategy,
 ) -> CacheKey:
-    """Canonical cache key for a query and its compilation options."""
-    text = str(query).strip()
-    return (text, str(optimize), strategy.value)
+    """Cache key for a query and its compilation options.
+
+    The query's form, or the query itself when ``optimize`` asks for a
+    rewrite that embeds its constants.
+    """
+    return (query if optimize else query_form(query), str(optimize), strategy.value)
 
 
 @dataclass
@@ -73,12 +115,30 @@ class PrecompiledQueryCache:
         self.capacity = capacity
         self._entries: dict[CacheKey, CacheEntry] = {}
         self.statistics = CacheStatistics()
+        #: The D/KB state the entries were compiled under (see ``validate``).
+        self.valid_for: Hashable = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: CacheKey) -> CompilationResult | None:
-        """The cached program for ``key``, or ``None`` on a miss."""
+    def validate(self, state: Hashable) -> None:
+        """Drop every entry unless all were compiled under ``state``.
+
+        ``state`` is whatever the owner reads to identify the rule base and
+        schema it compiles against; :meth:`invalidate_for` handles the
+        changes the owner tracks itself, this handles every other one.
+        """
+        if state != self.valid_for:
+            self.statistics.invalidations += len(self._entries)
+            self.clear()
+            self.valid_for = state
+
+    def get(self, key: CacheKey, query: Query) -> CompilationResult | None:
+        """The cached plan for ``key`` bound to ``query``; ``None`` on a miss.
+
+        The result is marked ``cached`` and carries zeroed timings: nothing
+        was compiled for this call.
+        """
         entry = self._entries.get(key)
         if entry is None:
             self.statistics.misses += 1
@@ -87,7 +147,12 @@ class PrecompiledQueryCache:
         self.statistics.hits += 1
         # Move to the back of the eviction order (LRU).
         self._entries[key] = self._entries.pop(key)
-        return entry.result
+        return replace(
+            entry.result,
+            program=replace(entry.result.program, query=query),
+            timings=CompilationTimings(),
+            cached=True,
+        )
 
     def put(self, key: CacheKey, result: CompilationResult) -> None:
         """Cache a compilation, recording its rule dependencies.
@@ -101,6 +166,8 @@ class PrecompiledQueryCache:
         for clause in result.relevant_rules:
             dependencies.add(clause.head_predicate)
             dependencies.update(clause.body_predicates)
+        # Re-putting a key replaces its own entry, not the oldest other one.
+        self._entries.pop(key, None)
         if len(self._entries) >= self.capacity:
             oldest = next(iter(self._entries))
             del self._entries[oldest]
@@ -118,7 +185,7 @@ class PrecompiledQueryCache:
         doomed = [
             key
             for key, entry in self._entries.items()
-            if entry.dependencies & changed
+            if not entry.dependencies.isdisjoint(changed)
         ]
         for key in doomed:
             del self._entries[key]

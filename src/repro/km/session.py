@@ -18,13 +18,17 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from ..analysis import AnalysisConfig, DiagnosticReport, analyze
 from ..datalog.clauses import Clause, Program, Query
 from ..datalog.parser import parse_program, parse_query
 from ..datalog.terms import Atom, Variable
-from ..dbms.catalog import ExtensionalCatalog, fact_table_name
+from ..dbms.catalog import (
+    DICTIONARY_STAMP_SQL,
+    ExtensionalCatalog,
+    fact_table_name,
+)
 from ..dbms.engine import Database
 from ..dbms.schema import RelationSchema, quote_identifier
 from ..dbms.sqlgen import compile_rule_body
@@ -46,13 +50,24 @@ from .compiler import CompilationResult, QueryCompiler
 from .config import TestbedConfig
 from .constraints import assert_consistent, check_consistency
 from .precompile import PrecompiledQueryCache, cache_key
-from .stored import StoredDKB
+from .stored import RULE_STAMP_SQL, StoredDKB
 from .update import UpdateResult, update_stored_dkb
 from .workspace import WorkspaceDKB
 
 
 # Statistics phase attributed to the view-answer fast path of ``query()``.
 VIEW_ANSWER_PHASE = "view_answer"
+
+
+class DkbState(NamedTuple):
+    """What a session's cached plans are valid for (``Testbed._dkb_state``)."""
+
+    workspace: int  # WorkspaceDKB.generation
+    stored_rules: int  # MAX(ruleid) of rulesource
+    dictionary: tuple  # (ExtensionalCatalog.generation, COUNT(*), MAX(rowid))
+
+
+_DKB_STAMP_SQL = f"SELECT {RULE_STAMP_SQL}, {DICTIONARY_STAMP_SQL}"
 
 
 @dataclass
@@ -259,6 +274,7 @@ class Testbed:
             The clauses added (after normalisation).
         """
         program = parse_program(source).normalized()
+        generation = self.workspace.generation
         added: list[Clause] = []
         for clause in program:
             if clause.is_fact:
@@ -275,6 +291,7 @@ class Testbed:
         # predicates; the precompiled-query cache must drop those entries.
         new_rule_heads = {c.head_predicate for c in added if c.is_rule}
         self.precompiled.invalidate_for(new_rule_heads)
+        self._plans_follow(generation)
         return added
 
     def _load_fact(self, clause: Clause) -> None:
@@ -716,16 +733,20 @@ class Testbed:
         query: Union[Query, str],
         optimize: Union[bool, str] = False,
         strategy: LfpStrategy = LfpStrategy.SEMINAIVE,
-        precompile: bool = False,
+        precompile: bool = True,
         fastpath: FastPathConfig | None = None,
         use_views: bool = True,
     ) -> QueryResult:
         """Compile and execute a query; returns rows and all measurements.
 
-        With ``precompile=True`` the compiled program is looked up in (and
-        stored into) the precompiled-query cache — paper conclusion 3.
-        Cached plans are invalidated automatically when new rules are
-        defined or the stored D/KB is updated.
+        The compiled program is looked up in (and stored into) the
+        precompiled-query cache — paper conclusion 3 — keyed on the query's
+        form, so queries differing only in their constants share one plan
+        (``result.compilation.cached`` marks a hit; its timings are zero).
+        Cached plans are dropped when the rules or relations they depend on
+        change, through this session or any other handle on the database.
+        Pass ``precompile=False`` to force a fresh compilation that neither
+        reads nor fills the cache.
 
         ``fastpath`` overrides the session's default fast-path
         configuration for this one execution.
@@ -755,15 +776,16 @@ class Testbed:
         use_views: bool,
         tracer: "Tracer | NullTracer",
     ) -> QueryResult:
+        if isinstance(query, str):
+            query = parse_query(query)
         if use_views and self.views.has_views():
-            if isinstance(query, str):
-                query = parse_query(query)
             answered = self._answer_from_views(query)
             if answered is not None:
                 return answered
         if precompile:
+            self.precompiled.validate(self._dkb_state())
             key = cache_key(query, optimize, strategy)
-            compilation = self.precompiled.get(key)
+            compilation = self.precompiled.get(key, query)
             if compilation is None:
                 compilation = self.compile_query(query, optimize, strategy)
                 self.precompiled.put(key, compilation)
@@ -779,6 +801,39 @@ class Testbed:
             )
         elapsed = time.perf_counter() - started
         return QueryResult(execution.rows, compilation, execution, elapsed)
+
+    def _dkb_state(self) -> DkbState:
+        """The rule base and schema this query compiles against.
+
+        One SQL statement, run in the caller's snapshot *before* the cache
+        lookup: a pooled reader compiles against whatever the writer handle
+        has committed, so only the database can say which rule base this
+        query sees.  (A plan compiled after a later commit than the stamp
+        it is filed under is merely dropped one query early.)
+        """
+        ((rules, relations, newest),) = self.database.execute(_DKB_STAMP_SQL)
+        return DkbState(
+            self.workspace.generation,
+            rules or 0,
+            (self.catalog.generation, relations, newest),
+        )
+
+    def _plans_follow(self, workspace_before: int, rules_stored: int = 0) -> None:
+        """Carry the plan cache across a rule change this session made.
+
+        ``invalidate_for`` has already dropped the plans the change could
+        affect, so the rest stay valid for the state the change produces:
+        the workspace as it is now and ``rules_stored`` more stored rules.
+        That state is computed, not read — the update path gains no SQL —
+        and only from a state the cache was valid for: if anything else
+        moved in between, the next query's ``validate`` sees a mismatch.
+        """
+        valid = self.precompiled.valid_for
+        if valid is not None and valid.workspace == workspace_before:
+            self.precompiled.valid_for = valid._replace(
+                workspace=self.workspace.generation,
+                stored_rules=valid.stored_rules + rules_stored,
+            )
 
     def _check_workspace_consistency(self) -> None:
         derived = self.workspace.derived_predicates
@@ -813,6 +868,7 @@ class Testbed:
         """
         if verify_consistency:
             assert_consistent(self)
+        generation = self.workspace.generation
         result = update_stored_dkb(
             self.workspace, self.stored, self.catalog, lint=lint,
             tracer=self._tracer,
@@ -821,7 +877,10 @@ class Testbed:
             {c.head_predicate for c in result.new_rules}
         )
         if clear_workspace:
+            # Every workspace rule is now stored, so emptying the workspace
+            # leaves the effective rule base — and every plan — as it was.
             self.workspace.clear()
+        self._plans_follow(generation, len(result.new_rules))
         return result
 
     def lint(
@@ -869,16 +928,13 @@ class Testbed:
         return check_consistency(self)
 
     def clear_workspace(self) -> None:
-        """Empty the workspace and drop every precompiled plan.
+        """Empty the workspace, marking stale the views built over it.
 
-        Cached plans may embed workspace rules, so clearing the workspace
-        through this method (rather than ``workspace.clear()`` directly)
-        keeps the precompiled-query cache consistent.  Materialized views
-        built over workspace rules are marked stale.
+        Precompiled plans that embed workspace rules need no help: the
+        workspace generation moves, so the next query drops them.
         """
         derived = self.workspace.derived_predicates
         self.workspace.clear()
-        self.precompiled.clear()
         self._invalidate_views_for(derived)
 
     # -- introspection ------------------------------------------------------------

@@ -34,6 +34,11 @@ ICOLUMNS = "icolumns"
 RULESOURCE = "rulesource"
 REACHABLEPREDS = "reachablepreds"
 
+#: Scalar subquery that moves whenever any handle on the database stores a
+#: rule: ``rulesource`` is append-only and ``ruleid`` is AUTOINCREMENT, so
+#: the maximum only ever grows, by one per rule stored.
+RULE_STAMP_SQL = f"(SELECT MAX(ruleid) FROM {RULESOURCE})"
+
 
 class StoredDKB:
     """Manages the intensional database storage structures."""

@@ -26,26 +26,32 @@ class WorkspaceDKB:
 
     def __init__(self) -> None:
         self._program = Program()
+        #: Bumped by every change to the contents.  Plans compiled against
+        #: the workspace record it, so a change made behind the session's
+        #: back (``testbed.workspace.clear()``) is still noticed.
+        self.generation = 0
 
     def define(self, source: str) -> list[Clause]:
         """Parse ``source`` and add every clause; returns the new clauses."""
-        added = []
-        for clause in iter_clauses(source):
-            if self._program.add(clause):
-                added.append(clause)
-        return added
+        return [c for c in iter_clauses(source) if self.add_clause(c)]
 
     def add_clause(self, clause: Clause) -> bool:
         """Add one already-parsed clause; ``False`` when already present."""
-        return self._program.add(clause)
+        added = self._program.add(clause)
+        if added:
+            self.generation += 1
+        return added
 
     def add_clauses(self, clauses: Iterable[Clause]) -> int:
         """Add many clauses; returns how many were new."""
-        return self._program.extend(clauses)
+        added = self._program.extend(clauses)
+        self.generation += added
+        return added
 
     def clear(self) -> None:
         """Empty the workspace."""
         self._program = Program()
+        self.generation += 1
 
     def simplify(self) -> list[Clause]:
         """Drop tautological and subsumed rules; return what was removed.
@@ -58,6 +64,7 @@ class WorkspaceDKB:
         simplified, removed = simplify_program(self._program)
         if removed:
             self._program = simplified
+            self.generation += 1
         return removed
 
     @property

@@ -169,8 +169,9 @@ class CommandInterpreter:
                     "(answered from materialized view)"
                 )
             else:
+                cached = " (cached plan)" if result.compilation.cached else ""
                 lines.append(
-                    f"t_c = {result.compile_seconds * 1000:.2f} ms, "
+                    f"t_c = {result.compile_seconds * 1000:.2f} ms{cached}, "
                     f"t_e = {result.execution_seconds * 1000:.2f} ms, "
                     f"iterations = {result.execution.total_iterations}, "
                     f"optimized = {result.compilation.optimized}"

@@ -1,0 +1,106 @@
+"""Property-based test: the default (plan-cached) query path is never stale.
+
+Random interleavings of ``define`` / ``update_stored_dkb`` / ``load_facts`` /
+``query`` over :mod:`repro.workloads.rulegen` modules.  After every step a
+query answered through the precompiled-plan cache must agree with a fresh
+compilation (``precompile=False``) and with the independent in-memory
+top-down evaluator over a model of the rules and facts entered so far —
+or fail with the same error when its rules are not all there yet.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import Testbed
+from repro.datalog.clauses import Program
+from repro.datalog.parser import parse_clause, parse_query
+from repro.errors import TestbedError
+from repro.runtime.topdown import evaluate_top_down
+from repro.workloads.rulegen import make_module
+
+MODULES = [
+    make_module("m0", 3, rules_per_predicate=2),
+    make_module("m1", 2, rules_per_predicate=2, recursive=True),
+]
+# The one-body-per-predicate subset of each: enough for every query to compile.
+COMPLETE = [
+    rule
+    for name, length in (("m0", 3), ("m1", 2))
+    for rule in make_module(name, length).rules
+]
+# A module's alternative bodies derive what its first bodies do, so the rules
+# that change answers once a module is complete are m1's recursive one and
+# these two, which also make plans of one module depend on the other.
+DEFINABLE = [rule for chosen in MODULES for rule in chosen.rules] + [
+    parse_clause("p_m0_2(X, Y) :- base_m1(X, Y)."),
+    parse_clause("p_m1_0(X, Y) :- p_m0_1(X, Y)."),
+]
+NODES = ["a", "b", "c"]
+
+module = st.sampled_from(MODULES)
+node = st.sampled_from(NODES)
+
+
+@st.composite
+def steps(draw):
+    """One step; queries are common and few in form, so plans get reused."""
+    kind = draw(
+        st.sampled_from(["define", "update", "load"] + ["query"] * 5)
+    )
+    chosen = draw(module)
+    if kind == "define":
+        return kind, chosen, draw(st.sampled_from(DEFINABLE))
+    if kind == "load":
+        return kind, chosen, (draw(node), draw(node))
+    if kind == "query":
+        predicate = draw(st.sampled_from(chosen.predicates[:2]))
+        first = draw(st.sampled_from(["X", "X", "'a'", "'b'"]))
+        return kind, chosen, f"?- {predicate}({first}, Y)."
+    return kind, chosen, None  # update
+
+
+def outcome(testbed, text, **options):
+    """The sorted answer rows, or the error type the query raised."""
+    try:
+        return sorted(set(testbed.query(text, **options).rows))
+    except TestbedError as error:
+        return type(error)
+
+
+edges = st.lists(st.tuples(node, node), max_size=5)
+
+
+@given(st.booleans(), edges, edges, st.lists(steps(), min_size=10, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_cached_plans_track_every_rule_and_fact_change(
+    complete, edges0, edges1, sequence
+):
+    rules = Program()
+    facts = {
+        chosen.base_predicate: set(rows)
+        for chosen, rows in zip(MODULES, (edges0, edges1))
+    }
+    with Testbed() as testbed:
+        for base, rows in facts.items():
+            testbed.define_base_relation(base, ("TEXT", "TEXT"))
+            testbed.load_facts(base, sorted(rows))
+        if complete:
+            testbed.define("\n".join(str(rule) for rule in COMPLETE))
+            rules.extend(COMPLETE)
+        for kind, chosen, argument in sequence:
+            if kind == "define":
+                testbed.define(str(argument))
+                rules.add(argument)
+            elif kind == "update":
+                testbed.update_stored_dkb()
+            elif kind == "load":
+                testbed.load_facts(chosen.base_predicate, [argument])
+                facts[chosen.base_predicate].add(argument)
+            else:
+                fresh = outcome(testbed, argument, precompile=False)
+                assert outcome(testbed, argument) == fresh
+                if isinstance(fresh, list):
+                    expected = evaluate_top_down(
+                        rules, facts, parse_query(argument)
+                    )
+                    assert fresh == sorted(expected)

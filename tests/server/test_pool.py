@@ -143,6 +143,31 @@ def test_defined_rules_visible_to_all_sessions(pool):
         assert ("sue",) in result.rows and ("tom",) in result.rows
 
 
+def test_no_reader_serves_a_plan_older_than_the_rule_base(pool):
+    """Readers cache compiled plans; the rules change on the writer handle."""
+    leaf = "?- ancestor('ann', Y)."
+
+    def read_on_every_session():
+        # pool.query always checks out the same idle session; hold both.
+        with pool.reader() as first, pool.reader() as second:
+            assert first is not second
+            return [
+                (session, session.query(leaf, use_cache=False))
+                for session in (first, second)
+            ]
+
+    for session, result in read_on_every_session():
+        assert result.rows == ()
+        assert len(session.testbed.precompiled) == 1
+    pool.define("ancestor(X, Y) :- parent(Y, X).")
+    for session, result in read_on_every_session():
+        assert result.rows == (("sue",),)
+        assert result.version == pool.version()
+    # ...and the recompiled plan is then reused until the next rule change.
+    for session, __ in read_on_every_session():
+        assert session.testbed.precompiled.statistics.hits >= 1
+
+
 def test_materialized_view_serves_readers(pool):
     pool.materialize("ancestor")
     result = pool.query(ANCESTOR_JOHN, use_cache=False)

@@ -39,7 +39,7 @@ def _trace_ancestor_query():
     with delta cardinalities, captured query plans) ships with the bench
     reports as a CI artifact.
     """
-    from repro import Testbed, TestbedConfig
+    from repro import LfpStrategy, Testbed, TestbedConfig
     from repro.workloads.queries import (
         ANCESTOR_RULES,
         ancestor_query,
@@ -50,7 +50,9 @@ def _trace_ancestor_query():
     with Testbed(TestbedConfig(trace=True)) as testbed:
         testbed.define(ANCESTOR_RULES)
         load_parent_relation(testbed, full_binary_trees(1, 5 if QUICK else DEPTH))
-        testbed.query(ancestor_query(tree_node("t", 1)))
+        testbed.query(
+            ancestor_query(tree_node("t", 1)), strategy=LfpStrategy.SEMINAIVE
+        )
         return testbed.tracer
 
 

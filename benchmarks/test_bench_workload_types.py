@@ -14,6 +14,7 @@ verifying that the machinery is workload-agnostic:
 
 from __future__ import annotations
 
+from repro import LfpStrategy
 from repro.bench import timed
 from repro.workloads.queries import (
     ancestor_query,
@@ -45,8 +46,11 @@ def run_workload_sweep(repetitions: int = 3):
         expected = expected_ancestor_answers(relation, root)
         measurements = {}
         for mode, optimize in (("plain", False), ("magic", True)):
+            # Iteration counts are the loop's: pin the semi-naive strategy.
             compiled = testbed.compile_query(
-                ancestor_query(root), optimize=optimize
+                ancestor_query(root),
+                optimize=optimize,
+                strategy=LfpStrategy.SEMINAIVE,
             )
             run = timed(
                 lambda: compiled.program.execute(

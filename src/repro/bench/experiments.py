@@ -170,7 +170,8 @@ def run_compile_breakdown(
         query = rule_base.query_text()
         samples: list[dict[str, float]] = []
         for __ in range(repetitions):
-            result = testbed.compile_query(query)
+            # The paper's code generator: no one-statement plan to build.
+            result = testbed.compile_query(query, strategy=LfpStrategy.SEMINAIVE)
             samples.append(result.timings.as_dict())
         # Median per component, dropping the redundant total.
         components = {

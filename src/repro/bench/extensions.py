@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from ..km.config import TestbedConfig
 from ..km.session import Testbed
 from ..runtime.counting import evaluate_counting, recognize_counting_form
+from ..runtime.program import LfpStrategy
 from ..datalog.parser import parse_program
 from ..workloads.queries import ancestor_query, make_ancestor_testbed
 from ..workloads.relations import (
@@ -62,7 +63,9 @@ def run_adaptive_policy(
         used_magic = False
         for mode in ("plain", "magic", "auto"):
             optimize = {"plain": False, "magic": True, "auto": "auto"}[mode]
-            compiled = testbed.compile_query(query, optimize=optimize)
+            compiled = testbed.compile_query(
+                query, optimize=optimize, strategy=LfpStrategy.SEMINAIVE
+            )
             run = timed(
                 lambda: compiled.program.execute(
                     testbed.database, testbed.catalog
@@ -246,7 +249,9 @@ def run_rewrite_methods(
         ("magic", True),
         ("supplementary", "supplementary"),
     ):
-        compiled = testbed.compile_query(query, optimize=optimize)
+        compiled = testbed.compile_query(
+            query, optimize=optimize, strategy=LfpStrategy.SEMINAIVE
+        )
         run = timed(
             lambda: compiled.program.execute(testbed.database, testbed.catalog),
             repetitions,
@@ -309,7 +314,6 @@ def run_parallel_simulation(
     objects, one per worker count.
     """
     from ..runtime.parallel_sim import lfp_phase_events, sweep_workers
-    from ..runtime.program import LfpStrategy
 
     strategy = strategy or LfpStrategy.SEMINAIVE
     testbed = Testbed()
@@ -403,7 +407,6 @@ def run_fastpath_ab(
     """
     from ..dbms.engine import DEFAULT_STATEMENT_CACHE_SIZE
     from ..runtime.context import FastPathConfig
-    from ..runtime.program import LfpStrategy
     from ..workloads.queries import ANCESTOR_RULES, load_parent_relation, selectivity_of
 
     strategy = strategy or LfpStrategy.SEMINAIVE

@@ -56,6 +56,9 @@ class BackendCapabilities:
             file while both stay live (SQLite's online backup API) — the
             replication transport of the cluster's read replicas
             (:mod:`repro.cluster.replica`).
+        max_compound_select: the most arms one compound SELECT may have
+            (``None`` = unbounded); a recursive CTE with more falls back to
+            the iteration loop instead of failing.
     """
 
     supports_recursive_cte: bool = True
@@ -66,6 +69,7 @@ class BackendCapabilities:
     supports_interrupt: bool = False
     supports_shared_cursors: bool = False
     supports_snapshot_copy: bool = False
+    max_compound_select: int | None = None
 
 
 class SqlBackend(abc.ABC):

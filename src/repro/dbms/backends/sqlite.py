@@ -31,6 +31,8 @@ class SqliteBackend(SqlBackend):
         supports_interrupt=True,
         supports_shared_cursors=True,
         supports_snapshot_copy=True,
+        # SQLITE_MAX_COMPOUND_SELECT's compiled-in default.
+        max_compound_select=500,
     )
 
     def connect(self, path: str, options: "ConnectionOptions") -> Any:

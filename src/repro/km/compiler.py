@@ -34,7 +34,7 @@ from ..datalog.pcg import PredicateConnectionGraph
 from ..dbms.catalog import ExtensionalCatalog
 from ..obs.timings import TimingsMapping
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
-from ..runtime.program import LfpStrategy, QueryProgram
+from ..runtime.program import DEFAULT_STRATEGY, LfpStrategy, QueryProgram
 from .codegen import compile_and_link, generate_fragment
 from .optimizer import optimization_applies, optimize
 from .policy import AdaptiveDecision, AdaptiveOptimizationPolicy
@@ -136,7 +136,7 @@ class QueryCompiler:
         self,
         query: Union[Query, str],
         optimize_query: Union[bool, str] = False,
-        strategy: LfpStrategy = LfpStrategy.SEMINAIVE,
+        strategy: LfpStrategy = DEFAULT_STRATEGY,
         reorder_bodies: bool = False,
         lint: bool = False,
         tracer: "Tracer | NullTracer | None" = None,

@@ -89,19 +89,11 @@ def decide_clique_strategy(
     """Decide whether ``clique`` should run as one recursive-CTE statement.
 
     ``database`` is optional: without one the decision reflects the clique's
-    logical shape alone; with one, the backend's ``supports_recursive_cte``
-    capability gates the answer too.
+    logical shape alone; with one, the backend's recursive-CTE support and
+    compound-select limit gate the answer too.
     """
     label = "+".join(sorted(clique.predicates))
-    check = cte_eligibility(clique)
-    if check.eligible and database is not None:
-        if not database.capabilities.supports_recursive_cte:
-            return LfpStrategyDecision(
-                label,
-                False,
-                f"backend {database.backend.name!r} lacks recursive-CTE "
-                "support",
-            )
+    check = cte_eligibility(clique, database)
     return LfpStrategyDecision(label, check.eligible, check.reason)
 
 
@@ -120,30 +112,22 @@ class ServingPolicy:
     protocol defaults, so flipping a knob never breaks a caller that asked
     for something specific.
 
-    Three knobs, mirroring the paper's tunables:
+    Two knobs, mirroring the paper's tunables:
 
-    * ``strategy`` — the default LFP evaluation strategy (e.g. switch the
-      whole serving path onto the recursive-CTE fast path, ``"lfp_cte"``);
     * ``optimize`` — the magic-sets default (magic on/off, or
       ``"adaptive"`` for the per-query probe policy);
     * ``use_cache`` — the result-cache default.
 
-    Values are wire-level (strategy names as strings) so a snapshot is
-    JSON-friendly and the watchdog's structured events can carry it.
+    Values are wire-level so a snapshot is JSON-friendly and the
+    watchdog's structured events can carry it.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._strategy: Optional[str] = None  # guarded-by: _lock
         self._optimize: "bool | str | None" = None  # guarded-by: _lock
         self._use_cache: Optional[bool] = None  # guarded-by: _lock
 
     # -- reading (the serving hot path) ------------------------------------
-
-    def default_strategy(self, fallback: str) -> str:
-        """The strategy for a request that named none."""
-        with self._lock:
-            return self._strategy if self._strategy is not None else fallback
 
     def default_optimize(self, fallback: "bool | str" = False) -> "bool | str":
         """The magic-sets setting for a request that named none."""
@@ -157,20 +141,12 @@ class ServingPolicy:
 
     # -- flipping (the watchdog's action pairs) ----------------------------
 
-    def set_strategy(self, strategy: Any = _UNSET) -> Optional[str]:
-        """Set (or with ``None`` clear) the strategy override.
+    def set_optimize(self, optimize: Any = _UNSET) -> "bool | str | None":
+        """Set (or with ``None`` clear) the magic-sets override.
 
         Returns the previous override so the caller can restore it — the
         shape a reversible watchdog action needs.
         """
-        with self._lock:
-            previous = self._strategy
-            if strategy is not _UNSET:
-                self._strategy = strategy
-            return previous
-
-    def set_optimize(self, optimize: Any = _UNSET) -> "bool | str | None":
-        """Set (or with ``None`` clear) the magic-sets override."""
         with self._lock:
             previous = self._optimize
             if optimize is not _UNSET:
@@ -188,7 +164,6 @@ class ServingPolicy:
     def clear(self) -> None:
         """Drop every override (back to the protocol defaults)."""
         with self._lock:
-            self._strategy = None
             self._optimize = None
             self._use_cache = None
 
@@ -196,8 +171,6 @@ class ServingPolicy:
         """JSON-friendly view of the currently active overrides."""
         with self._lock:
             active: dict[str, Any] = {}
-            if self._strategy is not None:
-                active["strategy"] = self._strategy
             if self._optimize is not None:
                 active["optimize"] = self._optimize
             if self._use_cache is not None:

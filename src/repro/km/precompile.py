@@ -18,7 +18,9 @@ the compiled program in one place only, the final answer SELECT
 (``QueryProgram._answer_rows``) — relevant-rule extraction, type checking
 (which sees only each constant's type), the evaluation order and every
 per-rule SQL statement are the same for ``p('a', X)`` and ``p('b', X)``.  A
-hit therefore rebinds the cached program to the incoming query and runs it.
+hit therefore rebinds the cached program to the incoming query and runs it;
+the rebind keeps the plan's one-statement form (``QueryProgram.fused``), so
+the cache's LRU is also what bounds those statements.
 A rewriting compile (``optimize`` truthy) embeds the constants — magic seed
 facts, the adaptive policy's selectivity estimate — so its key keeps the
 whole query.

@@ -45,7 +45,7 @@ from ..maintenance.refresh import full_refresh
 from ..maintenance.registry import MaterializedViewRegistry, view_table_name
 from ..obs.trace import NULL_TRACER, NullTracer, Span, Tracer
 from ..runtime.context import FastPathConfig
-from ..runtime.program import ExecutionResult, LfpStrategy
+from ..runtime.program import DEFAULT_STRATEGY, ExecutionResult, LfpStrategy
 from .compiler import CompilationResult, QueryCompiler
 from .config import TestbedConfig
 from .constraints import assert_consistent, check_consistency
@@ -712,7 +712,7 @@ class Testbed:
         self,
         query: Union[Query, str],
         optimize: Union[bool, str] = False,
-        strategy: LfpStrategy = LfpStrategy.SEMINAIVE,
+        strategy: LfpStrategy = DEFAULT_STRATEGY,
         lint: bool = False,
     ) -> CompilationResult:
         """Compile a query without executing it (Tests 1-3 use this).
@@ -732,7 +732,7 @@ class Testbed:
         self,
         query: Union[Query, str],
         optimize: Union[bool, str] = False,
-        strategy: LfpStrategy = LfpStrategy.SEMINAIVE,
+        strategy: LfpStrategy = DEFAULT_STRATEGY,
         precompile: bool = True,
         fastpath: FastPathConfig | None = None,
         use_views: bool = True,

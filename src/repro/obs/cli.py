@@ -42,8 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--strategy",
-        default="seminaive",
-        help="LFP strategy: naive, seminaive, or lfp_operator",
+        help="LFP strategy: lfp_cte (default), naive, seminaive, or lfp_operator",
     )
     parser.add_argument(
         "--optimize",
@@ -56,12 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     from ..km.config import TestbedConfig
     from ..km.session import Testbed
-    from ..runtime.program import LfpStrategy
+    from ..runtime.program import DEFAULT_STRATEGY, LfpStrategy
     from .export import render_span_tree, write_chrome_trace
 
     arguments = build_parser().parse_args(argv)
     try:
-        strategy = LfpStrategy(arguments.strategy.lower())
+        strategy = LfpStrategy((arguments.strategy or DEFAULT_STRATEGY.value).lower())
     except ValueError:
         names = ", ".join(s.value for s in LfpStrategy)
         print(f"unknown strategy {arguments.strategy!r} (one of: {names})")

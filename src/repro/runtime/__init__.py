@@ -26,8 +26,10 @@ from .counting import (
 from .lfp import evaluate_clique_lfp_operator
 from .lfp_cte import (
     CteEligibility,
+    FusedProgram,
     cte_eligibility,
     evaluate_clique_lfp_cte,
+    fuse_program,
 )
 from .naive import LfpResult, evaluate_clique_naive
 from .parallel_sim import (
@@ -36,7 +38,7 @@ from .parallel_sim import (
     simulate_parallel_lfp,
     sweep_workers,
 )
-from .program import ExecutionResult, LfpStrategy, QueryProgram
+from .program import DEFAULT_STRATEGY, ExecutionResult, LfpStrategy, QueryProgram
 from .relalg import evaluate_nonrecursive, evaluate_rule_into
 from .seminaive import evaluate_clique_seminaive
 from .topdown import TopDownEvaluator, evaluate_top_down
@@ -52,6 +54,7 @@ __all__ = [
     "CountingResult",
     "CteEligibility",
     "cte_eligibility",
+    "DEFAULT_STRATEGY",
     "EvaluationContext",
     "SimulatedSchedule",
     "counting_applies",
@@ -63,6 +66,7 @@ __all__ = [
     "EvaluationCounters",
     "ExecutionResult",
     "FastPathConfig",
+    "FusedProgram",
     "LfpResult",
     "LfpStrategy",
     "PHASE_RHS_EVAL",
@@ -78,6 +82,7 @@ __all__ = [
     "evaluate_nonrecursive",
     "evaluate_rule_into",
     "evaluate_top_down",
+    "fuse_program",
     "incremental_closure_update",
     "reachable_from",
     "transitive_closure_python",

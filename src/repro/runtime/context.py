@@ -52,19 +52,11 @@ class FastPathConfig:
     * ``advise_indexes`` — run the index advisor
       (:mod:`repro.dbms.advisor`) over the clique's compiled SELECTs before
       the loop and index the derived relations' join columns.
-    * ``lfp_cte`` — evaluate each qualifying clique (single-predicate,
-      linear, negation-free) as one ``WITH RECURSIVE`` statement inside the
-      DBMS (:mod:`repro.runtime.lfp_cte`), falling back to the configured
-      iteration loop otherwise.  Unlike the three physical-level switches
-      above, this changes the statement stream and the iteration counters
-      (an eligible clique reports one iteration), so it is *not* part of
-      :meth:`enabled` — the CTE-vs-loop A/B turns it on explicitly.
     """
 
     batch_iterations: bool = False
     reuse_scratch_tables: bool = False
     advise_indexes: bool = False
-    lfp_cte: bool = False
 
     @classmethod
     def enabled(cls) -> "FastPathConfig":
@@ -81,7 +73,6 @@ class FastPathConfig:
             self.batch_iterations
             or self.reuse_scratch_tables
             or self.advise_indexes
-            or self.lfp_cte
         )
 
 
@@ -92,7 +83,7 @@ class EvaluationCounters:
     iterations_by_clique: dict[str, int] = field(default_factory=dict)
     tuples_by_predicate: dict[str, int] = field(default_factory=dict)
     # Clique label -> how it was actually evaluated: "lfp_cte" when the
-    # recursive-CTE fast path ran, "fallback: <reason>" when it declined.
+    # recursive-CTE path ran, "fallback: <reason>" when it declined.
     # Only filled in by strategies that make such a choice.
     strategy_by_clique: dict[str, str] = field(default_factory=dict)
 

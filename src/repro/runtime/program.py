@@ -12,10 +12,9 @@ answer relation.
 from __future__ import annotations
 
 import enum
-import functools
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..datalog.clauses import Query
 from ..datalog.evalgraph import EvaluationNode, PredicateNode
@@ -25,9 +24,9 @@ from ..dbms.engine import Database
 from ..dbms.sqlgen import compile_rule_body
 from ..errors import EvaluationError
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
-from .context import EvaluationContext, FastPathConfig
+from .context import PHASE_RHS_EVAL, EvaluationContext, FastPathConfig
 from .lfp import evaluate_clique_lfp_operator
-from .lfp_cte import evaluate_clique_lfp_cte
+from .lfp_cte import FusedProgram, evaluate_clique_lfp_cte
 from .naive import LfpResult, evaluate_clique_naive
 from .relalg import evaluate_nonrecursive
 from .seminaive import evaluate_clique_seminaive
@@ -43,8 +42,13 @@ class LfpStrategy(enum.Enum):
     LFP_OPERATOR = "lfp_operator"
     # Extension: the whole fixpoint as one recursive-CTE statement when the
     # clique qualifies (linear, single-predicate, negation-free); falls back
-    # to semi-naive iteration otherwise.
+    # to semi-naive iteration otherwise.  When every clique qualifies, the
+    # whole program runs as one statement (see ``QueryProgram.fused``).
     LFP_CTE = "lfp_cte"
+
+
+#: The strategy every entry point uses unless the caller names one.
+DEFAULT_STRATEGY = LfpStrategy.LFP_CTE
 
 
 _CLIQUE_EVALUATORS = {
@@ -67,7 +71,7 @@ class ExecutionResult:
     # Fig 14 reads the magic-rules vs modified-rules LFP times from here.
     node_seconds: dict[str, float] = field(default_factory=dict)
     # Clique label -> "lfp_cte" | "fallback: <reason>", filled in when the
-    # recursive-CTE strategy (or the lfp_cte fast-path switch) was in play.
+    # recursive-CTE strategy was in play.
     strategy_by_clique: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -89,18 +93,22 @@ class QueryProgram:
         optimized: whether the rules were magic-sets rewritten.
         goal_rewrites: maps each original query-goal predicate to the
             (possibly adorned) predicate whose relation answers it.
+        fused: the whole plan as one statement (built once, at link time,
+            for ``LFP_CTE`` plans whose every clique qualifies); an init
+            field, so a plan-cache rebind carries it along.
     """
 
     query: Query
     order: tuple[EvaluationNode, ...]
     types: Mapping[str, tuple[str, ...]]
     base_predicates: frozenset[str]
-    strategy: LfpStrategy = LfpStrategy.SEMINAIVE
+    strategy: LfpStrategy = DEFAULT_STRATEGY
     optimized: bool = False
     goal_rewrites: Mapping[str, str] = field(default_factory=dict)
     # Ground tuples pre-loaded into derived relations before evaluation —
     # the magic seed fact, and workspace facts over derived predicates.
     seed_facts: Mapping[str, tuple[tuple, ...]] = field(default_factory=dict)
+    fused: FusedProgram | None = field(default=None, compare=False, repr=False)
 
     def execute(
         self,
@@ -109,12 +117,14 @@ class QueryProgram:
         fastpath: FastPathConfig | None = None,
         tracer: "Tracer | NullTracer | None" = None,
     ) -> ExecutionResult:
-        """Run the program bottom-up and return the answer tuples.
+        """Run the program and return the answer tuples.
 
-        ``fastpath`` switches on the fast-path execution layer (iteration
-        batching, scratch-table reuse, index advice) for the LFP loops;
-        ``None`` keeps the paper-faithful slow path.  ``tracer`` threads the
-        observability sink through to the evaluation strategies.
+        A plan with a :attr:`fused` statement the backend can run is one
+        statement; any other runs bottom-up, node by node.  ``fastpath``
+        switches on the fast-path execution layer (iteration batching,
+        scratch-table reuse, index advice) for the LFP loops; ``None`` keeps
+        the paper-faithful slow path.  ``tracer`` threads the observability
+        sink through to the evaluation strategies.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         table_of = {}
@@ -124,18 +134,13 @@ class QueryProgram:
                     f"base relation {predicate!r} is not loaded in the DBMS"
                 )
             table_of[predicate] = fact_table_name(predicate)
+        if self.fused is not None and self.fused.runs_on(database):
+            return self._execute_fused(database, self.fused, tracer)
         context = EvaluationContext(
             database, table_of, self.types, self.seed_facts, fastpath, tracer
         )
 
         evaluate_clique = _CLIQUE_EVALUATORS[self.strategy]
-        if context.fastpath.lfp_cte and self.strategy is not LfpStrategy.LFP_CTE:
-            # The fast-path switch upgrades qualifying cliques to the
-            # one-statement recursive CTE; ineligible cliques still run
-            # under the configured strategy.
-            evaluate_clique = functools.partial(
-                evaluate_clique_lfp_cte, fallback=evaluate_clique
-            )
         lfp_results: list[LfpResult] = []
         defined = program_predicates(self.order)
         try:
@@ -162,7 +167,7 @@ class QueryProgram:
                         raise EvaluationError(f"unknown evaluation node {node!r}")
                     node_seconds[label] = time.perf_counter() - started
             with tracer.span("answer", category="answer"):
-                rows = self._answer_rows(context)
+                rows = self._answer_rows(database, context.table_of)
         finally:
             context.cleanup()
         return ExecutionResult(
@@ -174,16 +179,52 @@ class QueryProgram:
             dict(context.counters.strategy_by_clique),
         )
 
-    def _answer_rows(self, context: EvaluationContext) -> list[tuple]:
-        """Join the (materialised) query goals for the final answer."""
+    def _execute_fused(
+        self,
+        database: Database,
+        fused: FusedProgram,
+        tracer: "Tracer | NullTracer",
+    ) -> ExecutionResult:
+        """The whole plan as one statement: nothing is materialised, so the
+        result has no per-predicate sizes and no per-node seconds."""
+        with tracer.span(
+            "fused", category="fused", cliques=len(fused.cliques)
+        ), database.phase(PHASE_RHS_EVAL):
+            rows = self._answer_rows(
+                database, fused.tables.__getitem__, fused.with_clause, fused.parameters
+            )
+        if tracer.enabled:
+            tracer.metrics.counter("lfp.iterations").inc(len(fused.cliques))
+            tracer.metrics.counter("lfp.cte_statements").inc()
+        return ExecutionResult(
+            rows,
+            {label: 1 for label in fused.cliques},
+            lfp_results=[LfpResult(1, {}) for __ in fused.cliques],
+            strategy_by_clique={label: "lfp_cte" for label in fused.cliques},
+        )
+
+    def _answer_rows(
+        self,
+        database: Database,
+        table_of: Callable[[str], str],
+        with_clause: str = "",
+        parameters: tuple = (),
+    ) -> list[tuple]:
+        """Join the query goals for the final answer.
+
+        The SELECT reads ``table_of`` — materialised relations, or the CTEs
+        of ``with_clause``, whose ``parameters`` precede its own.
+        """
         goals = tuple(
             goal.with_predicate(self.goal_rewrites.get(goal.predicate, goal.predicate))
             for goal in self.query.goals
         )
         answer_clause = Query(goals, self.query.answer_variables).as_clause()
         select = compile_rule_body(answer_clause)
-        tables = [context.table_of(p) for p in select.table_slots]
-        rows = context.database.execute(select.render(tables), select.parameters)
+        sql = select.render([table_of(p) for p in select.table_slots])
+        if with_clause:
+            sql = f"{with_clause} {sql}"
+        rows = database.execute(sql, parameters + select.parameters)
         if not self.query.answer_variables:
             # Boolean (fully ground) query: true iff any witness row exists.
             return [()] if rows else []

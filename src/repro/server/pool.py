@@ -40,7 +40,7 @@ from ..km.partition import PartitionSpec
 from ..km.session import Testbed
 from ..obs.metrics import MetricsRegistry
 from ..runtime.context import FastPathConfig
-from ..runtime.program import LfpStrategy
+from ..runtime.program import DEFAULT_STRATEGY, LfpStrategy
 from .admission import AdmissionController, AdmissionError
 from .cache import CachedResult, VersionedResultCache, canonical_query
 from .protocol import ErrorCode
@@ -122,7 +122,7 @@ class ReaderSession:
         self,
         query: str,
         bindings: Optional[dict[str, Any]] = None,
-        strategy: LfpStrategy = LfpStrategy.SEMINAIVE,
+        strategy: LfpStrategy = DEFAULT_STRATEGY,
         optimize: "bool | str" = False,
         use_views: bool = True,
         use_cache: bool = True,

@@ -28,7 +28,7 @@ from ..obs.live.exporter import MetricsExporter
 from ..obs.live.timeseries import TimeSeriesStore
 from ..obs.live.watchdog import CallbackAction, SloRule, SloWatchdog
 from ..runtime.context import FastPathConfig
-from ..runtime.program import LfpStrategy
+from ..runtime.program import DEFAULT_STRATEGY, LfpStrategy
 from .admission import AdmissionError
 from .cache import VersionedResultCache
 from .pool import ReaderSession, SessionPool, StaleSnapshot
@@ -57,11 +57,10 @@ class WatchdogConfig:
 
     Escalations on a latency breach (each individually reversible, all
     reverted on recovery): ``escalate_tracing`` turns structured tracing
-    on across the pool's sessions (diagnostic mode), ``switch_strategy``
-    overrides the default LFP strategy on :class:`~repro.km.policy.
-    ServingPolicy` (e.g. onto the recursive-CTE fast path),
-    ``switch_optimize`` overrides the magic-sets default, and
-    ``tighten_waiters`` shrinks the admission wait queue to shed earlier.
+    on across the pool's sessions (diagnostic mode), ``switch_optimize``
+    overrides the magic-sets default on :class:`~repro.km.policy.
+    ServingPolicy`, and ``tighten_waiters`` shrinks the admission wait
+    queue to shed earlier.
     A cache breach escalates tracing only — a cold cache is a thing to
     diagnose, not to shed over.
 
@@ -79,7 +78,6 @@ class WatchdogConfig:
     alpha: float = 0.5
     min_requests: int = 1
     escalate_tracing: bool = True
-    switch_strategy: Optional[str] = LfpStrategy.LFP_CTE.value
     switch_optimize: "bool | str | None" = None
     tighten_waiters: Optional[int] = 2
     auto_start: bool = True
@@ -371,14 +369,6 @@ class DkbServer:
             actions: list[CallbackAction] = []
             if config.escalate_tracing:
                 actions.append(self._tracing_action())
-            if config.switch_strategy is not None:
-                actions.append(
-                    self._policy_action(
-                        "policy.strategy",
-                        self.policy.set_strategy,
-                        config.switch_strategy,
-                    )
-                )
             if config.switch_optimize is not None:
                 actions.append(
                     self._policy_action(
@@ -606,10 +596,7 @@ class DkbServer:
     ) -> dict[str, Any]:
         # ServingPolicy overrides fill in knobs the client left out; an
         # explicit value in the request always wins (see km.policy).
-        strategy_name = message.get(
-            "strategy",
-            self.policy.default_strategy(LfpStrategy.SEMINAIVE.value),
-        )
+        strategy_name = message.get("strategy", DEFAULT_STRATEGY.value)
         try:
             strategy = LfpStrategy(strategy_name)
         except ValueError:

@@ -23,13 +23,13 @@ from ..analysis import Severity
 from ..errors import TestbedError
 from ..km.session import QueryResult, Testbed
 from ..obs.export import render_span_tree
-from ..runtime.program import LfpStrategy
+from ..runtime.program import DEFAULT_STRATEGY, LfpStrategy
 
 HELP_TEXT = """\
 Enter Horn clauses ('parent(a, b).', 'anc(X,Y) :- parent(X,Y).'),
 queries ('?- anc(a, X).'), or commands:
   :help                 this message
-  :strategy [NAME]      show or set LFP strategy (naive, seminaive, lfp_operator)
+  :strategy [NAME]      show or set LFP strategy (lfp_cte, naive, seminaive, lfp_operator)
   :optimize [on|off|auto]  show or set the magic sets optimization policy
   :explain QUERY        show the generated program fragment for QUERY
   :update               move workspace rules into the stored D/KB
@@ -60,7 +60,7 @@ CONTINUATION_PROMPT = "...> "
 class SessionState:
     """Mutable interpreter settings."""
 
-    strategy: LfpStrategy = LfpStrategy.SEMINAIVE
+    strategy: LfpStrategy = DEFAULT_STRATEGY
     optimize: str = "off"  # off | on | auto
     timing: bool = False
 

@@ -88,6 +88,12 @@ class TestEngineParity:
         duckdb_rows = answers(relation, "duckdb", LfpStrategy.LFP_OPERATOR)
         assert duckdb_rows == sqlite_rows
 
+    def test_duckdb_fused_magic_parity(self, relation):
+        # The default one-statement plan with the magic seed as CTE arms.
+        sqlite_rows = answers(relation, "sqlite", LfpStrategy.LFP_CTE, optimize=True)
+        duckdb_rows = answers(relation, "duckdb", LfpStrategy.LFP_CTE, optimize=True)
+        assert duckdb_rows == sqlite_rows
+
     def test_duckdb_magic_parity(self, relation):
         sqlite_rows = answers(
             relation, "sqlite", LfpStrategy.SEMINAIVE, optimize=True

@@ -31,7 +31,7 @@ def test_trace_cli_writes_chrome_trace(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["metadata"] == {
         "query": "?- ancestor(ann, X).",
-        "strategy": "seminaive",
+        "strategy": "lfp_cte",
     }
     assert any(event["name"] == "query" for event in payload["traceEvents"])
 

@@ -7,7 +7,7 @@ cardinality, and at least one captured EXPLAIN QUERY PLAN.
 
 import pytest
 
-from repro import Testbed, TestbedConfig
+from repro import LfpStrategy, Testbed, TestbedConfig
 from repro.workloads.queries import (
     ANCESTOR_RULES,
     ancestor_query,
@@ -31,7 +31,10 @@ def traced():
     with Testbed(TestbedConfig(trace=True)) as testbed:
         testbed.define(ANCESTOR_RULES)
         load_parent_relation(testbed, full_binary_trees(1, 5))
-        result = testbed.query(ancestor_query(tree_node("t", 1)))
+        # Per-iteration spans are the loop's: pin the semi-naive strategy.
+        result = testbed.query(
+            ancestor_query(tree_node("t", 1)), strategy=LfpStrategy.SEMINAIVE
+        )
         yield testbed.last_query_span, testbed.disable_tracing(), result
 
 

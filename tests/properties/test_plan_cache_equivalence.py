@@ -5,13 +5,15 @@ Random interleavings of ``define`` / ``update_stored_dkb`` / ``load_facts`` /
 query answered through the precompiled-plan cache must agree with a fresh
 compilation (``precompile=False``) and with the independent in-memory
 top-down evaluator over a model of the rules and facts entered so far —
-or fail with the same error when its rules are not all there yet.
+or fail with the same error when its rules are not all there yet.  Each run
+uses either the default strategy (whose cached plans carry their one-statement
+form across rebinds) or semi-naive iteration.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Testbed
+from repro import LfpStrategy, Testbed
 from repro.datalog.clauses import Program
 from repro.datalog.parser import parse_clause, parse_query
 from repro.errors import TestbedError
@@ -70,10 +72,16 @@ def outcome(testbed, text, **options):
 edges = st.lists(st.tuples(node, node), max_size=5)
 
 
-@given(st.booleans(), edges, edges, st.lists(steps(), min_size=10, max_size=30))
+@given(
+    st.sampled_from([{}, {"strategy": LfpStrategy.SEMINAIVE}]),
+    st.booleans(),
+    edges,
+    edges,
+    st.lists(steps(), min_size=10, max_size=30),
+)
 @settings(max_examples=60, deadline=None)
 def test_cached_plans_track_every_rule_and_fact_change(
-    complete, edges0, edges1, sequence
+    strategy, complete, edges0, edges1, sequence
 ):
     rules = Program()
     facts = {
@@ -97,8 +105,8 @@ def test_cached_plans_track_every_rule_and_fact_change(
                 testbed.load_facts(chosen.base_predicate, [argument])
                 facts[chosen.base_predicate].add(argument)
             else:
-                fresh = outcome(testbed, argument, precompile=False)
-                assert outcome(testbed, argument) == fresh
+                fresh = outcome(testbed, argument, precompile=False, **strategy)
+                assert outcome(testbed, argument, **strategy) == fresh
                 if isinstance(fresh, list):
                     expected = evaluate_top_down(
                         rules, facts, parse_query(argument)

@@ -62,7 +62,13 @@ class TestExecute:
             program.execute(database, loaded)
 
     def test_counters_populated(self, database, loaded):
-        program = build_program(ANC_RULES, "?- anc('a', X).", TYPES, ["edge"])
+        program = build_program(
+            ANC_RULES,
+            "?- anc('a', X).",
+            TYPES,
+            ["edge"],
+            strategy=LfpStrategy.SEMINAIVE,
+        )
         result = program.execute(database, loaded)
         assert result.iterations_by_clique == {"anc": 3}
         assert result.tuples_by_predicate["anc"] == 3

@@ -39,6 +39,7 @@ def adaptive_server(dkb_path):
             recover_windows=2,
             alpha=1.0,  # no smoothing: transitions at exactly the streaks
             min_requests=1,
+            switch_optimize=True,
             tighten_waiters=2,
             auto_start=False,
         ),
@@ -75,12 +76,12 @@ class TestAdaptiveCycle:
         assert [event.kind for event in events] == ["breach"]
         assert events[0].actions == (
             "escalate_tracing",
-            "policy.strategy",
+            "policy.optimize",
             "tighten_admission",
         )
-        # The knobs actually moved: strategy override on the policy,
+        # The knobs actually moved: magic-sets override on the policy,
         # admission queue tightened.
-        assert server.policy.overrides() == {"strategy": "lfp_cte"}
+        assert server.policy.overrides() == {"optimize": True}
         assert server.pool.admission.snapshot()["max_waiters"] == 2
         assert server.watchdog.breached_rules() == ["p95_latency"]
 
@@ -91,12 +92,12 @@ class TestAdaptiveCycle:
             server.watchdog.tick()
         host, port = server.address
         with DkbClient(host, port) as client:
-            # Defaulted query picks up the overridden strategy and works.
+            # Defaulted query picks up the overridden optimize and works.
             reply = client.query("?- ancestor('john', Y).")
             assert reply["count"] == 5
-            # An explicit client strategy still wins over the override.
+            # An explicit client value still wins over the override.
             explicit = client.query(
-                "?- ancestor('john', Y).", strategy="seminaive",
+                "?- ancestor('john', Y).", optimize=False,
                 use_cache=False,
             )
             assert explicit["count"] == 5
@@ -114,7 +115,7 @@ class TestAdaptiveCycle:
         assert [event.kind for event in events] == ["recover"]
         assert events[0].actions == (
             "tighten_admission",
-            "policy.strategy",
+            "policy.optimize",
             "escalate_tracing",
         )
         assert server.policy.overrides() == {}
@@ -129,6 +130,7 @@ class TestAdaptiveCycle:
                 window_seconds=1.0,
                 p95_ms=100.0,
                 alpha=1.0,
+                switch_optimize=True,
                 auto_start=False,
             ),
         )

@@ -212,3 +212,18 @@ def test_read_version_requires_initialised_dkb(tmp_path, pool):
             read_version(db)
     finally:
         db.close()
+
+
+def test_default_read_creates_no_temp_table(pool):
+    with pool.reader() as session:
+        database = session.testbed.database
+        database.statistics.reset()
+        result = session.query(ANCESTOR_JOHN, use_cache=False)
+        assert ("mary",) in result.rows
+        kinds = database.statistics.total.by_kind
+        assert not {"CREATE", "DROP", "INSERT", "DELETE"} & set(kinds)
+        with database.transaction():
+            (count,) = database.execute(
+                "SELECT COUNT(*) FROM sqlite_temp_master"
+            )[0]
+        assert count == 0

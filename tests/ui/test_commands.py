@@ -72,7 +72,7 @@ class TestCommands:
         assert "unknown command" in interpreter.execute(":bogus")
 
     def test_strategy_get_and_set(self, interpreter):
-        assert "seminaive" in interpreter.execute(":strategy")
+        assert "lfp_cte" in interpreter.execute(":strategy")
         assert "naive" in interpreter.execute(":strategy naive")
         assert interpreter.state.strategy.value == "naive"
         assert "unknown strategy" in interpreter.execute(":strategy turbo")

@@ -51,7 +51,9 @@ def _trace_ancestor_query():
         testbed.define(ANCESTOR_RULES)
         load_parent_relation(testbed, full_binary_trees(1, 5 if QUICK else DEPTH))
         testbed.query(
-            ancestor_query(tree_node("t", 1)), strategy=LfpStrategy.SEMINAIVE
+            ancestor_query(tree_node("t", 1)),
+            optimize=False,
+            strategy=LfpStrategy.SEMINAIVE,
         )
         return testbed.tracer
 

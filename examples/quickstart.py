@@ -1,8 +1,8 @@
 """Quickstart: the classic ancestor query, end to end.
 
 Creates a testbed, defines facts and recursive rules in the Horn clause
-language, and runs queries with and without the magic sets optimization —
-the 30-second tour of the public API.
+language, and runs queries with and without the magic sets rewrite — the
+30-second tour of the public API.
 
 Run:  python examples/quickstart.py
 """
@@ -28,18 +28,19 @@ def main() -> None:
         """
     )
 
-    # A bound query: whose ancestor is john?
+    # A bound query: whose ancestor is john?  A bound goal over recursive
+    # rules runs through the generalized magic sets rewrite by default, so
+    # only tuples relevant to 'john' are computed.
     result = testbed.query("?- ancestor('john', X).")
     print("descendants of john:", sorted(x for (x,) in result.rows))
     print(f"  compiled in {result.compile_seconds * 1000:.2f} ms, "
           f"executed in {result.execution_seconds * 1000:.2f} ms, "
-          f"{result.execution.total_iterations} LFP iterations")
+          f"magic sets: {result.compilation.optimized}")
 
-    # The same query through the generalized magic sets optimization: only
-    # tuples relevant to 'john' are computed.
-    optimized = testbed.query("?- ancestor('john', X).", optimize=True)
-    assert sorted(optimized.rows) == sorted(result.rows)
-    print("with magic sets:", sorted(x for (x,) in optimized.rows))
+    # The same query without the rewrite derives the whole closure first.
+    plain = testbed.query("?- ancestor('john', X).", optimize=False)
+    assert sorted(plain.rows) == sorted(result.rows)
+    print("without magic sets:", sorted(x for (x,) in plain.rows))
 
     # Naive vs semi-naive LFP evaluation (the paper's Test 5 in miniature).
     for strategy in (LfpStrategy.NAIVE, LfpStrategy.SEMINAIVE):

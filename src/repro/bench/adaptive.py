@@ -57,7 +57,7 @@ class AdaptiveLoopResult:
     detection_seconds: Optional[float] = None
     #: sealed windows it took to detect (ceil of detection / width).
     detection_windows: Optional[int] = None
-    #: escalations the breach applied (policy switches etc.).
+    #: escalations the breach applied (tracing, admission).
     breach_actions: list[str] = field(default_factory=list)
     #: seconds from the start of the recovery phase to the recover event.
     recovery_seconds: Optional[float] = None
@@ -269,10 +269,7 @@ def run_adaptive_loop(
                 result.recovery_windows = windows_until(
                     recover, recovery_window
                 )
-            result.restored = (
-                not server.watchdog.breached_rules()
-                and not server.policy.overrides()
-            )
+            result.restored = not server.watchdog.breached_rules()
             result.events = [
                 event.to_dict() for event in server.watchdog.events()
             ]

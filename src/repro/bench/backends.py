@@ -99,7 +99,7 @@ def run_cte_ab(
         seconds: dict[LfpStrategy, float] = {}
         for strategy in (LfpStrategy.SEMINAIVE, LfpStrategy.LFP_CTE):
             compiled = testbed.compile_query(
-                ancestor_query(root), strategy=strategy
+                ancestor_query(root), optimize=False, strategy=strategy
             )
             run = timed(
                 lambda: compiled.program.execute(
@@ -165,7 +165,7 @@ def run_engine_ab(
             root = tree_node("t", first_node_at_level(level))
             sample = selectivity_of(relation, root)
             compiled = testbed.compile_query(
-                ancestor_query(root), strategy=strategy
+                ancestor_query(root), optimize=False, strategy=strategy
             )
             run = timed(
                 lambda: compiled.program.execute(

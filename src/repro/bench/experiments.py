@@ -170,8 +170,11 @@ def run_compile_breakdown(
         query = rule_base.query_text()
         samples: list[dict[str, float]] = []
         for __ in range(repetitions):
-            # The paper's code generator: no one-statement plan to build.
-            result = testbed.compile_query(query, strategy=LfpStrategy.SEMINAIVE)
+            # The paper's code generator: no one-statement plan to build,
+            # no rewrite decision to make.
+            result = testbed.compile_query(
+                query, optimize=False, strategy=LfpStrategy.SEMINAIVE
+            )
             samples.append(result.timings.as_dict())
         # Median per component, dropping the redundant total.
         components = {
@@ -352,7 +355,9 @@ def run_lfp_breakdown(
     for strategy in (LfpStrategy.NAIVE, LfpStrategy.SEMINAIVE):
         testbed = make_ancestor_testbed(relation)
         root = tree_node("t", first_node_at_level(root_level))
-        compiled = testbed.compile_query(ancestor_query(root), strategy=strategy)
+        compiled = testbed.compile_query(
+            ancestor_query(root), optimize=False, strategy=strategy
+        )
         testbed.database.statistics.reset()
         timed(
             lambda: compiled.program.execute(testbed.database, testbed.catalog), 1
@@ -565,7 +570,9 @@ def run_lfp_operator_ablation(
         LfpStrategy.LFP_OPERATOR,
     ):
         testbed = make_ancestor_testbed(relation)
-        compiled = testbed.compile_query(ancestor_query(root), strategy=strategy)
+        compiled = testbed.compile_query(
+            ancestor_query(root), optimize=False, strategy=strategy
+        )
         run = timed(
             lambda: compiled.program.execute(testbed.database, testbed.catalog),
             repetitions,

@@ -1,10 +1,9 @@
 """Experiment runners for the extension features.
 
 These cover the parts of the paper that its testbed left unimplemented and
-this reproduction built out: the adaptive optimization policy (conclusion 4),
-query precompilation (conclusion 3), and the alternative rule rewriting /
-special-operator strategies of section 2.5 (supplementary magic sets and the
-counting method).
+this reproduction built out: query precompilation (conclusion 3), and the
+alternative rule rewriting / special-operator strategies of section 2.5
+(supplementary magic sets and the counting method).
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from ..km.session import Testbed
 from ..runtime.counting import evaluate_counting, recognize_counting_form
 from ..runtime.program import LfpStrategy
 from ..datalog.parser import parse_program
-from ..workloads.queries import ancestor_query, make_ancestor_testbed
+from ..workloads.queries import ancestor_query
 from ..workloads.relations import (
     first_node_at_level,
     full_binary_trees,
@@ -24,88 +23,6 @@ from ..workloads.relations import (
 )
 from ..workloads.rulegen import make_rule_base
 from .timing import timed
-
-# ---------------------------------------------------------------------------
-# Adaptive policy: does "auto" track the lower envelope of plain vs magic?
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdaptivePoint:
-    """One selectivity level measured under all three optimization modes."""
-
-    label: str
-    selectivity: float
-    plain_seconds: float
-    magic_seconds: float
-    auto_seconds: float
-    auto_used_magic: bool
-
-    @property
-    def envelope_seconds(self) -> float:
-        """The per-point best of the two static plans."""
-        return min(self.plain_seconds, self.magic_seconds)
-
-
-def run_adaptive_policy(
-    depth: int = 9, repetitions: int = 3
-) -> list[AdaptivePoint]:
-    """Sweep selectivity; measure plain, magic, and auto at each level."""
-    relation = full_binary_trees(1, depth)
-    testbed = make_ancestor_testbed(relation)
-    from ..workloads.queries import selectivity_of
-
-    points: list[AdaptivePoint] = []
-    for level in range(1, depth):
-        root = tree_node("t", first_node_at_level(level))
-        query = ancestor_query(root)
-        seconds: dict[str, float] = {}
-        used_magic = False
-        for mode in ("plain", "magic", "auto"):
-            optimize = {"plain": False, "magic": True, "auto": "auto"}[mode]
-            compiled = testbed.compile_query(
-                query, optimize=optimize, strategy=LfpStrategy.SEMINAIVE
-            )
-            run = timed(
-                lambda: compiled.program.execute(
-                    testbed.database, testbed.catalog
-                ),
-                repetitions,
-            )
-            seconds[mode] = run.seconds
-            if mode == "auto":
-                used_magic = compiled.optimized
-        points.append(
-            AdaptivePoint(
-                f"level-{level}",
-                selectivity_of(relation, root).selectivity,
-                seconds["plain"],
-                seconds["magic"],
-                seconds["auto"],
-                used_magic,
-            )
-        )
-    testbed.close()
-    return points
-
-
-def format_adaptive(points: list[AdaptivePoint]) -> str:
-    """Render the adaptive-policy sweep."""
-    lines = [
-        "Adaptive optimization policy vs static plans",
-        f"{'point':<10} {'D_rel/D':>8} {'plain ms':>9} {'magic ms':>9} "
-        f"{'auto ms':>9} {'auto chose':>10}",
-    ]
-    for point in sorted(points, key=lambda p: p.selectivity):
-        lines.append(
-            f"{point.label:<10} {point.selectivity:>8.3f} "
-            f"{point.plain_seconds * 1000:>9.2f} "
-            f"{point.magic_seconds * 1000:>9.2f} "
-            f"{point.auto_seconds * 1000:>9.2f} "
-            f"{'magic' if point.auto_used_magic else 'plain':>10}"
-        )
-    return "\n".join(lines)
-
 
 # ---------------------------------------------------------------------------
 # Query precompilation: repeated-query amortisation and invalidation
@@ -327,7 +244,7 @@ def run_parallel_simulation(
         testbed.define_base_relation(f"edge{index}", ("TEXT", "TEXT"))
         testbed.load_facts(f"edge{index}", relation.edges)
     compiled = testbed.compile_query(
-        f"?- p('{tree_node('w0_', 1)}', Y).", strategy=strategy
+        f"?- p('{tree_node('w0_', 1)}', Y).", optimize=False, strategy=strategy
     )
     testbed.database.statistics.enable_trace()
     testbed.database.statistics.reset()
@@ -431,7 +348,9 @@ def run_fastpath_ab(
             testbed.define(ANCESTOR_RULES)
             load_parent_relation(testbed, relation)
             fastpath = FastPathConfig.enabled() if fast else None
-            compiled = testbed.compile_query(query, strategy=strategy)
+            compiled = testbed.compile_query(
+                query, optimize=False, strategy=strategy
+            )
             testbed.database.statistics.reset()
             run = timed(
                 lambda: compiled.program.execute(

@@ -14,6 +14,12 @@ magic, and modified rules" plus an adorned version of the query:
   query;
 * a **seed fact** for the query goal's magic predicate, built from the query
   constants.
+
+The rules depend only on *which* goal arguments are bound, never on their
+values, so the rewrite records the seed as a :class:`QuerySeed` — goal
+argument positions, not a tuple — and one rewritten program serves every
+query of the form (Query-Subquery Nets' observation: the query pattern fixes
+the program, the constants are input tuples).
 """
 
 from __future__ import annotations
@@ -55,6 +61,37 @@ def _magic_atom(adorned_atom: Atom) -> Atom | None:
 
 
 @dataclass(frozen=True)
+class QuerySeed:
+    """Where a query's constants enter its rewritten program.
+
+    ``predicate`` is the magic predicate of the adorned query goal;
+    ``positions`` are the goal argument positions whose constants, in order,
+    form its one seed row.  The row itself is read off each query's goal at
+    execution time (:meth:`row`).
+    """
+
+    predicate: str
+    positions: tuple[int, ...]
+
+    def fact(self, goal: Atom) -> Clause:
+        """The seed fact for ``goal``, a goal of the rewritten form."""
+        return Clause(Atom(self.predicate, tuple(goal.terms[i] for i in self.positions)))
+
+    def row(self, goal: Atom) -> tuple:
+        """The seed row for ``goal``, a goal of the rewritten form."""
+        return tuple(goal.terms[i].value for i in self.positions)
+
+
+def query_seed(adorned_goal: Atom) -> QuerySeed:
+    """The :class:`QuerySeed` of an adorned query goal."""
+    __, adornment = split_adorned_name(adorned_goal.predicate)
+    return QuerySeed(
+        magic_name(adorned_goal.predicate),
+        tuple(i for i, letter in enumerate(adornment) if letter == BOUND),
+    )
+
+
+@dataclass(frozen=True)
 class MagicProgram:
     """The output of the magic sets transformation.
 
@@ -66,9 +103,14 @@ class MagicProgram:
 
     magic_rules: Program
     modified_rules: Program
-    seed: Clause
+    query_seed: QuerySeed
     goal: Atom
     adorned: AdornedProgram
+
+    @property
+    def seed(self) -> Clause:
+        """The seed fact of this rewrite's own query."""
+        return self.query_seed.fact(self.goal)
 
     @property
     def separable(self) -> bool:
@@ -95,7 +137,7 @@ class MagicProgram:
     def magic_predicates(self) -> set[str]:
         """All magic predicate names (including the seeded one)."""
         names = {c.head_predicate for c in self.magic_rules}
-        names.add(self.seed.head_predicate)
+        names.add(self.query_seed.predicate)
         return names
 
 
@@ -136,11 +178,13 @@ def magic_rewrite(
         # Modified rule: original adorned rule guarded by its magic literal.
         modified_rules.add(Clause(clause.head, tuple(prefix + list(clause.body))))
 
-    seed_atom = _magic_atom(adorned.query_goal)
-    if seed_atom is None:  # pragma: no cover - guarded by the constants check
-        raise OptimizationError("query goal lost its bound arguments")
-    seed = Clause(seed_atom)
-    return MagicProgram(magic_rules, modified_rules, seed, adorned.query_goal, adorned)
+    return MagicProgram(
+        magic_rules,
+        modified_rules,
+        query_seed(adorned.query_goal),
+        adorned.query_goal,
+        adorned,
+    )
 
 
 def _is_adorned_derived(atom: Atom) -> bool:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from ..errors import OptimizationError
 from .adornment import BOUND, AdornedProgram, adorn_program, bound_terms, split_adorned_name
 from .clauses import Clause, Program, Query
-from .magic import magic_name
+from .magic import QuerySeed, magic_name, query_seed
 from .terms import Atom, Constant, Variable
 
 SUPPLEMENTARY_PREFIX = "sup_"
@@ -49,14 +49,20 @@ class SupplementaryProgram:
     Mirrors :class:`repro.datalog.magic.MagicProgram`: ``rules`` holds the
     supplementary, magic, and modified rules together (they are mutually
     dependent by construction, so there is no separable two-phase split);
-    ``seed`` is the query's magic seed fact; ``goal`` the adorned query goal.
+    ``query_seed`` says where the query's constants seed the goal's magic
+    predicate; ``goal`` is the adorned query goal.
     """
 
     rules: Program
-    seed: Clause
+    query_seed: QuerySeed
     goal: Atom
     adorned: AdornedProgram
     supplementary_arities: dict[str, int]
+
+    @property
+    def seed(self) -> Clause:
+        """The seed fact of this rewrite's own query."""
+        return self.query_seed.fact(self.goal)
 
 
 def supplementary_rewrite(
@@ -83,13 +89,8 @@ def supplementary_rewrite(
     for rule_index, clause in enumerate(adorned.rules):
         _rewrite_rule(clause, rule_index, output, arities)
 
-    __, goal_adornment = split_adorned_name(adorned.query_goal.predicate)
-    seed_atom = Atom(
-        magic_name(adorned.query_goal.predicate),
-        bound_terms(adorned.query_goal, goal_adornment),
-    )
     return SupplementaryProgram(
-        output, Clause(seed_atom), adorned.query_goal, adorned, arities
+        output, query_seed(adorned.query_goal), adorned.query_goal, adorned, arities
     )
 
 

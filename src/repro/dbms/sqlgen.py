@@ -77,7 +77,9 @@ class CompiledSelect:
         return self.render([table_of[p] for p in self.table_slots])
 
 
-def compile_rule_body(clause: Clause) -> CompiledSelect:
+def compile_rule_body(
+    clause: Clause, semijoin: frozenset[str] = frozenset()
+) -> CompiledSelect:
     """Compile the body of ``clause`` into a SELECT producing its head tuple.
 
     * Positive body atoms become entries in the FROM list (placeholder table
@@ -87,6 +89,11 @@ def compile_rule_body(clause: Clause) -> CompiledSelect:
     * Constants become parameterised equality predicates.
     * Negated atoms become ``NOT EXISTS`` subqueries (their placeholder index
       still counts — the subquery table is positional too).
+    * A positive atom over a ``semijoin`` predicate whose every variable
+      occurs in some other positive atom becomes a filter instead of a join:
+      ``(cols) IN (SELECT c0, ... FROM <slot>)``, its slot placed after the
+      negated atoms'.  The atom then only tests membership, so the engine
+      cannot make its relation the outer loop of the join.
     * The head terms become the select list; ``SELECT DISTINCT`` performs the
       duplicate elimination relational projection requires.
 
@@ -102,6 +109,16 @@ def compile_rule_body(clause: Clause) -> CompiledSelect:
         raise CodeGenerationError(
             f"rule {clause} has no positive body atom; cannot compile to SQL"
         )
+    guards: list[Atom] = []
+    joined = [a for a in positive if a.predicate not in semijoin]
+    if semijoin and joined:
+        bound = {v for atom in joined for v in atom.variables}
+        guards = [
+            a
+            for a in positive
+            if a.predicate in semijoin and set(a.variables) <= bound
+        ]
+        positive = [a for a in positive if a not in guards]
 
     placeholders: list[str] = []
     from_items: list[str] = []
@@ -158,6 +175,24 @@ def compile_rule_body(clause: Clause) -> CompiledSelect:
         )
         where.append(subquery)
         parameters.extend(sub_params)
+
+    for atom in guards:
+        operands = []
+        for term in atom.terms:
+            if isinstance(term, Constant):
+                operands.append("?")
+                parameters.append(term.value)
+            else:
+                operands.append(location[term])
+        columns = ", ".join(column_name(i) for i in range(atom.arity))
+        where.append(
+            f"({', '.join(operands)}) IN "
+            f"(SELECT {columns} FROM {{{len(placeholders)}}})"
+        )
+        placeholders.append(atom.predicate)
+        join_columns.append(
+            {i for i, term in enumerate(atom.terms) if isinstance(term, Variable)}
+        )
 
     select_items: list[str] = []
     for position, term in enumerate(clause.head.terms):

@@ -20,10 +20,11 @@ from .constraints import (
 )
 from .optimizer import OptimizationResult, optimization_applies, optimize
 from .policy import (
+    DEFAULT_OPTIMIZE,
     AdaptiveDecision,
-    AdaptiveOptimizationPolicy,
     LfpStrategyDecision,
     decide_clique_strategy,
+    decide_rewrite,
 )
 from .precompile import (
     CacheStatistics,
@@ -39,11 +40,12 @@ from .workspace import WorkspaceDKB
 
 __all__ = [
     "AdaptiveDecision",
-    "AdaptiveOptimizationPolicy",
     "CacheStatistics",
     "CompilationResult",
+    "DEFAULT_OPTIMIZE",
     "LfpStrategyDecision",
     "decide_clique_strategy",
+    "decide_rewrite",
     "PrecompiledQueryCache",
     "RESERVED_PREDICATE",
     "Violation",

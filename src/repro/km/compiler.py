@@ -12,7 +12,8 @@ component so Tests 1-3 can report the breakdown:
 * ``semantic``  — the two semantic checks (definedness, type inference);
 * ``lint``      — the optional full static-analysis run (all passes of
                   :mod:`repro.analysis`, not just the error-level ones);
-* ``optimize``  — the optional generalized-magic-sets rewriting;
+* ``optimize``  — the per-form rewrite decision and the generalized magic
+                  sets rewriting it chooses;
 * ``eorder``    — clique finding, evaluation graph construction, and the
                   topological sort (``t_eorder``);
 * ``gencompile``— emitting the program fragment, byte-compiling it, and
@@ -29,6 +30,7 @@ from ..analysis import DiagnosticReport, analyze
 from ..datalog.adornment import reorder_body_for_sip
 from ..datalog.clauses import Program, Query
 from ..datalog.evalgraph import build_evaluation_graph, evaluation_order
+from ..datalog.magic import QuerySeed
 from ..datalog.parser import parse_query
 from ..datalog.pcg import PredicateConnectionGraph
 from ..dbms.catalog import ExtensionalCatalog
@@ -37,7 +39,7 @@ from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from ..runtime.program import DEFAULT_STRATEGY, LfpStrategy, QueryProgram
 from .codegen import compile_and_link, generate_fragment
 from .optimizer import optimization_applies, optimize
-from .policy import AdaptiveDecision, AdaptiveOptimizationPolicy
+from .policy import DEFAULT_OPTIMIZE, AdaptiveDecision, decide_rewrite
 from .semantic import check_semantics
 from .stored import StoredDKB
 from .workspace import WorkspaceDKB
@@ -96,8 +98,8 @@ class CompilationResult:
     ``counts`` records the paper's query parameters: ``R_rs`` (stored rules
     relevant to the query), ``P_rs`` (stored derived predicates relevant),
     ``relevant_rules`` and ``relevant_predicates`` overall.
-    ``adaptive_decision`` is set when the compiler was asked to decide
-    optimization dynamically (``optimize_query="auto"``).
+    ``adaptive_decision`` is the per-form rewrite decision when the compiler
+    was asked to make one (``optimize_query="auto"``, the default).
     ``diagnostics`` holds the full collect-all lint report when the compiler
     was invoked with ``lint=True`` (otherwise ``None``).
     ``cached`` marks a plan served by the precompiled-query cache: its
@@ -125,17 +127,15 @@ class QueryCompiler:
         workspace: WorkspaceDKB,
         stored: StoredDKB,
         catalog: ExtensionalCatalog,
-        policy: AdaptiveOptimizationPolicy | None = None,
     ):
         self.workspace = workspace
         self.stored = stored
         self.catalog = catalog
-        self.policy = policy or AdaptiveOptimizationPolicy()
 
     def compile(
         self,
         query: Union[Query, str],
-        optimize_query: Union[bool, str] = False,
+        optimize_query: Union[bool, str] = DEFAULT_OPTIMIZE,
         strategy: LfpStrategy = DEFAULT_STRATEGY,
         reorder_bodies: bool = False,
         lint: bool = False,
@@ -146,8 +146,10 @@ class QueryCompiler:
         Args:
             query: a :class:`Query` or its concrete syntax.
             optimize_query: apply generalized magic sets when applicable —
-                ``True``/``False``, or ``"auto"`` to let the adaptive policy
-                decide from an estimated selectivity (paper conclusion 4).
+                ``True``/``"magic"``, ``"supplementary"``, ``False``, or
+                ``"auto"`` (the default) to rewrite exactly the forms whose
+                bound goal reaches a recursive clique
+                (:func:`repro.km.policy.decide_rewrite`).
             strategy: LFP strategy the program will use for cliques.
             reorder_bodies: greedily reorder rule bodies so bound atoms come
                 first (the information-passing strategy the paper lists as
@@ -265,32 +267,31 @@ class QueryCompiler:
             timings.lint = time.perf_counter() - started
             self.stored.database.statistics.record_span("lint", timings.lint)
 
-        # -- optimization (optional or adaptive) -------------------------------
+        # -- optimization (optional, or decided per form) ----------------------
         rules_for_program = relevant
         goal_rewrites: dict[str, str] = {}
         seed_facts: dict[str, tuple[tuple, ...]] = {}
+        seed: QuerySeed | None = None
         types = {p: report.types.of(p) for p in derived}
         types.update(base_types)
         optimized = False
         decision: AdaptiveDecision | None = None
         started = time.perf_counter()
         with tracer.span("optimize", category="compile"):
-            method = "magic"
             if optimize_query == "auto":
-                decision = self.policy.decide(
-                    self.stored.database, self.catalog, relevant, query
-                )
+                decision = decide_rewrite(relevant, query)
                 apply_rewrite = decision.use_magic
-            elif optimize_query == "supplementary":
-                apply_rewrite = True
-                method = "supplementary"
             else:
                 apply_rewrite = bool(optimize_query)
             if apply_rewrite and optimization_applies(query, derived):
+                method = (
+                    "supplementary" if optimize_query == "supplementary" else "magic"
+                )
                 result = optimize(relevant, query, report.types, method)
                 rules_for_program = result.rules
                 goal_rewrites = result.goal_rewrites
                 seed_facts = result.seed_facts
+                seed = result.query_seed
                 types.update(result.new_types)
                 optimized = True
         if optimized or decision is not None:
@@ -321,6 +322,7 @@ class QueryCompiler:
                 for p in clause.body_predicates
                 if p not in rules_for_program.derived_predicates
                 and p not in seed_facts
+                and (seed is None or p != seed.predicate)
             )
             source = generate_fragment(
                 query,
@@ -331,6 +333,7 @@ class QueryCompiler:
                 optimized,
                 goal_rewrites,
                 seed_facts,
+                seed,
             )
             program = compile_and_link(source)
         timings.gencompile = time.perf_counter() - started

@@ -4,21 +4,21 @@ Wraps the rule rewriting strategies of section 2.5 for the compilation
 pipeline: it decides whether an optimization *applies* to a query, performs
 the chosen rewriting (generalized magic sets, or the supplementary variant),
 types the new predicates, and packages the rewritten rules together with the
-seed fact and goal mapping the Code Generator needs.
+seed positions and goal mapping the Code Generator needs.
 
-Whether to *use* the optimizer is the caller's choice per query — the paper's
-Test 7 shows a selectivity crossover beyond which magic sets loses, so the
-testbed keeps it optional (section 4.2 step 5).
+Whether to *use* the optimizer stays the caller's choice (section 4.2 step
+5); the default, ``optimize="auto"``, makes it once per query form
+(:func:`repro.km.policy.decide_rewrite`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 from ..datalog.adornment import split_adorned_name
-from ..datalog.clauses import Program, Query
-from ..datalog.magic import MagicProgram, magic_rewrite
+from ..datalog.clauses import Clause, Program, Query
+from ..datalog.magic import MagicProgram, QuerySeed, is_magic_name, magic_rewrite
 from ..datalog.supplementary import (
     SupplementaryProgram,
     supplementary_rewrite,
@@ -32,11 +32,18 @@ REWRITE_METHODS = ("magic", "supplementary")
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """The rewritten rule set and the bookkeeping to execute it."""
+    """The rewritten rule set and the bookkeeping to execute it.
+
+    ``seed_facts`` are the ground magic facts the *rules* produce (a callee
+    bound to constants of a rule body); ``query_seed`` is where each query's
+    own constants seed the goal's magic predicate.  The two are kept apart:
+    a rule's fact may equal one query's seed row and not the next one's.
+    """
 
     rules: Program
     goal_rewrites: dict[str, str]
     seed_facts: dict[str, tuple[tuple, ...]]
+    query_seed: QuerySeed
     new_types: dict[str, tuple[str, ...]]
     rewrite: Union[MagicProgram, SupplementaryProgram]
     method: str = "magic"
@@ -92,73 +99,57 @@ def optimize(
         )
     goal = query.goals[0]
 
+    rewrite: Union[MagicProgram, SupplementaryProgram]
     if method == "magic":
-        magic = magic_rewrite(rules, query, derived)
-        rewritten = Program()
-        seed_facts = {
-            magic.seed.head_predicate: (magic.seed.head.ground_tuple(),)
-        }
-        # A magic "rule" degenerates to a ground fact when the callee's
-        # bindings are all constants and the calling rule has no prefix
-        # (e.g. ``m_p__fb('a') :- .`` from a body atom ``p(X, 'a')`` in an
-        # all-free rule).  Facts cannot be evaluation nodes; they join the
-        # seeds instead.
-        for clause in magic.magic_rules:
-            if clause.is_fact:
-                rows = seed_facts.get(clause.head_predicate, ())
-                row = clause.head.ground_tuple()
-                if row not in rows:
-                    seed_facts[clause.head_predicate] = rows + (row,)
-            else:
-                rewritten.add(clause)
-        rewritten.extend(magic.modified_rules)
-        _add_negated_support(rewritten, rules, derived)
-        new_types = _type_rewritten_predicates(
-            rewritten, magic.magic_predicates, types
+        rewrite = magic_rewrite(rules, query, derived)
+        rewritten, seed_facts = _split_facts(
+            list(rewrite.magic_rules) + list(rewrite.modified_rules)
         )
-        return OptimizationResult(
-            rewritten,
-            {goal.predicate: magic.goal.predicate},
-            seed_facts,
-            new_types,
-            magic,
-            method,
-        )
-
-    supplementary = supplementary_rewrite(rules, query, derived)
-    rewritten = Program()
-    seed_facts = {
-        supplementary.seed.head_predicate: (
-            supplementary.seed.head.ground_tuple(),
-        )
-    }
-    for clause in supplementary.rules:
-        if clause.is_fact:  # constant-binding magic facts become seeds
-            rows = seed_facts.setdefault(clause.head_predicate, ())
-            seed_facts[clause.head_predicate] = rows + (
-                clause.head.ground_tuple(),
-            )
-        else:
-            rewritten.add(clause)
+        magic_predicates = rewrite.magic_predicates
+    else:
+        rewrite = supplementary_rewrite(rules, query, derived)
+        rewritten, seed_facts = _split_facts(rewrite.rules)
+        magic_predicates = {
+            clause.head_predicate
+            for clause in rewrite.rules
+            if is_magic_name(clause.head_predicate)
+        } | {rewrite.query_seed.predicate}
     _add_negated_support(rewritten, rules, derived)
-    magic_predicates = {
-        name
-        for clause in supplementary.rules
-        for name in (clause.head_predicate,)
-        if name.startswith("m_")
-    } | set(seed_facts)
     new_types = _type_rewritten_predicates(rewritten, magic_predicates, types)
-    new_types.update(
-        _type_supplementary_predicates(supplementary, types)
-    )
+    if isinstance(rewrite, SupplementaryProgram):
+        new_types.update(_type_supplementary_predicates(rewrite, types))
     return OptimizationResult(
         rewritten,
-        {goal.predicate: supplementary.goal.predicate},
+        {goal.predicate: rewrite.goal.predicate},
         seed_facts,
+        rewrite.query_seed,
         new_types,
-        supplementary,
+        rewrite,
         method,
     )
+
+
+def _split_facts(
+    clauses: Iterable[Clause],
+) -> tuple[Program, dict[str, tuple[tuple, ...]]]:
+    """Separate the rules of a rewrite from its ground magic facts.
+
+    A magic "rule" degenerates to a ground fact when the callee's bindings
+    are all constants and the calling rule has no prefix (e.g.
+    ``m_p__fb('a') :- .`` from a body atom ``p(X, 'a')`` in an all-free
+    rule).  Facts cannot be evaluation nodes; they become seed rows instead.
+    """
+    rules = Program()
+    facts: dict[str, tuple[tuple, ...]] = {}
+    for clause in clauses:
+        if clause.is_fact:
+            rows = facts.get(clause.head_predicate, ())
+            row = clause.head.ground_tuple()
+            if row not in rows:
+                facts[clause.head_predicate] = rows + (row,)
+        else:
+            rules.add(clause)
+    return rules, facts
 
 
 def _add_negated_support(
@@ -242,7 +233,7 @@ def _type_supplementary_predicates(
                 for c in supplementary.rules
                 if c.head_predicate.startswith("m_")
             }
-            | {supplementary.seed.head_predicate},
+            | {supplementary.query_seed.predicate},
             types,
         )
     )

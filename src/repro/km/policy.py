@@ -1,64 +1,62 @@
-"""Adaptive optimization policy (paper section 4.2 step 5 / conclusion 4).
+"""Planning decisions taken at compile time, once per query form.
 
-The paper measures a selectivity crossover beyond which the magic sets
-optimization *costs* time and concludes that "it is possible to tune the
-D/KB query optimizer to adapt the optimization strategy dynamically,
-switching it on for queries with low selectivity and off for others" — but
-lists that dynamic strategy as unimplemented.  This module implements it.
+**Whether to rewrite** (paper section 4.2 step 5 / conclusion 4).  The
+paper measures a selectivity crossover beyond which magic sets *costs* time
+and suggests switching it on for selective queries only.  ``optimize="auto"``
+— the default of every entry point (:data:`DEFAULT_OPTIMIZE`) — decides from
+the query's *structure* instead: rewrite iff the single goal has a constant
+and a recursive clique is reachable from it (:func:`decide_rewrite`).  The
+structure is the same for every query of a form, so the decision is taken
+when the form is compiled and cached with its plan; a per-constant estimate
+would need a per-constant plan.  No data probe is worth that key: with the
+rewritten program's magic guards compiled to semi-joins (see
+:func:`repro.dbms.sqlgen.compile_rule_body`), the worst end of the crossover
+— a root-bound query reaching the whole relation — costs about 1.3x the
+plain plan, while a leaf-bound query wins about 20x.
 
-The decision needs an estimate of the paper's ``D_rel / D`` before paying
-for either plan.  The estimator runs a *bounded reachability probe*: a
-single recursive-CTE walk from the query constants over the union of the
-relevant binary base relations, capped at ``threshold x |domain|`` rows.
-
-* If the probe converges under the cap, the query truly reaches a small
-  fraction of the database -> selectivity is low -> **magic on**.
-* If the probe hits the cap, at least ``threshold`` of the domain is
-  relevant -> the crossover region -> **magic off**.
-
-The probe's cost is itself bounded by the cap, so the policy never spends
-more than a fixed fraction of the unoptimized plan's work to decide.
+**How to run a clique** (:func:`decide_clique_strategy`): the recursive-CTE
+eligibility check surfaced before execution.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Any, Optional
 
 from ..datalog.clauses import Program, Query
-from ..datalog.pcg import Clique
-from ..datalog.terms import Constant
-from ..dbms.catalog import ExtensionalCatalog, fact_table_name
+from ..datalog.pcg import Clique, find_cliques
 from ..dbms.engine import Database
-from ..dbms.schema import quote_identifier
 from ..runtime.lfp_cte import cte_eligibility
 from .optimizer import optimization_applies
 
-# The paper's measured crossovers sit at 72% (semi-naive) to 85% (naive)
-# selectivity; a conservative default threshold leaves margin for the
-# probe's node-vs-tuple approximation.
-DEFAULT_THRESHOLD = 0.5
+#: The ``optimize`` value every entry point uses unless the caller names one.
+DEFAULT_OPTIMIZE = "auto"
 
 
 @dataclass(frozen=True)
 class AdaptiveDecision:
-    """The policy's verdict for one query, with its evidence."""
+    """The ``optimize="auto"`` verdict for one query form, with its reason."""
 
     use_magic: bool
     reason: str
-    probed_nodes: int = 0
-    probe_limit: int = 0
-    domain_size: int = 0
 
-    @property
-    def estimated_selectivity(self) -> float:
-        """Probe-based estimate of D_rel / D (1.0 when capped)."""
-        if not self.domain_size:
-            return 0.0
-        if self.probed_nodes >= self.probe_limit:
-            return 1.0
-        return self.probed_nodes / self.domain_size
+
+def decide_rewrite(relevant_rules: Program, query: Query) -> AdaptiveDecision:
+    """Whether ``optimize="auto"`` rewrites ``query``'s form.
+
+    ``relevant_rules`` are the rules reachable from the query's goals, so
+    any clique among them is reachable from the goal.
+    """
+    if not optimization_applies(query, relevant_rules.derived_predicates):
+        return AdaptiveDecision(
+            False, "no single bound goal over a derived predicate"
+        )
+    if not find_cliques(relevant_rules):
+        return AdaptiveDecision(
+            False, "no recursive clique is reachable from the goal"
+        )
+    return AdaptiveDecision(
+        True, "the bound goal reaches a recursive clique"
+    )
 
 
 @dataclass(frozen=True)
@@ -95,177 +93,3 @@ def decide_clique_strategy(
     label = "+".join(sorted(clique.predicates))
     check = cte_eligibility(clique, database)
     return LfpStrategyDecision(label, check.eligible, check.reason)
-
-
-#: Sentinel distinguishing "leave this knob alone" from "clear it (None)".
-_UNSET = object()
-
-
-class ServingPolicy:
-    """Live-mutable serving defaults — the knobs the SLO watchdog flips.
-
-    The per-query adaptive machinery above decides *one query at a time*;
-    this class closes the loop at the *serving* level: a mutable, thread-
-    safe set of default overrides the query server consults on every
-    request that did not spell the knob out itself.  An explicit value in
-    the client's request always wins — the overrides only replace the
-    protocol defaults, so flipping a knob never breaks a caller that asked
-    for something specific.
-
-    Two knobs, mirroring the paper's tunables:
-
-    * ``optimize`` — the magic-sets default (magic on/off, or
-      ``"adaptive"`` for the per-query probe policy);
-    * ``use_cache`` — the result-cache default.
-
-    Values are wire-level so a snapshot is JSON-friendly and the
-    watchdog's structured events can carry it.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._optimize: "bool | str | None" = None  # guarded-by: _lock
-        self._use_cache: Optional[bool] = None  # guarded-by: _lock
-
-    # -- reading (the serving hot path) ------------------------------------
-
-    def default_optimize(self, fallback: "bool | str" = False) -> "bool | str":
-        """The magic-sets setting for a request that named none."""
-        with self._lock:
-            return self._optimize if self._optimize is not None else fallback
-
-    def default_use_cache(self, fallback: bool = True) -> bool:
-        """The result-cache setting for a request that named none."""
-        with self._lock:
-            return self._use_cache if self._use_cache is not None else fallback
-
-    # -- flipping (the watchdog's action pairs) ----------------------------
-
-    def set_optimize(self, optimize: Any = _UNSET) -> "bool | str | None":
-        """Set (or with ``None`` clear) the magic-sets override.
-
-        Returns the previous override so the caller can restore it — the
-        shape a reversible watchdog action needs.
-        """
-        with self._lock:
-            previous = self._optimize
-            if optimize is not _UNSET:
-                self._optimize = optimize
-            return previous
-
-    def set_use_cache(self, use_cache: Any = _UNSET) -> Optional[bool]:
-        """Set (or with ``None`` clear) the result-cache override."""
-        with self._lock:
-            previous = self._use_cache
-            if use_cache is not _UNSET:
-                self._use_cache = use_cache
-            return previous
-
-    def clear(self) -> None:
-        """Drop every override (back to the protocol defaults)."""
-        with self._lock:
-            self._optimize = None
-            self._use_cache = None
-
-    def overrides(self) -> dict[str, Any]:
-        """JSON-friendly view of the currently active overrides."""
-        with self._lock:
-            active: dict[str, Any] = {}
-            if self._optimize is not None:
-                active["optimize"] = self._optimize
-            if self._use_cache is not None:
-                active["use_cache"] = self._use_cache
-            return active
-
-
-class AdaptiveOptimizationPolicy:
-    """Decides per query whether the magic sets rewriting should be applied."""
-
-    def __init__(self, threshold: float = DEFAULT_THRESHOLD):
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-        self.threshold = threshold
-
-    def decide(
-        self,
-        database: Database,
-        catalog: ExtensionalCatalog,
-        relevant_rules: Program,
-        query: Query,
-    ) -> AdaptiveDecision:
-        """Estimate the query's selectivity and pick a plan."""
-        derived = relevant_rules.derived_predicates
-        if not optimization_applies(query, derived):
-            return AdaptiveDecision(False, "magic sets does not apply")
-
-        edge_tables = self._binary_base_tables(catalog, relevant_rules, derived)
-        if not edge_tables:
-            return AdaptiveDecision(
-                True, "no binary base relations to probe; defaulting to magic"
-            )
-
-        constants = [
-            t.value for t in query.goals[0].terms if isinstance(t, Constant)
-        ]
-        union_sql = " UNION ALL ".join(
-            f"SELECT c0, c1 FROM {quote_identifier(t)}" for t in edge_tables
-        )
-        domain_size = int(
-            database.execute(
-                f"SELECT COUNT(*) FROM (SELECT c0 FROM ({union_sql}) "
-                f"UNION SELECT c1 FROM ({union_sql}))"
-            )[0][0]
-        )
-        if not domain_size:
-            return AdaptiveDecision(True, "empty base relations; magic is free")
-        probe_limit = max(2, int(self.threshold * domain_size))
-
-        seeds = " UNION ".join("SELECT ?" for __ in constants)
-        probed = int(
-            database.execute(
-                f"WITH RECURSIVE probe(n) AS ("
-                f"  {seeds}"
-                f"  UNION "
-                f"  SELECT e.c1 FROM ({union_sql}) AS e, probe "
-                f"  WHERE e.c0 = probe.n"
-                f") SELECT COUNT(*) FROM (SELECT n FROM probe LIMIT ?)",
-                (*constants, probe_limit),
-            )[0][0]
-        )
-        if probed >= probe_limit:
-            return AdaptiveDecision(
-                False,
-                f"probe capped at {probe_limit} of {domain_size} domain "
-                "values; selectivity too high for magic to pay",
-                probed,
-                probe_limit,
-                domain_size,
-            )
-        return AdaptiveDecision(
-            True,
-            f"probe converged at {probed} of {domain_size} domain values",
-            probed,
-            probe_limit,
-            domain_size,
-        )
-
-    @staticmethod
-    def _binary_base_tables(
-        catalog: ExtensionalCatalog, rules: Program, derived: set[str]
-    ) -> list[str]:
-        """Fact tables of the binary base relations the rules read."""
-        names: list[str] = []
-        seen: set[str] = set()
-        for clause in rules.rules:
-            for atom in clause.body:
-                predicate = atom.predicate
-                if (
-                    predicate in derived
-                    or predicate in seen
-                    or atom.arity != 2
-                ):
-                    continue
-                seen.add(predicate)
-                if catalog.has_relation(predicate):
-                    names.append(fact_table_name(predicate))
-        return sorted(names)

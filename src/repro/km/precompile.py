@@ -13,24 +13,23 @@ records the predicates its compilation depended on; the session checks every
 workspace definition and stored-D/KB update against those dependency sets
 and drops the entries an update could invalidate.
 
-Why the form is enough: without optimization the constants of a query reach
-the compiled program in one place only, the final answer SELECT
-(``QueryProgram._answer_rows``) — relevant-rule extraction, type checking
-(which sees only each constant's type), the evaluation order and every
-per-rule SQL statement are the same for ``p('a', X)`` and ``p('b', X)``.  A
-hit therefore rebinds the cached program to the incoming query and runs it;
-the rebind keeps the plan's one-statement form (``QueryProgram.fused``), so
-the cache's LRU is also what bounds those statements.
-A rewriting compile (``optimize`` truthy) embeds the constants — magic seed
-facts, the adaptive policy's selectivity estimate — so its key keeps the
-whole query.
+Why the form is enough: the constants of a query reach the compiled program
+in two places only, both read from ``QueryProgram.query`` at execution time —
+the final answer SELECT (``QueryProgram._answer_rows``) and, for a rewritten
+plan, the magic seed row (``QueryProgram.query_seed``, goal positions rather
+than values).  Relevant-rule extraction, type checking (which sees only each
+constant's type), the rewrite decision and the rewrite itself (which see only
+*which* arguments are bound), the evaluation order and every per-rule SQL
+statement are the same for ``p('a', X)`` and ``p('b', X)``.  A hit therefore
+rebinds the cached program to the incoming query and runs it; the rebind
+keeps the plan's one-statement form (``QueryProgram.fused``), so the cache's
+LRU is also what bounds those statements.
 
 Entries only need dropping on *rule* and *schema* changes.  Fact loads never
-invalidate — the compiled program reads base relations at execution time —
-though a plan chosen by the adaptive policy may become suboptimal (never
-wrong) as data drifts.  Changes the session does not see happen (another
-handle on the same database storing rules, the workspace or catalog edited
-directly) are caught by :meth:`PrecompiledQueryCache.validate`.
+invalidate — the compiled program reads base relations at execution time.
+Changes the session does not see happen (another handle on the same
+database storing rules, the workspace or catalog edited directly) are caught
+by :meth:`PrecompiledQueryCache.validate`.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ CacheKey = tuple[Hashable, str, str]
 
 
 def query_form(query: Query) -> Hashable:
-    """What of ``query`` a non-rewriting compilation depends on.
+    """What of ``query`` a compilation depends on.
 
     The goals in order — predicate, negation flag, and per argument either
     the variable's first-occurrence number (so ``p(X, X)`` and ``p(X, Y)``
@@ -76,12 +75,8 @@ def cache_key(
     optimize: Union[bool, str],
     strategy: LfpStrategy,
 ) -> CacheKey:
-    """Cache key for a query and its compilation options.
-
-    The query's form, or the query itself when ``optimize`` asks for a
-    rewrite that embeds its constants.
-    """
-    return (query if optimize else query_form(query), str(optimize), strategy.value)
+    """Cache key for a query and its compilation options."""
+    return (query_form(query), str(optimize), strategy.value)
 
 
 @dataclass

@@ -49,6 +49,7 @@ from ..runtime.program import DEFAULT_STRATEGY, ExecutionResult, LfpStrategy
 from .compiler import CompilationResult, QueryCompiler
 from .config import TestbedConfig
 from .constraints import assert_consistent, check_consistency
+from .policy import DEFAULT_OPTIMIZE
 from .precompile import PrecompiledQueryCache, cache_key
 from .stored import RULE_STAMP_SQL, StoredDKB
 from .update import UpdateResult, update_stored_dkb
@@ -711,14 +712,15 @@ class Testbed:
     def compile_query(
         self,
         query: Union[Query, str],
-        optimize: Union[bool, str] = False,
+        optimize: Union[bool, str] = DEFAULT_OPTIMIZE,
         strategy: LfpStrategy = DEFAULT_STRATEGY,
         lint: bool = False,
     ) -> CompilationResult:
         """Compile a query without executing it (Tests 1-3 use this).
 
-        ``optimize`` is ``True``/``False``, or ``"auto"`` to let the
-        adaptive policy choose by estimated selectivity.  With ``lint=True``
+        ``optimize`` is ``True``/``False``/``"supplementary"``, or ``"auto"``
+        (the default) to rewrite exactly the forms whose bound goal reaches
+        a recursive clique.  With ``lint=True``
         the full static-analysis report is attached to the result
         (``CompilationResult.diagnostics``) and its cost recorded as the
         ``lint`` timing component.
@@ -731,7 +733,7 @@ class Testbed:
     def query(
         self,
         query: Union[Query, str],
-        optimize: Union[bool, str] = False,
+        optimize: Union[bool, str] = DEFAULT_OPTIMIZE,
         strategy: LfpStrategy = DEFAULT_STRATEGY,
         precompile: bool = True,
         fastpath: FastPathConfig | None = None,
@@ -747,6 +749,11 @@ class Testbed:
         change, through this session or any other handle on the database.
         Pass ``precompile=False`` to force a fresh compilation that neither
         reads nor fills the cache.
+
+        ``optimize="auto"`` (the default) runs a form whose bound goal
+        reaches a recursive clique through its magic-sets rewrite, so a
+        bound query derives only what its constants reach; ``False`` keeps
+        every form unrewritten.
 
         ``fastpath`` overrides the session's default fast-path
         configuration for this one execution.
@@ -949,6 +956,8 @@ class Testbed:
         """The paper's P_s."""
         return self.stored.predicate_count()
 
-    def explain(self, query: Union[Query, str], optimize: bool = False) -> str:
+    def explain(
+        self, query: Union[Query, str], optimize: Union[bool, str] = DEFAULT_OPTIMIZE
+    ) -> str:
         """The generated program fragment for a query (demonstration aid)."""
         return self.compile_query(query, optimize).fragment_source

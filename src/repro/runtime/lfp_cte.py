@@ -40,6 +40,7 @@ from typing import Callable, Mapping, Sequence
 
 from ..datalog.clauses import Clause, Query
 from ..datalog.evalgraph import EvaluationNode
+from ..datalog.magic import QuerySeed, is_magic_name
 from ..datalog.pcg import Clique
 from ..dbms.backends import BackendCapabilities
 from ..dbms.catalog import fact_table_name
@@ -150,25 +151,29 @@ def _without_distinct(select_sql: str) -> str:
 
 
 def cte_body(
+    predicate: str,
     anchor_rules: Sequence[Clause],
     recursive_rules: Sequence[Clause],
     seed_rows: Sequence[tuple],
     arity: int,
     table_sql: Callable[[str], str],
 ) -> "tuple[str, tuple] | None":
-    """The compound SELECT defining one CTE, with its parameters.
+    """The compound SELECT defining ``predicate``'s CTE, with its parameters.
 
     Anchor arms (``anchor_rules``, then one ``SELECT ?, ...`` per seed row)
     precede the recursive arms; ``UNION`` joins them, keeping set semantics
     (and with it, termination on cyclic data).  ``table_sql`` maps each
     body predicate to the quoted SQL name it reads — the CTE itself for a
-    recursive occurrence.  Returns ``None`` when nothing anchors the CTE:
-    its fixpoint is then empty and the recursive arms never run.
+    recursive occurrence.  A one-column magic guard in a rule body (an atom
+    over another predicate's magic set) compiles to an ``IN`` semi-join:
+    joined, SQLite makes the magic CTE the outer loop of the recursive step
+    and scans it once per queued row.  Returns ``None`` when nothing anchors the
+    CTE: its fixpoint is then empty and the recursive arms never run.
     """
     arms: list[str] = []
     parameters: list = []
     for clause in anchor_rules:
-        arms.append(_rule_arm(clause, table_sql, parameters))
+        arms.append(_rule_arm(clause, predicate, table_sql, parameters))
     for row in seed_rows:
         arms.append(
             "SELECT "
@@ -178,14 +183,27 @@ def cte_body(
     if not arms:
         return None
     for clause in recursive_rules:
-        arms.append(_rule_arm(clause, table_sql, parameters))
+        arms.append(_rule_arm(clause, predicate, table_sql, parameters))
     return " UNION ".join(arms), tuple(parameters)
 
 
 def _rule_arm(
-    clause: Clause, table_sql: Callable[[str], str], parameters: list
+    clause: Clause,
+    predicate: str,
+    table_sql: Callable[[str], str],
+    parameters: list,
 ) -> str:
-    select = compile_rule_body(clause)
+    # One-column guards only: a one-column IN subquery is portable SQL, a
+    # row-value one is not, and a wider guard (a bb magic set) measured
+    # within 1.2x of it as a join.
+    guards = frozenset(
+        atom.predicate
+        for atom in clause.body
+        if is_magic_name(atom.predicate)
+        and atom.predicate != predicate
+        and atom.arity == 1
+    )
+    select = compile_rule_body(clause, semijoin=guards)
     parameters.extend(select.parameters)
     return _without_distinct(
         select.sql.format(*(table_sql(p) for p in select.table_slots))
@@ -223,6 +241,7 @@ def compile_clique_cte(
     columns = ", ".join(column_name(i) for i in range(arity))
     quoted_cte = quote_identifier(CTE_NAME)
     body = cte_body(
+        predicate,
         clique.exit_rules,
         clique.recursive_rules,
         context.seed_rows.get(predicate, ()),
@@ -326,11 +345,14 @@ class FusedProgram:
     Attributes:
         with_clause: ``WITH RECURSIVE <cte>, ...`` in evaluation order
             (empty when the plan derives nothing).
-        parameters: the clause's parameters, in textual order.
+        parameters: the clause's parameters, in textual order; the query
+            seed's slots hold ``None``.
         tables: per predicate, the relation name the answer SELECT reads.
         cliques: the clique labels it evaluates (one iteration each).
         max_terms: the most arms any one CTE has, checked against the
             backend's compound-select limit.
+        seed_slots: the parameter indexes of the query seed's row, in row
+            order, filled per query by :meth:`parameters_for`.
     """
 
     with_clause: str
@@ -338,6 +360,7 @@ class FusedProgram:
     tables: Mapping[str, str]
     cliques: tuple[str, ...]
     max_terms: int
+    seed_slots: tuple[int, ...] = ()
 
     def runs_on(self, database: Database) -> bool:
         """Whether ``database``'s backend can run the statement."""
@@ -345,6 +368,17 @@ class FusedProgram:
         return capabilities.supports_recursive_cte and _within_compound_limit(
             capabilities, self.max_terms
         )
+
+    def parameters_for(self, seed_row: tuple) -> tuple:
+        """The clause's parameters with ``seed_row`` in the seed's slots."""
+        values = list(self.parameters)
+        for index, value in zip(self.seed_slots, seed_row):
+            values[index] = value
+        return tuple(values)
+
+
+#: Stands in for each query-seed value while the clause is being built.
+_SEED_VALUE = object()
 
 
 def fuse_program(
@@ -354,13 +388,24 @@ def fuse_program(
     base_predicates: frozenset[str],
     seed_facts: Mapping[str, tuple[tuple, ...]],
     goal_rewrites: Mapping[str, str],
+    query_seed: QuerySeed | None = None,
 ) -> FusedProgram | None:
     """Compile a whole plan into one statement, or ``None`` when it can't be.
 
     Every clique must be CTE-eligible, and the statement must expand to at
     most :data:`MAX_REFERENCE_PATHS` base references (``query`` supplies the
-    goals of the answer SELECT, whose constants do not matter here).
+    goals of the answer SELECT, whose constants do not matter here).  The
+    ``query_seed`` row is one more anchor arm of its predicate's CTE, beside
+    that predicate's ``seed_facts`` (``UNION`` drops a duplicate), with
+    ``?`` slots that :meth:`FusedProgram.parameters_for` fills per query.
+    The statement text is the same for every query of the form.
     """
+    seeds_of = dict(seed_facts)
+    if query_seed is not None:
+        placeholder = (_SEED_VALUE,) * len(query_seed.positions)
+        seeds_of[query_seed.predicate] = (placeholder,) + tuple(
+            seed_facts.get(query_seed.predicate, ())
+        )
     tables = {p: fact_table_name(p) for p in base_predicates}
     # Base references one reference to each predicate expands to; a
     # recursive CTE is computed once per statement, so it counts as one.
@@ -378,7 +423,7 @@ def fuse_program(
     parameters: list = []
     cliques: list[str] = []
     total = max_terms = 0
-    nodes = [(p, (), ()) for p in sorted(set(seed_facts) - defined)]
+    nodes = [(p, (), ()) for p in sorted(set(seeds_of) - defined)]
     for node in order:
         if isinstance(node, Clique):
             if not cte_eligibility(node):
@@ -391,10 +436,11 @@ def fuse_program(
     for predicate, anchor_rules, recursive_rules in nodes:
         name = derived_table_name(predicate)
         quoted = quote_identifier(name)
-        seeds = seed_facts.get(predicate, ())
+        seeds = seeds_of.get(predicate, ())
         try:
             arity = len(types[predicate])
             body = cte_body(
+                predicate,
                 anchor_rules,
                 recursive_rules,
                 seeds,
@@ -426,10 +472,14 @@ def fuse_program(
     total += sum(paths.get(p, 1) for p in goals)
     if total > MAX_REFERENCE_PATHS or not tables.keys() >= set(goals):
         return None
+    seed_slots = tuple(i for i, value in enumerate(parameters) if value is _SEED_VALUE)
+    for index in seed_slots:
+        parameters[index] = None
     return FusedProgram(
         "WITH RECURSIVE " + ", ".join(ctes) if ctes else "",
         tuple(parameters),
         tables,
         tuple(cliques),
         max_terms,
+        seed_slots,
     )

@@ -18,6 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 from ..datalog.clauses import Query
 from ..datalog.evalgraph import EvaluationNode, PredicateNode
+from ..datalog.magic import QuerySeed
 from ..datalog.pcg import Clique
 from ..dbms.catalog import ExtensionalCatalog, fact_table_name
 from ..dbms.engine import Database
@@ -93,6 +94,12 @@ class QueryProgram:
         optimized: whether the rules were magic-sets rewritten.
         goal_rewrites: maps each original query-goal predicate to the
             (possibly adorned) predicate whose relation answers it.
+        seed_facts: ground tuples pre-loaded into derived relations before
+            evaluation — the magic facts a rewrite's rules produce.
+        query_seed: for a rewritten plan, which goal arguments seed which
+            magic predicate; the row is read from :attr:`query` at every
+            execution (:meth:`seed_rows`), so a plan-cache rebind is all it
+            takes to run the plan for other constants.
         fused: the whole plan as one statement (built once, at link time,
             for ``LFP_CTE`` plans whose every clique qualifies); an init
             field, so a plan-cache rebind carries it along.
@@ -105,10 +112,22 @@ class QueryProgram:
     strategy: LfpStrategy = DEFAULT_STRATEGY
     optimized: bool = False
     goal_rewrites: Mapping[str, str] = field(default_factory=dict)
-    # Ground tuples pre-loaded into derived relations before evaluation —
-    # the magic seed fact, and workspace facts over derived predicates.
     seed_facts: Mapping[str, tuple[tuple, ...]] = field(default_factory=dict)
+    query_seed: QuerySeed | None = None
     fused: FusedProgram | None = field(default=None, compare=False, repr=False)
+
+    def seed_rows(self) -> Mapping[str, tuple[tuple, ...]]:
+        """The seed rows for this program's query: :attr:`seed_facts` plus
+        the query's own seed row, each row once."""
+        if self.query_seed is None:
+            return self.seed_facts
+        predicate = self.query_seed.predicate
+        row = self.query_seed.row(self.query.goals[0])
+        static = self.seed_facts.get(predicate, ())
+        return {
+            **self.seed_facts,
+            predicate: (row,) + tuple(r for r in static if r != row),
+        }
 
     def execute(
         self,
@@ -136,8 +155,9 @@ class QueryProgram:
             table_of[predicate] = fact_table_name(predicate)
         if self.fused is not None and self.fused.runs_on(database):
             return self._execute_fused(database, self.fused, tracer)
+        seed_rows = self.seed_rows()
         context = EvaluationContext(
-            database, table_of, self.types, self.seed_facts, fastpath, tracer
+            database, table_of, self.types, seed_rows, fastpath, tracer
         )
 
         evaluate_clique = _CLIQUE_EVALUATORS[self.strategy]
@@ -147,7 +167,7 @@ class QueryProgram:
             # Seed-only predicates (e.g. a magic predicate with no deriving
             # rules) never appear as an evaluation node; materialise them here
             # so rule bodies referencing them find a relation.
-            for predicate in sorted(set(self.seed_facts) - defined):
+            for predicate in sorted(set(seed_rows) - defined):
                 context.materialise(predicate)
                 context.insert_seed_rows(predicate)
             node_seconds: dict[str, float] = {}
@@ -187,11 +207,14 @@ class QueryProgram:
     ) -> ExecutionResult:
         """The whole plan as one statement: nothing is materialised, so the
         result has no per-predicate sizes and no per-node seconds."""
+        parameters = fused.parameters
+        if self.query_seed is not None:
+            parameters = fused.parameters_for(self.query_seed.row(self.query.goals[0]))
         with tracer.span(
             "fused", category="fused", cliques=len(fused.cliques)
         ), database.phase(PHASE_RHS_EVAL):
             rows = self._answer_rows(
-                database, fused.tables.__getitem__, fused.with_clause, fused.parameters
+                database, fused.tables.__getitem__, fused.with_clause, parameters
             )
         if tracer.enabled:
             tracer.metrics.counter("lfp.iterations").inc(len(fused.cliques))

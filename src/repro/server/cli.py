@@ -71,9 +71,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     watchdog.add_argument(
         "--watchdog",
         action="store_true",
-        help="run the SLO watchdog: on breach escalate tracing, switch the "
-        "default LFP strategy, and tighten admission — all reverted on "
-        "recovery",
+        help="run the SLO watchdog: on breach escalate tracing and tighten "
+        "admission — both reverted on recovery",
     )
     watchdog.add_argument(
         "--slo-p95-ms",

@@ -37,6 +37,7 @@ from ..dbms.engine import ConnectionOptions, Database
 from ..errors import EvaluationError, TestbedError
 from ..km.config import TestbedConfig
 from ..km.partition import PartitionSpec
+from ..km.policy import DEFAULT_OPTIMIZE
 from ..km.session import Testbed
 from ..obs.metrics import MetricsRegistry
 from ..runtime.context import FastPathConfig
@@ -123,7 +124,7 @@ class ReaderSession:
         query: str,
         bindings: Optional[dict[str, Any]] = None,
         strategy: LfpStrategy = DEFAULT_STRATEGY,
-        optimize: "bool | str" = False,
+        optimize: "bool | str" = DEFAULT_OPTIMIZE,
         use_views: bool = True,
         use_cache: bool = True,
         timeout: Optional[float] = None,

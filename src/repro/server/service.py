@@ -22,7 +22,7 @@ from typing import Any, BinaryIO, Optional
 
 from ..errors import ParseError, TestbedError
 from ..km.partition import PartitionSpec
-from ..km.policy import ServingPolicy
+from ..km.policy import DEFAULT_OPTIMIZE
 from ..obs.metrics import MetricsRegistry
 from ..obs.live.exporter import MetricsExporter
 from ..obs.live.timeseries import TimeSeriesStore
@@ -57,10 +57,8 @@ class WatchdogConfig:
 
     Escalations on a latency breach (each individually reversible, all
     reverted on recovery): ``escalate_tracing`` turns structured tracing
-    on across the pool's sessions (diagnostic mode), ``switch_optimize``
-    overrides the magic-sets default on :class:`~repro.km.policy.
-    ServingPolicy`, and ``tighten_waiters`` shrinks the admission wait
-    queue to shed earlier.
+    on across the pool's sessions (diagnostic mode), and
+    ``tighten_waiters`` shrinks the admission wait queue to shed earlier.
     A cache breach escalates tracing only — a cold cache is a thing to
     diagnose, not to shed over.
 
@@ -78,7 +76,6 @@ class WatchdogConfig:
     alpha: float = 0.5
     min_requests: int = 1
     escalate_tracing: bool = True
-    switch_optimize: "bool | str | None" = None
     tighten_waiters: Optional[int] = 2
     auto_start: bool = True
 
@@ -246,7 +243,6 @@ class DkbServer:
     def __init__(self, config: ServerConfig) -> None:
         self.config = config
         self.metrics = MetricsRegistry()
-        self.policy = ServingPolicy()
         self.cache: Optional[VersionedResultCache] = (
             VersionedResultCache(config.cache_size, metrics=self.metrics)
             if config.cache_size > 0
@@ -369,14 +365,6 @@ class DkbServer:
             actions: list[CallbackAction] = []
             if config.escalate_tracing:
                 actions.append(self._tracing_action())
-            if config.switch_optimize is not None:
-                actions.append(
-                    self._policy_action(
-                        "policy.optimize",
-                        self.policy.set_optimize,
-                        config.switch_optimize,
-                    )
-                )
             if config.tighten_waiters is not None:
                 actions.append(self._admission_action(config.tighten_waiters))
             rules.append(
@@ -424,22 +412,6 @@ class DkbServer:
             return "tracing escalated"
 
         return CallbackAction("escalate_tracing", apply, self.pool.restore_tracing)
-
-    def _policy_action(
-        self, name: str, setter: Any, value: Any
-    ) -> CallbackAction:
-        """Flip one ServingPolicy knob, restoring the previous override."""
-        previous: list[Any] = []
-
-        def apply() -> str:
-            previous.append(setter(value))
-            self.metrics.counter("server.watchdog.policy_switches").inc()
-            return f"{name} -> {value!r}"
-
-        def revert() -> None:
-            setter(previous.pop() if previous else None)
-
-        return CallbackAction(name, apply, revert)
 
     def _admission_action(self, waiters: int) -> CallbackAction:
         """Tighten the admission wait queue; restore the old bound after."""
@@ -594,8 +566,6 @@ class DkbServer:
     def _dispatch_query(
         self, message: dict[str, Any], session: ReaderSession
     ) -> dict[str, Any]:
-        # ServingPolicy overrides fill in knobs the client left out; an
-        # explicit value in the request always wins (see km.policy).
         strategy_name = message.get("strategy", DEFAULT_STRATEGY.value)
         try:
             strategy = LfpStrategy(strategy_name)
@@ -605,15 +575,13 @@ class DkbServer:
                 ErrorCode.BAD_REQUEST,
                 f"unknown strategy {strategy_name!r}; expected one of: {known}",
             ) from None
-        optimize = message.get("optimize", self.policy.default_optimize(False))
-        use_cache = message.get("use_cache", self.policy.default_use_cache(True))
         result = session.query(
             message["q"],
             bindings=message.get("bindings"),
             strategy=strategy,
-            optimize=optimize,
+            optimize=message.get("optimize", DEFAULT_OPTIMIZE),
             use_views=message.get("use_views", True),
-            use_cache=use_cache,
+            use_cache=message.get("use_cache", True),
             timeout=self.config.request_timeout,
             min_version=message.get("min_version"),
         )
@@ -671,7 +639,6 @@ class DkbServer:
             "uptime_seconds": time.time() - self.started_at,
             "pool": self.pool.snapshot(),
             "metrics": self.metrics.snapshot(),
-            "policy": self.policy.overrides(),
             **self._identity(),
         }
         if self.timeseries is not None:

@@ -21,6 +21,7 @@ from typing import Callable
 
 from ..analysis import Severity
 from ..errors import TestbedError
+from ..km.policy import DEFAULT_OPTIMIZE
 from ..km.session import QueryResult, Testbed
 from ..obs.export import render_span_tree
 from ..runtime.program import DEFAULT_STRATEGY, LfpStrategy
@@ -30,7 +31,7 @@ Enter Horn clauses ('parent(a, b).', 'anc(X,Y) :- parent(X,Y).'),
 queries ('?- anc(a, X).'), or commands:
   :help                 this message
   :strategy [NAME]      show or set LFP strategy (lfp_cte, naive, seminaive, lfp_operator)
-  :optimize [on|off|auto]  show or set the magic sets optimization policy
+  :optimize [on|off|auto]  show or set magic sets rewriting (default: auto)
   :explain QUERY        show the generated program fragment for QUERY
   :update               move workspace rules into the stored D/KB
   :workspace            list workspace rules
@@ -61,8 +62,13 @@ class SessionState:
     """Mutable interpreter settings."""
 
     strategy: LfpStrategy = DEFAULT_STRATEGY
-    optimize: str = "off"  # off | on | auto
+    optimize: str = DEFAULT_OPTIMIZE  # off | on | auto
     timing: bool = False
+
+    @property
+    def optimize_value(self) -> "bool | str":
+        """The ``optimize`` argument the setting stands for."""
+        return {"on": True, "off": False}.get(self.optimize, self.optimize)
 
 
 class CommandInterpreter:
@@ -146,12 +152,8 @@ class CommandInterpreter:
         return "added " + " and ".join(parts)
 
     def _execute_query(self, text: str) -> str:
-        optimize: bool | str
-        optimize = "auto" if self.state.optimize == "auto" else (
-            self.state.optimize == "on"
-        )
         result = self.testbed.query(
-            text, optimize=optimize, strategy=self.state.strategy
+            text, optimize=self.state.optimize_value, strategy=self.state.strategy
         )
         return self._format_result(result)
 
@@ -202,9 +204,7 @@ class CommandInterpreter:
     def _cmd_explain(self, argument: str) -> str:
         if not argument:
             return "usage: :explain ?- goal(...)."
-        return self.testbed.explain(
-            argument, optimize=(self.state.optimize == "on")
-        )
+        return self.testbed.explain(argument, optimize=self.state.optimize_value)
 
     def _cmd_update(self, __: str) -> str:
         result = self.testbed.update_stored_dkb()

@@ -30,6 +30,9 @@ class TestCompilationRunners:
         for row in rows:
             assert row.total > 0
             assert abs(sum(row.percentage(c) for c in row.components) - 100) < 1e-6
+            # The paper's Table 4 has no optimize component: the runner pins
+            # unrewritten plans rather than timing the per-form decision.
+            assert row.components["optimize"] == 0.0
 
 
 class TestExecutionRunners:
@@ -95,11 +98,6 @@ class TestExtensionRunners:
         }
         assert len({p.answers for p in points}) == 1
 
-    def test_adaptive_policy(self):
-        points = bench.run_adaptive_policy(depth=5, repetitions=1)
-        assert len(points) == 4
-        assert points[0].envelope_seconds <= points[0].plain_seconds
-
     def test_precompilation(self):
         points = bench.run_precompilation((2,), total_rules=10, repetitions=2)
         assert len(points) == 1
@@ -163,9 +161,6 @@ class TestFormatters:
     def test_extension_formatters(self):
         ablation = bench.run_lfp_operator_ablation(depth=4, repetitions=1)
         assert "Ablation" in bench.format_ablation(ablation)
-
-        adaptive = bench.run_adaptive_policy(depth=4, repetitions=1)
-        assert "Adaptive" in bench.format_adaptive(adaptive)
 
         precompiled = bench.run_precompilation((2,), total_rules=6, repetitions=1)
         assert "precompilation" in bench.format_precompilation(precompiled)

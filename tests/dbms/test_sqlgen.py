@@ -166,3 +166,57 @@ class TestParameterOrder:
             parse_clause("p(X) :- e(X, 'b'), not e(X, 'c').")
         )
         assert compiled.parameters == ("b", "c")
+
+
+class TestSemijoin:
+    """``semijoin`` predicates whose variables are bound elsewhere become
+    ``IN`` filters; the rows are those of the join."""
+
+    @pytest.fixture
+    def guarded(self, edges):
+        schema = RelationSchema("guard", ("TEXT",))
+        edges.create_relation(schema)
+        edges.insert_rows(schema, [("a",), ("c",)])
+        return edges
+
+    def run(self, database, text, semijoin):
+        clause = parse_clause(text)
+        compiled = compile_rule_body(clause, semijoin=semijoin)
+        tables = {"m": "guard", "e": "edges", "n": "edges"}
+        sql = compiled.render([tables[p] for p in compiled.table_slots])
+        return compiled, set(database.execute(sql, compiled.parameters))
+
+    def test_bound_guard_is_a_filter(self, guarded):
+        text = "p(X, Y) :- m(X), e(X, Y)."
+        joined, rows = self.run(guarded, text, frozenset())
+        filtered, same = self.run(guarded, text, frozenset({"m"}))
+        assert rows == same == {("a", "b"), ("a", "c"), ("c", "a")}
+        assert '"guard" AS' in joined.render(["guard", "edges"])
+        assert "(t0.c0) IN (SELECT c0 FROM {1})" in filtered.sql
+        assert filtered.table_slots == ("e", "m")
+        assert filtered.positive_count == 1
+
+    def test_guard_slot_follows_negated_atoms(self, guarded):
+        text = "p(X, Y) :- m(X), e(X, Y), not n(Y, X)."
+        __, rows = self.run(guarded, text, frozenset())
+        compiled, same = self.run(guarded, text, frozenset({"m"}))
+        assert rows == same
+        assert compiled.table_slots == ("e", "n", "m")
+
+    def test_guard_constant_is_a_parameter_in_order(self, guarded):
+        text = "p(Y) :- e('a', Y), m('c'), not n(Y, 'b')."
+        compiled, rows = self.run(guarded, text, frozenset({"m"}))
+        assert compiled.parameters == ("a", "b", "c")
+        assert rows == {("b",), ("c",)}
+
+    def test_guard_with_an_unbound_variable_stays_a_join(self, guarded):
+        compiled, rows = self.run(
+            guarded, "p(X, Z) :- m(Z), e(X, Y).", frozenset({"m"})
+        )
+        assert " IN " not in compiled.sql
+        assert rows == {(x, z) for x in "abc" for z in "ac"}
+
+    def test_all_guards_keep_a_join(self, guarded):
+        compiled, rows = self.run(guarded, "p(X) :- m(X).", frozenset({"m"}))
+        assert " IN " not in compiled.sql
+        assert rows == {("a",), ("c",)}

@@ -94,6 +94,27 @@ class TestEngineParity:
         duckdb_rows = answers(relation, "duckdb", LfpStrategy.LFP_CTE, optimize=True)
         assert duckdb_rows == sqlite_rows
 
+    def test_duckdb_default_rewrite_parity(self, relation):
+        # The default per-form rewrite, source- and target-bound: its magic
+        # guards are IN semi-joins inside the one statement.
+        def rows(backend):
+            testbed = Testbed(TestbedConfig(backend=backend))
+            try:
+                testbed.define(ANCESTOR_RULES)
+                load_parent_relation(testbed, relation)
+                out = []
+                for level in LEVELS:
+                    node = tree_node("t", first_node_at_level(level))
+                    for text in (ancestor_query(node), f"?- ancestor(X, '{node}')."):
+                        result = testbed.query(text)
+                        assert result.compilation.optimized
+                        out.append(set(result.rows))
+                return out
+            finally:
+                testbed.close()
+
+        assert rows("duckdb") == rows("sqlite")
+
     def test_duckdb_magic_parity(self, relation):
         sqlite_rows = answers(
             relation, "sqlite", LfpStrategy.SEMINAIVE, optimize=True

@@ -45,7 +45,9 @@ class TestRecursiveStoredModule:
 
     def test_compiled_query_builds_a_clique(self, recursive_stored):
         tb, module = recursive_stored
-        result = tb.compile_query(f"?- {module.root_predicate}('a', Y).")
+        result = tb.compile_query(
+            f"?- {module.root_predicate}('a', Y).", optimize=False
+        )
         from repro.datalog.pcg import Clique
 
         cliques = [n for n in result.program.order if isinstance(n, Clique)]

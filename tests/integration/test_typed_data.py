@@ -39,7 +39,7 @@ class TestIntegerColumns:
     def test_magic_seed_typed(self, tb):
         result = tb.compile_query("?- needs(2, X).", optimize=True)
         assert result.program.types["m_needs__bf"] == ("INTEGER",)
-        assert result.program.seed_facts["m_needs__bf"] == ((2,),)
+        assert result.program.seed_rows()["m_needs__bf"] == ((2,),)
 
 
 class TestMixedTypes:

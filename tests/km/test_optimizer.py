@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datalog.magic import QuerySeed
 from repro.datalog.parser import parse_program, parse_query
 from repro.datalog.typecheck import TypeEnvironment
 from repro.km.optimizer import optimization_applies, optimize
@@ -40,9 +41,36 @@ class TestApplicability:
 
 class TestOptimize:
     def test_goal_rewrite_and_seed(self):
-        result = optimize(ANCESTOR, parse_query("?- ancestor('john', X)."), TYPES)
+        query = parse_query("?- ancestor('john', X).")
+        result = optimize(ANCESTOR, query, TYPES)
         assert result.goal_rewrites == {"ancestor": "ancestor__bf"}
-        assert result.seed_facts == {"m_ancestor__bf": (("john",),)}
+        # The seed is recorded as goal positions; its row comes from a query.
+        assert result.seed_facts == {}
+        assert result.query_seed == QuerySeed("m_ancestor__bf", (0,))
+        assert result.query_seed.row(query.goals[0]) == ("john",)
+
+    @pytest.mark.parametrize("method", ["magic", "supplementary"])
+    def test_rewrite_holds_no_query_constant(self, method):
+        """Two queries of one form rewrite to the same rules and seed record."""
+        first = optimize(ANCESTOR, parse_query("?- ancestor('john', X)."), TYPES, method)
+        second = optimize(ANCESTOR, parse_query("?- ancestor('mary', X)."), TYPES, method)
+        assert list(first.rules) == list(second.rules)
+        assert first.seed_facts == second.seed_facts
+        assert first.query_seed == second.query_seed
+
+    def test_rule_fact_equal_to_a_seed_row_is_kept(self):
+        """A rule's own magic fact stays a seed fact even when it equals this
+        query's seed row: the next query of the form may bind another value."""
+        program = parse_program(
+            "p(X, Y) :- t(X, Y), w(Z)."
+            "w(Z) :- p(Z, 'a')."
+        )
+        types = TypeEnvironment(
+            {"p": ("TEXT", "TEXT"), "t": ("TEXT", "TEXT"), "w": ("TEXT",)}
+        )
+        result = optimize(program, parse_query("?- p(X, 'a')."), types)
+        assert result.seed_facts == {"m_p__fb": (("a",),)}
+        assert result.query_seed == QuerySeed("m_p__fb", (1,))
 
     def test_rewritten_rules_exclude_seed(self):
         result = optimize(ANCESTOR, parse_query("?- ancestor('john', X)."), TYPES)

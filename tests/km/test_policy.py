@@ -1,8 +1,10 @@
-"""Unit tests for the adaptive optimization policy."""
+"""The per-form rewrite decision behind ``optimize="auto"`` (the default)."""
 
 import pytest
 
-from repro.km.policy import AdaptiveDecision, AdaptiveOptimizationPolicy
+import repro.km.compiler as compiler_module
+from repro.datalog.parser import parse_program, parse_query
+from repro.km.policy import DEFAULT_OPTIMIZE, decide_rewrite
 from repro.workloads.queries import ancestor_query, make_ancestor_testbed
 from repro.workloads.relations import (
     first_node_at_level,
@@ -10,98 +12,93 @@ from repro.workloads.relations import (
     tree_node,
 )
 
+ANCESTOR = parse_program(
+    "anc(X, Y) :- par(X, Y). anc(X, Y) :- par(X, Z), anc(Z, Y)."
+)
+CHAIN = parse_program(
+    "p0(X, Y) :- p1(X, Z), e(Z, Y). p1(X, Y) :- e(X, Y)."
+)
+
 
 @pytest.fixture(scope="module")
 def tree_testbed():
-    relation = full_binary_trees(1, 8)
-    testbed = make_ancestor_testbed(relation)
+    testbed = make_ancestor_testbed(full_binary_trees(1, 8))
     yield testbed
     testbed.close()
 
 
-def decide(testbed, root):
-    result = testbed.compile_query(ancestor_query(root), optimize="auto")
-    return result
+class TestDecision:
+    def test_bound_recursive_goal_rewrites(self):
+        decision = decide_rewrite(ANCESTOR, parse_query("?- anc('a', X)."))
+        assert decision.use_magic
+        assert "recursive" in decision.reason
+
+    def test_bound_second_argument_rewrites(self):
+        assert decide_rewrite(ANCESTOR, parse_query("?- anc(X, 'a').")).use_magic
+
+    def test_unbound_goal_does_not(self):
+        decision = decide_rewrite(ANCESTOR, parse_query("?- anc(X, Y)."))
+        assert not decision.use_magic
+        assert "bound goal" in decision.reason
+
+    def test_non_recursive_chain_does_not(self):
+        decision = decide_rewrite(CHAIN, parse_query("?- p0('a', Y)."))
+        assert not decision.use_magic
+        assert "no recursive clique" in decision.reason
+
+    def test_multi_goal_query_does_not(self):
+        query = parse_query("?- anc('a', X), anc(X, 'b').")
+        assert not decide_rewrite(ANCESTOR, query).use_magic
 
 
-class TestDecisions:
-    def test_root_query_declines_magic(self, tree_testbed):
-        result = decide(tree_testbed, tree_node("t", 1))
-        assert not result.optimized
-        assert result.adaptive_decision is not None
-        assert not result.adaptive_decision.use_magic
-        assert result.adaptive_decision.estimated_selectivity == 1.0
-
-    def test_leafward_query_uses_magic(self, tree_testbed):
-        root = tree_node("t", first_node_at_level(6))
-        result = decide(tree_testbed, root)
+class TestCompilerDefault:
+    def test_auto_is_the_default(self, tree_testbed):
+        assert DEFAULT_OPTIMIZE == "auto"
+        result = tree_testbed.compile_query(ancestor_query(tree_node("t", 1)))
         assert result.optimized
         assert result.adaptive_decision.use_magic
-        assert result.adaptive_decision.estimated_selectivity < 0.5
 
-    def test_decision_recorded_even_when_off(self, tree_testbed):
-        result = decide(tree_testbed, tree_node("t", 1))
-        assert "capped" in result.adaptive_decision.reason
+    def test_root_and_leaf_take_the_same_plan(self, tree_testbed):
+        # Structure, not selectivity: the crossover's two ends share a form.
+        for index in (1, first_node_at_level(7)):
+            result = tree_testbed.compile_query(ancestor_query(tree_node("t", index)))
+            assert result.optimized
 
-    def test_explicit_modes_skip_the_policy(self, tree_testbed):
-        result = tree_testbed.compile_query(
-            ancestor_query(tree_node("t", 1)), optimize=True
-        )
-        assert result.adaptive_decision is None
-        assert result.optimized
+    def test_unbound_default_is_unrewritten(self, tree_testbed):
+        result = tree_testbed.compile_query("?- ancestor(X, Y).")
+        assert not result.optimized
+        assert not result.adaptive_decision.use_magic
 
-    def test_answers_identical_under_auto(self, tree_testbed):
+    def test_explicit_modes_skip_the_decision(self, tree_testbed):
+        query = ancestor_query(tree_node("t", 1))
+        forced = tree_testbed.compile_query(query, optimize=True)
+        plain = tree_testbed.compile_query(query, optimize=False)
+        assert forced.adaptive_decision is None and forced.optimized
+        assert plain.adaptive_decision is None and not plain.optimized
+
+    def test_answers_identical_to_the_plain_plan(self, tree_testbed):
         for index in (1, first_node_at_level(6)):
-            root = tree_node("t", index)
-            auto = tree_testbed.query(ancestor_query(root), optimize="auto")
-            plain = tree_testbed.query(ancestor_query(root))
+            query = ancestor_query(tree_node("t", index))
+            auto = tree_testbed.query(query)
+            plain = tree_testbed.query(query, optimize=False)
             assert sorted(auto.rows) == sorted(plain.rows)
 
 
-class TestPolicyUnit:
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            AdaptiveOptimizationPolicy(threshold=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveOptimizationPolicy(threshold=1.5)
+def test_decision_is_made_once_per_form(monkeypatch):
+    calls = []
 
-    def test_inapplicable_query(self, tree_testbed):
-        policy = AdaptiveOptimizationPolicy()
-        from repro.datalog.parser import parse_query
+    def counting(relevant_rules, query):
+        calls.append(query)
+        return decide_rewrite(relevant_rules, query)
 
-        decision = policy.decide(
-            tree_testbed.database,
-            tree_testbed.catalog,
-            tree_testbed.compile_query("?- ancestor(X, Y).").relevant_rules,
-            parse_query("?- ancestor(X, Y)."),
-        )
-        assert not decision.use_magic
-        assert "does not apply" in decision.reason
-
-    def test_empty_relation_defaults_to_magic(self, testbed):
-        testbed.define(
-            "anc(X, Y) :- par(X, Y). anc(X, Y) :- par(X, Z), anc(Z, Y)."
-        )
-        testbed.define_base_relation("par", ("TEXT", "TEXT"))
-        result = testbed.compile_query("?- anc('a', X).", optimize="auto")
-        assert result.optimized
-
-    def test_threshold_shifts_the_flip_point(self):
-        relation = full_binary_trees(1, 7)
-        strict = make_ancestor_testbed(relation)
-        strict._compiler.policy = AdaptiveOptimizationPolicy(threshold=0.05)
-        lax = make_ancestor_testbed(relation)
-        lax._compiler.policy = AdaptiveOptimizationPolicy(threshold=0.9)
-        root = tree_node("t", first_node_at_level(3))  # ~24% selectivity
-        assert not decide(strict, root).optimized
-        assert decide(lax, root).optimized
-        strict.close()
-        lax.close()
-
-    def test_estimated_selectivity_bounds(self):
-        decision = AdaptiveDecision(True, "x", probed_nodes=5, probe_limit=50, domain_size=100)
-        assert decision.estimated_selectivity == pytest.approx(0.05)
-        capped = AdaptiveDecision(False, "x", probed_nodes=50, probe_limit=50, domain_size=100)
-        assert capped.estimated_selectivity == 1.0
-        empty = AdaptiveDecision(True, "x")
-        assert empty.estimated_selectivity == 0.0
+    monkeypatch.setattr(compiler_module, "decide_rewrite", counting)
+    testbed = make_ancestor_testbed(full_binary_trees(1, 5))
+    try:
+        for index in (1, 2, 9, 20):
+            result = testbed.query(ancestor_query(tree_node("t", index)))
+            assert result.compilation.optimized
+        testbed.query("?- ancestor(X, Y).")
+        testbed.query("?- ancestor(X, Y).")
+    finally:
+        testbed.close()
+    assert len(calls) == 2  # one bound form, one unbound form

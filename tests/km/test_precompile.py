@@ -52,9 +52,9 @@ class TestQueryForm:
         assert base != key(QUERY, strategy=LfpStrategy.NAIVE)
 
     @pytest.mark.parametrize("optimize", [True, "auto", "magic", "supplementary"])
-    def test_rewriting_compiles_are_keyed_by_the_whole_query(self, optimize):
-        assert key(QUERY, optimize) != key(OTHER, optimize)
-        assert key(QUERY, optimize) == key(QUERY, optimize)
+    def test_rewriting_compiles_are_keyed_by_the_form(self, optimize):
+        assert key(QUERY, optimize) == key(OTHER, optimize)
+        assert key(QUERY, optimize) != key("?- ancestor(X, 'john').", optimize)
 
 
 class TestCacheMechanics:
@@ -145,17 +145,26 @@ class TestDefaultOn:
         assert diagonal.rows == [("a",)]
         assert len(testbed.precompiled) == 2
 
-    @pytest.mark.parametrize("optimize", [True, "auto"])
-    def test_rewritten_plans_are_per_constant(self, family_testbed, optimize):
+    @pytest.mark.parametrize("optimize", [True, "auto", "supplementary"])
+    def test_rewritten_plans_serve_every_constant(self, family_testbed, optimize):
         first = family_testbed.query(QUERY, optimize=optimize)
         other = family_testbed.query(OTHER, optimize=optimize)
         again = family_testbed.query(QUERY, optimize=optimize)
+        assert first.compilation.optimized
         assert not first.compilation.cached
-        assert not other.compilation.cached
-        assert again.compilation.cached
-        assert len(family_testbed.precompiled) == 2
+        assert other.compilation.cached and again.compilation.cached
+        assert len(family_testbed.precompiled) == 1
+        assert set(first.rows) == set(again.rows) == family_descendants("john")
         assert set(other.rows) == family_descendants("mary")
-        assert set(again.rows) == family_descendants("john")
+
+    @pytest.mark.parametrize("strategy", [LfpStrategy.LFP_CTE, LfpStrategy.SEMINAIVE])
+    def test_rewritten_rebind_seeds_from_the_query(self, family_testbed, strategy):
+        for root in ("john", "mary", "sue", "nobody", "john"):
+            result = family_testbed.query(
+                f"?- ancestor('{root}', X).", strategy=strategy
+            )
+            assert set(result.rows) == family_descendants(root)
+        assert len(family_testbed.precompiled) == 1
 
     def test_precompile_false_neither_reads_nor_fills(self, family_testbed):
         family_testbed.query(QUERY, precompile=False)

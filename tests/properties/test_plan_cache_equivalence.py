@@ -7,10 +7,13 @@ compilation (``precompile=False``) and with the independent in-memory
 top-down evaluator over a model of the rules and facts entered so far —
 or fail with the same error when its rules are not all there yet.  Each run
 uses either the default strategy (whose cached plans carry their one-statement
-form across rebinds) or semi-naive iteration.
+form across rebinds) or semi-naive iteration, and one ``optimize`` setting:
+the default per-form decision, none, or a forced magic / supplementary
+rewrite.  Rewritten plans are cached per form too, so a query rebinds a plan
+another constant compiled, magic seed and all.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import LfpStrategy, Testbed
@@ -30,14 +33,27 @@ COMPLETE = [
     for name, length in (("m0", 3), ("m1", 2))
     for rule in make_module(name, length).rules
 ]
+# Rule bodies that call a recursive predicate with a query constant from an
+# all-free context: a rewrite turns each into a ground magic fact, which may
+# equal one query's seed row and not the next one's.  ``p_m1_1`` reads
+# ``base_m0`` only while ``w_m1`` is non-empty, so losing such a fact
+# changes its answers.
+ENABLER = parse_clause("p_m1_1(X, Y) :- base_m0(X, Y), w_m1(Z).")
+SEED_TWINS = [
+    parse_clause("w_m1(Z) :- p_m1_1(Z, 'a')."),
+    parse_clause("w_m1(Z) :- p_m1_0('b', Z)."),
+]
 # A module's alternative bodies derive what its first bodies do, so the rules
 # that change answers once a module is complete are m1's recursive one and
-# these two, which also make plans of one module depend on the other.
+# these, which also make plans of one module depend on the other.
 DEFINABLE = [rule for chosen in MODULES for rule in chosen.rules] + [
     parse_clause("p_m0_2(X, Y) :- base_m1(X, Y)."),
     parse_clause("p_m1_0(X, Y) :- p_m0_1(X, Y)."),
+    ENABLER,
+    *SEED_TWINS,
 ]
 NODES = ["a", "b", "c"]
+OPTIMIZE = [{}, {"optimize": False}, {"optimize": True}, {"optimize": "supplementary"}]
 
 module = st.sampled_from(MODULES)
 node = st.sampled_from(NODES)
@@ -57,7 +73,8 @@ def steps(draw):
     if kind == "query":
         predicate = draw(st.sampled_from(chosen.predicates[:2]))
         first = draw(st.sampled_from(["X", "X", "'a'", "'b'"]))
-        return kind, chosen, f"?- {predicate}({first}, Y)."
+        second = draw(st.sampled_from(["Y", "Y", "'a'", "'b'"]))
+        return kind, chosen, f"?- {predicate}({first}, {second})."
     return kind, chosen, None  # update
 
 
@@ -74,15 +91,30 @@ edges = st.lists(st.tuples(node, node), max_size=5)
 
 @given(
     st.sampled_from([{}, {"strategy": LfpStrategy.SEMINAIVE}]),
+    st.sampled_from(OPTIMIZE),
     st.booleans(),
     edges,
     edges,
     st.lists(steps(), min_size=10, max_size=30),
 )
+@example(  # the dedupe trap: a rule's magic fact equals the first seed row
+    {},
+    {},
+    True,
+    [("a", "b")],
+    [("b", "a"), ("c", "b")],
+    [
+        ("define", MODULES[1], ENABLER),
+        ("define", MODULES[1], SEED_TWINS[0]),
+        ("query", MODULES[1], "?- p_m1_1(X, 'a')."),
+        ("query", MODULES[1], "?- p_m1_1(X, 'b')."),
+    ],
+)
 @settings(max_examples=60, deadline=None)
 def test_cached_plans_track_every_rule_and_fact_change(
-    strategy, complete, edges0, edges1, sequence
+    strategy, optimize, complete, edges0, edges1, sequence
 ):
+    options = {**strategy, **optimize}
     rules = Program()
     facts = {
         chosen.base_predicate: set(rows)
@@ -105,8 +137,8 @@ def test_cached_plans_track_every_rule_and_fact_change(
                 testbed.load_facts(chosen.base_predicate, [argument])
                 facts[chosen.base_predicate].add(argument)
             else:
-                fresh = outcome(testbed, argument, precompile=False, **strategy)
-                assert outcome(testbed, argument, **strategy) == fresh
+                fresh = outcome(testbed, argument, precompile=False, **options)
+                assert outcome(testbed, argument, **options) == fresh
                 if isinstance(fresh, list):
                     expected = evaluate_top_down(
                         rules, facts, parse_query(argument)

@@ -1,4 +1,8 @@
-"""The default strategy's one-statement plan: shape, guards, statement stream."""
+"""The default strategy's one-statement plan: shape, guards, statement stream.
+
+The default ``optimize="auto"`` rewrites bound recursive queries, so most
+plans here are magic-sets plans; ``optimize=False`` pins the plain ones.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +12,8 @@ import pytest
 
 from repro import LfpStrategy, Testbed, TestbedConfig
 from repro.runtime.lfp_cte import MAX_REFERENCE_PATHS, fuse_program
+from repro.workloads.queries import ancestor_query, make_ancestor_testbed
+from repro.workloads.relations import full_binary_trees, tree_node
 
 CHAIN = 40
 CHAIN_RULES = "\n".join(
@@ -37,17 +43,25 @@ def after_stamp(statements):
 
 class TestWarmStatementStream:
     @pytest.mark.parametrize(
-        "rules, query",
-        [(CHAIN_RULES, "?- p0('{}', Y)."), (ANCESTOR, "?- anc('{}', Y).")],
-        ids=["chain40", "ancestor"],
+        "rules, query, optimize, rewritten",
+        [
+            (CHAIN_RULES, "?- p0('{}', Y).", "auto", False),
+            (ANCESTOR, "?- anc('{}', Y).", "auto", True),
+            (ANCESTOR, "?- anc(X, '{}').", "auto", True),
+            (ANCESTOR, "?- anc('{}', Y).", False, False),
+        ],
+        ids=["chain40", "ancestor-magic", "ancestor-target-magic", "ancestor-plain"],
     )
-    def test_one_evaluation_statement_and_no_ddl(self, rules, query):
+    def test_one_evaluation_statement_and_no_ddl(
+        self, rules, query, optimize, rewritten
+    ):
         with make_testbed(rules, trace=True) as tb:
-            cold = tb.query(query.format("n0"))
+            cold = tb.query(query.format("n0"), optimize=optimize)
             tracer = tb.tracer
             tracer.statements.clear()
-            warm = tb.query(query.format("n3"))
+            warm = tb.query(query.format("n3"), optimize=optimize)
             assert warm.compilation.cached and not cold.compilation.cached
+            assert warm.compilation.optimized is rewritten
             stream = after_stamp(list(tracer.statements))
             # One dictionary probe per base relation, then the plan itself.
             assert [r.kind for r in stream] == ["SELECT", "WITH"]
@@ -68,12 +82,24 @@ class TestWarmStatementStream:
                 assert fused.rows == loop.rows and len(fused.rows) == 1
                 assert fused.compilation.program.fused is not None
 
-    def test_rebind_carries_the_statement(self):
+    @pytest.mark.parametrize("optimize", ["auto", False])
+    def test_rebind_carries_the_statement(self, optimize):
         with make_testbed(ANCESTOR) as tb:
-            first = tb.query("?- anc('n0', Y).").compilation.program
-            second = tb.query("?- anc('n5', Y).").compilation.program
-            assert first.query != second.query
-            assert second.fused is first.fused
+            first = tb.query("?- anc('n0', Y).", optimize=optimize)
+            second = tb.query("?- anc('n5', Y).", optimize=optimize)
+            assert first.compilation.program.query != second.compilation.program.query
+            assert second.compilation.program.fused is first.compilation.program.fused
+            assert second.compilation.optimized is (optimize == "auto")
+            # Both rows come from the one statement, each seeded by its query.
+            assert sorted(first.rows) == sorted((f"n{i}",) for i in range(8))
+            assert len(second.rows) == 8
+
+    def test_rewritten_statement_names_no_query_constant(self):
+        with make_testbed(ANCESTOR) as tb:
+            fused = tb.compile_query("?- anc('n0', Y).").program.fused
+            assert fused.seed_slots == (fused.parameters.index(None),)
+            assert "n0" not in fused.with_clause and "n0" not in fused.parameters
+            assert "IN (SELECT c0 FROM \"d_m_anc__bf\")" in fused.with_clause
 
     def test_explicit_seminaive_keeps_its_stream(self):
         with make_testbed(ANCESTOR) as tb:
@@ -81,6 +107,47 @@ class TestWarmStatementStream:
             assert result.compilation.program.fused is None
             assert result.execution.total_iterations > 1
             assert "CREATE" in tb.database.statistics.total.by_kind
+
+
+class TestMagicGuards:
+    """Magic guards are semi-joins, so a rewritten plan never scans its magic
+    set once per row the recursion queues."""
+
+    @staticmethod
+    def vm_steps(tb, program):
+        """SQLite virtual-machine steps one execution takes (in 100s)."""
+        steps = [0]
+
+        def tick():
+            steps[0] += 1
+            return 0
+
+        connection = tb.database._connection
+        connection.set_progress_handler(tick, 100)
+        try:
+            rows = program.execute(tb.database, tb.catalog).rows
+        finally:
+            connection.set_progress_handler(None, 0)
+        return steps[0], rows
+
+    def test_root_bound_tree_stays_near_the_plain_plan(self):
+        relation = full_binary_trees(1, 9)
+        with make_ancestor_testbed(relation) as tb:
+            query = ancestor_query(tree_node("t", 1))
+            plain = tb.compile_query(query, optimize=False).program
+            magic = tb.compile_query(query).program
+            assert magic.optimized and magic.fused is not None
+            plain_steps, plain_rows = self.vm_steps(tb, plain)
+            magic_steps, magic_rows = self.vm_steps(tb, magic)
+            assert sorted(magic_rows) == sorted(plain_rows)
+            # Joined, the guard costs ~200x the plain plan's steps here.
+            assert magic_steps < 2 * plain_steps
+
+    def test_guard_joins_when_its_variables_are_unbound(self):
+        # m_anc__bb(Z, Y) :- m_anc__fb(Y), step(X, Z): Y only in the guard.
+        with make_testbed(ANCESTOR) as tb:
+            fused = tb.compile_query("?- anc(X, 'n1').").program.fused
+            assert '"d_m_anc__fb" AS t0' in fused.with_clause
 
 
 class TestReferenceExpansion:

@@ -39,7 +39,6 @@ def adaptive_server(dkb_path):
             recover_windows=2,
             alpha=1.0,  # no smoothing: transitions at exactly the streaks
             min_requests=1,
-            switch_optimize=True,
             tighten_waiters=2,
             auto_start=False,
         ),
@@ -74,14 +73,9 @@ class TestAdaptiveCycle:
         seal(server, clock, 0.5)
         events = server.watchdog.tick()
         assert [event.kind for event in events] == ["breach"]
-        assert events[0].actions == (
-            "escalate_tracing",
-            "policy.optimize",
-            "tighten_admission",
-        )
-        # The knobs actually moved: magic-sets override on the policy,
-        # admission queue tightened.
-        assert server.policy.overrides() == {"optimize": True}
+        assert events[0].actions == ("escalate_tracing", "tighten_admission")
+        # The knobs actually moved: tracing wanted, admission queue tightened.
+        assert server.pool.tracing_wanted()
         assert server.pool.admission.snapshot()["max_waiters"] == 2
         assert server.watchdog.breached_rules() == ["p95_latency"]
 
@@ -92,10 +86,8 @@ class TestAdaptiveCycle:
             server.watchdog.tick()
         host, port = server.address
         with DkbClient(host, port) as client:
-            # Defaulted query picks up the overridden optimize and works.
             reply = client.query("?- ancestor('john', Y).")
             assert reply["count"] == 5
-            # An explicit client value still wins over the override.
             explicit = client.query(
                 "?- ancestor('john', Y).", optimize=False,
                 use_cache=False,
@@ -107,18 +99,14 @@ class TestAdaptiveCycle:
         for _ in range(2):
             seal(server, clock, 0.5)
             server.watchdog.tick()
-        assert server.policy.overrides()
+        assert server.pool.tracing_wanted()
         seal(server, clock, 0.001)
         assert server.watchdog.tick() == []  # hysteresis: not yet
         seal(server, clock, 0.001)
         events = server.watchdog.tick()
         assert [event.kind for event in events] == ["recover"]
-        assert events[0].actions == (
-            "tighten_admission",
-            "policy.optimize",
-            "escalate_tracing",
-        )
-        assert server.policy.overrides() == {}
+        assert events[0].actions == ("tighten_admission", "escalate_tracing")
+        assert not server.pool.tracing_wanted()
         assert server.pool.admission.snapshot()["max_waiters"] == 16
         assert server.watchdog.breached_rules() == []
 
@@ -130,7 +118,6 @@ class TestAdaptiveCycle:
                 window_seconds=1.0,
                 p95_ms=100.0,
                 alpha=1.0,
-                switch_optimize=True,
                 auto_start=False,
             ),
         )
@@ -142,10 +129,12 @@ class TestAdaptiveCycle:
             for _ in range(2):
                 seal(server, fake, 0.5)
                 server.watchdog.tick()
-            assert server.policy.overrides()
+            assert server.pool.tracing_wanted()
+            assert server.pool.admission.snapshot()["max_waiters"] == 2
         finally:
             server.close()
-        assert server.policy.overrides() == {}
+        assert not server.pool.tracing_wanted()
+        assert server.pool.admission.snapshot()["max_waiters"] == 16
 
 
 class TestRecordSpan:
@@ -179,24 +168,13 @@ class TestRecordSpan:
         assert window.cache_hits >= 1  # repeat query hits the result cache
 
 
-class TestPolicyDefaults:
-    def test_use_cache_default_override(self, adaptive_server):
-        server = adaptive_server
-        server.policy.set_use_cache(False)
-        host, port = server.address
-        try:
-            with DkbClient(host, port) as client:
-                client.query("?- ancestor('john', Y).")
-                repeat = client.query("?- ancestor('john', Y).")
-                # The override disabled caching for defaulted requests.
-                assert repeat["cached"] is False
-                # An explicit request value wins over the override.
-                explicit = client.query(
-                    "?- ancestor('john', Y).", use_cache=True
-                )
-                final = client.query(
-                    "?- ancestor('john', Y).", use_cache=True
-                )
-                assert final["cached"] is True or explicit["cached"] is True
-        finally:
-            server.policy.set_use_cache(None)
+class TestRequestDefaults:
+    def test_defaulted_requests_use_the_library_defaults(self, adaptive_server):
+        host, port = adaptive_server.address
+        with DkbClient(host, port) as client:
+            first = client.query("?- ancestor('john', Y).")
+            repeat = client.query("?- ancestor('john', Y).")
+            explicit = client.query("?- ancestor('john', Y).", use_cache=False)
+        assert first["cached"] is False and repeat["cached"] is True
+        assert explicit["cached"] is False
+        assert first["rows"] == repeat["rows"] == explicit["rows"]

@@ -78,12 +78,21 @@ class TestCommands:
         assert "unknown strategy" in interpreter.execute(":strategy turbo")
 
     def test_optimize_modes(self, interpreter):
-        assert "off" in interpreter.execute(":optimize")
+        assert "auto" in interpreter.execute(":optimize")
         interpreter.execute(":optimize on")
         assert interpreter.state.optimize == "on"
+        assert interpreter.state.optimize_value is True
+        interpreter.execute(":optimize off")
+        assert interpreter.state.optimize_value is False
         interpreter.execute(":optimize auto")
-        assert interpreter.state.optimize == "auto"
+        assert interpreter.state.optimize_value == "auto"
         assert "usage" in interpreter.execute(":optimize sideways")
+
+    def test_explain_follows_the_optimize_setting(self, interpreter):
+        loaded(interpreter)
+        assert "m_anc__bf" in interpreter.execute(":explain ?- anc(a, X).")
+        interpreter.execute(":optimize off")
+        assert "m_anc__bf" not in interpreter.execute(":explain ?- anc(a, X).")
 
     def test_workspace_listing(self, interpreter):
         assert interpreter.execute(":workspace") == "workspace is empty"

@@ -6,7 +6,10 @@ everything.  The maintenance subsystem keeps a materialized ``ancestor``
 correct under fact inserts by delta propagation.  This bench applies edge
 batches of growing size to the fig-12 tree workload and compares the
 per-batch wall-clock of incremental maintenance against a full recompute,
-reporting where (if anywhere) recomputation catches up.
+reporting where (if anywhere) recomputation catches up.  Maintenance works
+in proportion to the delta (index probes, no DDL), so on the depth-9 tree
+recomputation no longer catches up even at 256-edge batches — half the
+base relation (EXPERIMENTS.md).
 
 Acceptance criterion: at single-row batches, incremental maintenance must
 be at least 2x faster than recomputing the view.

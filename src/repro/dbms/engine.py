@@ -378,6 +378,9 @@ class Database:
             else None
         )
         self._in_explicit_transaction = False  # not-shared: only the single writer batches transactions
+        # Scratch relations this connection has created, name -> column
+        # types (see scratch_relation).  Forgotten on rollback.
+        self._scratch: dict[str, tuple[str, ...]] = {}  # not-shared: only the single writer maintains views
         # Optional observability sink (see repro.obs).  ``None`` when tracing
         # is disabled — the hot path then pays one attribute test and nothing
         # else, so paper-faithful timings are untouched.
@@ -530,6 +533,7 @@ class Database:
     def rollback(self) -> None:
         """Roll back the current transaction."""
         self.backend.rollback(self._connection)
+        self._scratch.clear()
 
     def snapshot_to(self, dest_path: str) -> None:
         """Copy a consistent snapshot of this database into ``dest_path``.
@@ -580,6 +584,7 @@ class Database:
             yield
         except BaseException:
             self.backend.rollback(self._connection)
+            self._scratch.clear()
             raise
         else:
             self.backend.commit(self._connection)
@@ -666,6 +671,25 @@ class Database:
         with _TEMP_NAME_LOCK:
             counter = next(_TEMP_NAME_COUNTER)
         return f"{prefix}_{counter}"
+
+    def scratch_relation(self, name: str, types: Sequence[str]) -> str:
+        """An empty connection-private ``temp`` relation with a stable name.
+
+        Created on first use and kept for the life of the handle; every
+        call empties it with ``DELETE``, so a warm caller issues no DDL and
+        only statement texts its first call already prepared.  Temporary
+        DDL is transactional, so a rollback can take the table with it: the
+        handle then forgets every scratch relation and re-creates each on
+        its next use — dropping any survivor first, which also covers a
+        change of column ``types``.  Returns ``name``.
+        """
+        types = tuple(types)
+        if self._scratch.get(name) != types:
+            self.execute(f"DROP TABLE IF EXISTS temp.{quote_identifier(name)}")
+            self.create_relation(RelationSchema(name, types), temporary=True)
+            self._scratch[name] = types
+        self.execute(f"DELETE FROM {quote_identifier(name)}")
+        return name
 
     def observe(self, sql: str, parameters: Sequence[Any] = ()) -> list[tuple]:
         """Uncounted read for the observability layer.

@@ -284,6 +284,43 @@ def difference_sql(left: str, right: str, arity: int) -> str:
     )
 
 
+def delete_members_sql(
+    target: str, source: str, arity: int, members: bool = True
+) -> str:
+    """DELETE the rows of ``target`` that are (or, without ``members``, are
+    not) rows of ``source``.
+
+    The row-value ``IN`` probes an index of ``source`` over all its columns
+    (a materialized view's key index); lacking one, the DBMS indexes
+    ``source`` whole first, so point it at small relations only.
+    """
+    columns = ", ".join(column_name(i) for i in range(arity))
+    membership = "IN" if members else "NOT IN"
+    return (
+        f"DELETE FROM {quote_identifier(target)} WHERE ({columns}) "
+        f"{membership} (SELECT {columns} FROM {quote_identifier(source)})"
+    )
+
+
+def delete_probed_sql(
+    target: str, source: str, arity: int, members: bool = True
+) -> str:
+    """:func:`delete_members_sql` as one correlated ``EXISTS`` per row.
+
+    Each ``target`` row probes ``source`` through any single-column index
+    (a base relation's ``idx_e_<p>_<i>``) instead of indexing it whole.
+    """
+    outer = quote_identifier(target)
+    match = " AND ".join(
+        f"s.{column_name(i)} = {outer}.{column_name(i)}" for i in range(arity)
+    )
+    exists = "EXISTS" if members else "NOT EXISTS"
+    return (
+        f"DELETE FROM {outer} WHERE {exists} "
+        f"(SELECT 1 FROM {quote_identifier(source)} AS s WHERE {match})"
+    )
+
+
 def copy_sql(target: str, source: str, arity: int) -> str:
     """INSERT copying every row of ``source`` into ``target``."""
     columns = ", ".join(column_name(i) for i in range(arity))

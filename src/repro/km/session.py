@@ -30,8 +30,7 @@ from ..dbms.catalog import (
     fact_table_name,
 )
 from ..dbms.engine import Database
-from ..dbms.schema import RelationSchema, quote_identifier
-from ..dbms.sqlgen import compile_rule_body
+from ..dbms.sqlgen import compile_rule_body, delete_probed_sql
 from ..errors import CatalogError, EvaluationError, SemanticError
 from ..maintenance.delta import propagate_inserts
 from ..maintenance.dred import DeleteMaintenance
@@ -526,24 +525,21 @@ class Testbed:
     def _stage_rows(
         self, predicate: str, rows: list[tuple], keep_existing: bool
     ) -> str:
-        """Stage the distinct update rows in a temporary relation.
+        """Stage the distinct update rows in the predicate's scratch relation.
 
         With ``keep_existing`` the stage keeps only rows the base relation
         currently holds (the rows a delete will actually remove); without
-        it, only genuinely new rows (the Δ-seed of an insert).  Call before
-        applying the base-table change.
+        it, only genuinely new rows (the Δ-seed of an insert).  Each staged
+        row probes the base relation's index.  Call before applying the
+        base-table change.
         """
         schema = self.catalog.schema_of(predicate)
-        name = self.database.fresh_temp_name(f"mstage_{predicate}")
-        staged = RelationSchema(name, schema.types)
-        self.database.create_relation(staged, temporary=True)
-        self.database.insert_rows(staged, list(dict.fromkeys(rows)))
-        columns = ", ".join(staged.columns)
-        membership = "NOT IN" if keep_existing else "IN"
+        name = self.database.scratch_relation(f"mstage_{predicate}", schema.types)
+        self.database.insert_rows(schema, list(dict.fromkeys(rows)), name)
         self.database.execute(
-            f"DELETE FROM {quote_identifier(name)} "
-            f"WHERE ({columns}) {membership} "
-            f"(SELECT {columns} FROM {quote_identifier(schema.name)})"
+            delete_probed_sql(
+                name, schema.name, schema.arity, members=not keep_existing
+            )
         )
         return name
 
@@ -579,7 +575,6 @@ class Testbed:
                     iterations=stats.iterations,
                 )
             )
-        self.database.drop_relation(stage)
         self.database.commit()
         return count
 
@@ -629,7 +624,6 @@ class Testbed:
             self._refresh_fallback(
                 views, plans, "delete", reason, deleted, decision
             )
-        self.database.drop_relation(stage)
         self.database.commit()
         return deleted
 

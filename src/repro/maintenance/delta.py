@@ -11,6 +11,12 @@ already present in the view are stripped from the new delta exactly as the
 from-scratch loop strips already-known tuples, so the loop terminates as
 soon as the update's consequences are exhausted.
 
+The work follows the delta, not the view: every rule runs from a delta
+relation into the views' indexes, the strip step probes each view's key
+index, and the Δ-relations are two stable scratch relations per derived
+predicate (:meth:`~repro.dbms.engine.Database.scratch_relation`), so a
+warm run issues no DDL and repeats its statement texts.
+
 All statements run under the ``maint_delta`` phase, so ``Statistics``
 breaks maintenance cost out from query execution.
 """
@@ -21,8 +27,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..dbms.engine import Database
-from ..dbms.schema import RelationSchema, quote_identifier
-from ..dbms.sqlgen import compile_rule_body, copy_sql, insert_new_tuples_sql
+from ..dbms.sqlgen import copy_sql, delete_members_sql, insert_new_tuples_sql
 from ..errors import EvaluationError
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from ..runtime import naive
@@ -70,77 +75,64 @@ def propagate_inserts(
             "is unsound — use a full refresh"
         )
     tracer = tracer if tracer is not None else NULL_TRACER
-    compiled = [(c, compile_rule_body(c)) for c in plan.rules]
     delta: dict[str, str] = dict(seed_tables)
-    created: list[str] = []
     iterations = 0
     added = 0
     with tracer.span(
         "maint_delta", category="maintenance", view=plan.view
     ) as maint_span, database.phase(PHASE_MAINT_DELTA):
-        try:
-            while delta:
-                if iterations >= naive.MAX_ITERATIONS:
-                    raise EvaluationError(
-                        f"insert maintenance of {plan.view!r} did not "
-                        f"converge within MAX_ITERATIONS="
-                        f"{naive.MAX_ITERATIONS} iterations"
-                    )
-                iterations += 1
-                added_before = added
-                with tracer.span(
-                    "iteration", category="iteration", iteration=iterations
-                ) as it_span:
-                    new_delta: dict[str, str] = {}
-                    for clause, select in compiled:
-                        head = clause.head_predicate
-                        for index, predicate in enumerate(
-                            select.positive_predicates
-                        ):
-                            if predicate not in delta:
-                                continue
-                            if head not in new_delta:
-                                name = database.fresh_temp_name(f"mdelta_{head}")
-                                database.create_relation(
-                                    RelationSchema(name, plan.types[head]),
-                                    temporary=True,
-                                )
-                                created.append(name)
-                                new_delta[head] = name
-                            tables = [
-                                delta[p] if j == index else table_of[p]
-                                for j, p in enumerate(select.table_slots)
-                            ]
-                            database.execute(
-                                insert_new_tuples_sql(
-                                    new_delta[head],
-                                    select.render(tables),
-                                    clause.head.arity,
-                                ),
-                                select.parameters,
+        while delta:
+            if iterations >= naive.MAX_ITERATIONS:
+                raise EvaluationError(
+                    f"insert maintenance of {plan.view!r} did not "
+                    f"converge within MAX_ITERATIONS="
+                    f"{naive.MAX_ITERATIONS} iterations"
+                )
+            iterations += 1
+            added_before = added
+            with tracer.span(
+                "iteration", category="iteration", iteration=iterations
+            ) as it_span:
+                new_delta: dict[str, str] = {}
+                for clause, select in plan.compiled:
+                    head = clause.head_predicate
+                    for index, predicate in enumerate(select.positive_predicates):
+                        if predicate not in delta:
+                            continue
+                        if head not in new_delta:
+                            # Ping-pong: never the relation this
+                            # iteration reads its delta from.
+                            new_delta[head] = database.scratch_relation(
+                                f"mdelta_{head}_{iterations % 2}",
+                                plan.types[head],
                             )
-                    # Strip tuples the views already hold, fold the survivors
-                    # in; the surviving delta drives the next iteration.
-                    next_delta: dict[str, str] = {}
-                    for head, name in new_delta.items():
-                        arity = len(plan.types[head])
-                        columns = ", ".join(f"c{i}" for i in range(arity))
+                        tables = [
+                            delta[p] if j == index else table_of[p]
+                            for j, p in enumerate(select.table_slots)
+                        ]
                         database.execute(
-                            f"DELETE FROM {quote_identifier(name)} "
-                            f"WHERE ({columns}) IN "
-                            f"(SELECT {columns} FROM "
-                            f"{quote_identifier(table_of[head])})"
+                            insert_new_tuples_sql(
+                                new_delta[head],
+                                select.render(tables),
+                                clause.head.arity,
+                            ),
+                            select.parameters,
                         )
-                        count = database.row_count(name)
-                        if count:
-                            database.execute(copy_sql(table_of[head], name, arity))
-                            added += count
-                            next_delta[head] = name
-                    delta = next_delta
-                    it_span.set("delta_tuples", added - added_before)
-        finally:
-            for name in created:
-                database.drop_relation(name)
+                # Strip tuples the views already hold, fold the survivors
+                # in; the surviving delta drives the next iteration.
+                next_delta: dict[str, str] = {}
+                for head, name in new_delta.items():
+                    arity = len(plan.types[head])
+                    database.execute(
+                        delete_members_sql(name, table_of[head], arity)
+                    )
+                    count = database.row_count(name)
+                    if count:
+                        database.execute(copy_sql(table_of[head], name, arity))
+                        added += count
+                        next_delta[head] = name
+                delta = next_delta
+                it_span.set("delta_tuples", added - added_before)
         maint_span.set("iterations", iterations)
         maint_span.set("tuples_added", added)
     return DeltaStats(iterations, added)

@@ -14,9 +14,16 @@ answers this in two sweeps:
    deleted rows, which the post-deletion database can no longer produce.
 2. **Re-derive** — remove the candidates from the views, then re-run the
    rules restricted to the candidates over the post-deletion state: any
-   candidate with a surviving alternative derivation comes back.  Survivors
+   candidate with a surviving alternative derivation comes back.  Each
+   rule runs *from* its head's candidates (``MaintenancePlan.rederive``),
+   probing the body's relations, so re-derivation costs what the
+   candidates cost rather than a full rule-body evaluation.  Survivors
    then feed the ordinary insert-propagation loop, since a re-derived tuple
    can in turn support other candidates.
+
+Every membership test probes an index (a view's key index, or the small
+candidate relation), and the over-delete, candidate and re-derive relations
+are stable per-predicate scratch relations, so a warm run issues no DDL.
 
 Over-deletion can cascade far beyond the deleted facts, so
 :class:`MaintenancePolicy` first estimates whether incremental maintenance
@@ -33,8 +40,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..dbms.engine import Database
-from ..dbms.schema import RelationSchema, quote_identifier
-from ..dbms.sqlgen import compile_rule_body, copy_sql, insert_new_tuples_sql
+from ..dbms.sqlgen import copy_sql, delete_members_sql, insert_new_tuples_sql
 from ..errors import EvaluationError
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from ..runtime import naive
@@ -145,18 +151,13 @@ class DeleteMaintenance:
         self.database = database
         self.plan = plan
         self.table_of = dict(table_of)
-        self.compiled = [(c, compile_rule_body(c)) for c in plan.rules]
+        # Per derived predicate with at least one candidate, the relation
+        # collecting them.
         self.candidates: dict[str, str] = {}
-        self._temps: list[str] = []
         self._overdeleted = 0
 
-    def _temp(self, prefix: str, predicate: str) -> str:
-        name = self.database.fresh_temp_name(f"{prefix}_{predicate}")
-        self.database.create_relation(
-            RelationSchema(name, self.plan.types[predicate]), temporary=True
-        )
-        self._temps.append(name)
-        return name
+    def _scratch(self, name: str, predicate: str) -> str:
+        return self.database.scratch_relation(name, self.plan.types[predicate])
 
     def overdelete(self, seed_tables: Mapping[str, str]) -> int:
         """Collect deletion candidates; call *before* deleting base rows.
@@ -178,7 +179,7 @@ class DeleteMaintenance:
                     )
                 iterations += 1
                 new_delta: dict[str, str] = {}
-                for clause, select in self.compiled:
+                for clause, select in self.plan.compiled:
                     head = clause.head_predicate
                     for index, predicate in enumerate(
                         select.positive_predicates
@@ -186,7 +187,9 @@ class DeleteMaintenance:
                         if predicate not in delta:
                             continue
                         if head not in new_delta:
-                            new_delta[head] = self._temp("mdred", head)
+                            new_delta[head] = self._scratch(
+                                f"mdred_{head}_{iterations % 2}", head
+                            )
                         tables = [
                             delta[p] if j == index else self.table_of[p]
                             for j, p in enumerate(select.table_slots)
@@ -202,112 +205,88 @@ class DeleteMaintenance:
                 next_delta: dict[str, str] = {}
                 for head, name in new_delta.items():
                     arity = len(self.plan.types[head])
-                    columns = ", ".join(f"c{i}" for i in range(arity))
                     # Only tuples the view actually holds can be deleted...
                     self.database.execute(
-                        f"DELETE FROM {quote_identifier(name)} "
-                        f"WHERE ({columns}) NOT IN "
-                        f"(SELECT {columns} FROM "
-                        f"{quote_identifier(self.table_of[head])})"
+                        delete_members_sql(
+                            name, self.table_of[head], arity, members=False
+                        )
                     )
                     # ...and tuples already collected stop the cascade.
                     if head in self.candidates:
                         self.database.execute(
-                            f"DELETE FROM {quote_identifier(name)} "
-                            f"WHERE ({columns}) IN "
-                            f"(SELECT {columns} FROM "
-                            f"{quote_identifier(self.candidates[head])})"
+                            delete_members_sql(
+                                name, self.candidates[head], arity
+                            )
                         )
-                    else:
-                        self.candidates[head] = self._temp("mcand", head)
                     count = self.database.row_count(name)
                     if count:
+                        if head not in self.candidates:
+                            self.candidates[head] = self._scratch(
+                                f"mcand_{head}", head
+                            )
                         self.database.execute(
                             copy_sql(self.candidates[head], name, arity)
                         )
+                        self._overdeleted += count
                         next_delta[head] = name
                 delta = next_delta
-            self._overdeleted = sum(
-                self.database.row_count(t) for t in self.candidates.values()
-            )
             span.set("iterations", iterations)
             span.set("candidates", self._overdeleted)
         return self._overdeleted
 
     def apply_and_rederive(self) -> DredStats:
-        """Remove the candidates, re-derive survivors, and clean up.
+        """Remove the candidates and re-derive the survivors.
 
-        Call *after* the base rows are deleted.  Re-derivation runs the full
-        rules restricted to the candidate tuples (only candidates can be
-        missing from the views), then propagates the survivors with the
-        insert engine — a re-derived tuple can rescue further candidates.
+        Call *after* the base rows are deleted.  Re-derivation runs each
+        rule from its head's candidates (only candidates can be missing
+        from the views), then propagates the survivors with the insert
+        engine — a re-derived tuple can rescue further candidates.
         """
         database = self.database
         rederive_seeds: dict[str, str] = {}
-        try:
-            with self.tracer.span(
-                "dred_rederive", category="maintenance", view=self.plan.view
-            ) as span, database.phase(PHASE_MAINT_DRED):
-                for head, cand in self.candidates.items():
-                    arity = len(self.plan.types[head])
-                    columns = ", ".join(f"c{i}" for i in range(arity))
-                    database.execute(
-                        f"DELETE FROM "
-                        f"{quote_identifier(self.table_of[head])} "
-                        f"WHERE ({columns}) IN "
-                        f"(SELECT {columns} FROM {quote_identifier(cand)})"
+        with self.tracer.span(
+            "dred_rederive", category="maintenance", view=self.plan.view
+        ) as span, database.phase(PHASE_MAINT_DRED):
+            for head, cand in self.candidates.items():
+                database.execute(
+                    delete_members_sql(
+                        self.table_of[head], cand, len(self.plan.types[head])
                     )
-                # Round 0: full rule bodies over the post-deletion state,
-                # restricted to the candidates — exactly the tuples whose
-                # alternative derivations must be checked.
-                for clause, select in self.compiled:
-                    head = clause.head_predicate
-                    if head not in self.candidates:
-                        continue
-                    if head not in rederive_seeds:
-                        rederive_seeds[head] = self._temp("mredo", head)
-                    arity = clause.head.arity
-                    columns = ", ".join(f"c{i}" for i in range(arity))
-                    body = select.render(
-                        [self.table_of[p] for p in select.table_slots]
-                    )
-                    restricted = (
-                        f"SELECT {columns} FROM ({body}) "
-                        f"WHERE ({columns}) IN (SELECT {columns} FROM "
-                        f"{quote_identifier(self.candidates[head])})"
-                    )
-                    database.execute(
-                        insert_new_tuples_sql(
-                            rederive_seeds[head], restricted, arity
-                        ),
-                        select.parameters,
-                    )
-                survivors: dict[str, str] = {}
-                rederived = 0
-                for head, name in rederive_seeds.items():
-                    count = database.row_count(name)
-                    if count:
-                        arity = len(self.plan.types[head])
-                        database.execute(
-                            copy_sql(self.table_of[head], name, arity)
-                        )
-                        rederived += count
-                        survivors[head] = name
-                span.set("rederived_round0", rederived)
-            iterations = 0
-            if survivors:
-                stats = propagate_inserts(
-                    database, self.plan, self.table_of, survivors, self.tracer
                 )
-                rederived += stats.tuples_added
-                iterations = stats.iterations
-            return DredStats(self._overdeleted, rederived, iterations)
-        finally:
-            self.cleanup()
-
-    def cleanup(self) -> None:
-        """Drop every temporary relation this run created."""
-        for name in self._temps:
-            self.database.drop_relation(name)
-        self._temps.clear()
-        self.candidates.clear()
+            # Round 0: every rule driven from its head's candidates over the
+            # post-deletion state — exactly the tuples whose alternative
+            # derivations must be checked.
+            for head, select in self.plan.rederive:
+                if head not in self.candidates:
+                    continue
+                if head not in rederive_seeds:
+                    rederive_seeds[head] = self._scratch(f"mredo_{head}", head)
+                tables = [self.candidates[head]] + [
+                    self.table_of[p] for p in select.table_slots[1:]
+                ]
+                database.execute(
+                    insert_new_tuples_sql(
+                        rederive_seeds[head],
+                        select.render(tables),
+                        len(self.plan.types[head]),
+                    ),
+                    select.parameters,
+                )
+            survivors: dict[str, str] = {}
+            rederived = 0
+            for head, name in rederive_seeds.items():
+                count = database.row_count(name)
+                if count:
+                    arity = len(self.plan.types[head])
+                    database.execute(copy_sql(self.table_of[head], name, arity))
+                    rederived += count
+                    survivors[head] = name
+            span.set("rederived_round0", rederived)
+        iterations = 0
+        if survivors:
+            stats = propagate_inserts(
+                database, self.plan, self.table_of, survivors, self.tracer
+            )
+            rederived += stats.tuples_added
+            iterations = stats.iterations
+        return DredStats(self._overdeleted, rederived, iterations)

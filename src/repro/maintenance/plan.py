@@ -17,10 +17,12 @@ feeding the second view's private predicates would be lost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..datalog.clauses import Clause
 from ..datalog.evalgraph import EvaluationNode
+from ..dbms.sqlgen import CompiledSelect, compile_rule_body
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (km imports us)
     from ..km.compiler import CompilationResult
@@ -59,6 +61,28 @@ class MaintenancePlan:
         mapping = {p: base_table(p) for p in self.base}
         mapping.update({p: view_table(p) for p in self.derived})
         return mapping
+
+    @cached_property
+    def compiled(self) -> tuple[tuple[Clause, CompiledSelect], ...]:
+        """Each rule with its compiled body, for delta propagation."""
+        return tuple((c, compile_rule_body(c)) for c in self.rules)
+
+    @cached_property
+    def rederive(self) -> tuple[tuple[str, CompiledSelect], ...]:
+        """Each rule's body driven from its head's candidate tuples.
+
+        ``h(t̄) :- body`` compiles as ``h(t̄) :- h(t̄), body`` with the first
+        atom's slot rendered as the candidate relation of ``h``: the join
+        starts from the candidates and probes the body's relations, head
+        constants become filters and repeated head variables become joins.
+        """
+        return tuple(
+            (
+                c.head_predicate,
+                compile_rule_body(Clause(c.head, (c.head,) + c.body)),
+            )
+            for c in self.rules
+        )
 
 
 def build_plan(view: str, compilation: "CompilationResult") -> MaintenancePlan:

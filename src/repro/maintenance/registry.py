@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ..dbms.engine import Database
-from ..dbms.schema import RelationSchema
+from ..dbms.schema import RelationSchema, quote_identifier
 from ..errors import CatalogError
 
 MVIEWS = "mviews"
@@ -134,6 +134,7 @@ class MaterializedViewRegistry:
                 f"DELETE FROM {MVIEWS} WHERE predname = ?", (predicate,)
             )
             existing = []
+        schema = RelationSchema(view_table_name(predicate), types)
         if existing:
             was_view = bool(existing[0][0])
             self.database.execute(
@@ -141,21 +142,36 @@ class MaterializedViewRegistry:
                 "WHERE predname = ?",
                 (int(was_view or is_view), predicate),
             )
-            return
-        schema = RelationSchema(view_table_name(predicate), types)
-        if not self.database.table_exists(schema.name):
-            self.database.create_relation(schema)
-            for position, column in enumerate(schema.columns):
-                self.database.create_index(
-                    f"idx_{schema.name}_{position}", schema.name, [column]
-                )
-        self.database.execute(
-            f"INSERT INTO {MVIEWS} VALUES (?, ?, ?, 0, 0)",
-            (predicate, schema.arity, int(is_view)),
+        else:
+            if not self.database.table_exists(schema.name):
+                self.database.create_relation(schema)
+                for position, column in enumerate(schema.columns[1:], start=1):
+                    self.database.create_index(
+                        f"idx_{schema.name}_{position}", schema.name, [column]
+                    )
+            self.database.execute(
+                f"INSERT INTO {MVIEWS} VALUES (?, ?, ?, 0, 0)",
+                (predicate, schema.arity, int(is_view)),
+            )
+            self.database.executemany(
+                f"INSERT INTO {MVIEWCOLUMNS} VALUES (?, ?, ?)",
+                [(predicate, i, t) for i, t in enumerate(types)],
+            )
+        self._ensure_key_index(schema)
+
+    def _ensure_key_index(self, schema: RelationSchema) -> None:
+        """Index the relation on all its columns, in column order.
+
+        Every membership test maintenance makes against a view probes this
+        index, and its leading column serves what a single-column index on
+        ``c0`` would — a relation materialized before the key index existed
+        has that redundant index dropped here, on re-registration.
+        """
+        self.database.create_index(
+            f"idx_{schema.name}_key", schema.name, list(schema.columns)
         )
-        self.database.executemany(
-            f"INSERT INTO {MVIEWCOLUMNS} VALUES (?, ?, ?)",
-            [(predicate, i, t) for i, t in enumerate(types)],
+        self.database.execute(
+            f"DROP INDEX IF EXISTS {quote_identifier(f'idx_{schema.name}_0')}"
         )
 
     def unregister_view(self, view: str) -> None:

@@ -27,15 +27,15 @@ from ..obs.metrics import MetricsRegistry
 DEFAULT_CACHE_CAPACITY = 256
 
 
-def canonical_query(
+def bind_query(
     query: "str | Query", bindings: Optional[Mapping[str, Any]] = None
-) -> str:
-    """The canonical text of ``query`` with ``bindings`` substituted.
+) -> Query:
+    """``query`` parsed, with ``bindings`` substituted.
 
     ``bindings`` maps variable names to constant values; variables not
-    mentioned stay free.  The result is a valid query string (the parse /
-    render round trip is stable), used both as the cache key and as the
-    query actually compiled.
+    mentioned stay free.  Its text (:func:`canonical_query`) is the cache
+    key, and the object itself is what gets compiled — the parse / render
+    round trip is stable, so a served read parses its text once.
 
     Raises:
         ParseError: when the query text does not parse, or a binding names
@@ -54,7 +54,21 @@ def canonical_query(
             by_name[name]: Constant(value) for name, value in bindings.items()
         }
         parsed = Query(tuple(g.substitute(mapping) for g in parsed.goals))
-    return str(parsed)
+    return parsed
+
+
+def canonical_query(
+    query: "str | Query", bindings: Optional[Mapping[str, Any]] = None
+) -> str:
+    """The canonical text of ``query`` with ``bindings`` substituted.
+
+    A valid query string (the parse / render round trip is stable), used
+    as the cache key; see :func:`bind_query`.
+
+    Raises:
+        ParseError: as :func:`bind_query`.
+    """
+    return str(bind_query(query, bindings))
 
 
 @dataclass(frozen=True)

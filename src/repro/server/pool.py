@@ -43,7 +43,12 @@ from ..obs.metrics import MetricsRegistry
 from ..runtime.context import FastPathConfig
 from ..runtime.program import DEFAULT_STRATEGY, LfpStrategy
 from .admission import AdmissionController, AdmissionError
-from .cache import CachedResult, VersionedResultCache, canonical_query
+from .cache import (
+    CachedResult,
+    VersionedResultCache,
+    bind_query,
+    canonical_query,
+)
 from .protocol import ErrorCode
 
 #: The catalog relation persisting the D/KB generation counter.
@@ -148,7 +153,8 @@ class ReaderSession:
             StaleSnapshot: the snapshot is below ``min_version``.
             TestbedError: compilation or evaluation failed.
         """
-        key = canonical_query(query, bindings)
+        parsed = bind_query(query, bindings)
+        key = str(parsed)
         cache = self.pool.cache if use_cache else None
         database = self.testbed.database
         self._sync_tracing()
@@ -189,7 +195,7 @@ class ReaderSession:
                             hit.answered_from_view,
                         )
                 result = self.testbed.query(
-                    key,
+                    parsed,
                     optimize=optimize,
                     strategy=strategy,
                     use_views=use_views,
@@ -300,6 +306,7 @@ class SessionPool:
         self._trace_lock = threading.Lock()
         self._writer_lock = threading.Lock()  # serializes: one writer transaction at a time is the point
         self._closed = False  # not-shared: close() runs after request traffic stops
+        self._written = threading.local()  # not-shared: per-thread by construction
         # The writer session initialises every catalog relation (extensional
         # dictionary, stored D/KB, view registry, version counter) before
         # any reader opens, so readers never attempt catalog DDL.
@@ -413,7 +420,8 @@ class SessionPool:
         transaction; on success the D/KB version is bumped *in the same
         transaction*, so readers either see the whole change with the new
         version or none of it.  On failure everything — including the
-        bump — rolls back.
+        bump — rolls back.  The bumped version is read inside the
+        transaction too; :meth:`written_version` hands it to the caller.
 
         Raises:
             AdmissionTimeout: the writer lock could not be taken in time.
@@ -434,12 +442,21 @@ class SessionPool:
                     f"UPDATE {DKB_VERSION_TABLE} SET version = version + 1 "
                     "WHERE id = 1"
                 )
+                version = read_version(database)
+            self._written.version = version
             self.metrics.counter("server.writes").inc()
-            self.metrics.gauge("server.dkb_version").set(
-                read_version(database)
-            )
+            self.metrics.gauge("server.dkb_version").set(version)
         finally:
             self._writer_lock.release()
+
+    def written_version(self) -> int:
+        """The D/KB version the calling thread's latest write committed.
+
+        The write's own version even when another writer has committed
+        since — what an update reply must carry: a later version would
+        raise the caller's read-my-writes floor past its own write.
+        """
+        return self._written.version
 
     def load_facts(
         self,

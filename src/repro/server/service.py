@@ -541,10 +541,14 @@ class DkbServer:
             return self._dispatch_update(message)
         if op == "define":
             added = self.pool.define(message["program"])
-            return ok_reply(request_id, added=added, version=self.pool.version())
+            return ok_reply(
+                request_id, added=added, version=self.pool.written_version()
+            )
         if op == "materialize":
             count = self.pool.materialize(message["predicate"])
-            return ok_reply(request_id, count=count, version=self.pool.version())
+            return ok_reply(
+                request_id, count=count, version=self.pool.written_version()
+            )
         if op == "lint":
             report = session.lint(message.get("q"))
             return ok_reply(
@@ -608,7 +612,7 @@ class DkbServer:
         return ok_reply(
             message.get("id"),
             count=count,
-            version=self.pool.version(),
+            version=self.pool.written_version(),
             **self._identity(),
         )
 

@@ -56,6 +56,42 @@ class TestRegistration:
         assert infos[0].epoch == 0
 
 
+def indexes_of(database, table):
+    rows = database.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'index' AND tbl_name = ?",
+        (table,),
+    )
+    return {name for (name,) in rows}
+
+
+class TestKeyIndex:
+    def test_view_relation_indexed_on_all_columns(self, registry, database):
+        register_anc(registry)
+        table = view_table_name("anc")
+        assert indexes_of(database, table) == {
+            f"idx_{table}_key",
+            f"idx_{table}_1",
+        }
+        plan = database.explain_plan(
+            f"SELECT 1 FROM {table} WHERE c0 = ? AND c1 = ?", ("a", "b")
+        )
+        assert any(f"idx_{table}_key" in line for line in plan)
+
+    def test_reregistration_upgrades_an_older_relation(
+        self, registry, database
+    ):
+        register_anc(registry)
+        table = view_table_name("anc")
+        # The layout an older build left behind: per-column indexes only.
+        database.execute(f"DROP INDEX idx_{table}_key")
+        database.create_index(f"idx_{table}_0", table, ["c0"])
+        register_anc(registry)
+        assert indexes_of(database, table) == {
+            f"idx_{table}_key",
+            f"idx_{table}_1",
+        }
+
+
 class TestFreshness:
     def test_mark_group_fresh_and_stale(self, registry):
         register_anc(registry)

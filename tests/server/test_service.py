@@ -54,6 +54,29 @@ def test_update_bumps_version_and_changes_answers(client):
     assert delete["version"] == before + 2
 
 
+def test_update_reply_carries_its_own_version(client, server, monkeypatch):
+    """A write committing between an update's commit and its reply must
+    not leak its later version into that reply (it would raise the
+    caller's read-my-writes floor past the caller's own write)."""
+    pool = server.pool
+    load_facts = pool.load_facts
+
+    def load_then_race(*args, **kwargs):
+        count = load_facts(*args, **kwargs)
+        racer = threading.Thread(
+            target=load_facts, args=("parent", [("ann", "racer")])
+        )
+        racer.start()
+        racer.join()
+        return count
+
+    monkeypatch.setattr(pool, "load_facts", load_then_race)
+    before = client.ping()["version"]
+    reply = client.insert("parent", [["ann", "newborn"]])
+    assert pool.version() == before + 2
+    assert reply["version"] == before + 1
+
+
 def test_define_and_materialize(client):
     defined = client.define(
         "grandparent(X, Y) :- parent(X, Z), parent(Z, Y)."

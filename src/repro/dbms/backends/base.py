@@ -45,8 +45,11 @@ class BackendCapabilities:
         supports_changes_function: ``SELECT changes()`` reports the row
             count of the previous DML statement (the LFP operator's
             termination signal).
-        supports_interrupt: a running statement can be aborted from another
-            thread (the query server's per-request timeout).
+        supports_deadline: a running statement can be aborted once a
+            deadline passes (:meth:`SqlBackend.set_deadline`, the query
+            server's per-request budget).  Without it
+            :meth:`~repro.dbms.engine.Database.deadline` still refuses to
+            start a statement after the deadline.
         supports_shared_cursors: cursors created from one connection share
             its session state (temp tables, transactions), which is what
             makes the prepared-statement cursor cache sound.  Engines whose
@@ -66,7 +69,7 @@ class BackendCapabilities:
     supports_temp_namespace: bool = False
     supports_without_rowid: bool = False
     supports_changes_function: bool = False
-    supports_interrupt: bool = False
+    supports_deadline: bool = False
     supports_shared_cursors: bool = False
     supports_snapshot_copy: bool = False
     max_compound_select: int | None = None
@@ -117,10 +120,13 @@ class SqlBackend(abc.ABC):
         """Roll back the current transaction (no-op when none is open)."""
         connection.rollback()
 
-    def interrupt(self, connection: Any) -> None:
-        """Abort the statement running on ``connection``, if supported."""
-        if self.capabilities.supports_interrupt:
-            connection.interrupt()
+    def set_deadline(self, connection: Any, deadline: float | None) -> None:
+        """Abort statements on ``connection`` still running at ``deadline``.
+
+        ``deadline`` is a :func:`time.perf_counter` instant; ``None``
+        removes the hook.  A no-op on backends without
+        ``supports_deadline``.
+        """
 
     def snapshot_to(self, connection: Any, dest_path: str) -> None:
         """Copy a consistent snapshot of ``connection``'s database to a file.

@@ -15,7 +15,10 @@ differs is everything around them, captured in the capability flags:
   which is all the A/B benches compare);
 * WAL journalling and the ``temp.``-qualified namespace of reader sessions
   are SQLite-specific; the server's pooled connection options are rejected
-  at connect time rather than silently misbehaving.
+  at connect time rather than silently misbehaving;
+* there is no progress-handler hook, so a running statement outlives a
+  :meth:`~repro.dbms.engine.Database.deadline` (``supports_deadline`` is
+  False); the deadline still stops the next statement from starting.
 
 The ``duckdb`` package is deliberately **not** imported at module load: the
 backend registers itself unconditionally, and only :meth:`connect` needs
@@ -50,7 +53,6 @@ class DuckDbBackend(SqlBackend):
         supports_temp_namespace=False,
         supports_without_rowid=False,
         supports_changes_function=False,
-        supports_interrupt=True,
         supports_shared_cursors=False,
     )
 

@@ -10,12 +10,16 @@ did, so traced statement sequences on the default backend are unchanged.
 from __future__ import annotations
 
 import sqlite3
+import time
 from typing import TYPE_CHECKING, Any
 
 from .base import BackendCapabilities, SqlBackend
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine import ConnectionOptions
+
+#: VM instructions between two deadline checks of a running statement.
+DEADLINE_CHECK_STEPS = 1000
 
 
 class SqliteBackend(SqlBackend):
@@ -28,7 +32,7 @@ class SqliteBackend(SqlBackend):
         supports_temp_namespace=True,
         supports_without_rowid=True,
         supports_changes_function=True,
-        supports_interrupt=True,
+        supports_deadline=True,
         supports_shared_cursors=True,
         supports_snapshot_copy=True,
         # SQLITE_MAX_COMPOUND_SELECT's compiled-in default.
@@ -59,6 +63,18 @@ class SqliteBackend(SqlBackend):
 
     def in_transaction(self, connection: Any) -> bool:
         return bool(connection.in_transaction)
+
+    def set_deadline(self, connection: Any, deadline: float | None) -> None:
+        # A progress handler returning True aborts the running statement
+        # with "interrupted"; it runs on the executing thread, so the budget
+        # needs no timer thread.
+        if deadline is None:
+            connection.set_progress_handler(None, 0)
+            return
+        expires = deadline
+        connection.set_progress_handler(
+            lambda: time.perf_counter() >= expires, DEADLINE_CHECK_STEPS
+        )
 
     def table_exists_query(self, name: str) -> tuple[str, tuple]:
         return (

@@ -385,6 +385,10 @@ class Database:
         # is disabled — the hot path then pays one attribute test and nothing
         # else, so paper-faithful timings are untouched.
         self._tracer: Tracer | None = None  # not-shared: installed before the handle is shared
+        # The perf_counter instant after which no statement may start (see
+        # deadline); ``None`` outside a budgeted block, for the same one
+        # attribute test on the hot path.
+        self._deadline: float | None = None  # not-shared: set and cleared by the thread running the budgeted block
 
     @property
     def capabilities(self) -> BackendCapabilities:
@@ -427,8 +431,11 @@ class Database:
         """Run one statement; return fetched rows (empty for non-queries).
 
         Raises:
-            EvaluationError: wrapping any driver-level error.
+            EvaluationError: wrapping any driver-level error, or the
+                :meth:`deadline` has passed.
         """
+        if self._deadline is not None:
+            self._check_deadline(sql)
         kind = self._statement_kind(sql)
         cache_hit: bool | None = None
         with self._execute_lock:
@@ -468,6 +475,8 @@ class Database:
 
     def executemany(self, sql: str, rows: Iterable[Sequence[Any]]) -> int:
         """Run one parameterised statement over many rows; return row count."""
+        if self._deadline is not None:
+            self._check_deadline(sql)
         kind = self._statement_kind(sql)
         cache_hit: bool | None = None
         rows = list(rows)
@@ -520,15 +529,37 @@ class Database:
             return
         self.backend.commit(self._connection)
 
-    def interrupt(self) -> None:
-        """Abort any statement running on this handle (thread-safe).
+    @contextlib.contextmanager
+    def deadline(self, seconds: float | None) -> Iterator[None]:
+        """Give the block a budget of ``seconds`` (``None``: unbounded).
 
-        The interrupted statement raises
-        :class:`~repro.errors.EvaluationError`; the query server's
-        per-request timeout uses this to cancel overrunning work.  A no-op
-        on backends without ``supports_interrupt``.
+        Once the budget is spent, a statement still running is aborted (on
+        backends with ``supports_deadline``) and :meth:`execute` /
+        :meth:`executemany` refuse to start another; both raise
+        :class:`~repro.errors.EvaluationError`.  The check at statement
+        start is what makes the budget hold across pure-Python phases
+        (compilation) between short statements, which the running-statement
+        hook never sees.  The query server's per-request budget; it runs on
+        the calling thread, with no timer thread.
         """
-        self.backend.interrupt(self._connection)
+        if seconds is None:
+            yield
+            return
+        deadline = time.perf_counter() + seconds
+        self._deadline = deadline
+        self.backend.set_deadline(self._connection, deadline)
+        try:
+            yield
+        finally:
+            self._deadline = None
+            self.backend.set_deadline(self._connection, None)
+
+    def _check_deadline(self, sql: str) -> None:
+        """Refuse to start ``sql`` once the :meth:`deadline` has passed."""
+        if self._deadline is not None and time.perf_counter() >= self._deadline:
+            raise EvaluationError(
+                f"deadline passed before the statement started\n  {sql}"
+            )
 
     def rollback(self) -> None:
         """Roll back the current transaction."""

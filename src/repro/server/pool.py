@@ -11,16 +11,23 @@ Concurrency discipline (single-writer / multi-reader):
   paper's ``epredicates`` dictionary).  A failed write rolls back both the
   change and the bump.
 * **Reads run concurrently.**  Each read query checks out a reader session
-  (admission-controlled), wraps itself in a deferred transaction — a WAL
-  snapshot — and reads the version *inside* that snapshot, so the rows it
-  computes are exactly the closure at that version: no torn reads, by
-  construction.  Reader connections confine all derived/scratch relations
-  to their private ``temp`` namespace (``ConnectionOptions.reader``), so a
-  read physically cannot write the shared file.
+  (admission-controlled).  With the result cache on, it first reads the
+  version with one autocommit ``SELECT`` — in WAL mode a statement is its
+  own consistent snapshot — and a cached answer at that version is
+  returned at once: no transaction, no budget.  Only a miss opens a
+  deferred transaction (a WAL snapshot), reads the version again *inside*
+  it and evaluates there under the request's :meth:`Database.deadline`, so
+  the rows it computes are exactly the closure at that version: no torn
+  reads, by construction.  Reader connections confine all derived/scratch
+  relations to their private ``temp`` namespace
+  (``ConnectionOptions.reader``), so a read physically cannot write the
+  shared file.
 * **Answers are shared.**  The (query, version)-keyed result cache sits in
-  front of evaluation; compiled rules are shared between sessions through
-  the stored D/KB itself (``compiled_rule_storage`` keeps the compiled
-  form in the database, where every session's extract step reads it).
+  front of evaluation, and a cached answer is the closure at exactly the
+  version it is returned with; compiled rules are shared between sessions
+  through the stored D/KB itself (``compiled_rule_storage`` keeps the
+  compiled form in the database, where every session's extract step reads
+  it).
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ DKB_VERSION_TABLE = "dkbversion"
 
 
 class RequestTimeout(AdmissionError):
-    """A read query exceeded its time budget and was interrupted."""
+    """A read query exceeded its time budget and was aborted."""
 
     code = ErrorCode.TIMEOUT
 
@@ -137,10 +144,14 @@ class ReaderSession:
     ) -> ReadResult:
         """Serve one read query from a consistent D/KB snapshot.
 
-        The whole read — version probe, cache lookup, and (on a miss)
-        compile + evaluate — happens inside one deferred transaction, so
-        the answer corresponds to exactly one D/KB version even while the
-        writer commits concurrently.
+        With the cache on, the version is read first by one autocommit
+        ``SELECT`` — in WAL mode its own consistent snapshot — and a cached
+        answer at that version is returned at once, with no transaction and
+        no budget: it is the closure at exactly that version.  A miss opens
+        one deferred transaction, reads the version again inside it and
+        compiles + evaluates there under a :meth:`Database.deadline` of
+        ``timeout`` seconds, so the answer corresponds to exactly one D/KB
+        version even while the writer commits concurrently.
 
         ``min_version`` is the caller's staleness floor: the read is only
         served when the snapshot's D/KB version is at least that — the
@@ -149,7 +160,7 @@ class ReaderSession:
 
         Raises:
             RequestTimeout: the evaluation ran past ``timeout`` seconds and
-                was interrupted.
+                was aborted.
             StaleSnapshot: the snapshot is below ``min_version``.
             TestbedError: compilation or evaluation failed.
         """
@@ -159,69 +170,52 @@ class ReaderSession:
         database = self.testbed.database
         self._sync_tracing()
         started = time.perf_counter()
-        interrupted = threading.Event()
-        finished = threading.Event()
-        enforcer: Optional[threading.Thread] = None
-        if timeout is not None:
-            def _enforce() -> None:
-                if finished.wait(timeout):
-                    return
-                interrupted.set()
-                # Keep interrupting until the request ends: a single
-                # interrupt is a no-op when it lands between statements
-                # (e.g. during a pure-Python compile phase), which would
-                # let the evaluation run past its budget.
-                while not finished.is_set():
-                    database.interrupt()
-                    finished.wait(0.005)
-
-            enforcer = threading.Thread(
-                target=_enforce, name="query-timeout", daemon=True
-            )
-            enforcer.start()
+        if cache is not None:
+            version = self.committed_version()
+            if min_version is None or version >= min_version:
+                hit = cache.get(key, version)
+                if hit is not None:
+                    return ReadResult(
+                        hit.rows,
+                        version,
+                        True,
+                        time.perf_counter() - started,
+                        hit.answered_from_view,
+                    )
         try:
             with database.transaction():
                 version = read_version(database)
                 if min_version is not None and version < min_version:
                     raise StaleSnapshot(version, min_version)
-                if cache is not None:
-                    hit = cache.get(key, version)
-                    if hit is not None:
-                        return ReadResult(
-                            hit.rows,
-                            version,
-                            True,
-                            time.perf_counter() - started,
-                            hit.answered_from_view,
-                        )
-                result = self.testbed.query(
-                    parsed,
-                    optimize=optimize,
-                    strategy=strategy,
-                    use_views=use_views,
-                )
-                rows = tuple(tuple(row) for row in result.rows)
-                elapsed = time.perf_counter() - started
-                if cache is not None:
-                    cache.put(
-                        key,
-                        CachedResult(
-                            rows, version, result.answered_from_view, elapsed
-                        ),
+                with database.deadline(timeout):
+                    result = self.testbed.query(
+                        parsed,
+                        optimize=optimize,
+                        strategy=strategy,
+                        use_views=use_views,
                     )
-                return ReadResult(
-                    rows, version, False, elapsed, result.answered_from_view
-                )
         except EvaluationError as error:
-            if interrupted.is_set():
+            if timeout is not None and time.perf_counter() - started >= timeout:
                 raise RequestTimeout(
                     f"query exceeded its {timeout:.3f}s budget"
                 ) from error
             raise
-        finally:
-            finished.set()
-            if enforcer is not None:
-                enforcer.join(timeout=1.0)
+        rows = tuple(tuple(row) for row in result.rows)
+        elapsed = time.perf_counter() - started
+        if cache is not None:
+            cache.put(
+                key, CachedResult(rows, version, result.answered_from_view, elapsed)
+            )
+        return ReadResult(rows, version, False, elapsed, result.answered_from_view)
+
+    def committed_version(self) -> int:
+        """The latest committed D/KB version, by one autocommit ``SELECT``.
+
+        Reads the shared file through this session's own connection and
+        takes no lock, so a ``ping`` or ``stats`` never queues behind an
+        in-flight write.  On a replica it is the replicated version.
+        """
+        return read_version(self.testbed.database)
 
     def _sync_tracing(self) -> None:
         """Match this session's tracer to the pool's escalation state.
@@ -378,7 +372,12 @@ class SessionPool:
     # -- versioning --------------------------------------------------------
 
     def version(self) -> int:
-        """The currently committed D/KB version."""
+        """The currently committed D/KB version.
+
+        Read on the writer session, so it waits for an in-flight write; the
+        served ``ping``/``stats`` ops use the connection's own reader
+        session instead (:meth:`ReaderSession.committed_version`).
+        """
         with self._writer_lock:
             return read_version(self.writer.database)
 
@@ -520,12 +519,19 @@ class SessionPool:
 
     # -- introspection -----------------------------------------------------
 
-    def snapshot(self) -> dict[str, Any]:
-        """JSON-friendly pool state for the ``stats`` op."""
+    def snapshot(self, session: Optional[ReaderSession] = None) -> dict[str, Any]:
+        """JSON-friendly pool state for the ``stats`` op.
+
+        Given the requesting connection's ``session``, the version is read
+        through it (:meth:`ReaderSession.committed_version`) instead of
+        under the writer lock.
+        """
         state: dict[str, Any] = {
             "path": self.path,
             "readers": len(self._sessions),
-            "version": self.version(),
+            "version": (
+                self.version() if session is None else session.committed_version()
+            ),
             "admission": self.admission.snapshot(),
         }
         if self.cache is not None:

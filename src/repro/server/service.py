@@ -92,9 +92,13 @@ class ServerConfig:
         readers: reader sessions in the pool = max concurrent connections.
         max_waiters: connect attempts allowed to queue before shedding.
         session_timeout: seconds a connect attempt waits for a session.
-        request_timeout: per-request evaluation budget in seconds
-            (``None`` = unbounded); enforced by interrupting the reader's
-            SQLite connection.
+        request_timeout: budget in seconds for evaluating a read that
+            misses the result cache (``None`` = unbounded); once it is spent
+            the read is answered with ``TIMEOUT``.
+            :meth:`~repro.dbms.engine.Database.deadline` enforces it on the
+            connection's own thread: it aborts the running SQLite statement
+            and refuses to start another.  A cache hit is served without a
+            budget.
         cache_size: result-cache capacity (entries); ``0`` disables the
             cache entirely.
         reader_fastpath: execution configuration for reader sessions.
@@ -532,7 +536,7 @@ class DkbServer:
                 request_id,
                 pong=True,
                 protocol=PROTOCOL_VERSION,
-                version=self.pool.version(),
+                version=session.committed_version(),
                 **self._identity(),
             )
         if op == "query":
@@ -564,7 +568,7 @@ class DkbServer:
                 ],
             )
         if op == "stats":
-            return ok_reply(request_id, stats=self.stats())
+            return ok_reply(request_id, stats=self.stats(session))
         raise ProtocolError(ErrorCode.BAD_REQUEST, f"unknown op {op!r}")
 
     def _dispatch_query(
@@ -636,12 +640,16 @@ class DkbServer:
 
     # -- introspection -----------------------------------------------------
 
-    def stats(self) -> dict[str, Any]:
-        """The ``stats`` op payload: pool, cache, admission, and metrics."""
+    def stats(self, session: Optional[ReaderSession] = None) -> dict[str, Any]:
+        """The ``stats`` op payload: pool, cache, admission, and metrics.
+
+        ``session`` is the requesting connection's; see
+        :meth:`SessionPool.snapshot`.
+        """
         payload = {
             "protocol": PROTOCOL_VERSION,
             "uptime_seconds": time.time() - self.started_at,
-            "pool": self.pool.snapshot(),
+            "pool": self.pool.snapshot(session),
             "metrics": self.metrics.snapshot(),
             **self._identity(),
         }

@@ -56,7 +56,7 @@ class TestCapabilities:
         assert caps.supports_shared_cursors
         assert caps.supports_wal
         assert caps.supports_temp_namespace
-        assert caps.supports_interrupt
+        assert caps.supports_deadline
 
     def test_duckdb_capabilities(self):
         caps = DuckDbBackend.capabilities
@@ -68,6 +68,8 @@ class TestCapabilities:
         assert not caps.supports_shared_cursors
         assert not caps.supports_wal
         assert not caps.supports_temp_namespace
+        # No progress handler: only the check at statement start applies.
+        assert not caps.supports_deadline
 
     def test_database_surfaces_capabilities(self, database):
         assert database.capabilities is database.backend.capabilities

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 
 import pytest
 
@@ -149,10 +150,43 @@ class TestCommitJoin:
             db.close()
 
 
-def test_interrupt_is_exposed():
-    db = Database()
-    try:
-        db.interrupt()  # no statement in flight: a harmless no-op
-        assert db.execute("SELECT 1") == [(1,)]
-    finally:
-        db.close()
+class TestDeadline:
+    # Tens of millions of VM steps: seconds of work when nothing stops it.
+    LONG = (
+        "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+        "WHERE x < 10000000) SELECT count(*) FROM c"
+    )
+
+    def test_aborts_a_running_statement(self):
+        db = Database()
+        try:
+            started = time.perf_counter()
+            with pytest.raises(EvaluationError, match="interrupted"):
+                with db.deadline(0.005):
+                    db.execute(self.LONG)
+            assert time.perf_counter() - started < 1.0
+        finally:
+            db.close()
+
+    def test_refuses_to_start_a_statement_after_it(self):
+        db = Database()
+        try:
+            with db.deadline(0.001):
+                time.sleep(0.005)
+                with pytest.raises(EvaluationError, match="deadline passed"):
+                    db.execute("SELECT 1")
+                with pytest.raises(EvaluationError, match="deadline passed"):
+                    db.executemany("SELECT ?", [(1,)])
+            # Disarmed on exit: statements start and run to completion.
+            medium = self.LONG.replace("10000000", "100000")
+            assert db.execute(medium) == [(100000,)]
+        finally:
+            db.close()
+
+    def test_none_is_unbounded(self):
+        db = Database()
+        try:
+            with db.deadline(None):
+                assert db.execute("SELECT 1") == [(1,)]
+        finally:
+            db.close()

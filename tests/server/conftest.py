@@ -9,6 +9,7 @@ import pytest
 from repro.server import SessionPool, VersionedResultCache
 from repro.server.service import DkbServer, ServerConfig
 from repro.workloads.queries import ANCESTOR_RULES
+from repro.workloads.relations import full_binary_trees
 
 PARENT_FACTS = [
     ("john", "mary"),
@@ -26,6 +27,17 @@ def dkb_path(tmp_path):
     with SessionPool(path, readers=1) as pool:
         pool.define(ANCESTOR_RULES)
         pool.load_facts("parent", PARENT_FACTS)
+    return path
+
+
+@pytest.fixture
+def deep_dkb_path(tmp_path):
+    """A D/KB whose unbound ancestor closure runs for tens of milliseconds
+    (a depth-11 full binary tree) — far past a few-millisecond budget."""
+    path = os.path.join(tmp_path, "deep.sqlite")
+    with SessionPool(path, readers=1) as pool:
+        pool.define(ANCESTOR_RULES)
+        pool.load_facts("parent", full_binary_trees(1, 11).edges)
     return path
 
 

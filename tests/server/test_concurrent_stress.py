@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 
 from repro.server import SessionPool, VersionedResultCache
 from repro.workloads.queries import ANCESTOR_RULES
@@ -85,11 +86,14 @@ def test_concurrent_readers_see_committed_snapshots(tmp_path):
 
         failures: list[str] = []
         reads_by_version: dict[int, int] = {}
+        cached_reads: list[int] = []
         done = threading.Event()
 
         def reader() -> None:
             while not failures and not done.is_set():
                 result = pool.query(ALL_PAIRS)
+                if result.cached:
+                    cached_reads.append(result.version)
                 want = expected.get(result.version)
                 if want is None:
                     failures.append(f"unknown version {result.version}")
@@ -114,6 +118,15 @@ def test_concurrent_readers_see_committed_snapshots(tmp_path):
                     pool.load_facts("parent", rows)
                 else:
                     pool.delete_facts("parent", rows)
+            # Let the readers serve the final version from the cache too,
+            # however fast the writer was.
+            deadline = time.monotonic() + 10.0
+            while (
+                final_version not in cached_reads
+                and not failures
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
         finally:
             done.set()
             for thread in threads:
@@ -121,6 +134,8 @@ def test_concurrent_readers_see_committed_snapshots(tmp_path):
 
         assert not failures, failures[:5]
         assert sum(reads_by_version.values()) > 0
+        # The probe-first hit path was exercised and model-checked above.
+        assert cached_reads
         assert pool.version() == final_version
 
         # Final state must match the model, read fresh (cache bypassed).

@@ -106,18 +106,12 @@ def test_writer_lock_times_out(pool):
                 pass
 
 
-def test_query_timeout_interrupts_evaluation(tmp_path):
-    from repro.workloads.queries import ANCESTOR_RULES
-    from repro.workloads.relations import full_binary_trees
-
-    path = os.path.join(tmp_path, "deep.sqlite")
-    with SessionPool(path, readers=1) as pool:
-        pool.define(ANCESTOR_RULES)
-        pool.load_facts("parent", full_binary_trees(1, 11).edges)
+def test_query_timeout_interrupts_evaluation(deep_dkb_path):
+    with SessionPool(deep_dkb_path, readers=1) as pool:
         with pool.reader() as session:
             with pytest.raises(RequestTimeout):
                 # The full closure takes far longer than a 5 ms budget; the
-                # timer interrupts the reader's connection mid-evaluation.
+                # deadline aborts the reader's statement mid-evaluation.
                 session.query(ANCESTOR_ALL, timeout=0.005)
         # The interrupted session stays usable for the next request.
         with pool.reader() as session:

@@ -27,6 +27,33 @@ def test_ping_reports_protocol_and_version(client, server):
     assert reply["version"] == server.pool.version()
 
 
+def test_ping_and_stats_do_not_queue_behind_a_write(client, server):
+    before = client.ping()["version"]
+    holding = threading.Event()
+
+    def hold_the_writer():
+        with server.pool.write() as testbed:
+            testbed.load_facts("parent", [("ann", "pending")])
+            holding.set()
+            time.sleep(0.5)  # maintenance still in flight
+
+    writer = threading.Thread(target=hold_the_writer)
+    writer.start()
+    try:
+        assert holding.wait(5.0)
+        started = time.perf_counter()
+        ping = client.ping()
+        stats = client.stats()["stats"]
+        elapsed = time.perf_counter() - started
+    finally:
+        writer.join(10.0)
+    assert not writer.is_alive()
+    assert elapsed < 0.1
+    # The uncommitted write is invisible; its commit is seen next.
+    assert ping["version"] == stats["pool"]["version"] == before
+    assert client.ping()["version"] == before + 1
+
+
 def test_query_with_bindings(client):
     reply = client.query("?- ancestor(X, Y).", bindings={"X": "john"})
     rows = {tuple(row) for row in reply["rows"]}

@@ -19,37 +19,44 @@ The parser reports precise positions in :class:`~repro.errors.ParseError`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import ParseError
 from .clauses import Clause, Program, Query
 from .terms import Atom, Constant, Term, Variable
 
+# NAME first: it is by far the most frequent token.  The keyword ``not`` is
+# a NAME value recognised in tokenize(), so only ``\+`` needs a NOT branch.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<WS>\s+)
+    (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<WS>\s+)
   | (?P<COMMENT>%[^\n]*)
   | (?P<IMPLIES>:-|<-)
   | (?P<QUERY>\?-)
-  | (?P<NOT>\\\+|\bnot\b)
+  | (?P<NOT>\\\+)
   | (?P<LPAREN>\()
   | (?P<RPAREN>\))
   | (?P<COMMA>,)
   | (?P<PERIOD>\.)
   | (?P<INT>-?\d+)
   | (?P<QUOTED>'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")
-  | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
     """,
     re.VERBOSE,
 )
 
+# ``not`` is the keyword only as a whole word: a NAME can still abut a
+# (Unicode) digit of an INT token on either side.
+_NOT_WORD = re.compile(r"\bnot\b")
 
-@dataclass(frozen=True, slots=True)
+
 class _Token:
-    kind: str
-    value: str
-    position: int
+    __slots__ = ("kind", "value", "position")
+
+    def __init__(self, kind: str, value: str, position: int):
+        self.kind = kind
+        self.value = value
+        self.position = position
 
 
 def tokenize(text: str) -> list[_Token]:
@@ -60,16 +67,23 @@ def tokenize(text: str) -> list[_Token]:
     """
     tokens: list[_Token] = []
     position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {text[position]!r}", text, position
-            )
-        kind = match.lastgroup or ""
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(_Token(kind, match.group(), position))
+    for match in _TOKEN_RE.finditer(text):
+        start = match.start()
+        if start != position:
+            break  # finditer skipped a character that starts no token
         position = match.end()
+        kind = match.lastgroup or ""
+        if kind == "NAME":
+            value = match.group()
+            if value == "not" and _NOT_WORD.match(text, start):
+                kind = "NOT"
+            tokens.append(_Token(kind, value, start))
+        elif kind != "WS" and kind != "COMMENT":
+            tokens.append(_Token(kind, match.group(), start))
+    if position < len(text):
+        raise ParseError(
+            f"unexpected character {text[position]!r}", text, position
+        )
     return tokens
 
 

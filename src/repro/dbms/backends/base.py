@@ -62,6 +62,9 @@ class BackendCapabilities:
         max_compound_select: the most arms one compound SELECT may have
             (``None`` = unbounded); a recursive CTE with more falls back to
             the iteration loop instead of failing.
+        max_host_parameters: the most ``?`` placeholders one statement may
+            bind (``None`` = unbounded); longer ``IN`` lists are sliced
+            (:meth:`~repro.dbms.engine.Database.execute_in`).
     """
 
     supports_recursive_cte: bool = True
@@ -73,6 +76,7 @@ class BackendCapabilities:
     supports_shared_cursors: bool = False
     supports_snapshot_copy: bool = False
     max_compound_select: int | None = None
+    max_host_parameters: int | None = None
 
 
 class SqlBackend(abc.ABC):

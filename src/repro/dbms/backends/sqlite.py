@@ -37,6 +37,9 @@ class SqliteBackend(SqlBackend):
         supports_snapshot_copy=True,
         # SQLITE_MAX_COMPOUND_SELECT's compiled-in default.
         max_compound_select=500,
+        # SQLITE_MAX_VARIABLE_NUMBER's compiled-in default before 3.32:
+        # later releases and most builds allow more, none fewer.
+        max_host_parameters=999,
     )
 
     def connect(self, path: str, options: "ConnectionOptions") -> Any:

@@ -148,16 +148,12 @@ class ExtensionalCatalog:
         This is the dictionary read the paper times as ``t_readdict`` — a
         single join-style query over the (indexed) dictionary relations.
         """
-        wanted = sorted(set(predicates))
-        if not wanted:
-            return {}
-        placeholders = ", ".join("?" for __ in wanted)
-        rows = self.database.execute(
+        rows = self.database.execute_in(
             f"SELECT p.predname, c.colnumber, c.coltype "
             f"FROM {EPREDICATES} AS p, {ECOLUMNS} AS c "
-            f"WHERE p.predname = c.predname AND p.predname IN ({placeholders}) "
+            f"WHERE p.predname = c.predname AND p.predname IN ({{in}}) "
             f"ORDER BY p.predname, c.colnumber",
-            wanted,
+            sorted(set(predicates)),
         )
         out: dict[str, list[str]] = {}
         for predicate, __, coltype in rows:

@@ -683,6 +683,27 @@ class Database:
         """All rows of a relation, in arbitrary order."""
         return self.execute(f"SELECT * FROM {quote_identifier(name)}")
 
+    def execute_in(self, sql: str, values: Sequence[Any]) -> list[tuple]:
+        """Run a query over an ``IN`` list of ``values``; return every row.
+
+        Each ``{in}`` in ``sql`` becomes a placeholder list bound to the
+        same values.  A list longer than the backend's host-parameter limit
+        (``max_host_parameters``) is sliced, one statement per slice, and
+        the rows are concatenated: a caller wanting distinct rows across
+        slices deduplicates them itself.  No values, no statement.
+        """
+        if not values:
+            return []
+        copies = sql.count("{in}")
+        limit = self.capabilities.max_host_parameters
+        size = len(values) if limit is None else max(1, limit // copies)
+        rows: list[tuple] = []
+        for start in range(0, len(values), size):
+            chunk = list(values[start : start + size])
+            placeholders = ", ".join(["?"] * len(chunk))
+            rows.extend(self.execute(sql.replace("{in}", placeholders), chunk * copies))
+        return rows
+
     def create_index(self, name: str, table: str, columns: Sequence[str]) -> None:
         """Create an index (the paper indexes its catalog relations)."""
         column_list = ", ".join(quote_identifier(c) for c in columns)

@@ -63,15 +63,15 @@ def check_consistency(testbed: "Testbed") -> list[Violation]:
     predicates that do not exist yet are treated as trivially satisfied
     (nothing can violate a constraint over undefined data).
     """
+    from ..datalog.parser import parse_clause
     from ..errors import UndefinedPredicateError
 
     constraints: list[Clause] = constraint_rules(testbed.workspace.program)
-    stored_texts = sorted(testbed.stored.stored_rule_texts())
-    from ..datalog.parser import parse_clause
-
-    for text in stored_texts:
+    # Only the stored constraints are read and parsed (an index probe on
+    # the rule head), however large the stored rule base.
+    for text in sorted(testbed.stored.rule_texts_with_head(RESERVED_PREDICATE)):
         clause = parse_clause(text)
-        if is_constraint(clause) and clause not in constraints:
+        if clause not in constraints:
             constraints.append(clause)
 
     violations: list[Violation] = []

@@ -276,17 +276,23 @@ class Testbed:
         program = parse_program(source).normalized()
         generation = self.workspace.generation
         added: list[Clause] = []
+        # A new rule can change what its predicate (and everything above
+        # it) derives, so views built over it go stale.  One probe per run
+        # of consecutive new rules, taken before the next fact loads: facts
+        # later in this same program are never incrementally propagated
+        # under an outdated plan.
+        pending_heads: set[str] = set()
         for clause in program:
             if clause.is_fact:
+                if pending_heads:
+                    self._invalidate_views_for(pending_heads)
+                    pending_heads = set()
                 self._load_fact(clause)
                 added.append(clause)
             elif self.workspace.add_clause(clause):
                 added.append(clause)
-                # A new rule can change what the predicate (and everything
-                # above it) derives; views built over it go stale right
-                # away, so facts later in this same program are not
-                # incrementally propagated under an outdated plan.
-                self._invalidate_views_for({clause.head_predicate})
+                pending_heads.add(clause.head_predicate)
+        self._invalidate_views_for(pending_heads)
         # New rules can change compiled plans that depend on their head
         # predicates; the precompiled-query cache must drop those entries.
         new_rule_heads = {c.head_predicate for c in added if c.is_rule}

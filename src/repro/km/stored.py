@@ -17,11 +17,17 @@ claim (Test 1).  A :class:`StoredDKB` can also be configured *without* the
 compiled form (``compiled_storage=False``), in which case extraction must
 chase reachability with repeated queries but updates become almost an order
 of magnitude faster (Test 8).
+
+The update side keeps the same property: every write an update makes is one
+set-at-a-time statement per structure — an indexed ``IN`` probe for which
+rules are already stored, two indexed closure reads and one insert for the
+closure extension, one batch per dictionary relation and one for the rule
+source — so its cost follows the rules being added, never ``R_s``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..datalog.clauses import Clause, Program
 from ..datalog.parser import parse_clause
@@ -98,14 +104,13 @@ class StoredDKB:
         return self._extract_source_only(wanted)
 
     def _extract_compiled(self, predicates: Sequence[str]) -> Program:
-        placeholders = ", ".join("?" for __ in predicates)
-        rows = self.database.execute(
+        rows = self.database.execute_in(
             f"SELECT DISTINCT r.ruletext FROM {RULESOURCE} AS r "
-            f"WHERE r.headpredname IN ({placeholders}) "
+            f"WHERE r.headpredname IN ({{in}}) "
             f"OR r.headpredname IN ("
             f"  SELECT topredname FROM {REACHABLEPREDS} "
-            f"  WHERE frompredname IN ({placeholders}))",
-            list(predicates) * 2,
+            f"  WHERE frompredname IN ({{in}}))",
+            predicates,
         )
         program = Program()
         for (text,) in rows:
@@ -123,10 +128,8 @@ class StoredDKB:
         seen: set[str] = set()
         frontier = sorted(set(predicates))
         while frontier:
-            placeholders = ", ".join("?" for __ in frontier)
-            rows = self.database.execute(
-                f"SELECT ruletext FROM {RULESOURCE} "
-                f"WHERE headpredname IN ({placeholders})",
+            rows = self.database.execute_in(
+                f"SELECT ruletext FROM {RULESOURCE} WHERE headpredname IN ({{in}})",
                 frontier,
             )
             seen.update(frontier)
@@ -142,14 +145,12 @@ class StoredDKB:
 
     def reachable_predicates(self, predicates: Iterable[str]) -> set[str]:
         """Predicates reachable from ``predicates`` per the compiled closure."""
-        wanted = sorted(set(predicates))
-        if not wanted or not self.compiled_storage:
+        if not self.compiled_storage:
             return set()
-        placeholders = ", ".join("?" for __ in wanted)
-        rows = self.database.execute(
+        rows = self.database.execute_in(
             f"SELECT DISTINCT topredname FROM {REACHABLEPREDS} "
-            f"WHERE frompredname IN ({placeholders})",
-            wanted,
+            f"WHERE frompredname IN ({{in}})",
+            sorted(set(predicates)),
         )
         return {name for (name,) in rows}
 
@@ -159,57 +160,79 @@ class StoredDKB:
         self, predicates: Iterable[str]
     ) -> dict[str, tuple[str, ...]]:
         """Column types of stored derived predicates (the ``t_readdict`` read)."""
-        wanted = sorted(set(predicates))
-        if not wanted:
-            return {}
-        placeholders = ", ".join("?" for __ in wanted)
-        rows = self.database.execute(
+        rows = self.database.execute_in(
             f"SELECT p.predname, c.colnumber, c.coltype "
             f"FROM {IPREDICATES} AS p, {ICOLUMNS} AS c "
-            f"WHERE p.predname = c.predname AND p.predname IN ({placeholders}) "
+            f"WHERE p.predname = c.predname AND p.predname IN ({{in}}) "
             f"ORDER BY p.predname, c.colnumber",
-            wanted,
+            sorted(set(predicates)),
         )
         out: dict[str, list[str]] = {}
         for predicate, __, coltype in rows:
             out.setdefault(predicate, []).append(coltype)
         return {p: tuple(ts) for p, ts in out.items()}
 
-    def has_predicate(self, predicate: str) -> bool:
-        """Whether the intensional dictionary knows ``predicate``."""
-        rows = self.database.execute(
-            f"SELECT 1 FROM {IPREDICATES} WHERE predname = ?", (predicate,)
-        )
-        return bool(rows)
+    def register_predicates(
+        self,
+        types: Mapping[str, Sequence[str]],
+        known: Mapping[str, tuple[str, ...]],
+    ) -> list[str]:
+        """Add the predicates of ``types`` that ``known`` lacks to the
+        intensional dictionary: one batch per dictionary relation.
 
-    def register_predicate(self, predicate: str, types: Sequence[str]) -> None:
-        """Add a derived predicate to the intensional dictionary.
+        ``known`` is a :meth:`derived_types_of` read covering every
+        predicate of ``types``, taken earlier in the same transaction; a
+        predicate it holds is checked against it, not read again.
+
+        Returns:
+            The newly registered predicates, sorted.
 
         Raises:
-            UpdateError: on a type conflict with an existing registration.
+            UpdateError: on a type conflict with an existing registration
+                (nothing is written then).
         """
-        existing = self.derived_types_of([predicate]).get(predicate)
-        if existing is not None:
-            if existing != tuple(types):
+        new: list[str] = []
+        for predicate in sorted(types):
+            wanted = tuple(types[predicate])
+            existing = known.get(predicate)
+            if existing is None:
+                new.append(predicate)
+            elif existing != wanted:
                 raise UpdateError(
                     f"stored predicate {predicate!r} has types {existing}, "
-                    f"update would change them to {tuple(types)}"
+                    f"update would change them to {wanted}"
                 )
-            return
-        self.database.execute(
-            f"INSERT INTO {IPREDICATES} VALUES (?, ?)", (predicate, len(types))
-        )
-        self.database.executemany(
-            f"INSERT INTO {ICOLUMNS} VALUES (?, ?, ?)",
-            [(predicate, i, t) for i, t in enumerate(types)],
-        )
+        if new:
+            self.database.executemany(
+                f"INSERT INTO {IPREDICATES} VALUES (?, ?)",
+                [(p, len(types[p])) for p in new],
+            )
+            self.database.executemany(
+                f"INSERT INTO {ICOLUMNS} VALUES (?, ?, ?)",
+                [(p, i, t) for p in new for i, t in enumerate(types[p])],
+            )
+        return new
 
     # -- rule storage ----------------------------------------------------------
 
-    def stored_rule_texts(self) -> set[str]:
-        """Canonical texts of all stored rules."""
-        rows = self.database.execute(f"SELECT ruletext FROM {RULESOURCE}")
+    def stored_among(self, texts: Sequence[str]) -> set[str]:
+        """Which of the canonical rule ``texts`` are already stored.
+
+        One probe of ``rulesource``'s UNIQUE ``ruletext`` index, so the cost
+        follows ``len(texts)``, not the number of rules stored.
+        """
+        rows = self.database.execute_in(
+            f"SELECT ruletext FROM {RULESOURCE} WHERE ruletext IN ({{in}})", texts
+        )
         return {text for (text,) in rows}
+
+    def rule_texts_with_head(self, predicate: str) -> list[str]:
+        """Texts of the stored rules defining ``predicate`` (an index probe)."""
+        rows = self.database.execute(
+            f"SELECT ruletext FROM {RULESOURCE} WHERE headpredname = ?",
+            (predicate,),
+        )
+        return [text for (text,) in rows]
 
     def rule_count(self) -> int:
         """Total number of stored rules (the paper's R_s)."""
@@ -222,21 +245,12 @@ class StoredDKB:
         return int(rows[0][0])
 
     def store_rules(self, clauses: Iterable[Clause]) -> int:
-        """Append rules in source form; returns how many were new."""
-        new = 0
-        for clause in clauses:
-            text = str(clause)
-            rows = self.database.execute(
-                f"SELECT 1 FROM {RULESOURCE} WHERE ruletext = ?", (text,)
-            )
-            if rows:
-                continue
-            self.database.execute(
-                f"INSERT INTO {RULESOURCE} (headpredname, ruletext) VALUES (?, ?)",
-                (clause.head_predicate, text),
-            )
-            new += 1
-        return new
+        """Append rules in source form, one batch; returns how many were new."""
+        return self.database.executemany(
+            f"INSERT OR IGNORE INTO {RULESOURCE} (headpredname, ruletext) "
+            "VALUES (?, ?)",
+            [(clause.head_predicate, str(clause)) for clause in clauses],
+        )
 
     def all_rules(self) -> Program:
         """Every stored rule, parsed."""
@@ -260,52 +274,71 @@ class StoredDKB:
     def add_edges_incremental(self, edges: Iterable[tuple[str, str]]) -> int:
         """Fold new PCG edges into the stored transitive closure.
 
-        Implements the incremental computation of section 4.3: per new edge
-        ``(u, v)``, everything that reaches ``u`` now also reaches ``v`` and
-        everything ``v`` reaches — all discovered with indexed point queries,
-        never touching the unaffected part of the closure.
+        Implements the incremental computation of section 4.3 set at a
+        time, in three statements however many edges arrive: one indexed
+        read of what already reaches the new edges' sources, one of what
+        their targets already reach, and one ``INSERT OR IGNORE`` of every
+        new pair.  The unaffected part of the closure is never touched.
+
+        A new path may run through several new edges — a module whose rules
+        call each other, or an update closing a cycle — linked by old
+        closure pairs from a new target to a new source, which the second
+        read already returns.  So the new edges plus those links form a
+        small graph; each (source, target) pair its closure joins is then
+        widened by the two reads: everything reaching the source now reaches
+        the target and everything the target reaches.
 
         Returns:
-            Number of closure pairs inserted.
+            Number of closure pairs inserted, as the engine's row count
+            reports it: best-effort on engines without DML row counts
+            (DuckDB).
         """
-        inserted = 0
+        # Lists, not sets: a repeated entry only repeats a pair, which
+        # INSERT OR IGNORE drops, and a bulk update keeps less memory alive.
+        graph: dict[str, list[str]] = {}
         for source, target in edges:
-            rows = self.database.execute(
-                f"SELECT 1 FROM {REACHABLEPREDS} "
-                "WHERE frompredname = ? AND topredname = ?",
-                (source, target),
-            )
-            if rows:
-                continue
-            reaches_source = {
-                name
-                for (name,) in self.database.execute(
-                    f"SELECT frompredname FROM {REACHABLEPREDS} "
-                    "WHERE topredname = ?",
-                    (source,),
-                )
-            }
-            reaches_source.add(source)
-            reached_from_target = {
-                name
-                for (name,) in self.database.execute(
-                    f"SELECT topredname FROM {REACHABLEPREDS} "
-                    "WHERE frompredname = ?",
-                    (target,),
-                )
-            }
-            reached_from_target.add(target)
-            before = self.database.row_count(REACHABLEPREDS)
-            self.database.executemany(
-                f"INSERT OR IGNORE INTO {REACHABLEPREDS} VALUES (?, ?)",
-                [
-                    (left, right)
-                    for left in sorted(reaches_source)
-                    for right in sorted(reached_from_target)
-                ],
-            )
-            inserted += self.database.row_count(REACHABLEPREDS) - before
-        return inserted
+            graph.setdefault(source, []).append(target)
+        if not graph:
+            return 0
+        targets = sorted({t for ts in graph.values() for t in ts})
+        reaching = {s: [s] for s in graph}
+        for name, source in self.database.execute_in(
+            f"SELECT frompredname, topredname FROM {REACHABLEPREDS} "
+            f"WHERE topredname IN ({{in}})",
+            sorted(graph),
+        ):
+            reaching[source].append(name)
+        reached = {t: [t] for t in targets}
+        links: list[tuple[str, str]] = []
+        for target, name in self.database.execute_in(
+            f"SELECT frompredname, topredname FROM {REACHABLEPREDS} "
+            f"WHERE frompredname IN ({{in}})",
+            targets,
+        ):
+            reached[target].append(name)
+            if name in reaching:
+                links.append((target, name))
+        for target, source in links:
+            graph.setdefault(target, []).append(source)
+
+        pairs: list[tuple[str, str]] = []
+        for source, lefts in reaching.items():
+            # Depth-first over the small graph: every node one or more
+            # steps from ``source``.
+            seen: set[str] = set()
+            stack = list(graph[source])
+            while stack:
+                node = stack.pop()
+                if node not in seen:
+                    seen.add(node)
+                    stack.extend(graph.get(node, ()))
+            rights: set[str] = set()
+            for target in seen.intersection(reached):
+                rights.update(reached[target])
+            pairs.extend((left, right) for left in lefts for right in rights)
+        return self.database.executemany(
+            f"INSERT OR IGNORE INTO {REACHABLEPREDS} VALUES (?, ?)", pairs
+        )
 
     def rebuild_closure(self) -> int:
         """Recompute ``reachablepreds`` from scratch (recovery/verification).

@@ -7,13 +7,18 @@ recomputed, never the whole rule base.
 
 The measured components mirror Test 9's breakdown:
 
-* ``extract`` (``t_uextract``) — pulling the stored rules relevant to the
-  workspace rules, so the composite PCG can be built;
+* ``extract`` (``t_uextract``) — the rule difference (one indexed probe of
+  which workspace rules are already stored) and pulling the stored rules
+  relevant to the new ones, so the composite PCG can be built;
 * ``closure`` (``t_utc``)     — the incremental transitive closure;
 * ``typecheck``               — the type checking step;
 * ``lint``                    — the optional static-analysis vetting pass;
 * ``store`` (``t_ustore``)    — writing ``rulesource``, ``ipredicates``,
   ``icolumns`` and ``reachablepreds``.
+
+Every step is set at a time — a handful of statements per update, none of
+them scanning the stored rule base — so ``t_u`` follows the workspace, not
+``R_s`` (Test 8).
 
 With ``compiled_storage=False`` only the source form is written, which is the
 "without compiled rule storage structures" configuration of Test 8 — almost
@@ -147,8 +152,10 @@ def _update_stored_dkb(
     # simply the time to store the source form of the rules" (Test 8).
     started = time.perf_counter()
     with tracer.span("extract", category="update"):
-        stored_texts = stored.stored_rule_texts()
-        delta_rules = [c for c in workspace.rules if str(c) not in stored_texts]
+        rules = workspace.rules
+        texts = [str(c) for c in rules]
+        stored_texts = stored.stored_among(texts)
+        delta_rules = [c for c, t in zip(rules, texts) if t not in stored_texts]
         referenced: set[str] = set()
         for clause in delta_rules:
             referenced.add(clause.head_predicate)
@@ -230,14 +237,18 @@ def _update_stored_dkb(
                 + "; ".join(str(d) for d in report.errors)
             )
 
-    # Steps 5-7: write the dictionary, closure, and source structures.
+    # Steps 5-7: write the dictionary, closure, and source structures.  The
+    # dictionary read of step 4 already holds every stored derived
+    # predicate of the composite, so registration reads nothing again.
     started = time.perf_counter()
     with tracer.span("store", category="update"):
-        new_predicates: list[str] = []
-        for predicate in sorted(derived):
-            if not stored.has_predicate(predicate):
-                stored.register_predicate(predicate, environment.of(predicate))
-                new_predicates.append(predicate)
+        types = {p: environment.of(p) for p in derived}
+        try:
+            new_predicates = stored.register_predicates(types, dictionary_types)
+        except UpdateError:
+            # Undo the closure pairs of step 3 before reporting.
+            stored.database.rollback()
+            raise
         stored.store_rules(delta_rules)
         stored.database.commit()
     timings.store = time.perf_counter() - started

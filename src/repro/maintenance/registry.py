@@ -306,19 +306,15 @@ class MaterializedViewRegistry:
         Used to invalidate views when rules defining those predicates are
         added or removed.
         """
-        wanted = sorted(set(predicates))
-        if not wanted:
-            return []
-        placeholders = ", ".join("?" for __ in wanted)
-        rows = self.database.execute(
+        rows = self.database.execute_in(
             f"SELECT DISTINCT d.viewpred FROM {MVIEWDEPS} AS d, {MVIEWS} AS v "
             f"WHERE d.depkind = '{DEP_DERIVED}' "
-            f"AND d.depname IN ({placeholders}) "
+            f"AND d.depname IN ({{in}}) "
             "AND v.predname = d.viewpred AND v.isview = 1 "
             "ORDER BY d.viewpred",
-            wanted,
+            sorted(set(predicates)),
         )
-        return [name for (name,) in rows]
+        return sorted({name for (name,) in rows})
 
     def tuple_count(self, predicate: str) -> int:
         """Current size of a registered materialized relation."""

@@ -61,6 +61,24 @@ class TestHelpers:
         names = database.table_names()
         assert names.index("aa") < names.index("zz")
 
+    def test_execute_in_slices_at_the_parameter_limit(self, database):
+        limit = database.capabilities.max_host_parameters
+        database.execute("CREATE TABLE t (x INTEGER)")
+        database.executemany("INSERT INTO t VALUES (?)", [(i,) for i in range(limit * 2)])
+        database.statistics.reset()
+        # Two IN lists per statement: each slice binds half the limit.
+        rows = database.execute_in(
+            "SELECT x FROM t WHERE x IN ({in}) AND x + 0 IN ({in})",
+            list(range(limit + 1)),
+        )
+        assert sorted(rows) == [(i,) for i in range(limit + 1)]
+        assert database.statistics.total.statements == 3
+
+    def test_execute_in_without_values_runs_nothing(self, database):
+        database.statistics.reset()
+        assert database.execute_in("SELECT 1 WHERE 1 IN ({in})", []) == []
+        assert database.statistics.total.statements == 0
+
     def test_create_index_idempotent(self, database):
         database.create_relation(RelationSchema("r", ("TEXT",)))
         database.create_index("idx_r", "r", ["c0"])

@@ -95,7 +95,7 @@ class TestWorkspaceStoredInterplay:
         testbed.workspace.define("sview(X, Y) :- wsrule(X, Y).")
         # Force-store sview without storing wsrule.
         testbed.stored.store_rules(testbed.workspace.rules)
-        testbed.stored.register_predicate("sview", ("TEXT", "TEXT"))
+        testbed.stored.register_predicates({"sview": ("TEXT", "TEXT")}, {})
         testbed.stored.rebuild_closure()
         testbed.workspace.clear()
         testbed.workspace.define("wsrule(X, Y) :- e(X, Y).")

@@ -62,6 +62,23 @@ class TestChecking:
         violations = tb.check_consistency()
         assert len(violations) == 1
 
+    def test_stored_constraint_blocks_later_update(self, tb):
+        tb.update_stored_dkb()  # the constraint is now stored, not in the workspace
+        tb.load_facts("parent", [("c", "a")])
+        tb.define("sibling(X, Y) :- parent(Z, X), parent(Z, Y).")
+        with pytest.raises(UpdateError, match="consistency"):
+            tb.update_stored_dkb(verify_consistency=True)
+        assert tb.stored_rule_count == 3
+
+    def test_check_reads_only_stored_constraints(self, tb):
+        tb.define("\n".join(f"f{i}(X, Y) :- parent(X, Y)." for i in range(60)))
+        tb.update_stored_dkb()
+        tb.database.statistics.reset()
+        assert tb.check_consistency() == []
+        # The constraint, its two relevant rules and its answer — none of
+        # the 60 unrelated stored rules.
+        assert tb.database.statistics.total.rows_fetched < 20
+
     def test_multiple_constraints(self, testbed):
         testbed.define(
             """

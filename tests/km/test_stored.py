@@ -17,6 +17,16 @@ CHAIN = parse_program(
 )
 
 
+def transitive_closure(edges):
+    """Pairs joined by a path of one or more ``edges`` (naive fixpoint)."""
+    pairs = set(edges)
+    while True:
+        grown = pairs | {(a, d) for a, b in pairs for c, d in pairs if b == c}
+        if grown == pairs:
+            return pairs
+        pairs = grown
+
+
 @pytest.fixture
 def stored(database):
     dkb = StoredDKB(database)
@@ -35,9 +45,25 @@ class TestRuleStorage:
     def test_all_rules_round_trip(self, stored):
         assert stored.all_rules() == CHAIN
 
-    def test_stored_rule_texts(self, stored):
-        texts = stored.stored_rule_texts()
-        assert str(parse_clause("c(X, Y) :- base3(X, Y).")) in texts
+    def test_store_is_one_statement(self, database):
+        dkb = StoredDKB(database)
+        database.statistics.reset()
+        dkb.store_rules(CHAIN.rules)
+        assert database.statistics.total.statements == 1
+
+    def test_stored_among_probes_only_the_given_texts(self, stored, database):
+        present = str(parse_clause("c(X, Y) :- base3(X, Y)."))
+        absent = str(parse_clause("c(X, Y) :- base4(X, Y)."))
+        database.statistics.reset()
+        assert stored.stored_among([present, absent]) == {present}
+        total = database.statistics.total
+        assert (total.statements, total.rows_fetched) == (1, 1)
+
+    def test_rule_texts_with_head(self, stored):
+        assert stored.rule_texts_with_head("c") == [
+            str(parse_clause("c(X, Y) :- base3(X, Y)."))
+        ]
+        assert stored.rule_texts_with_head("base3") == []
 
 
 class TestExtraction:
@@ -80,22 +106,33 @@ class TestExtraction:
 class TestDictionary:
     def test_register_and_read(self, database):
         dkb = StoredDKB(database)
-        dkb.register_predicate("p", ("TEXT", "INTEGER"))
-        assert dkb.derived_types_of(["p"]) == {"p": ("TEXT", "INTEGER")}
-        assert dkb.has_predicate("p")
-        assert dkb.predicate_count() == 1
+        types = {"p": ("TEXT", "INTEGER"), "q": ("TEXT",)}
+        assert dkb.register_predicates(types, {}) == ["p", "q"]
+        assert dkb.derived_types_of(["p", "q"]) == types
+        assert dkb.predicate_count() == 2
+
+    def test_register_is_two_batches(self, database):
+        dkb = StoredDKB(database)
+        database.statistics.reset()
+        dkb.register_predicates({f"p{i}": ("TEXT", "TEXT") for i in range(5)}, {})
+        assert database.statistics.total.statements == 2
 
     def test_register_idempotent(self, database):
         dkb = StoredDKB(database)
-        dkb.register_predicate("p", ("TEXT",))
-        dkb.register_predicate("p", ("TEXT",))
+        dkb.register_predicates({"p": ("TEXT",)}, {})
+        known = dkb.derived_types_of(["p"])
+        database.statistics.reset()
+        assert dkb.register_predicates({"p": ("TEXT",)}, known) == []
+        assert database.statistics.total.statements == 0
         assert dkb.predicate_count() == 1
 
     def test_register_conflict_rejected(self, database):
         dkb = StoredDKB(database)
-        dkb.register_predicate("p", ("TEXT",))
+        dkb.register_predicates({"p": ("TEXT",)}, {})
+        known = dkb.derived_types_of(["p"])
         with pytest.raises(UpdateError):
-            dkb.register_predicate("p", ("INTEGER",))
+            dkb.register_predicates({"p": ("INTEGER",), "q": ("TEXT",)}, known)
+        assert dkb.predicate_count() == 1  # nothing written
 
     def test_read_unknown_silently_absent(self, database):
         dkb = StoredDKB(database)
@@ -143,6 +180,32 @@ class TestClosure:
         dkb = StoredDKB(database)
         dkb.add_edges_incremental([("p", "q")])
         assert dkb.add_edges_incremental([("p", "q")]) == 0
+
+    def test_incremental_chained_edges_in_one_batch(self, database):
+        # p -> q -> r -> s arriving together: the closure must join them.
+        dkb = StoredDKB(database)
+        edges = [("r", "s"), ("p", "q"), ("q", "r")]
+        assert dkb.add_edges_incremental(edges) == 6
+        assert dkb.closure_pairs() == transitive_closure(edges)
+
+    def test_incremental_chain_through_old_pairs(self, database):
+        # Old q -> r; new p -> q and r -> s link through it, and s -> p
+        # closes a cycle over all four.
+        dkb = StoredDKB(database)
+        dkb.add_edges_incremental([("q", "r")])
+        dkb.add_edges_incremental([("p", "q"), ("r", "s"), ("s", "p")])
+        nodes = ("p", "q", "r", "s")
+        assert dkb.closure_pairs() == {(a, b) for a in nodes for b in nodes}
+
+    def test_incremental_is_three_statements(self, stored, database):
+        old = stored.closure_pairs()
+        new = [("n1", "n2"), ("n2", "a"), ("n3", "b"), ("b", "n3")]
+        database.statistics.reset()
+        inserted = stored.add_edges_incremental(new)
+        assert database.statistics.total.statements == 3
+        expected = transitive_closure(old | set(new))
+        assert stored.closure_pairs() == expected
+        assert inserted == len(expected - old)
 
     def test_persistence_across_instances(self, database):
         dkb = StoredDKB(database)

@@ -135,6 +135,18 @@ class TestStaleness:
         result = anc_testbed.query("?- anc(a, X).")
         assert not result.answered_from_view
 
+    def test_rules_go_stale_before_a_later_fact_loads(self, anc_testbed):
+        anc_testbed.materialize("anc")
+        anc_testbed.define_base_relation("special", ("TEXT", "TEXT"))
+        logged = len(anc_testbed.maintenance_log)
+        anc_testbed.define(
+            "anc(X, Y) :- special(X, Y). anc(X, Y) :- special(Y, X). parent(c, d)."
+        )
+        assert not anc_testbed.views.is_fresh("anc")
+        # The fact was not propagated under the plan the two rules outdated.
+        assert len(anc_testbed.maintenance_log) == logged
+        assert rows_of(anc_testbed, "?- anc(a, X).") == [("b",), ("c",), ("d",)]
+
     def test_refresh_restores_freshness(self, anc_testbed):
         anc_testbed.materialize("anc")
         anc_testbed.define("anc(X, Y) :- extra(X, Y).")

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Testbed
+from repro.datalog.parser import parse_query
 from repro.datalog.pcg import PredicateConnectionGraph
+from repro.runtime.topdown import evaluate_top_down
 
 PREDICATES = [f"p{i}" for i in range(6)]
 
@@ -24,6 +26,25 @@ def rule_text(head, body):
     if body is None:
         return f"{head}(X, Y) :- e(X, Y)."
     return f"{head}(X, Y) :- {body}(X, Z), e(Z, Y)."
+
+
+# A module, as the perf ledger's update workload defines them: distinct new
+# heads calling one another in a chain, the last one calling ``tail`` — a
+# stored predicate, one of the module's own heads (closing a cycle), or
+# nothing but ``e``.
+modules = st.tuples(
+    st.lists(st.sampled_from(PREDICATES), min_size=1, max_size=4, unique=True),
+    st.one_of(st.none(), st.sampled_from(PREDICATES)),
+)
+module_sequences = st.lists(modules, min_size=1, max_size=5)
+EDGES = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]
+
+
+def module_rules(heads, tail):
+    """The rule texts of one module."""
+    return [rule_text(h, b) for h, b in zip(heads, heads[1:])] + [
+        rule_text(heads[-1], tail)
+    ]
 
 
 class TestStoredClosureInvariant:
@@ -65,6 +86,35 @@ class TestStoredClosureInvariant:
                 }
                 extracted = set(tb.stored.extract_relevant_rules([goal]).rules)
                 assert extracted == expected
+        finally:
+            tb.close()
+
+    @given(module_sequences)
+    @settings(max_examples=60, deadline=None)
+    def test_chained_modules_keep_closure_exact(self, modules):
+        """Module updates whose new edges chain through each other, hook
+        onto stored predicates and close cycles: the incrementally kept
+        closure is the rebuilt one, ``new_closure_pairs`` is its growth,
+        and the new rules answer as the top-down oracle does."""
+        tb = Testbed()
+        try:
+            tb.define_base_relation("e", ("TEXT", "TEXT"))
+            tb.load_facts("e", EDGES)
+            defined: set[str] = set()
+            for heads, tail in modules:
+                texts = module_rules(heads, tail if tail in defined | set(heads) else None)
+                before = tb.stored.closure_pairs()
+                tb.define("\n".join(texts))
+                result = tb.update_stored_dkb()
+                defined.update(heads)
+                after = tb.stored.closure_pairs()
+                assert result.new_closure_pairs == len(after) - len(before)
+                tb.stored.rebuild_closure()
+                assert tb.stored.closure_pairs() == after
+                query = f"?- {heads[0]}('a', Y)."
+                program = tb.stored.all_rules()
+                expected = evaluate_top_down(program, {"e": EDGES}, parse_query(query))
+                assert set(tb.query(query).rows) == expected
         finally:
             tb.close()
 

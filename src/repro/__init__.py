@@ -64,7 +64,7 @@ from .obs import (
     render_span_tree,
     write_chrome_trace,
 )
-from .runtime import FastPathConfig, LfpStrategy
+from .runtime import LfpStrategy
 
 __version__ = "1.0.0"
 
@@ -76,7 +76,6 @@ __all__ = [
     "ConnectionOptions",
     "Constant",
     "EvaluationError",
-    "FastPathConfig",
     "LfpStrategy",
     "MaintenancePolicy",
     "MaintenanceResult",

@@ -372,41 +372,6 @@ def format_engine_ab(points) -> str:
     )
 
 
-def format_fastpath(points) -> str:
-    """Fast-path A/B: seed slow path vs cache+batching+indexes, per level.
-
-    The statement-cache hit rate comes straight from the ``Statistics``
-    cache counters of the fast run.
-    """
-    rows = []
-    for point in sorted(points, key=lambda p: p.selectivity):
-        rows.append(
-            (
-                point.label,
-                f"{point.selectivity:.3f}",
-                _ms(point.slow_seconds),
-                _ms(point.fast_seconds),
-                f"{point.speedup:.2f}x",
-                f"{point.cache_hits}/{point.cache_hits + point.cache_misses}",
-                f"{point.cache_hit_rate * 100:.0f}%",
-                point.answers,
-            )
-        )
-    return "Fast path A/B — statement cache + batching + delta indexes\n" + _table(
-        (
-            "point",
-            "D_rel/D",
-            "slow (ms)",
-            "fast (ms)",
-            "speedup",
-            "cache h/total",
-            "hit rate",
-            "answers",
-        ),
-        rows,
-    )
-
-
 def find_maintenance_crossover(points) -> int | None:
     """Smallest batch size where incremental maintenance stops winning.
 

@@ -6,13 +6,6 @@ SQL statements, which :class:`~repro.dbms.engine.Database` counts, times, and
 attributes to named phases for the experiment harness.
 """
 
-from .advisor import (
-    IndexAdvice,
-    advise_clique_indexes,
-    apply_index_advice,
-    join_column_advice,
-    set_membership_advice,
-)
 from .backends import (
     BackendCapabilities,
     DuckDbBackend,
@@ -40,15 +33,12 @@ __all__ = [
     "Database",
     "DuckDbBackend",
     "ExtensionalCatalog",
-    "IndexAdvice",
     "PhaseStats",
     "RelationSchema",
     "SqlBackend",
     "SqliteBackend",
     "StatementCache",
     "Statistics",
-    "advise_clique_indexes",
-    "apply_index_advice",
     "available_backends",
     "backend_available",
     "get_backend",
@@ -60,7 +50,5 @@ __all__ = [
     "difference_sql",
     "fact_table_name",
     "insert_new_tuples_sql",
-    "join_column_advice",
     "quote_identifier",
-    "set_membership_advice",
 ]

@@ -18,7 +18,6 @@ and the instrumentation here is engine-neutral.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import re
 import threading
 import time
@@ -32,14 +31,6 @@ from .backends import BackendCapabilities, SqlBackend, get_backend
 from .schema import RelationSchema, quote_identifier
 
 _STATEMENT_KIND_RE = re.compile(r"\s*([A-Za-z]+)")
-
-# Temporary-table names must be unique across every Database instance in the
-# process *and* across threads: two handles opened on the same on-disk file
-# share the table namespace, and two threads drawing names concurrently must
-# never observe the same counter value.  The lock makes the draw atomic
-# regardless of interpreter implementation details.
-_TEMP_NAME_LOCK = threading.Lock()
-_TEMP_NAME_COUNTER = itertools.count(1)
 
 DEFAULT_STATEMENT_CACHE_SIZE = 128
 
@@ -99,7 +90,7 @@ class StatementCache:
     """An LRU cache of prepared statements (cursors), keyed on SQL text.
 
     The paper's embedded-SQL programs re-prepare the same statements every
-    LFP iteration; the fast-path layer keeps the prepared form (a dedicated
+    LFP iteration; the cache keeps the prepared form (a dedicated
     :class:`sqlite3.Cursor`, which pins the compiled statement in the
     connection's statement cache) alive across executions.  Hits and misses
     are counted so the benchmarks can report cache effectiveness.
@@ -349,9 +340,8 @@ class Database:
         Args:
             path: database path (default: a private in-memory database).
             statement_cache_size: capacity of the prepared-statement LRU
-                cache; ``0`` disables caching (every statement re-prepares,
-                the seed behaviour the fast-path A/B benchmark compares
-                against).  Forced off on backends whose cursors do not
+                cache; ``0`` disables caching (every statement
+                re-prepares).  Forced off on backends whose cursors do not
                 share connection state (``supports_shared_cursors``).
             options: connection-level knobs (journal mode, busy timeout,
                 thread affinity, private derived relations); the default
@@ -380,7 +370,7 @@ class Database:
         self._in_explicit_transaction = False  # not-shared: only the single writer batches transactions
         # Scratch relations this connection has created, name -> column
         # types (see scratch_relation).  Forgotten on rollback.
-        self._scratch: dict[str, tuple[str, ...]] = {}  # not-shared: only the single writer maintains views
+        self._scratch: dict[str, tuple[str, ...]] = {}  # not-shared: a handle runs one evaluation at a time (a reader checkout, or the writer under its lock)
         # Optional observability sink (see repro.obs).  ``None`` when tracing
         # is disabled — the hot path then pays one attribute test and nothing
         # else, so paper-faithful timings are untouched.
@@ -594,7 +584,7 @@ class Database:
 
     @contextlib.contextmanager
     def transaction(self) -> Iterator[None]:
-        """Run the block as one explicit transaction (fast-path batching).
+        """Run the block as one explicit transaction.
 
         Commits on success, rolls back on error.  Any implicitly opened
         transaction is committed first, so the block really starts at a
@@ -711,18 +701,6 @@ class Database:
             f"CREATE INDEX IF NOT EXISTS {quote_identifier(name)} "
             f"ON {quote_identifier(table)} ({column_list})"
         )
-
-    def fresh_temp_name(self, prefix: str) -> str:
-        """A process- and thread-unique temporary table name.
-
-        The counter is module-level and drawn under a lock, so two
-        ``Database`` handles opened on the same on-disk file — or two
-        threads drawing names concurrently — never hand out colliding
-        names.
-        """
-        with _TEMP_NAME_LOCK:
-            counter = next(_TEMP_NAME_COUNTER)
-        return f"{prefix}_{counter}"
 
     def scratch_relation(self, name: str, types: Sequence[str]) -> str:
         """An empty connection-private ``temp`` relation with a stable name.

@@ -41,16 +41,6 @@ class CompiledSelect:
     parameters: tuple[Any, ...]
     table_slots: tuple[str, ...]
     positive_count: int
-    # Per table slot, the column positions participating in cross-atom
-    # equality predicates (shared-variable joins and negation bindings) —
-    # the raw material for the fast-path index advisor.
-    join_columns: tuple[tuple[int, ...], ...] = ()
-
-    def join_columns_of(self, slot: int) -> tuple[int, ...]:
-        """Join-equality column positions of one table slot."""
-        if slot < len(self.join_columns):
-            return self.join_columns[slot]
-        return ()
 
     @property
     def positive_predicates(self) -> tuple[str, ...]:
@@ -125,10 +115,6 @@ def compile_rule_body(
     where: list[str] = []
     parameters: list[Any] = []
     location: dict[Variable, str] = {}
-    # Where each variable first occurred, as (slot, column position), and the
-    # per-slot join columns accumulated for the index advisor.
-    first_occurrence: dict[Variable, tuple[int, int]] = {}
-    join_columns: list[set[int]] = []
 
     where_const: list[str] = []
     params_const: list[Any] = []
@@ -136,7 +122,6 @@ def compile_rule_body(
         alias = f"t{index}"
         placeholder = f"{{{len(placeholders)}}}"
         placeholders.append(atom.predicate)
-        join_columns.append(set())
         from_items.append(f"{placeholder} AS {alias}")
         for position, term in enumerate(atom.terms):
             column = f"{alias}.{column_name(position)}"
@@ -147,12 +132,8 @@ def compile_rule_body(
                 first = location.get(term)
                 if first is None:
                     location[term] = column
-                    first_occurrence[term] = (index, position)
                 else:
                     where.append(f"{column} = {first}")
-                    join_columns[index].add(position)
-                    first_slot, first_position = first_occurrence[term]
-                    join_columns[first_slot].add(first_position)
 
     # Join equalities first, then constant filters, for readable SQL; the
     # parameter list must follow textual ? order, so constants come last.
@@ -164,15 +145,6 @@ def compile_rule_body(
             atom, location, len(placeholders)
         )
         placeholders.append(atom.predicate)
-        # The anti-join probes the negated relation by its variable-bound
-        # columns, so those count as join columns for its slot.
-        join_columns.append(
-            {
-                position
-                for position, term in enumerate(atom.terms)
-                if isinstance(term, Variable)
-            }
-        )
         where.append(subquery)
         parameters.extend(sub_params)
 
@@ -190,9 +162,6 @@ def compile_rule_body(
             f"(SELECT {columns} FROM {{{len(placeholders)}}})"
         )
         placeholders.append(atom.predicate)
-        join_columns.append(
-            {i for i, term in enumerate(atom.terms) if isinstance(term, Variable)}
-        )
 
     select_items: list[str] = []
     for position, term in enumerate(clause.head.terms):
@@ -223,13 +192,7 @@ def compile_rule_body(
     sql += " FROM " + ", ".join(from_items)
     if where:
         sql += " WHERE " + " AND ".join(where)
-    return CompiledSelect(
-        sql,
-        all_parameters,
-        tuple(placeholders),
-        len(positive),
-        tuple(tuple(sorted(columns)) for columns in join_columns),
-    )
+    return CompiledSelect(sql, all_parameters, tuple(placeholders), len(positive))
 
 
 def _not_exists(

@@ -7,7 +7,7 @@ of a growing pile of ``Testbed.__init__`` keywords.  The legacy keyword form
 
     from repro import Testbed, TestbedConfig
 
-    with Testbed(TestbedConfig(fastpath=FastPathConfig(), trace=True)) as tb:
+    with Testbed(TestbedConfig(path="dkb.sqlite", trace=True)) as tb:
         ...
 
 ``dataclasses.replace`` gives cheap variants of a base configuration, which
@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..dbms.engine import DEFAULT_STATEMENT_CACHE_SIZE, ConnectionOptions
+from ..dbms.engine import ConnectionOptions
 from ..maintenance.dred import MaintenancePolicy
-from ..runtime.context import FastPathConfig
 from .partition import PartitionSpec
 
 
@@ -34,12 +33,6 @@ class TestbedConfig:
             rule form).  Turning this off reproduces the paper's
             source-form-only configuration: updates get much faster, query
             compilation slower.
-        fastpath: default fast-path configuration for query execution
-            (``None`` = the paper-faithful slow path; individual ``query``
-            calls can override it).
-        statement_cache_size: prepared-statement cache capacity of the
-            underlying :class:`~repro.dbms.engine.Database`; ``0`` disables
-            the cache.
         maintenance_policy: the DRed-vs-refresh cost heuristic used for
             delete maintenance of materialized views.
         trace: start the session with structured tracing enabled (spans,
@@ -70,8 +63,6 @@ class TestbedConfig:
 
     path: str = ":memory:"
     compiled_rule_storage: bool = True
-    fastpath: FastPathConfig | None = None
-    statement_cache_size: int = DEFAULT_STATEMENT_CACHE_SIZE
     maintenance_policy: MaintenancePolicy = field(
         default_factory=MaintenancePolicy
     )

@@ -43,7 +43,6 @@ from ..maintenance.plan import (
 from ..maintenance.refresh import full_refresh
 from ..maintenance.registry import MaterializedViewRegistry, view_table_name
 from ..obs.trace import NULL_TRACER, NullTracer, Span, Tracer
-from ..runtime.context import FastPathConfig
 from ..runtime.program import DEFAULT_STRATEGY, ExecutionResult, LfpStrategy
 from .compiler import CompilationResult, QueryCompiler
 from .config import TestbedConfig
@@ -120,8 +119,6 @@ class QueryResult:
 _LEGACY_KEYWORDS = (
     "path",
     "compiled_rule_storage",
-    "fastpath",
-    "statement_cache_size",
     "maintenance_policy",
 )
 
@@ -134,8 +131,7 @@ class Testbed:
             bare database path string (shorthand for
             ``TestbedConfig(path=...)``), or ``None`` for the defaults.
         **legacy: the pre-config keywords (``path``,
-            ``compiled_rule_storage``, ``fastpath``,
-            ``statement_cache_size``, ``maintenance_policy``) — still
+            ``compiled_rule_storage``, ``maintenance_policy``) — still
             accepted, but deprecated; each emits a
             :class:`DeprecationWarning` and maps onto the
             :class:`TestbedConfig` field of the same name.  Mixing them with
@@ -177,7 +173,6 @@ class Testbed:
         self.config = config
         self.database = Database(
             config.path,
-            statement_cache_size=config.statement_cache_size,
             options=config.connection,
             backend=config.backend,
         )
@@ -188,7 +183,6 @@ class Testbed:
         self.workspace = WorkspaceDKB()
         self._compiler = QueryCompiler(self.workspace, self.stored, self.catalog)
         self.precompiled = PrecompiledQueryCache()
-        self.fastpath = config.fastpath
         self.views = MaterializedViewRegistry(self.database)
         self.maintenance_policy = config.maintenance_policy
         self.maintenance_log: list[MaintenanceResult] = []
@@ -411,7 +405,6 @@ class Testbed:
             self.database,
             plan,
             self._tables_of(plan),
-            self.fastpath,
             tracer=self._tracer,
         )
         self.views.mark_group_fresh(predicate)
@@ -455,7 +448,6 @@ class Testbed:
                 self.database,
                 plan,
                 self._tables_of(plan),
-                self.fastpath,
                 tracer=self._tracer,
             )
             self.views.mark_group_fresh(view)
@@ -650,7 +642,6 @@ class Testbed:
                 self.database,
                 plan,
                 self._tables_of(plan),
-                self.fastpath,
                 tracer=self._tracer,
             )
             self.views.mark_group_fresh(view)
@@ -736,7 +727,6 @@ class Testbed:
         optimize: Union[bool, str] = DEFAULT_OPTIMIZE,
         strategy: LfpStrategy = DEFAULT_STRATEGY,
         precompile: bool = True,
-        fastpath: FastPathConfig | None = None,
         use_views: bool = True,
     ) -> QueryResult:
         """Compile and execute a query; returns rows and all measurements.
@@ -755,9 +745,6 @@ class Testbed:
         bound query derives only what its constants reach; ``False`` keeps
         every form unrewritten.
 
-        ``fastpath`` overrides the session's default fast-path
-        configuration for this one execution.
-
         With ``use_views=True`` (the default) a query whose goals are all
         fresh materialized views or base relations is answered by a plain
         SELECT over those relations — no compilation, no LFP evaluation
@@ -767,7 +754,7 @@ class Testbed:
         tracer = self._active_tracer()
         with tracer.span("query", category="query", text=str(query)):
             result = self._query(
-                query, optimize, strategy, precompile, fastpath, use_views, tracer
+                query, optimize, strategy, precompile, use_views, tracer
             )
         if self._tracer is not None:
             self.last_query_span = self._tracer.last_root
@@ -779,7 +766,6 @@ class Testbed:
         optimize: Union[bool, str],
         strategy: LfpStrategy,
         precompile: bool,
-        fastpath: FastPathConfig | None,
         use_views: bool,
         tracer: "Tracer | NullTracer",
     ) -> QueryResult:
@@ -801,10 +787,7 @@ class Testbed:
         started = time.perf_counter()
         with tracer.span("execute", category="execute"):
             execution = compilation.program.execute(
-                self.database,
-                self.catalog,
-                fastpath=fastpath if fastpath is not None else self.fastpath,
-                tracer=tracer,
+                self.database, self.catalog, tracer=tracer
             )
         elapsed = time.perf_counter() - started
         return QueryResult(execution.rows, compilation, execution, elapsed)

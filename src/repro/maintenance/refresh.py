@@ -20,7 +20,7 @@ from ..dbms.engine import Database
 from ..dbms.schema import quote_identifier
 from ..errors import EvaluationError
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
-from ..runtime.context import EvaluationContext, FastPathConfig
+from ..runtime.context import EvaluationContext
 from ..runtime.relalg import evaluate_nonrecursive
 from ..runtime.seminaive import evaluate_clique_seminaive
 from .plan import MaintenancePlan
@@ -32,7 +32,6 @@ def full_refresh(
     database: Database,
     plan: MaintenancePlan,
     table_of: Mapping[str, str],
-    fastpath: FastPathConfig | None = None,
     tracer: "Tracer | NullTracer | None" = None,
 ) -> int:
     """Recompute every materialized relation of ``plan`` from scratch.
@@ -55,9 +54,7 @@ def full_refresh(
             database.execute(
                 f"DELETE FROM {quote_identifier(table_of[predicate])}"
             )
-        context = EvaluationContext(
-            database, table_of, plan.types, fastpath=fastpath, tracer=tracer
-        )
+        context = EvaluationContext(database, table_of, plan.types, tracer=tracer)
         for node in plan.order:
             if isinstance(node, Clique):
                 evaluate_clique_seminaive(context, node)

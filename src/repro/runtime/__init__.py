@@ -13,7 +13,6 @@ from .context import (
     PHASE_TERMINATION,
     EvaluationContext,
     EvaluationCounters,
-    FastPathConfig,
     derived_table_name,
 )
 from .counting import (
@@ -65,7 +64,6 @@ __all__ = [
     "sweep_workers",
     "EvaluationCounters",
     "ExecutionResult",
-    "FastPathConfig",
     "FusedProgram",
     "LfpResult",
     "LfpStrategy",

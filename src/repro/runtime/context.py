@@ -8,14 +8,11 @@ harness reads (LFP iterations per clique, tuples produced).
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
-from typing import ContextManager, Mapping, Sequence
+from typing import Mapping
 
-from ..dbms.advisor import advise_clique_indexes, apply_index_advice
 from ..dbms.engine import Database
 from ..dbms.schema import RelationSchema
-from ..dbms.sqlgen import CompiledSelect
 from ..errors import EvaluationError
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 
@@ -31,49 +28,6 @@ PHASE_TERMINATION = "termination"
 def derived_table_name(predicate: str) -> str:
     """Physical table name for a materialised derived predicate."""
     return f"{DERIVED_TABLE_PREFIX}{predicate}"
-
-
-@dataclass(frozen=True)
-class FastPathConfig:
-    """Switches for the fast-path execution layer (all off by default).
-
-    The seed implementation pays exactly the costs the paper's Test 6
-    dissects; each switch removes one of them, so the A/B benchmarks can
-    attribute the speedup:
-
-    * ``batch_iterations`` — wrap each LFP iteration in one explicit
-      transaction (:meth:`repro.dbms.engine.Database.transaction`) instead
-      of autocommit-per-statement.
-    * ``reuse_scratch_tables`` — allocate the per-iteration scratch/delta
-      relations once, before the loop, and clear them with ``DELETE``
-      instead of re-running ``CREATE``/``DROP`` every iteration.  Stable
-      table names also keep the rendered SQL text identical across
-      iterations, which is what lets the prepared-statement cache hit.
-    * ``advise_indexes`` — run the index advisor
-      (:mod:`repro.dbms.advisor`) over the clique's compiled SELECTs before
-      the loop and index the derived relations' join columns.
-    """
-
-    batch_iterations: bool = False
-    reuse_scratch_tables: bool = False
-    advise_indexes: bool = False
-
-    @classmethod
-    def enabled(cls) -> "FastPathConfig":
-        """Every statement-stream-preserving fast-path feature on."""
-        return cls(True, True, True)
-
-    @classmethod
-    def disabled(cls) -> "FastPathConfig":
-        """The seed behaviour (every feature off)."""
-        return cls()
-
-    def __bool__(self) -> bool:
-        return (
-            self.batch_iterations
-            or self.reuse_scratch_tables
-            or self.advise_indexes
-        )
 
 
 @dataclass
@@ -107,7 +61,6 @@ class EvaluationContext:
         table_of: Mapping[str, str],
         types_of: Mapping[str, tuple[str, ...]],
         seed_rows: Mapping[str, tuple[tuple, ...]] | None = None,
-        fastpath: FastPathConfig | None = None,
         tracer: "Tracer | NullTracer | None" = None,
     ):
         self.database = database
@@ -119,7 +72,6 @@ class EvaluationContext:
         # Ground tuples to pre-load into derived relations — how the magic
         # seed fact (the query bindings) enters the fixed-point computation.
         self.seed_rows: dict[str, tuple[tuple, ...]] = dict(seed_rows or {})
-        self.fastpath = fastpath if fastpath is not None else FastPathConfig()
         self.counters = EvaluationCounters()
         self._materialised: list[str] = []
         self._seeded: set[str] = set()
@@ -201,36 +153,6 @@ class EvaluationContext:
         count = self.database.row_count(self.table_of(predicate))
         self.counters.tuples_by_predicate[predicate] = count
         return count
-
-    def iteration_scope(self) -> ContextManager[None]:
-        """Transaction scope for one LFP iteration.
-
-        An explicit transaction when the fast path batches iterations, a
-        no-op otherwise — so the strategies can wrap every iteration body
-        unconditionally.
-        """
-        if self.fastpath.batch_iterations:
-            return self.database.transaction()
-        return contextlib.nullcontext()
-
-    def create_advised_indexes(
-        self, selects: Sequence[CompiledSelect], predicates: Sequence[str]
-    ) -> int:
-        """Run the index advisor over a clique (no-op unless enabled).
-
-        Creates the advised indexes on the clique predicates' result
-        relations and returns how many; the caller attributes the CREATE
-        INDEX statements to whatever phase is active.
-        """
-        if not self.fastpath.advise_indexes:
-            return 0
-        advice = advise_clique_indexes(
-            selects,
-            predicates,
-            self.table_of,
-            lambda p: len(self.types_of(p)),
-        )
-        return apply_index_advice(self.database, advice)
 
     def cleanup(self) -> None:
         """Drop every relation materialised through this context."""

@@ -35,16 +35,14 @@ from .naive import LfpResult, non_convergence_error
 from .seminaive import evaluate_clique_seminaive
 
 
-def _create_keyed_table(context: EvaluationContext, name: str, predicate: str) -> None:
+def _create_keyed_table(
+    context: EvaluationContext, name: str, predicate: str, temporary: bool
+) -> None:
     """A relation with a primary key spanning all columns (set semantics)."""
     types = context.types_of(predicate)
     columns = ", ".join(f"c{i} {t}" for i, t in enumerate(types))
     key = ", ".join(f"c{i}" for i in range(len(types)))
-    keyword = (
-        "CREATE TEMPORARY TABLE"
-        if context.database.temp_only
-        else "CREATE TABLE"
-    )
+    keyword = "CREATE TEMPORARY TABLE" if temporary else "CREATE TABLE"
     context.database.execute(
         f"{keyword} {quote_identifier(name)} "
         f"({columns}, PRIMARY KEY ({key})) WITHOUT ROWID"
@@ -56,9 +54,9 @@ def evaluate_clique_lfp_operator(
 ) -> LfpResult:
     """Least fixed point of ``clique`` via the in-DBMS operator strategy.
 
-    The operator's storage layout is already fast-path-shaped (stable keyed
-    relations, no per-iteration DDL, index-probe set semantics), so of the
-    fast-path switches only iteration batching applies here.
+    The delta relations are connection-private ``temp`` tables, dropped
+    however the loop ends, so an aborted run leaves nothing in the database
+    file.
 
     Raises:
         EvaluationError: if the loop hits
@@ -76,7 +74,6 @@ def evaluate_clique_lfp_operator(
         return evaluate_clique_seminaive(context, clique)
     predicates = sorted(clique.predicates)
     database = context.database
-    tracer = context.tracer
 
     # The operator manages its own result relations (keyed), registered with
     # the context so downstream nodes and the answer join can read them.
@@ -86,14 +83,34 @@ def evaluate_clique_lfp_operator(
         if not context.has_table(predicate):
             result_name = f"d_{predicate}"
             database.drop_relation(result_name)
-            _create_keyed_table(context, result_name, predicate)
+            _create_keyed_table(
+                context, result_name, predicate, database.temp_only
+            )
             context.adopt_table(predicate, result_name)
         delta[predicate] = f"lfpdelta_{predicate}"
         previous[predicate] = f"lfpprev_{predicate}"
+    try:
+        return _run_operator(context, clique, predicates, delta, previous)
+    finally:
+        for predicate in predicates:
+            for name in (delta[predicate], previous[predicate]):
+                database.execute(f"DROP TABLE IF EXISTS temp.{quote_identifier(name)}")
+
+
+def _run_operator(
+    context: EvaluationContext,
+    clique: Clique,
+    predicates: list[str],
+    delta: dict[str, str],
+    previous: dict[str, str],
+) -> LfpResult:
+    """Create the ``temp`` delta relations and iterate to the fixed point."""
+    database = context.database
+    tracer = context.tracer
+    for predicate in predicates:
         for name in (delta[predicate], previous[predicate]):
-            database.drop_relation(name)
-        _create_keyed_table(context, delta[predicate], predicate)
-        _create_keyed_table(context, previous[predicate], predicate)
+            database.execute(f"DROP TABLE IF EXISTS temp.{quote_identifier(name)}")
+            _create_keyed_table(context, name, predicate, temporary=True)
         rows = context.seed_rows.get(predicate)
         if rows:
             columns = ", ".join("?" for __ in context.types_of(predicate))
@@ -161,7 +178,7 @@ def evaluate_clique_lfp_operator(
         iterations += 1
         with tracer.span(
             "iteration", category="iteration", iteration=iterations
-        ) as it_span, context.iteration_scope():
+        ) as it_span:
             for clause, select in compiled_recursive:
                 for index, predicate in enumerate(select.positive_predicates):
                     if predicate not in clique.predicates:
@@ -180,10 +197,6 @@ def evaluate_clique_lfp_operator(
                     "lfp.delta_tuples", (1, 10, 100, 1000, 10000)
                 ).observe(produced)
                 tracer.metrics.counter("lfp.iterations").inc()
-
-    for predicate in predicates:
-        database.drop_relation(delta[predicate])
-        database.drop_relation(previous[predicate])
 
     sizes = {p: context.record_result_size(p) for p in predicates}
     context.counters.iterations_by_clique["+".join(predicates)] = iterations

@@ -3,20 +3,20 @@
 Naive evaluation of a clique ``r_i = f_i(r_1, ..., r_n)`` recomputes every
 ``f_i`` from scratch each iteration against the *full* relations of the
 previous iteration, then checks whether anything changed.  The paper's
-implementation — and ours — pays exactly the costs its Test 6 dissects:
+implementation — and ours — pays the costs its Test 6 dissects:
 
-* **temp_tables**: per-iteration CREATE/DROP of scratch relations and the
+* **temp_tables**: emptying the per-iteration scratch relations and the
   table copy back into the result relations;
 * **rhs_eval**: one SELECT per rule per iteration, recomputing all previously
   derived tuples plus possibly new ones;
 * **termination**: a full set difference (``EXCEPT``) per predicate per
   iteration, because the SQL interface offers no early exit.
 
-The fast-path layer (:class:`repro.runtime.context.FastPathConfig`) removes
-the avoidable parts without changing the strategy: scratch relations are
-allocated once and cleared with ``DELETE`` (stable names keep the statement
-cache hot), each iteration runs in one explicit transaction, and the index
-advisor indexes the derived relations' join columns before the loop.
+The paper's program also created and dropped the scratch relations every
+iteration.  Here they come from
+:meth:`~repro.dbms.engine.Database.scratch_relation`: created once per
+connection and emptied with ``DELETE``, so a warm query issues no
+per-iteration DDL and its stable table names keep the statement cache hot.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ def evaluate_clique_naive(context: EvaluationContext, clique: Clique) -> LfpResu
     """
     predicates = sorted(clique.predicates)
     database = context.database
-    fastpath = context.fastpath
     tracer = context.tracer
 
     compiled = [(c, compile_rule_body(c)) for c in clique.rules]
@@ -83,21 +82,6 @@ def evaluate_clique_naive(context: EvaluationContext, clique: Clique) -> LfpResu
     with database.phase(PHASE_TEMP_TABLES):
         for predicate in predicates:
             context.materialise(predicate)
-        context.create_advised_indexes([s for __, s in compiled], predicates)
-
-    scratch: dict[str, str] = {}
-    schemas: dict[str, RelationSchema] = {}
-    if fastpath.reuse_scratch_tables:
-        # Allocate the scratch relations once; iterations clear them with
-        # DELETE, so the rendered SQL (and the prepared statements behind
-        # it) stays identical from one iteration to the next.
-        with database.phase(PHASE_TEMP_TABLES):
-            for predicate in predicates:
-                name = database.fresh_temp_name(f"new_{predicate}")
-                schema = RelationSchema(name, context.types_of(predicate))
-                database.create_relation(schema, temporary=True)
-                scratch[predicate] = name
-                schemas[predicate] = schema
 
     iterations = 0
     while True:
@@ -106,24 +90,21 @@ def evaluate_clique_naive(context: EvaluationContext, clique: Clique) -> LfpResu
         iterations += 1
         with tracer.span(
             "iteration", category="iteration", iteration=iterations
-        ) as it_span, context.iteration_scope():
+        ) as it_span:
+            scratch: dict[str, str] = {}
             with database.phase(PHASE_TEMP_TABLES):
                 for predicate in predicates:
-                    if fastpath.reuse_scratch_tables:
-                        schema = schemas[predicate]
-                        database.execute(
-                            f"DELETE FROM {quote_identifier(scratch[predicate])}"
-                        )
-                    else:
-                        name = database.fresh_temp_name(f"new_{predicate}")
-                        schema = RelationSchema(name, context.types_of(predicate))
-                        database.create_relation(schema, temporary=True)
-                        scratch[predicate] = name
+                    types = context.types_of(predicate)
+                    scratch[predicate] = database.scratch_relation(
+                        f"naive_{predicate}", types
+                    )
                     # Seed tuples (e.g. the magic seed) are part of f's output
                     # every iteration, like an exit rule with an empty body.
                     rows = context.seed_rows.get(predicate)
                     if rows:
-                        database.insert_rows(schema, rows)
+                        database.insert_rows(
+                            RelationSchema(scratch[predicate], types), rows
+                        )
 
             # Recompute every rule in full against the previous iteration's
             # relations — the redundant work that makes naive evaluation slow.
@@ -162,8 +143,8 @@ def evaluate_clique_naive(context: EvaluationContext, clique: Clique) -> LfpResu
                 ).observe(new_tuples)
                 tracer.metrics.counter("lfp.iterations").inc()
 
-            # Copy the scratch relations into the results and drop them — the
-            # per-iteration table copying the paper's conclusion 6a targets.
+            # Copy the scratch relations into the results — the per-iteration
+            # table copying the paper's conclusion 6a targets.
             with database.phase(PHASE_TEMP_TABLES):
                 for predicate in predicates:
                     target = context.table_of(predicate)
@@ -175,16 +156,9 @@ def evaluate_clique_naive(context: EvaluationContext, clique: Clique) -> LfpResu
                             len(context.types_of(predicate)),
                         )
                     )
-                    if not fastpath.reuse_scratch_tables:
-                        database.drop_relation(scratch[predicate])
 
         if not changed:
             break
-
-    if fastpath.reuse_scratch_tables:
-        with database.phase(PHASE_TEMP_TABLES):
-            for predicate in predicates:
-                database.drop_relation(scratch[predicate])
 
     sizes = {p: context.record_result_size(p) for p in predicates}
     context.counters.iterations_by_clique[

@@ -25,7 +25,7 @@ from ..dbms.engine import Database
 from ..dbms.sqlgen import compile_rule_body
 from ..errors import EvaluationError
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
-from .context import PHASE_RHS_EVAL, EvaluationContext, FastPathConfig
+from .context import PHASE_RHS_EVAL, EvaluationContext
 from .lfp import evaluate_clique_lfp_operator
 from .lfp_cte import FusedProgram, evaluate_clique_lfp_cte
 from .naive import LfpResult, evaluate_clique_naive
@@ -133,17 +133,14 @@ class QueryProgram:
         self,
         database: Database,
         catalog: ExtensionalCatalog,
-        fastpath: FastPathConfig | None = None,
         tracer: "Tracer | NullTracer | None" = None,
     ) -> ExecutionResult:
         """Run the program and return the answer tuples.
 
         A plan with a :attr:`fused` statement the backend can run is one
-        statement; any other runs bottom-up, node by node.  ``fastpath``
-        switches on the fast-path execution layer (iteration batching,
-        scratch-table reuse, index advice) for the LFP loops; ``None`` keeps
-        the paper-faithful slow path.  ``tracer`` threads the observability
-        sink through to the evaluation strategies.
+        statement; any other runs bottom-up, node by node.  ``tracer``
+        threads the observability sink through to the evaluation
+        strategies.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         table_of = {}
@@ -157,7 +154,7 @@ class QueryProgram:
             return self._execute_fused(database, self.fused, tracer)
         seed_rows = self.seed_rows()
         context = EvaluationContext(
-            database, table_of, self.types, seed_rows, fastpath, tracer
+            database, table_of, self.types, seed_rows, tracer
         )
 
         evaluate_clique = _CLIQUE_EVALUATORS[self.strategy]

@@ -10,15 +10,16 @@ delta, and are unioned into the result.
 The phase names match :mod:`repro.runtime.naive` so Test 6 can compare the
 breakdowns.  Termination is one ``EXISTS`` probe over all deltas per
 iteration (a single statement, not one ``COUNT(*)`` scan per predicate).
-The fast path additionally keeps two stable delta relations per predicate
-(ping-pong buffers cleared with ``DELETE``), batches each iteration into a
-transaction, and indexes the derived relations before the loop.
+The deltas ping-pong between two scratch relations per predicate
+(:meth:`~repro.dbms.engine.Database.scratch_relation`): created once per
+connection and emptied with ``DELETE``, so a warm query issues no
+per-iteration DDL and repeats its statement texts.
 """
 
 from __future__ import annotations
 
 from ..datalog.pcg import Clique
-from ..dbms.schema import RelationSchema, quote_identifier
+from ..dbms.schema import quote_identifier
 from ..dbms.sqlgen import compile_rule_body, copy_sql, insert_new_tuples_sql
 from .context import (
     PHASE_RHS_EVAL,
@@ -74,12 +75,21 @@ def evaluate_clique_seminaive(
     """
     predicates = sorted(clique.predicates)
     database = context.database
-    fastpath = context.fastpath
     tracer = context.tracer
 
     exit_selects = [(c, compile_rule_body(c)) for c in clique.exit_rules]
     recursive = [(c, compile_rule_body(c)) for c in clique.recursive_rules]
-    all_selects = [s for __, s in exit_selects] + [s for __, s in recursive]
+
+    def delta_relations(iteration: int) -> dict[str, str]:
+        """Each predicate's emptied delta for ``iteration``: ping-pong, never
+        the relation the previous iteration's delta is in."""
+        with database.phase(PHASE_TEMP_TABLES):
+            return {
+                p: database.scratch_relation(
+                    f"seminaive_{p}_{iteration % 2}", context.types_of(p)
+                )
+                for p in predicates
+            }
 
     with database.phase(PHASE_TEMP_TABLES):
         for predicate in predicates:
@@ -87,29 +97,9 @@ def evaluate_clique_seminaive(
             # Seed tuples (e.g. the magic seed fact) join the result before
             # the exit-rule pass, so the first delta carries them too.
             context.insert_seed_rows(predicate)
-        context.create_advised_indexes(all_selects, predicates)
 
-    # Iteration 0: exit rules seed both the result and the first delta.
-    delta: dict[str, str] = {}
-    spare: dict[str, str] = {}
-    with database.phase(PHASE_TEMP_TABLES):
-        for predicate in predicates:
-            name = database.fresh_temp_name(f"delta_{predicate}")
-            schema = RelationSchema(name, context.types_of(predicate))
-            database.create_relation(schema, temporary=True)
-            delta[predicate] = name
-            if fastpath.reuse_scratch_tables:
-                # The ping-pong partner: iterations alternate between the
-                # two stable relations instead of CREATE/DROP-ing fresh
-                # ones, keeping the rendered SQL (and the statement cache)
-                # stable across iterations.
-                partner = database.fresh_temp_name(f"delta_{predicate}")
-                database.create_relation(
-                    RelationSchema(partner, context.types_of(predicate)),
-                    temporary=True,
-                )
-                spare[predicate] = partner
-
+    # Iteration 1: exit rules seed both the result and the first delta.
+    delta = delta_relations(1)
     with tracer.span("iteration", category="iteration", iteration=1) as it_span:
         with database.phase(PHASE_RHS_EVAL):
             for clause, select in exit_selects:
@@ -152,21 +142,8 @@ def evaluate_clique_seminaive(
 
         with tracer.span(
             "iteration", category="iteration", iteration=iterations
-        ) as it_span, context.iteration_scope():
-            new_delta: dict[str, str] = {}
-            with database.phase(PHASE_TEMP_TABLES):
-                for predicate in predicates:
-                    if fastpath.reuse_scratch_tables:
-                        # The spare buffer was emptied when it last rotated
-                        # out, so it is ready to receive the new delta.
-                        new_delta[predicate] = spare[predicate]
-                    else:
-                        name = database.fresh_temp_name(f"delta_{predicate}")
-                        schema = RelationSchema(
-                            name, context.types_of(predicate)
-                        )
-                        database.create_relation(schema, temporary=True)
-                        new_delta[predicate] = name
+        ) as it_span:
+            new_delta = delta_relations(iterations)
 
             # Differential RHS: one pass per recursive occurrence, with that
             # occurrence redirected to the delta relation.
@@ -219,22 +196,7 @@ def evaluate_clique_seminaive(
                             len(context.types_of(predicate)),
                         )
                     )
-                    if fastpath.reuse_scratch_tables:
-                        # Clear the outgoing delta; it becomes the spare
-                        # buffer for the next iteration.
-                        database.execute(
-                            f"DELETE FROM {quote_identifier(delta[predicate])}"
-                        )
-                        spare[predicate] = delta[predicate]
-                    else:
-                        database.drop_relation(delta[predicate])
-                delta = dict(new_delta)
-
-    with database.phase(PHASE_TEMP_TABLES):
-        for predicate in predicates:
-            database.drop_relation(delta[predicate])
-            if fastpath.reuse_scratch_tables:
-                database.drop_relation(spare[predicate])
+            delta = new_delta
 
     sizes = {p: context.record_result_size(p) for p in predicates}
     context.counters.iterations_by_clique["+".join(predicates)] = iterations

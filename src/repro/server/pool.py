@@ -47,7 +47,6 @@ from ..km.partition import PartitionSpec
 from ..km.policy import DEFAULT_OPTIMIZE
 from ..km.session import Testbed
 from ..obs.metrics import MetricsRegistry
-from ..runtime.context import FastPathConfig
 from ..runtime.program import DEFAULT_STRATEGY, LfpStrategy
 from .admission import AdmissionController, AdmissionError
 from .cache import (
@@ -248,9 +247,6 @@ class SessionPool:
             reader session.
         cache: result-cache to consult on reads (``None`` disables
             caching).
-        reader_fastpath: fast-path configuration for reader query
-            execution (default: everything on — this is the serving path,
-            not the paper-faithful measurement path).
         metrics: registry receiving the ``server.*`` metric families.
         trace: open every pooled session with structured tracing enabled.
         partition: cluster partition metadata recorded on every session's
@@ -267,7 +263,6 @@ class SessionPool:
         max_waiters: int = 16,
         session_timeout: float | None = 30.0,
         cache: Optional[VersionedResultCache] = None,
-        reader_fastpath: Optional[FastPathConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
         trace: bool = False,
         partition: "PartitionSpec | None" = None,
@@ -314,12 +309,9 @@ class SessionPool:
             )
         )
         ensure_version_table(self.writer.database)
-        if reader_fastpath is None:
-            reader_fastpath = FastPathConfig.enabled()
         reader_config = TestbedConfig(
             path=path,
             connection=ConnectionOptions.reader(),
-            fastpath=reader_fastpath,
             trace=trace,
             partition=partition,
             shard_index=shard_index,

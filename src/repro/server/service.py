@@ -27,7 +27,6 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.live.exporter import MetricsExporter
 from ..obs.live.timeseries import TimeSeriesStore
 from ..obs.live.watchdog import CallbackAction, SloRule, SloWatchdog
-from ..runtime.context import FastPathConfig
 from ..runtime.program import DEFAULT_STRATEGY, LfpStrategy
 from .admission import AdmissionError
 from .cache import VersionedResultCache
@@ -101,7 +100,6 @@ class ServerConfig:
             budget.
         cache_size: result-cache capacity (entries); ``0`` disables the
             cache entirely.
-        reader_fastpath: execution configuration for reader sessions.
         trace: open pooled sessions with structured tracing enabled.
         shard_id: this server's shard number inside a cluster (``None``
             for the single-node server).  When set, requests carrying a
@@ -134,7 +132,6 @@ class ServerConfig:
     session_timeout: float | None = 5.0
     request_timeout: float | None = 30.0
     cache_size: int = 256
-    reader_fastpath: Optional[FastPathConfig] = None
     trace: bool = False
     shard_id: Optional[int] = None
     partition: Optional[PartitionSpec] = None
@@ -258,7 +255,6 @@ class DkbServer:
             max_waiters=config.max_waiters,
             session_timeout=config.session_timeout,
             cache=self.cache,
-            reader_fastpath=config.reader_fastpath,
             metrics=self.metrics,
             trace=config.trace,
             partition=config.partition,

@@ -98,11 +98,6 @@ class TestExtensionRunners:
         }
         assert len({p.answers for p in points}) == 1
 
-    def test_precompilation(self):
-        points = bench.run_precompilation((2,), total_rules=10, repetitions=2)
-        assert len(points) == 1
-        assert points[0].uncached_total_seconds > 0
-
     def test_rewrite_methods(self):
         points = bench.run_rewrite_methods(generations=4, width=3, repetitions=1)
         assert {p.method for p in points} == {
@@ -161,9 +156,6 @@ class TestFormatters:
     def test_extension_formatters(self):
         ablation = bench.run_lfp_operator_ablation(depth=4, repetitions=1)
         assert "Ablation" in bench.format_ablation(ablation)
-
-        precompiled = bench.run_precompilation((2,), total_rules=6, repetitions=1)
-        assert "precompilation" in bench.format_precompilation(precompiled)
 
         rewrites = bench.run_rewrite_methods(generations=3, width=2, repetitions=1)
         assert "rewriting" in bench.format_rewrite_methods(rewrites)

@@ -84,10 +84,6 @@ class TestHelpers:
         database.create_index("idx_r", "r", ["c0"])
         database.create_index("idx_r", "r", ["c0"])  # no error
 
-    def test_fresh_temp_names_unique(self, database):
-        names = {database.fresh_temp_name("x") for __ in range(10)}
-        assert len(names) == 10
-
     def test_context_manager_closes(self):
         with Database() as db:
             db.execute("SELECT 1")

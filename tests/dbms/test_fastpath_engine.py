@@ -1,8 +1,7 @@
-"""Tests for the fast-path DBMS layer and its companion bugfixes.
+"""Tests for the statement cache, transaction scope and rowcount fixes.
 
 Covers the prepared-statement cache (LRU, counters, disabled mode), the
-explicit-transaction batching scope, the ``executemany`` rowcount fix, and
-process-unique temporary names across two handles on one database file.
+explicit-transaction scope, and the ``executemany`` rowcount fix.
 """
 
 from __future__ import annotations
@@ -167,30 +166,6 @@ class TestExecutemanyRowcount:
             "UPDATE t SET b = ? WHERE a = ?", [(10, 1), (20, 99)]
         )
         assert changed == 1
-
-
-class TestFreshTempNames:
-    def test_unique_across_handles_on_same_file(self, tmp_path):
-        path = str(tmp_path / "shared.db")
-        with Database(path) as first, Database(path) as second:
-            names = set()
-            for __ in range(25):
-                names.add(first.fresh_temp_name("scratch"))
-                names.add(second.fresh_temp_name("scratch"))
-            # Regression: per-instance counters made the two handles hand
-            # out identical names for the shared on-disk table namespace.
-            assert len(names) == 50
-
-    def test_names_usable_as_tables(self, tmp_path):
-        path = str(tmp_path / "shared.db")
-        with Database(path) as first, Database(path) as second:
-            a = first.fresh_temp_name("work")
-            b = second.fresh_temp_name("work")
-            first.execute(f"CREATE TABLE {a} (x INTEGER)")
-            first.commit()
-            # The second handle's fresh name never collides with the first's.
-            second.execute(f"CREATE TABLE {b} (x INTEGER)")
-            second.commit()
 
 
 class TestErrorPaths:

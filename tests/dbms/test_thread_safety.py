@@ -1,4 +1,4 @@
-"""Thread-safety regressions: temp names, the statement cache, Statistics."""
+"""Thread-safety regressions: the statement cache and Statistics."""
 
 from __future__ import annotations
 
@@ -8,45 +8,6 @@ import threading
 from repro.dbms.engine import ConnectionOptions, Database
 
 THREADS = 16
-DRAWS = 50
-
-
-def test_fresh_temp_name_unique_across_threads():
-    db = Database()
-    names: list[str] = []
-    lock = threading.Lock()
-    start = threading.Barrier(THREADS)
-
-    def draw():
-        start.wait()
-        local = [db.fresh_temp_name("scratch") for _ in range(DRAWS)]
-        with lock:
-            names.extend(local)
-
-    try:
-        threads = [threading.Thread(target=draw) for _ in range(THREADS)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    finally:
-        db.close()
-
-    assert len(names) == THREADS * DRAWS
-    assert len(set(names)) == len(names), "duplicate temp names handed out"
-
-
-def test_fresh_temp_name_unique_across_handles(tmp_path):
-    # The counter is process-wide: two handles on one file never collide.
-    path = os.path.join(tmp_path, "shared.sqlite")
-    a = Database(path, options=ConnectionOptions.writer())
-    b = Database(path, options=ConnectionOptions.reader())
-    try:
-        names = [a.fresh_temp_name("x"), b.fresh_temp_name("x")]
-        assert names[0] != names[1]
-    finally:
-        b.close()
-        a.close()
 
 
 def test_statement_cache_counters_consistent_under_concurrency(tmp_path):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import Testbed, TestbedConfig
-from repro.dbms.engine import DEFAULT_STATEMENT_CACHE_SIZE
 from repro.maintenance.dred import MaintenancePolicy
 
 
@@ -12,8 +11,6 @@ class TestConfigForm:
         config = TestbedConfig()
         assert config.path == ":memory:"
         assert config.compiled_rule_storage is True
-        assert config.fastpath is None
-        assert config.statement_cache_size == DEFAULT_STATEMENT_CACHE_SIZE
         assert isinstance(config.maintenance_policy, MaintenancePolicy)
         assert config.trace is False
 
@@ -22,9 +19,9 @@ class TestConfigForm:
             TestbedConfig().trace = True  # type: ignore[misc]
 
     def test_testbed_accepts_config(self):
-        with Testbed(TestbedConfig(statement_cache_size=0)) as testbed:
-            assert testbed.config.statement_cache_size == 0
-            assert testbed.database.statement_cache is None
+        with Testbed(TestbedConfig(compiled_rule_storage=False)) as testbed:
+            assert testbed.config.compiled_rule_storage is False
+            assert testbed.stored.compiled_storage is False
             assert testbed.tracer is None
             testbed.define("parent(ann, bob).")
             assert len(testbed.query("?- parent(ann, X).").rows) == 1
@@ -47,10 +44,13 @@ class TestConfigForm:
 class TestLegacyKeywordForm:
     def test_legacy_keywords_warn_but_work(self):
         with pytest.warns(DeprecationWarning, match="Testbed keyword configuration"):
-            testbed = Testbed(compiled_rule_storage=False, statement_cache_size=0)
+            testbed = Testbed(
+                compiled_rule_storage=False,
+                maintenance_policy=MaintenancePolicy(max_delete_fraction=0.5),
+            )
         with testbed:
             assert testbed.config.compiled_rule_storage is False
-            assert testbed.config.statement_cache_size == 0
+            assert testbed.maintenance_policy.max_delete_fraction == 0.5
             testbed.define("parent(ann, bob).")
             assert len(testbed.query("?- parent(ann, X).").rows) == 1
 
@@ -61,7 +61,7 @@ class TestLegacyKeywordForm:
 
     def test_mixing_config_and_keywords_raises(self):
         with pytest.raises(TypeError, match="not both"):
-            Testbed(TestbedConfig(), statement_cache_size=0)
+            Testbed(TestbedConfig(), compiled_rule_storage=False)
 
     def test_unknown_keyword_raises(self):
         with pytest.raises(TypeError, match="unknown Testbed keyword"):

@@ -1,8 +1,8 @@
 """Property tests: the recursive-CTE strategy computes the same answers.
 
 The CTE path changes the statement stream radically (one ``WITH RECURSIVE``
-statement instead of the whole iteration loop), so unlike the fast-path
-layer it makes no iteration-count promises — but the *answer set* must be
+statement instead of the whole iteration loop), so unlike the iterating
+strategies it makes no iteration-count promises — but the *answer set* must be
 identical to semi-naive evaluation on every workload, bound or unbound,
 optimized or not, including programs generated by :mod:`repro.workloads.rulegen`
 whose terminal predicate is exactly the linear ancestor shape the CTE

@@ -1,18 +1,28 @@
 """Property-based tests: every evaluation path computes the same relation.
 
 The strongest correctness argument in the suite: on random graphs and random
-query bindings, the three bottom-up SQL strategies, the magic-sets-rewritten
+query bindings, the bottom-up SQL strategies, the magic-sets-rewritten
 plans, the in-memory top-down evaluator, and plain graph reachability must
-all agree exactly.
+all agree exactly.  On the paper's four workload shapes (lists, full binary
+trees, layered DAGs, cyclic graphs) every strategy also takes a fixed number
+of LFP iterations.
 """
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import LfpStrategy, Testbed
 from repro.datalog.parser import parse_program, parse_query
+from repro.runtime.program import DEFAULT_STRATEGY
 from repro.runtime.topdown import evaluate_top_down
+from repro.workloads.relations import (
+    full_binary_trees,
+    lists,
+    random_cyclic_graph,
+    random_dag,
+)
 
 NODES = [f"n{i}" for i in range(7)]
 node = st.sampled_from(NODES)
@@ -119,3 +129,93 @@ class TestSameGenerationEquivalence:
             assert topdown == plain
         finally:
             tb.close()
+
+
+def top_down(edges, query):
+    """The independent oracle's answer to ``query`` over ``parent`` edges."""
+    return evaluate_top_down(
+        parse_program(ANCESTOR), {"parent": list(edges)}, parse_query(query)
+    )
+
+
+def run_query(edges, strategy, query="?- ancestor(X, Y)."):
+    """Rows and ``iterations_by_clique`` of one query on a fresh testbed."""
+    tb = fresh_testbed(edges)
+    try:
+        result = tb.query(query, strategy=strategy)
+        return set(result.rows), dict(result.execution.iterations_by_clique)
+    finally:
+        tb.close()
+
+
+WORKLOADS = {
+    "list": lambda: lists(2, 6),
+    "tree": lambda: full_binary_trees(1, 5),
+    "dag": lambda: random_dag(30, 5, seed=7),
+    "cyclic": lambda: random_cyclic_graph(30, 5, cycle_count=3, seed=7),
+}
+
+# LFP iterations of the unbound ancestor query per shape: the longest
+# shortest path plus the pass that finds nothing new.  The fused default
+# reports one statement per clique.
+ITERATIONS = {"list": 6, "tree": 5, "dag": 5, "cyclic": 6}
+
+STRATEGIES = [
+    LfpStrategy.NAIVE,
+    LfpStrategy.SEMINAIVE,
+    LfpStrategy.LFP_OPERATOR,
+    DEFAULT_STRATEGY,
+]
+
+
+class TestWorkloadShapes:
+    @pytest.mark.parametrize("shape", sorted(WORKLOADS))
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
+    def test_free_query_matches_top_down(self, shape, strategy):
+        edges = WORKLOADS[shape]().edges
+        rows, iterations = run_query(edges, strategy)
+        assert rows == top_down(edges, "?- ancestor(X, Y)."), shape
+        expected = 1 if strategy is DEFAULT_STRATEGY else ITERATIONS[shape]
+        assert iterations == {"ancestor": expected}, (shape, strategy)
+
+    @pytest.mark.parametrize("shape", sorted(WORKLOADS))
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
+    def test_bound_query_matches_top_down(self, shape, strategy):
+        relation = WORKLOADS[shape]()
+        query = f"?- ancestor('{sorted(relation.nodes)[0]}', Y)."
+        rows, __ = run_query(relation.edges, strategy, query)
+        assert rows == top_down(relation.edges, query), (shape, strategy)
+
+
+def longest_shortest_path(edges):
+    """Edges on the longest shortest path between two related nodes (a
+    node is related to itself through a cycle)."""
+    graph = nx.DiGraph(edges)
+    distances = dict(nx.all_pairs_shortest_path_length(graph))
+    longest = 0
+    for source in graph.nodes:
+        for target, length in distances[source].items():
+            if target == source:
+                cycles = [
+                    1 + distances[u][source]
+                    for __, u in graph.out_edges(source)
+                    if source in distances[u]
+                ]
+                length = min(cycles, default=0)
+            longest = max(longest, length)
+    return longest
+
+
+class TestRandomGraphIterations:
+    @given(graphs)
+    @settings(max_examples=25, deadline=None)
+    def test_iterating_strategies_agree_with_the_oracles(self, edges):
+        expected_rows = top_down(edges, "?- ancestor(X, Y).")
+        expected_iterations = longest_shortest_path(edges) + 1
+        for strategy in STRATEGIES[:3]:
+            rows, iterations = run_query(edges, strategy)
+            assert rows == expected_rows, (strategy, edges)
+            assert iterations == {"ancestor": expected_iterations}, (
+                strategy,
+                edges,
+            )

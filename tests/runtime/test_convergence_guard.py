@@ -12,10 +12,12 @@ import pytest
 
 import repro.runtime.naive
 from repro.errors import EvaluationError
-from repro.runtime.context import FastPathConfig
+from repro.runtime.context import EvaluationContext
 from repro.runtime.lfp import evaluate_clique_lfp_operator
 from repro.runtime.naive import evaluate_clique_naive
 from repro.runtime.seminaive import evaluate_clique_seminaive
+
+from .conftest import EDGES, closure_of
 
 STRATEGIES = [
     ("naive", evaluate_clique_naive),
@@ -40,21 +42,32 @@ def test_iteration_cap_raises(
     assert "anc" in message
 
 
+@pytest.mark.parametrize("in_transaction", [False, True])
 @pytest.mark.parametrize("name,evaluate", STRATEGIES)
-def test_iteration_cap_raises_with_fastpath(
-    monkeypatch, database, ancestor_clique, name, evaluate
+def test_cap_abort_then_same_database_converges(
+    monkeypatch, edge_context, ancestor_clique, name, evaluate, in_transaction
 ):
-    # The guard must also fire inside the batched fast-path iteration scope
-    # (the raise happens before a transaction opens, so nothing leaks).
-    from .conftest import EDGES, make_context
-
-    context = make_context(database, EDGES)
-    context.fastpath = FastPathConfig.enabled()
+    # The abort leaves the loop's scratch relations half-filled (or, inside
+    # a rolled-back transaction, gone); the next evaluation on the same
+    # handle must still reach the whole fixed point.
+    database = edge_context.database
     monkeypatch.setattr(repro.runtime.naive, "MAX_ITERATIONS", 2)
     with pytest.raises(EvaluationError):
-        evaluate(context, ancestor_clique)
-    # The database must remain usable after the abort.
-    assert database.execute("SELECT 1") == [(1,)]
+        if in_transaction:
+            with database.transaction():
+                evaluate(edge_context, ancestor_clique)
+        else:
+            evaluate(edge_context, ancestor_clique)
+    edge_context.cleanup()
+
+    monkeypatch.setattr(repro.runtime.naive, "MAX_ITERATIONS", 16)
+    context = EvaluationContext(
+        database,
+        {"edge": "t_edge"},
+        {"edge": ("TEXT", "TEXT"), "anc": ("TEXT", "TEXT")},
+    )
+    evaluate(context, ancestor_clique)
+    assert set(database.fetch_all(context.table_of("anc"))) == closure_of(EDGES)
 
 
 @pytest.mark.parametrize("name,evaluate", STRATEGIES)

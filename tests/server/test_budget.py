@@ -11,9 +11,12 @@ import time
 
 import pytest
 
+from repro.datalog.parser import parse_program, parse_query
+from repro.runtime.topdown import evaluate_top_down
 from repro.server import DkbClient, ServerError, SessionPool
 from repro.server.pool import RequestTimeout
 from repro.server.service import DkbServer, ServerConfig
+from repro.workloads.relations import full_binary_trees
 
 ANCESTOR_ALL = "?- ancestor(X, Y)."
 # ~100k rows of recursion: many thousands of VM steps, far past any 5 ms
@@ -75,3 +78,42 @@ def test_timed_out_session_leaves_nothing_armed(deep_dkb_path):
             # progress handler could stop it.
             assert database.observe(COUNT_RECURSIVELY) == [(100000,)]
             assert len(session.query(ANCESTOR_ALL).rows) > 10000
+
+
+def test_deadline_abort_mid_loop_then_the_session_answers(tmp_path, monkeypatch):
+    # Non-linear recursion cannot fuse, so the reader runs the semi-naive
+    # loop on its scratch relations.  The abort rolls the reader's
+    # transaction back, taking the scratch relations it created with it;
+    # the next query on the same session must re-create them.
+    rules = "tc(X, Y) :- parent(X, Y). tc(X, Y) :- tc(X, Z), tc(Z, Y)."
+    edges = full_binary_trees(1, 6).edges
+    query = "?- tc(X, Y)."
+    path = str(tmp_path / "tc.sqlite")
+    with SessionPool(path, readers=1) as pool:
+        pool.define(rules)
+        pool.load_facts("parent", edges)
+        with pool.reader() as session:
+            database = session.testbed.database
+            allocate = database.scratch_relation
+            loop_calls = []
+
+            def slow_third_iteration(name, types):
+                if name.startswith("seminaive_"):
+                    loop_calls.append(name)
+                    if len(loop_calls) == 3:
+                        time.sleep(0.6)  # the budget runs out mid-loop
+                return allocate(name, types)
+
+            monkeypatch.setattr(database, "scratch_relation", slow_third_iteration)
+            with pytest.raises(RequestTimeout):
+                session.query(query, timeout=0.5)
+            assert len(loop_calls) == 3
+            # The rollback took the loop's scratch relations with it.
+            assert not any(database.table_exists(name) for name in loop_calls)
+
+            result = session.query(query)
+    assert not result.cached
+    expected = evaluate_top_down(
+        parse_program(rules), {"parent": edges}, parse_query(query)
+    )
+    assert set(result.rows) == expected

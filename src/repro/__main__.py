@@ -11,8 +11,6 @@ Subcommands:
 * ``python -m repro serve ...`` — the concurrent query server
   (:mod:`repro.server.cli`);
 * ``python -m repro bench-serve ...`` — the server benchmarks;
-* ``python -m repro bench-adaptive ...`` — the SLO-watchdog adaptive
-  loop benchmark (detection/recovery time under injected degradation);
 * ``python -m repro cluster ...`` — the sharded multi-process cluster
   (:mod:`repro.cluster.cli`);
 * ``python -m repro bench-cluster ...`` — the cluster scaling benchmark;
@@ -44,10 +42,6 @@ def main(argv: "list[str] | None" = None) -> int:
         from .server.cli import bench_serve_main
 
         return bench_serve_main(arguments[1:])
-    if arguments and arguments[0] == "bench-adaptive":
-        from .server.cli import bench_adaptive_main
-
-        return bench_adaptive_main(arguments[1:])
     if arguments and arguments[0] == "cluster":
         from .cluster.cli import cluster_main
 

@@ -36,8 +36,8 @@ from typing import Any, BinaryIO, Optional
 
 from ..datalog.parser import parse_program
 from ..errors import ParseError, TestbedError
-from ..obs.metrics import MetricsRegistry
 from ..obs.live.exporter import MetricSample, MetricsExporter
+from ..obs.metrics import REQUEST_SECONDS_BUCKETS, MetricsRegistry
 from ..server.client import DkbClient, ServerError, StaleReplicaError
 from ..server.protocol import (
     PROTOCOL_VERSION,
@@ -205,9 +205,9 @@ class _RouterHandler(socketserver.StreamRequestHandler):
             router.metrics.counter("router.requests").inc()
             if not reply.get("ok"):
                 router.metrics.counter("router.errors").inc()
-            router.metrics.histogram("router.request_seconds").observe(
-                time.perf_counter() - started
-            )
+            router.metrics.histogram(
+                "router.request_seconds", REQUEST_SECONDS_BUCKETS
+            ).observe(time.perf_counter() - started)
             try:
                 wfile: BinaryIO = self.wfile
                 wfile.write(encode_message(reply))
@@ -244,6 +244,7 @@ class ClusterRouter:
         self._tcp = _RouterTcpServer((config.host, config.port), _RouterHandler)
         self._tcp.router = self
         self._thread: Optional[threading.Thread] = None
+        self._serving = False  # not-shared: set before any serve loop runs
         self.started_at = time.time()
         # The /metrics side port: the exporter's scrape threads share one
         # backend pool, serialized by a lock (scrapes are rare; one ping
@@ -268,12 +269,16 @@ class ClusterRouter:
                 "router.backend_failures",
             ):
                 self.metrics.counter(name)
-            self.exporter = (
-                MetricsExporter(config.host, config.metrics_port)
-                .add_source(self.metrics, {"role": "router"})
-                .add_collector(self._cluster_samples)
-                .start()
-            )
+            try:
+                self.exporter = (
+                    MetricsExporter(config.host, config.metrics_port)
+                    .add_source(self.metrics, {"role": "router"})
+                    .add_collector(self._cluster_samples)
+                    .start()
+                )
+            except BaseException:
+                self._tcp.server_close()  # do not leak the bound socket
+                raise
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -285,6 +290,7 @@ class ClusterRouter:
     def start(self) -> "ClusterRouter":
         if self._thread is not None:
             raise RuntimeError("router already started")
+        self._serving = True
         self._thread = threading.Thread(
             target=self._tcp.serve_forever,
             kwargs={"poll_interval": 0.05},
@@ -295,10 +301,14 @@ class ClusterRouter:
         return self
 
     def serve_forever(self) -> None:
+        self._serving = True
         self._tcp.serve_forever(poll_interval=0.05)
 
     def close(self) -> None:
-        self._tcp.shutdown()
+        # shutdown() waits for a running serve loop: only ask it of a
+        # router that was started.
+        if self._serving:
+            self._tcp.shutdown()
         self._tcp.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)

@@ -1,17 +1,12 @@
-"""Live observability: /metrics exporter, rolling windows, SLO watchdog.
+"""Live observability: the ``/metrics`` exporter.
 
 The offline obs layer (:mod:`repro.obs`) exports artifacts after a run;
-this package observes a *serving* system while it runs:
-
-* :mod:`repro.obs.live.exporter` — a Prometheus text-exposition
-  ``/metrics`` HTTP endpoint over one or more labeled
-  :class:`~repro.obs.metrics.MetricsRegistry` instances;
-* :mod:`repro.obs.live.timeseries` — a rolling in-memory store of
-  fixed-width windows (latency quantiles, throughput, cache hit rate,
-  shed rate, D/KB version advance) on bounded ring buffers;
-* :mod:`repro.obs.live.watchdog` — an SLO monitor evaluating
-  EWMA/threshold rules over the store and running reversible escalation
-  actions on breach.
+this package exposes a *serving* system's
+:class:`~repro.obs.metrics.MetricsRegistry` while it runs, as a
+Prometheus text-exposition ``/metrics`` HTTP endpoint over one or more
+labeled registries (:mod:`repro.obs.live.exporter`).  The registry is the
+only live instrument: windowed rates and quantiles are the scraper's job,
+computed from the cumulative counters and histogram buckets it exports.
 
 Like the rest of :mod:`repro.obs`, nothing here imports from
 :mod:`repro.dbms`, :mod:`repro.km`, or :mod:`repro.runtime` — the serving
@@ -25,26 +20,11 @@ from .exporter import (
     prometheus_name,
     render_metrics,
 )
-from .timeseries import (
-    DEFAULT_LATENCY_BUCKETS,
-    TimeSeriesStore,
-    WindowAggregate,
-    ewma,
-)
-from .watchdog import CallbackAction, SloRule, SloWatchdog, WatchdogEvent
 
 __all__ = [
-    "CallbackAction",
-    "DEFAULT_LATENCY_BUCKETS",
     "MetricSample",
     "MetricsExporter",
-    "SloRule",
-    "SloWatchdog",
-    "TimeSeriesStore",
-    "WatchdogEvent",
-    "WindowAggregate",
     "escape_label_value",
-    "ewma",
     "prometheus_name",
     "render_metrics",
 ]

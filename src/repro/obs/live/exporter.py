@@ -300,11 +300,12 @@ class MetricsExporter:
         return self
 
     def close(self) -> None:
-        self._http.shutdown()
-        self._http.server_close()
+        # shutdown() waits for the serve loop: only ask it of a started one.
         if self._thread is not None:
+            self._http.shutdown()
             self._thread.join(timeout=5.0)
             self._thread = None
+        self._http.server_close()
 
     def __enter__(self) -> "MetricsExporter":
         return self.start()

@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_SECONDS_BUCKETS"]
+__all__ = [
+    "Counter",
+    "Gauge",
+    "Histogram",
+    "MetricsRegistry",
+    "DEFAULT_SECONDS_BUCKETS",
+    "REQUEST_SECONDS_BUCKETS",
+]
 
 # Upper bounds (seconds) sized for SQLite statement latencies.
 DEFAULT_SECONDS_BUCKETS: tuple[float, ...] = (
@@ -22,6 +29,31 @@ DEFAULT_SECONDS_BUCKETS: tuple[float, ...] = (
     1e-1,
     1.0,
     10.0,
+)
+
+# Upper bounds (seconds) sized for served requests, 0.1 ms to 30 s in
+# 1/2.5/5 steps: a result-cache hit takes about 0.3 ms, so the decades of
+# DEFAULT_SECONDS_BUCKETS would put every hit in one bucket.  A scraper
+# derives windowed quantiles from these, e.g.
+# ``histogram_quantile(0.95, rate(server_request_seconds_bucket[5s]))``.
+REQUEST_SECONDS_BUCKETS: tuple[float, ...] = (
+    0.0001,
+    0.00025,
+    0.0005,
+    0.001,
+    0.0025,
+    0.005,
+    0.01,
+    0.025,
+    0.05,
+    0.1,
+    0.25,
+    0.5,
+    1.0,
+    2.5,
+    5.0,
+    10.0,
+    30.0,
 )
 
 
@@ -78,38 +110,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def quantile(self, fraction: float) -> float:
-        """Estimate the ``fraction`` (0..1) quantile from the buckets.
-
-        Standard cumulative-bucket estimation (the Prometheus
-        ``histogram_quantile`` rule): find the first bucket whose
-        cumulative count reaches ``fraction * count``, then interpolate
-        linearly between the bucket's lower and upper bound assuming the
-        observations inside it are uniform.  The overflow bucket has no
-        upper bound, so a quantile landing there reports the largest
-        finite bound — a deliberate underestimate rather than a guess.
-
-        Returns 0.0 for an empty histogram.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        if not self.count:
-            return 0.0
-        target = fraction * self.count
-        cumulative = 0
-        for index, bound in enumerate(self.bounds):
-            in_bucket = self.bucket_counts[index]
-            if not in_bucket:
-                cumulative += in_bucket
-                continue
-            if cumulative + in_bucket >= target:
-                lower = self.bounds[index - 1] if index else 0.0
-                position = max(0.0, target - cumulative) / in_bucket
-                return lower + (bound - lower) * min(1.0, position)
-            cumulative += in_bucket
-        # Landed in the overflow bucket.
-        return self.bounds[-1] if self.bounds else 0.0
 
 
 class MetricsRegistry:

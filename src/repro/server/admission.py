@@ -56,8 +56,8 @@ class AdmissionController:
             raise ValueError(f"slots must be positive, got {slots}")
         if max_waiters < 0:
             raise ValueError(f"max_waiters must be >= 0, got {max_waiters}")
-        self.slots = slots  # guarded-by: _lock
-        self.max_waiters = max_waiters  # guarded-by: _lock
+        self.slots = slots  # not-shared: fixed at construction
+        self.max_waiters = max_waiters  # not-shared: fixed at construction
         self.default_timeout = default_timeout
         # Mirror the outcome counters into the shared registry at the
         # moment they happen, so the /metrics exporter sees admission
@@ -156,37 +156,6 @@ class AdmissionController:
         with self._lock:
             self.rejected_timeout += 1
             self._count("server.admission.rejected_timeout")
-
-    def resize(
-        self,
-        slots: Optional[int] = None,
-        max_waiters: Optional[int] = None,
-    ) -> tuple[int, int]:
-        """Change the concurrency limits of a live controller.
-
-        The SLO watchdog's tighten/relax action: shrinking ``max_waiters``
-        sheds earlier (overload protection), shrinking ``slots`` drains
-        naturally — holders finish, new admissions wait until the in-use
-        count is under the new bound.  Growing either wakes every waiter
-        so newly legal admissions happen immediately.
-
-        Returns the previous ``(slots, max_waiters)`` pair so the caller
-        can restore it on recovery.
-        """
-        if slots is not None and slots <= 0:
-            raise ValueError(f"slots must be positive, got {slots}")
-        if max_waiters is not None and max_waiters < 0:
-            raise ValueError(f"max_waiters must be >= 0, got {max_waiters}")
-        with self._lock:
-            previous = (self.slots, self.max_waiters)
-            if slots is not None:
-                grew = slots > self.slots
-                self.slots = slots
-                if grew:
-                    self._free.notify_all()
-            if max_waiters is not None:
-                self.max_waiters = max_waiters
-            return previous
 
     @contextmanager
     def admit(self, timeout: float | None = None) -> Iterator[None]:

@@ -67,41 +67,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="serve Prometheus /metrics on this side port (0 = ephemeral; "
         "omit for no exporter and zero serving overhead)",
     )
-    watchdog = parser.add_argument_group("SLO watchdog")
-    watchdog.add_argument(
-        "--watchdog",
-        action="store_true",
-        help="run the SLO watchdog: on breach escalate tracing and tighten "
-        "admission — both reverted on recovery",
-    )
-    watchdog.add_argument(
-        "--slo-p95-ms",
-        type=float,
-        default=250.0,
-        metavar="MS",
-        help="latency SLO: breach when windowed p95 exceeds MS "
-        "(default: 250)",
-    )
-    watchdog.add_argument(
-        "--slo-cache-hit-rate",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="cache SLO: breach when the windowed hit rate falls below "
-        "FRACTION (default: off)",
-    )
-    watchdog.add_argument(
-        "--slo-window",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="time-series window width in seconds (default: 5)",
-    )
     return parser
 
 
 def serve_main(argv: "list[str] | None" = None) -> int:
-    from ..server.service import DkbServer, ServerConfig, WatchdogConfig
+    from ..server.service import DkbServer, ServerConfig
 
     arguments = build_serve_parser().parse_args(argv)
     if arguments.demo_depth:
@@ -112,13 +82,6 @@ def serve_main(argv: "list[str] | None" = None) -> int:
             f"seeded ancestor demo D/KB (tree depth {arguments.demo_depth}) "
             f"into {arguments.db}"
         )
-    watchdog = None
-    if arguments.watchdog:
-        watchdog = WatchdogConfig(
-            window_seconds=arguments.slo_window,
-            p95_ms=arguments.slo_p95_ms,
-            cache_hit_rate=arguments.slo_cache_hit_rate,
-        )
     config = ServerConfig(
         path=arguments.db,
         host=arguments.host,
@@ -128,7 +91,6 @@ def serve_main(argv: "list[str] | None" = None) -> int:
         request_timeout=arguments.request_timeout,
         trace=arguments.trace,
         metrics_port=arguments.metrics_port,
-        watchdog=watchdog,
     )
     server = DkbServer(config)
     host, port = server.address
@@ -139,11 +101,6 @@ def serve_main(argv: "list[str] | None" = None) -> int:
     if server.exporter is not None:
         mhost, mport = server.exporter.address
         print(f"metrics: http://{mhost}:{mport}/metrics")
-    if server.watchdog is not None:
-        print(
-            f"watchdog: p95<{arguments.slo_p95_ms}ms over "
-            f"{arguments.slo_window}s windows"
-        )
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -239,97 +196,6 @@ def bench_serve_main(argv: "list[str] | None" = None) -> int:
         failures.append("result cache never hit during the scaling run")
     if cache.hits == 0:
         failures.append("cache A/B recorded no hits")
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    return 1 if failures else 0
-
-
-def build_bench_adaptive_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro bench-adaptive",
-        description="Run the adaptive-serving loop: steady traffic, "
-        "injected degradation (cold cache + unbound deep recursion), then "
-        "recovery — measuring how fast the SLO watchdog detects, adapts, "
-        "and de-escalates.",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small tree, short phases (for smoke tests and CI)",
-    )
-    parser.add_argument(
-        "--clients", type=int, default=4, help="closed-loop clients (default: 4)"
-    )
-    parser.add_argument(
-        "--interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="watchdog window width (default: 0.5, quick: 0.4)",
-    )
-    parser.add_argument(
-        "--slo-p95-ms",
-        type=float,
-        default=25.0,
-        metavar="MS",
-        help="the latency objective the degradation must breach "
-        "(default: 25)",
-    )
-    parser.add_argument(
-        "--report",
-        metavar="DIR",
-        default=None,
-        help="write BENCH_adaptive.json into DIR",
-    )
-    return parser
-
-
-def bench_adaptive_main(argv: "list[str] | None" = None) -> int:
-    import os
-
-    from ..bench.adaptive import format_adaptive_loop, run_adaptive_loop
-    from ..bench.reporting import write_bench_json
-
-    arguments = build_bench_adaptive_parser().parse_args(argv)
-    depth = 6 if arguments.quick else 7
-    window = arguments.interval or (0.4 if arguments.quick else 0.5)
-    result = run_adaptive_loop(
-        depth=depth,
-        window_seconds=window,
-        clients=arguments.clients,
-        degraded_windows=6 if arguments.quick else 8,
-        recovery_windows=10 if arguments.quick else 12,
-        p95_threshold_ms=arguments.slo_p95_ms,
-    )
-    print("Adaptive serving loop (SLO watchdog under injected degradation):")
-    print(format_adaptive_loop(result))
-
-    if arguments.report:
-        os.makedirs(arguments.report, exist_ok=True)
-        print()
-        print(
-            write_bench_json(
-                os.path.join(arguments.report, "BENCH_adaptive.json"),
-                "adaptive_loop",
-                [result],
-                depth=depth,
-                clients=arguments.clients,
-            )
-        )
-
-    failures = []
-    if not result.detected:
-        failures.append("the watchdog never detected the injected breach")
-    elif result.detection_windows is not None and result.detection_windows > 3:
-        failures.append(
-            f"detection took {result.detection_windows} windows (> 3)"
-        )
-    if result.detected and not result.breach_actions:
-        failures.append("the breach applied no serving escalations")
-    if not result.recovered:
-        failures.append("the watchdog never recovered after the degradation")
-    if not result.restored:
-        failures.append("escalations were not reverted by the end of the run")
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0

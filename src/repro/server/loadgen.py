@@ -74,11 +74,6 @@ class LoadgenReport:
     #: successful requests per target address ("host:port"), for runs that
     #: spread clients over several targets (router vs direct-shard A/B).
     by_target: dict[str, int] = field(default_factory=dict)
-    #: per-interval breakdown (``interval`` runs only): one dict per
-    #: elapsed window with start offset, requests, throughput, latency
-    #: quantiles, and cache hits — how throughput/latency *moved* during
-    #: the run, which is what the adaptive bench plots.
-    windows: list[dict[str, float]] = field(default_factory=list)
 
     @property
     def cache_hit_fraction(self) -> float:
@@ -87,7 +82,7 @@ class LoadgenReport:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly form for bench reports and the CLI."""
-        payload = {
+        return {
             "clients": self.clients,
             "duration_seconds": self.duration_seconds,
             "requests": self.requests,
@@ -99,9 +94,6 @@ class LoadgenReport:
             "latency_ms": dict(self.latency_ms),
             "by_target": dict(self.by_target),
         }
-        if self.windows:
-            payload["windows"] = [dict(window) for window in self.windows]
-        return payload
 
 
 def _normalize(spec: QuerySpec) -> dict[str, Any]:
@@ -118,18 +110,10 @@ def _client_loop(
     reconnect_every: int,
     connect_timeout: float,
     out: Any,
-    epoch: Optional[float] = None,
 ) -> None:
-    """One closed-loop client; must stay module-level for process fork/spawn.
-
-    ``epoch`` (a parent-captured ``time.monotonic()`` value) turns on
-    per-sample timestamping for windowed reports: CLOCK_MONOTONIC is
-    system-wide, so offsets computed in forked workers line up with the
-    parent's windows.
-    """
+    """One closed-loop client; must stay module-level for process fork/spawn."""
     deadline = time.monotonic() + duration
     latencies: list[float] = []
-    samples: list[tuple[float, float, bool]] = []
     requests = errors = busy = cached = 0
     position = worker_id  # stagger which query each client starts on
     while time.monotonic() < deadline:
@@ -145,13 +129,8 @@ def _client_loop(
                     elapsed = time.perf_counter() - started
                     latencies.append(elapsed)
                     requests += 1
-                    hit = bool(reply.get("cached"))
-                    if hit:
+                    if reply.get("cached"):
                         cached += 1
-                    if epoch is not None:
-                        samples.append(
-                            (time.monotonic() - epoch, elapsed, hit)
-                        )
                     if think_time:
                         time.sleep(think_time)
         except ServerError as error:
@@ -170,46 +149,9 @@ def _client_loop(
             "busy": busy,
             "cached": cached,
             "latencies": latencies,
-            "samples": samples,
             "target": f"{host}:{port}",
         }
     )
-
-
-def _window_rows(
-    samples: "list[tuple[float, float, bool]]", interval: float
-) -> "list[dict[str, float]]":
-    """Bucket timestamped samples into tumbling ``interval``-wide windows."""
-    if not samples:
-        return []
-    buckets: dict[int, list[tuple[float, bool]]] = {}
-    for offset, latency, hit in samples:
-        buckets.setdefault(int(offset // interval), []).append((latency, hit))
-    rows: list[dict[str, float]] = []
-    for index in range(max(buckets) + 1):
-        entries = buckets.get(index, [])
-        window_latencies = [latency for latency, _ in entries]
-        hits = sum(1 for _, hit in entries if hit)
-        rows.append(
-            {
-                "start_seconds": round(index * interval, 6),
-                "requests": len(entries),
-                "throughput_rps": len(entries) / interval,
-                "cached": hits,
-                "cache_hit_fraction": (
-                    hits / len(entries) if entries else 0.0
-                ),
-                "mean_ms": (
-                    sum(window_latencies) / len(window_latencies) * 1000.0
-                    if window_latencies
-                    else 0.0
-                ),
-                "p50_ms": percentile(window_latencies, 0.50) * 1000.0,
-                "p95_ms": percentile(window_latencies, 0.95) * 1000.0,
-                "p99_ms": percentile(window_latencies, 0.99) * 1000.0,
-            }
-        )
-    return rows
 
 
 def run_loadgen(
@@ -223,7 +165,6 @@ def run_loadgen(
     connect_timeout: float = 30.0,
     use_processes: Optional[bool] = None,
     targets: Optional[Sequence[Target]] = None,
-    interval: Optional[float] = None,
 ) -> LoadgenReport:
     """Drive one or more servers with ``clients`` closed-loop clients.
 
@@ -244,18 +185,12 @@ def run_loadgen(
             identical population over a router and its shards for an A/B
             comparison.  ``LoadgenReport.by_target`` breaks the successful
             requests down per address.
-        interval: also report per-interval windows of that many seconds
-            (``LoadgenReport.windows``): throughput, latency quantiles,
-            and cache hits per elapsed window — the during-the-run view
-            the adaptive bench needs.
 
     Returns:
         The aggregated :class:`LoadgenReport`.
     """
     if not queries:
         raise ValueError("queries must be non-empty")
-    if interval is not None and interval <= 0:
-        raise ValueError(f"interval must be positive, got {interval}")
     if clients <= 0:
         raise ValueError(f"clients must be positive, got {clients}")
     if targets:
@@ -270,13 +205,11 @@ def run_loadgen(
     if use_processes is None:
         use_processes = "fork" in multiprocessing.get_all_start_methods()
 
-    epoch = time.monotonic() if interval is not None else None
-
     def worker_args(index: int) -> tuple:
         target_host, target_port = addresses[index % len(addresses)]
         return (
             target_host, target_port, index, duration, think_time,
-            normalized, reconnect_every, connect_timeout, out, epoch,
+            normalized, reconnect_every, connect_timeout, out,
         )
 
     out: Any
@@ -313,7 +246,7 @@ def run_loadgen(
     for result in results:
         address = result["target"]
         by_target[address] = by_target.get(address, 0) + result["requests"]
-    report = LoadgenReport(
+    return LoadgenReport(
         clients=clients,
         duration_seconds=elapsed,
         requests=requests,
@@ -331,11 +264,3 @@ def run_loadgen(
         },
         by_target=by_target,
     )
-    if interval is not None:
-        samples = [
-            tuple(sample)
-            for result in results
-            for sample in result.get("samples", ())
-        ]
-        report.windows = _window_rows(samples, interval)
-    return report

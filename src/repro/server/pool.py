@@ -167,7 +167,6 @@ class ReaderSession:
         key = str(parsed)
         cache = self.pool.cache if use_cache else None
         database = self.testbed.database
-        self._sync_tracing()
         started = time.perf_counter()
         if cache is not None:
             version = self.committed_version()
@@ -215,19 +214,6 @@ class ReaderSession:
         in-flight write.  On a replica it is the replicated version.
         """
         return read_version(self.testbed.database)
-
-    def _sync_tracing(self) -> None:
-        """Match this session's tracer to the pool's escalation state.
-
-        Runs at the top of each query, when the session is owned by one
-        connection and no statement is in flight on it — the only safe
-        moment to swap the tracer of a live session.
-        """
-        wanted = self.pool.tracing_wanted()
-        if wanted and self.testbed.tracer is None:
-            self.testbed.enable_tracing()
-        elif not wanted and self.testbed.tracer is not None:
-            self.testbed.disable_tracing()
 
     def lint(self, query: Optional[str] = None) -> DiagnosticReport:
         """Static-analysis report over the stored rule base (collect-all)."""
@@ -284,15 +270,6 @@ class SessionPool:
             default_timeout=session_timeout,
             metrics=self.metrics,
         )
-        # Tracing escalation (the SLO watchdog's diagnostic mode): a count
-        # of outstanding escalations rather than a flag, so overlapping
-        # escalate/restore pairs from independent watchdog rules compose.
-        # Sessions apply the desired state lazily at query time — a session
-        # is owned by exactly one connection while checked out, so the
-        # enable/disable happens with no query in flight on it.
-        self._trace_baseline = trace  # not-shared: fixed at construction
-        self._trace_escalations = 0  # guarded-by: _trace_lock
-        self._trace_lock = threading.Lock()
         self._writer_lock = threading.Lock()  # serializes: one writer transaction at a time is the point
         self._closed = False  # not-shared: close() runs after request traffic stops
         self._written = threading.local()  # not-shared: per-thread by construction
@@ -339,27 +316,6 @@ class SessionPool:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    # -- tracing escalation ------------------------------------------------
-
-    def escalate_tracing(self) -> int:
-        """One more caller wants diagnostic tracing; returns the count."""
-        with self._trace_lock:
-            self._trace_escalations += 1
-            return self._trace_escalations
-
-    def restore_tracing(self) -> int:
-        """One escalation released; tracing stays on while any remain."""
-        with self._trace_lock:
-            self._trace_escalations = max(0, self._trace_escalations - 1)
-            return self._trace_escalations
-
-    def tracing_wanted(self) -> bool:
-        """Should sessions trace right now (baseline or escalated)?"""
-        if self._trace_baseline:
-            return True
-        with self._trace_lock:
-            return self._trace_escalations > 0
 
     # -- versioning --------------------------------------------------------
 

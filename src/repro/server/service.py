@@ -17,16 +17,15 @@ from __future__ import annotations
 import socketserver
 import threading
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, BinaryIO, Optional
 
 from ..errors import ParseError, TestbedError
 from ..km.partition import PartitionSpec
 from ..km.policy import DEFAULT_OPTIMIZE
-from ..obs.metrics import MetricsRegistry
 from ..obs.live.exporter import MetricsExporter
-from ..obs.live.timeseries import TimeSeriesStore
-from ..obs.live.watchdog import CallbackAction, SloRule, SloWatchdog
+from ..obs.metrics import REQUEST_SECONDS_BUCKETS, MetricsRegistry
 from ..runtime.program import DEFAULT_STRATEGY, LfpStrategy
 from .admission import AdmissionError
 from .cache import VersionedResultCache
@@ -41,42 +40,6 @@ from .protocol import (
     ok_reply,
     validate_request,
 )
-
-
-@dataclass(frozen=True)
-class WatchdogConfig:
-    """The SLO watchdog's rules and escalation levers for one server.
-
-    Two built-in rules (each disabled by passing ``None``):
-
-    * **latency**: breach when the EWMA of per-window p95 request latency
-      exceeds ``p95_ms`` milliseconds;
-    * **cache**: breach when the EWMA of the per-window result-cache hit
-      rate falls below ``cache_hit_rate``.
-
-    Escalations on a latency breach (each individually reversible, all
-    reverted on recovery): ``escalate_tracing`` turns structured tracing
-    on across the pool's sessions (diagnostic mode), and
-    ``tighten_waiters`` shrinks the admission wait queue to shed earlier.
-    A cache breach escalates tracing only — a cold cache is a thing to
-    diagnose, not to shed over.
-
-    ``auto_start`` runs the evaluation loop on a background thread once
-    per window; benches and deterministic tests pass ``False`` and drive
-    :meth:`~repro.obs.live.watchdog.SloWatchdog.tick` themselves.
-    """
-
-    window_seconds: float = 5.0
-    capacity: int = 120
-    p95_ms: Optional[float] = 250.0
-    cache_hit_rate: Optional[float] = None
-    breach_windows: int = 2
-    recover_windows: int = 2
-    alpha: float = 0.5
-    min_requests: int = 1
-    escalate_tracing: bool = True
-    tighten_waiters: Optional[int] = 2
-    auto_start: bool = True
 
 
 @dataclass(frozen=True)
@@ -118,10 +81,6 @@ class ServerConfig:
         metrics_port: serve Prometheus ``/metrics`` on this side port
             (``0`` = ephemeral; ``None`` = no exporter, no HTTP listener,
             zero added work on the serving path).
-        watchdog: SLO monitoring + adaptive escalation configuration
-            (``None`` = off).  Enabling either ``metrics_port`` or
-            ``watchdog`` also turns on the rolling time-series store fed
-            by per-request spans.
     """
 
     path: str
@@ -139,7 +98,6 @@ class ServerConfig:
     leader: Optional[tuple[str, int]] = None
     replication_poll: float = 0.25
     metrics_port: Optional[int] = None
-    watchdog: Optional[WatchdogConfig] = None
 
     pool_kwargs: dict[str, Any] = field(default_factory=dict, compare=False)
 
@@ -211,9 +169,9 @@ class _Handler(socketserver.StreamRequestHandler):
             dkb.metrics.counter("server.requests").inc()
             if not reply.get("ok"):
                 dkb.metrics.counter("server.errors").inc()
-            dkb.metrics.histogram("server.request_seconds").observe(elapsed)
-            if dkb.timeseries is not None:
-                dkb.record_span(reply, elapsed)
+            dkb.metrics.histogram(
+                "server.request_seconds", REQUEST_SECONDS_BUCKETS
+            ).observe(elapsed)
             if not self._send(reply):
                 return
 
@@ -249,47 +207,50 @@ class DkbServer:
             if config.cache_size > 0
             else None
         )
-        self.pool = SessionPool(
-            config.path,
-            readers=config.readers,
-            max_waiters=config.max_waiters,
-            session_timeout=config.session_timeout,
-            cache=self.cache,
-            metrics=self.metrics,
-            trace=config.trace,
-            partition=config.partition,
-            shard_index=config.shard_id,
-            **config.pool_kwargs,
-        )
-        # Live observability: the time-series store exists whenever
-        # something consumes it (the exporter or the watchdog); otherwise
-        # the serving path pays exactly one `is not None` test per request.
-        self.timeseries: Optional[TimeSeriesStore] = None
         self.exporter: Optional[MetricsExporter] = None
-        self.watchdog: Optional[SloWatchdog] = None
-        window = config.watchdog or WatchdogConfig()
-        if config.metrics_port is not None or config.watchdog is not None:
-            self.timeseries = TimeSeriesStore(
-                window_seconds=window.window_seconds,
-                capacity=window.capacity,
-            )
-        if config.watchdog is not None:
-            assert self.timeseries is not None  # created just above
-            self.watchdog = SloWatchdog(
-                self.timeseries, self._watchdog_rules(config.watchdog)
-            )
-            if config.watchdog.auto_start:
-                self.watchdog.start()
-        if config.metrics_port is not None:
-            self.exporter = (
-                MetricsExporter(config.host, config.metrics_port)
-                .add_source(self.metrics, self._identity())
-                .add_refresher(self._refresh_gauges)
-                .start()
-            )
-        self._tcp = _TcpServer((config.host, config.port), _Handler)
-        self._tcp.dkb = self
         self._thread: Optional[threading.Thread] = None
+        self._serving = False  # not-shared: set before any serve loop runs
+        # Bind first; if anything after the bind fails, close what was
+        # opened (socket, pool, exporter thread) before re-raising.
+        with ExitStack() as opened:
+            self._tcp = _TcpServer((config.host, config.port), _Handler)
+            opened.callback(self._tcp.server_close)
+            self._tcp.dkb = self
+            self.pool = SessionPool(
+                config.path,
+                readers=config.readers,
+                max_waiters=config.max_waiters,
+                session_timeout=config.session_timeout,
+                cache=self.cache,
+                metrics=self.metrics,
+                trace=config.trace,
+                partition=config.partition,
+                shard_index=config.shard_id,
+                **config.pool_kwargs,
+            )
+            opened.callback(self.pool.close)
+            if config.metrics_port is not None:
+                # Touch the lazily-created series so the first scrape shows
+                # each one at zero: a scraper's rate() over a series that
+                # first appears at 1 never counts that first increment.
+                for name in (
+                    "server.requests",
+                    "server.errors",
+                    "server.busy",
+                    "server.cache.hits",
+                    "server.cache.misses",
+                ):
+                    self.metrics.counter(name)
+                self.metrics.histogram(
+                    "server.request_seconds", REQUEST_SECONDS_BUCKETS
+                )
+                self.exporter = (
+                    MetricsExporter(config.host, config.metrics_port)
+                    .add_source(self.metrics, self._identity())
+                    .add_refresher(self._refresh_gauges)
+                    .start()
+                )
+            opened.pop_all()
         self.started_at = time.time()
 
     # -- lifecycle ---------------------------------------------------------
@@ -304,6 +265,7 @@ class DkbServer:
         """Serve in a background thread; returns self for chaining."""
         if self._thread is not None:
             raise RuntimeError("server already started")
+        self._serving = True
         self._thread = threading.Thread(
             target=self._tcp.serve_forever,
             kwargs={"poll_interval": 0.05},
@@ -315,17 +277,22 @@ class DkbServer:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread (for ``python -m repro serve``)."""
+        self._serving = True
         self._tcp.serve_forever(poll_interval=0.05)
 
     def close(self) -> None:
-        """Stop accepting, join the serve thread, close the pool."""
-        self._tcp.shutdown()
+        """Stop accepting, join the serve thread, close the pool.
+
+        ``shutdown()`` waits for a running serve loop, so it is only asked
+        of a server that was started: closing one that never served
+        returns at once.
+        """
+        if self._serving:
+            self._tcp.shutdown()
         self._tcp.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-        if self.watchdog is not None:
-            self.watchdog.close()  # reverts any escalation still applied
         if self.exporter is not None:
             self.exporter.close()
         self.pool.close()
@@ -335,99 +302,6 @@ class DkbServer:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    # -- live observability ------------------------------------------------
-
-    def record_span(self, reply: dict[str, Any], elapsed: float) -> None:
-        """Feed one finished request into the rolling time-series store."""
-        store = self.timeseries
-        if store is None:  # pragma: no cover - callers check first
-            return
-        ok = bool(reply.get("ok"))
-        code = "" if ok else str(reply.get("error", {}).get("code", ""))
-        shed = code in ("SERVER_BUSY", "TIMEOUT")
-        store.record_request(
-            elapsed,
-            cached=bool(reply.get("cached")),
-            error=not ok and not shed,
-            shed=shed,
-        )
-        version = reply.get("version")
-        if isinstance(version, int):
-            store.record_version(version)
-
-    def _watchdog_rules(
-        self, config: WatchdogConfig
-    ) -> "list[tuple[SloRule, list[CallbackAction]]]":
-        """The built-in SLO rules wired to this server's levers."""
-        rules: list[tuple[SloRule, list[CallbackAction]]] = []
-        if config.p95_ms is not None:
-            actions: list[CallbackAction] = []
-            if config.escalate_tracing:
-                actions.append(self._tracing_action())
-            if config.tighten_waiters is not None:
-                actions.append(self._admission_action(config.tighten_waiters))
-            rules.append(
-                (
-                    SloRule(
-                        "p95_latency",
-                        "p95_ms",
-                        config.p95_ms,
-                        direction="gt",
-                        breach_windows=config.breach_windows,
-                        recover_windows=config.recover_windows,
-                        alpha=config.alpha,
-                        min_requests=config.min_requests,
-                    ),
-                    actions,
-                )
-            )
-        if config.cache_hit_rate is not None:
-            cache_actions = (
-                [self._tracing_action()] if config.escalate_tracing else []
-            )
-            rules.append(
-                (
-                    SloRule(
-                        "cache_hit_rate",
-                        "cache_hit_rate",
-                        config.cache_hit_rate,
-                        direction="lt",
-                        breach_windows=config.breach_windows,
-                        recover_windows=config.recover_windows,
-                        alpha=config.alpha,
-                        min_requests=config.min_requests,
-                    ),
-                    cache_actions,
-                )
-            )
-        return rules
-
-    def _tracing_action(self) -> CallbackAction:
-        """Escalate/restore structured tracing on the pool's sessions."""
-
-        def apply() -> str:
-            self.pool.escalate_tracing()
-            self.metrics.counter("server.watchdog.trace_escalations").inc()
-            return "tracing escalated"
-
-        return CallbackAction("escalate_tracing", apply, self.pool.restore_tracing)
-
-    def _admission_action(self, waiters: int) -> CallbackAction:
-        """Tighten the admission wait queue; restore the old bound after."""
-        previous: list[tuple[int, int]] = []
-
-        def apply() -> str:
-            previous.append(self.pool.admission.resize(max_waiters=waiters))
-            self.metrics.counter("server.watchdog.admission_tightenings").inc()
-            return f"admission max_waiters -> {waiters}"
-
-        def revert() -> None:
-            if previous:
-                _, max_waiters = previous.pop()
-                self.pool.admission.resize(max_waiters=max_waiters)
-
-        return CallbackAction("tighten_admission", apply, revert)
 
     def _refresh_gauges(self) -> None:
         """Pre-scrape hook: mirror point-in-time state into gauges."""
@@ -445,27 +319,6 @@ class DkbServer:
             float(admission["max_waiters"] or 0)
         )
         self.metrics.gauge("server.dkb_version").set(float(self.pool.version()))
-        store = self.timeseries
-        if store is not None:
-            latest = store.latest()
-            if latest is not None:
-                for stat in (
-                    "throughput",
-                    "p50_ms",
-                    "p95_ms",
-                    "p99_ms",
-                    "cache_hit_rate",
-                    "shed_rate",
-                    "error_rate",
-                    "version_advance",
-                ):
-                    self.metrics.gauge(f"server.window.{stat}").set(
-                        latest.stat(stat)
-                    )
-        if self.watchdog is not None:
-            self.metrics.gauge("server.watchdog.breached").set(
-                float(len(self.watchdog.breached_rules()))
-            )
 
     # -- request dispatch --------------------------------------------------
 
@@ -649,10 +502,6 @@ class DkbServer:
             "metrics": self.metrics.snapshot(),
             **self._identity(),
         }
-        if self.timeseries is not None:
-            payload["windows"] = self.timeseries.snapshot()
-        if self.watchdog is not None:
-            payload["watchdog"] = self.watchdog.snapshot()
         if self.exporter is not None:
             payload["metrics_address"] = list(self.exporter.address)
         return payload

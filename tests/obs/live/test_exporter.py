@@ -1,6 +1,7 @@
 """Tests for the Prometheus text-exposition renderer and HTTP exporter."""
 
 import re
+import threading
 import urllib.error
 import urllib.request
 
@@ -205,3 +206,10 @@ class TestHttpExporter:
                 exporter.start()
         finally:
             exporter.close()
+
+    def test_close_without_start_returns(self):
+        exporter = MetricsExporter(port=0)
+        closer = threading.Thread(target=exporter.close, daemon=True)
+        closer.start()
+        closer.join(2.0)
+        assert not closer.is_alive()

@@ -37,52 +37,6 @@ class TestHistogram:
         assert Histogram("h").mean == 0.0
 
 
-class TestHistogramQuantile:
-    def test_empty_histogram_quantile_is_zero(self):
-        assert Histogram("h").quantile(0.95) == 0.0
-
-    def test_quantile_rejects_out_of_range_fractions(self):
-        histogram = Histogram("h")
-        with pytest.raises(ValueError):
-            histogram.quantile(-0.1)
-        with pytest.raises(ValueError):
-            histogram.quantile(1.5)
-
-    def test_uniform_observations_interpolate_within_bucket(self):
-        # 100 observations spread over (0, 10]; the estimator only knows
-        # the bucket counts, so quantiles interpolate linearly inside the
-        # bucket holding the target rank.
-        histogram = Histogram("h", bounds=(2.0, 4.0, 6.0, 8.0, 10.0))
-        for index in range(100):
-            histogram.observe((index + 0.5) / 10.0)
-        assert histogram.quantile(0.50) == pytest.approx(5.0, abs=0.3)
-        assert histogram.quantile(0.95) == pytest.approx(9.5, abs=0.3)
-        assert histogram.quantile(0.99) == pytest.approx(9.9, abs=0.3)
-
-    def test_quantile_is_monotone_in_fraction(self):
-        histogram = Histogram("h", bounds=(0.001, 0.01, 0.1, 1.0))
-        for value in (0.0005, 0.002, 0.003, 0.05, 0.5, 0.9):
-            histogram.observe(value)
-        fractions = [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0]
-        estimates = [histogram.quantile(f) for f in fractions]
-        assert estimates == sorted(estimates)
-
-    def test_overflow_bucket_reports_last_bound(self):
-        # Everything above the top bound is unbounded: the estimator
-        # cannot interpolate there, so it reports the last finite bound.
-        histogram = Histogram("h", bounds=(1.0, 2.0))
-        for _ in range(10):
-            histogram.observe(100.0)
-        assert histogram.quantile(0.95) == 2.0
-
-    def test_single_bucket_all_samples(self):
-        histogram = Histogram("h", bounds=(1.0, 2.0, 3.0))
-        for _ in range(8):
-            histogram.observe(1.5)
-        estimate = histogram.quantile(0.5)
-        assert 1.0 <= estimate <= 2.0
-
-
 class TestMetricsRegistry:
     def test_get_or_create_is_idempotent(self):
         registry = MetricsRegistry()

@@ -6,7 +6,6 @@ import pytest
 
 from repro.server import DkbClient
 from repro.server.loadgen import (
-    _window_rows,
     parse_target,
     percentile,
     run_loadgen,
@@ -106,79 +105,6 @@ class TestRunLoadgenArguments:
     def test_host_and_port_required_without_targets(self):
         with pytest.raises(ValueError):
             run_loadgen(queries=["?- p(X)."])
-
-    def test_interval_must_be_positive(self):
-        with pytest.raises(ValueError):
-            run_loadgen(
-                host="127.0.0.1",
-                port=1,
-                queries=["?- p(X)."],
-                interval=0.0,
-            )
-
-
-class TestWindowRows:
-    """Bucketing timestamped (offset, latency, hit) samples into windows."""
-
-    def test_empty_samples_yield_no_rows(self):
-        assert _window_rows([], 1.0) == []
-
-    def test_samples_bucket_by_offset(self):
-        samples = [
-            (0.1, 0.010, False),
-            (0.9, 0.020, True),
-            (1.2, 0.030, False),
-        ]
-        rows = _window_rows(samples, 1.0)
-        assert len(rows) == 2
-        first, second = rows
-        assert first["start_seconds"] == 0.0
-        assert first["requests"] == 2
-        assert first["throughput_rps"] == pytest.approx(2.0)
-        assert first["cached"] == 1
-        assert first["cache_hit_fraction"] == pytest.approx(0.5)
-        assert first["p95_ms"] == pytest.approx(20.0)
-        assert second["start_seconds"] == pytest.approx(1.0)
-        assert second["requests"] == 1
-        assert second["p50_ms"] == pytest.approx(30.0)
-
-    def test_gap_windows_are_emitted_with_zeros(self):
-        samples = [(0.1, 0.010, False), (2.5, 0.010, False)]
-        rows = _window_rows(samples, 1.0)
-        assert len(rows) == 3
-        assert rows[1]["requests"] == 0
-        assert rows[1]["throughput_rps"] == 0.0
-        assert rows[1]["p95_ms"] == 0.0
-
-    def test_totals_match_the_samples(self):
-        samples = [(i * 0.25, 0.001, i % 2 == 0) for i in range(20)]
-        rows = _window_rows(samples, 1.0)
-        assert sum(row["requests"] for row in rows) == 20
-        assert sum(row["cached"] for row in rows) == 10
-
-
-def test_loadgen_windows_against_a_live_server(tmp_path):
-    """``interval`` turns on the per-window report; totals reconcile."""
-    config = ServerConfig(path=str(tmp_path / "lgw.sqlite"), readers=2)
-    with DkbServer(config) as server:
-        host, port = server.address
-        with DkbClient(host, port) as client:
-            client.define("p(1).")
-        report = run_loadgen(
-            host,
-            port,
-            queries=["?- p(X)."],
-            clients=2,
-            duration=0.5,
-            think_time=0.0,
-            use_processes=False,
-            interval=0.1,
-        )
-    assert report.errors == 0
-    assert report.windows  # the per-interval view exists
-    assert sum(row["requests"] for row in report.windows) == report.requests
-    assert sum(row["cached"] for row in report.windows) == report.cached
-    assert report.to_dict()["windows"] == report.windows
 
 
 def test_multi_target_round_robin_spreads_clients(tmp_path):

@@ -2,13 +2,29 @@
 
 from __future__ import annotations
 
-import time
+import threading
 import urllib.request
 
 import pytest
 
-from repro.server.client import DkbClient
-from repro.server.service import DkbServer, ServerConfig, WatchdogConfig
+from repro.server.client import DkbClient, ServerError
+from repro.server.service import DkbServer, ServerConfig
+
+#: The series a scraper derives windowed request statistics from: request,
+#: error and shed rates, the cache hit rate, latency quantiles (through the
+#: ``le="0.00025"`` bucket, which separates cache hits from misses), and
+#: the D/KB version's advance.
+DERIVATION_SERIES = (
+    "server_requests_total",
+    "server_errors_total",
+    "server_busy_total",
+    "server_cache_hits_total",
+    "server_cache_misses_total",
+    'server_request_seconds_bucket{le="0.00025"}',
+    'server_request_seconds_bucket{le="+Inf"}',
+    "server_request_seconds_count",
+    "server_dkb_version",
+)
 
 
 def scrape(exporter) -> str:
@@ -20,82 +36,96 @@ def scrape(exporter) -> str:
         return response.read().decode("utf-8")
 
 
+def sample(body: str, series: str) -> float:
+    """The value of the one sample line starting with ``series``."""
+    for line in body.splitlines():
+        if line.startswith(series + " "):
+            return float(line.rsplit(" ", 1)[1])
+    raise AssertionError(f"{series} not in the scrape")
+
+
 @pytest.fixture
 def metrics_server(dkb_path):
-    """A running server with the exporter and a tiny window width."""
+    """A running one-session server with the exporter and no wait queue."""
     config = ServerConfig(
         path=dkb_path,
-        readers=2,
+        readers=1,
+        max_waiters=0,
         cache_size=32,
         metrics_port=0,
-        watchdog=WatchdogConfig(
-            window_seconds=0.2, p95_ms=250.0, auto_start=False
-        ),
     )
     with DkbServer(config) as server:
         yield server
 
 
 class TestMetricsEndpoint:
+    def test_first_scrape_shows_every_series_at_zero(self, metrics_server):
+        body = scrape(metrics_server.exporter)
+        for series in DERIVATION_SERIES:
+            if series != "server_dkb_version":
+                assert sample(body, series) == 0.0, series
+
     def test_scrape_after_traffic(self, metrics_server):
         host, port = metrics_server.address
         with DkbClient(host, port) as client:
             for _ in range(3):
-                client.query("?- ancestor('john', X).")
-        # Seal the open window so the windowed gauges have a value, then
-        # land one more request to trigger the roll.
-        time.sleep(0.25)
-        with DkbClient(host, port) as client:
-            client.query("?- ancestor('john', X).")
+                client.query("?- ancestor('john', X).")  # 1 miss, 2 hits
+            with pytest.raises(ServerError):
+                client.query("?- ancestor(")  # an error reply
+            # The one session is attached here: a second connection is shed.
+            with DkbClient(host, port) as shed:
+                with pytest.raises(ServerError) as excinfo:
+                    shed.ping()
+                assert excinfo.value.code == "SERVER_BUSY"
         body = scrape(metrics_server.exporter)
         assert "# TYPE server_requests_total counter" in body
         assert "# TYPE server_request_seconds histogram" in body
-        assert 'server_request_seconds_bucket{le="+Inf"}' in body
-        for gauge in (
-            "server_dkb_version",
-            "server_admission_slots",
-            "server_admission_max_waiters",
-            "server_window_throughput",
-            "server_window_p95_ms",
-            "server_window_cache_hit_rate",
-            "server_window_shed_rate",
-            "server_window_version_advance",
-            "server_watchdog_breached",
-        ):
+        assert "# TYPE server_dkb_version gauge" in body
+        for series in DERIVATION_SERIES:
+            sample(body, series)
+        assert sample(body, "server_requests_total") == 4
+        assert sample(body, "server_errors_total") == 1
+        assert sample(body, "server_busy_total") == 1
+        assert sample(body, "server_cache_hits_total") == 2
+        assert sample(body, "server_cache_misses_total") == 1
+        assert sample(body, 'server_request_seconds_bucket{le="+Inf"}') == 4
+        for gauge in ("server_admission_slots", "server_admission_max_waiters"):
             assert f"# TYPE {gauge} gauge" in body
+        assert "server_window_" not in body
 
-    def test_stats_reports_windows_and_metrics_address(self, metrics_server):
+    def test_stats_reports_metrics_address(self, metrics_server):
         host, port = metrics_server.address
         with DkbClient(host, port) as client:
             client.query("?- ancestor('john', X).")
             stats = client.stats()["stats"]
-        assert "windows" in stats
-        assert "watchdog" in stats
+        # No windowed view beside the registry: these keys and no others.
+        assert set(stats) == {
+            "protocol",
+            "uptime_seconds",
+            "pool",
+            "metrics",
+            "metrics_address",
+        }
         assert list(stats["metrics_address"]) == list(
             metrics_server.exporter.address
         )
-
-    def test_exporter_without_watchdog(self, dkb_path):
-        config = ServerConfig(path=dkb_path, readers=1, metrics_port=0)
-        with DkbServer(config) as server:
-            assert server.timeseries is not None
-            assert server.watchdog is None
-            body = scrape(server.exporter)
-        assert "server_dkb_version" in body
-        assert "server_watchdog_breached" not in body
+        # The shapes the perf ledger's served workloads read.
+        assert {"hits", "misses"} <= set(stats["pool"]["cache"])
+        assert "admitted" in stats["pool"]["admission"]
+        assert stats["metrics"]["counters"]["server.requests"] >= 1
 
 
 class TestZeroOverheadWhenDisabled:
     def test_default_server_builds_no_live_obs(self, server):
-        # The acceptance bar: a server without metrics_port/watchdog pays
-        # nothing — no store, no exporter thread, no watchdog thread.
-        assert server.timeseries is None
+        # A server without metrics_port pays nothing: no exporter thread.
         assert server.exporter is None
-        assert server.watchdog is None
+        assert not any(
+            thread.name == "dkb-metrics-exporter"
+            for thread in threading.enumerate()
+        )
         host, port = server.address
         with DkbClient(host, port) as client:
             reply = client.query("?- ancestor('john', X).")
         assert reply["count"] == 5  # mary, bob, sue, tom, ann
         stats = server.stats()
-        assert "windows" not in stats
         assert "metrics_address" not in stats

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -59,3 +60,40 @@ def test_exporter_bind_failure_closes_the_router_socket(monkeypatch):
         with pytest.raises(OSError):
             ClusterRouter(router_config(metrics_port=holder.getsockname()[1]))
     assert len(sockets) == 1
+
+
+def test_close_twice_returns():
+    unstarted = ClusterRouter(router_config())
+    unstarted.close()
+    assert closes_within(unstarted)
+    started = ClusterRouter(router_config()).start()
+    started.close()
+    assert closes_within(started)
+
+
+def test_start_twice_raises():
+    with ClusterRouter(router_config()) as router:
+        with pytest.raises(RuntimeError):
+            router.start()
+
+
+def test_serve_forever_then_close_returns():
+    router = ClusterRouter(router_config())
+    serving = threading.Thread(target=router.serve_forever, daemon=True)
+    serving.start()
+    deadline = time.monotonic() + 2.0
+    while not router._serving and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert closes_within(router)
+    serving.join(2.0)
+    assert not serving.is_alive()
+
+
+def test_close_without_start_releases_both_ports():
+    router = ClusterRouter(router_config(metrics_port=0))
+    addresses = [router.address, router.exporter.address]
+    assert closes_within(router)
+    for host, port in addresses:
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            probe.bind((host, port))

@@ -7,6 +7,8 @@ import urllib.request
 
 import pytest
 
+from repro.obs.metrics import REQUEST_SECONDS_BUCKETS
+
 
 def scrape(router) -> str:
     host, port = router.exporter.address
@@ -101,6 +103,21 @@ class TestRouterMetricsEndpoint:
             assert sample_value(
                 body, "cluster_replica_lag", shard=shard, replica="0"
             ) == 0.0
+
+    def test_request_histogram_uses_the_request_buckets(self, make_cluster):
+        with make_cluster(replicas=0, metrics_port=0) as cluster:
+            with cluster.client() as client:
+                client.insert("parent", [["g0_1", "g0_2"]])
+                client.query("?- parent('g0_1', Y).")
+            histogram = cluster.router.metrics.histograms["router.request_seconds"]
+            assert histogram.bounds == REQUEST_SECONDS_BUCKETS
+            body = scrape(cluster.router)
+            assert sample_value(
+                body, "router_request_seconds_bucket", role="router", le="+Inf"
+            ) == sample_value(body, "router_requests_total", role="router")
+            sample_value(
+                body, "router_request_seconds_bucket", role="router", le="0.00025"
+            )
 
     def test_no_exporter_without_metrics_port(self, make_cluster):
         with make_cluster(replicas=0) as cluster:

@@ -1,6 +1,7 @@
 """Tests for the Prometheus text-exposition renderer and HTTP exporter."""
 
 import re
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -15,7 +16,7 @@ from repro.obs.live.exporter import (
     prometheus_name,
     render_metrics,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import REQUEST_SECONDS_BUCKETS, MetricsRegistry
 
 #: One exposition-format sample line: name, optional labels, value.
 SAMPLE_LINE = re.compile(
@@ -24,6 +25,14 @@ SAMPLE_LINE = re.compile(
     r"(,[a-zA-Z_][a-zA-Z0-9_]*=\"(?:[^\"\\\n]|\\\\|\\\"|\\n)*\")*\})?"
     r" (?:[-+]?[0-9.eE+-]+|NaN|[+-]Inf)$"
 )
+
+
+def closes_within(closeable, seconds: float = 2.0) -> bool:
+    """Run ``closeable.close()`` on a daemon thread; did it return in time?"""
+    closer = threading.Thread(target=closeable.close, daemon=True)
+    closer.start()
+    closer.join(seconds)
+    return not closer.is_alive()
 
 
 def parse_families(text: str) -> dict[str, dict]:
@@ -164,6 +173,45 @@ class TestRenderMetrics:
     def test_empty_page_is_empty_string(self):
         assert render_metrics([]) == ""
 
+    def test_request_buckets_render_as_le_labels(self):
+        registry = MetricsRegistry()
+        registry.histogram("server.request_seconds", REQUEST_SECONDS_BUCKETS)
+        families = parse_families(render_metrics([({}, registry)]))
+        les = re.findall(
+            r'le="([^"]+)"',
+            " ".join(line for line, _ in families["server_request_seconds"]["samples"]),
+        )
+        assert les == [
+            "0.0001", "0.00025", "0.0005", "0.001", "0.0025", "0.005",
+            "0.01", "0.025", "0.05", "0.1", "0.25", "0.5",
+            "1", "2.5", "5", "10", "30", "+Inf",
+        ]
+
+    def test_bucket_series_is_cumulative_and_ends_at_the_count(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("req", REQUEST_SECONDS_BUCKETS)
+        for step in range(300):
+            histogram.observe((step % 37) * 0.0007 + (step % 5) * 0.4)
+        families = parse_families(render_metrics([({}, registry)]))
+        samples = families["req"]["samples"]
+        buckets = [value for line, value in samples if line.startswith("req_bucket")]
+        assert buckets == sorted(buckets)
+        count = next(value for line, value in samples if line.startswith("req_count"))
+        assert buckets[-1] == count == 300
+
+    def test_special_values_render(self):
+        samples = [
+            MetricSample("nan", float("nan")),
+            MetricSample("up", float("inf")),
+            MetricSample("down", float("-inf")),
+            MetricSample("whole", 3.0),
+            MetricSample("half", 0.5),
+        ]
+        text = render_metrics([], [lambda: samples])
+        parse_families(text)
+        for line in ("nan NaN", "up +Inf", "down -Inf", "whole 3", "half 0.5"):
+            assert line in text.splitlines()
+
 
 class TestHttpExporter:
     def test_scrape_over_http(self):
@@ -207,9 +255,39 @@ class TestHttpExporter:
         finally:
             exporter.close()
 
-    def test_close_without_start_returns(self):
+    def test_root_path_and_query_string_serve_the_page(self):
+        registry = MetricsRegistry()
+        registry.counter("demo.requests").inc()
+        with MetricsExporter(port=0).add_source(registry) as exporter:
+            host, port = exporter.address
+            for path in ("/", "/metrics?format=text"):
+                with urllib.request.urlopen(
+                    f"http://{host}:{port}{path}", timeout=5.0
+                ) as response:
+                    assert "demo_requests_total 1" in response.read().decode()
+
+    def test_refresher_runs_on_every_scrape(self):
+        registry = MetricsRegistry()
+        scrapes = iter(range(1, 100))
+        exporter = MetricsExporter(port=0).add_source(registry).add_refresher(
+            lambda: registry.gauge("scrapes").set(next(scrapes))
+        )
+        assert "scrapes 1" in exporter.render().splitlines()
+        assert "scrapes 2" in exporter.render().splitlines()
+        exporter.close()
+
+    def test_close_twice_is_harmless(self):
+        exporter = MetricsExporter(port=0).start()
+        exporter.close()
+        assert closes_within(exporter)
+
+    def test_close_frees_the_port(self):
         exporter = MetricsExporter(port=0)
-        closer = threading.Thread(target=exporter.close, daemon=True)
-        closer.start()
-        closer.join(2.0)
-        assert not closer.is_alive()
+        host, port = exporter.address
+        exporter.close()
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            probe.bind((host, port))
+
+    def test_close_without_start_returns(self):
+        assert closes_within(MetricsExporter(port=0))

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.server import AdmissionController, AdmissionTimeout, ServerBusy
 
 
@@ -92,3 +93,24 @@ def test_invalid_construction():
         AdmissionController(slots=0)
     with pytest.raises(ValueError):
         AdmissionController(slots=1, max_waiters=-1)
+
+
+def test_outcomes_are_mirrored_into_the_registry():
+    metrics = MetricsRegistry()
+    admission = AdmissionController(slots=1, max_waiters=0, metrics=metrics)
+    admission.acquire()
+    with pytest.raises(ServerBusy):
+        admission.acquire()
+    admission.release()
+    counters = metrics.snapshot()["counters"]
+    assert counters["server.admission.admitted"] == 1
+    assert counters["server.admission.rejected_busy"] == 1
+    assert "server.admission.rejected_timeout" not in counters
+
+
+def test_external_timeout_counts_in_both_places():
+    metrics = MetricsRegistry()
+    admission = AdmissionController(slots=1, metrics=metrics)
+    admission.record_rejected_timeout()
+    assert admission.snapshot()["rejected_timeout"] == 1
+    assert metrics.counter("server.admission.rejected_timeout").value == 1

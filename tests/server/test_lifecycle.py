@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -104,3 +105,67 @@ def test_exporter_bind_failure_closes_the_pool_and_socket(
         )
     assert opened and len(closed) == len(opened)
     assert len(sockets) == 1
+
+
+def port_is_free(host: str, port: int) -> bool:
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+        probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        try:
+            probe.bind((host, port))
+        except OSError:
+            return False
+        return True
+
+
+def test_close_twice_returns(dkb_path):
+    unstarted = DkbServer(ServerConfig(path=dkb_path, readers=1))
+    unstarted.close()
+    assert closes_within(unstarted)
+    started = DkbServer(ServerConfig(path=dkb_path, readers=1)).start()
+    started.close()
+    assert closes_within(started)
+
+
+def test_start_twice_raises(dkb_path):
+    with DkbServer(ServerConfig(path=dkb_path, readers=1)) as server:
+        with pytest.raises(RuntimeError):
+            server.start()
+
+
+def test_serve_forever_then_close_returns(dkb_path):
+    server = DkbServer(ServerConfig(path=dkb_path, readers=1))
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
+    deadline = time.monotonic() + 2.0
+    while not server._serving and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert closes_within(server)
+    serving.join(2.0)
+    assert not serving.is_alive()
+
+
+def test_close_without_start_releases_the_port(dkb_path):
+    server = DkbServer(ServerConfig(path=dkb_path, readers=1, metrics_port=0))
+    address, metrics_address = server.address, server.exporter.address
+    assert not port_is_free(*address)
+    assert closes_within(server)
+    assert port_is_free(*address)
+    assert port_is_free(*metrics_address)
+
+
+def test_context_manager_closes_on_error(dkb_path, pools):
+    opened, closed = pools
+    with pytest.raises(ValueError):
+        with DkbServer(ServerConfig(path=dkb_path, readers=1)):
+            raise ValueError("boom")
+    assert opened and closed == opened
+
+
+def test_bind_failure_without_exporter_closes_no_pool_it_never_opened(
+    dkb_path, busy_port, pools
+):
+    # The socket is bound first: a busy port fails before any pool opens.
+    opened, closed = pools
+    with pytest.raises(OSError):
+        DkbServer(ServerConfig(path=dkb_path, port=busy_port, readers=1))
+    assert opened == [] and closed == []

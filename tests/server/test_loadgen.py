@@ -6,6 +6,7 @@ import pytest
 
 from repro.server import DkbClient
 from repro.server.loadgen import (
+    LoadgenReport,
     parse_target,
     percentile,
     run_loadgen,
@@ -105,6 +106,68 @@ class TestRunLoadgenArguments:
     def test_host_and_port_required_without_targets(self):
         with pytest.raises(ValueError):
             run_loadgen(queries=["?- p(X)."])
+
+    def test_clients_must_be_positive(self):
+        with pytest.raises(ValueError):
+            run_loadgen(
+                host="127.0.0.1", port=1, queries=["?- p(X)."], clients=0
+            )
+
+
+class TestLoadgenReport:
+    def test_empty_report_hit_fraction_is_zero(self):
+        report = LoadgenReport(
+            clients=1, duration_seconds=0.0, requests=0, errors=0, busy=0,
+            cached=0, throughput=0.0,
+        )
+        assert report.cache_hit_fraction == 0.0
+
+    def test_to_dict_shape(self):
+        report = LoadgenReport(
+            clients=2, duration_seconds=1.0, requests=4, errors=0, busy=1,
+            cached=3, throughput=4.0, latency_ms={"p50": 1.0},
+            by_target={"127.0.0.1:1": 4},
+        )
+        assert report.to_dict() == {
+            "clients": 2,
+            "duration_seconds": 1.0,
+            "requests": 4,
+            "errors": 0,
+            "busy": 1,
+            "cached": 3,
+            "cache_hit_fraction": 0.75,
+            "throughput_rps": 4.0,
+            "latency_ms": {"p50": 1.0},
+            "by_target": {"127.0.0.1:1": 4},
+        }
+
+
+def test_loadgen_totals_match_the_server_registry(tmp_path):
+    """The client-side report and the server's counters agree."""
+    config = ServerConfig(path=str(tmp_path / "lgr.sqlite"), readers=2)
+    with DkbServer(config) as server:
+        host, port = server.address
+        with DkbClient(host, port) as client:
+            client.define("p(1).")
+        before = server.metrics.snapshot()["counters"]
+        report = run_loadgen(
+            host,
+            port,
+            queries=["?- p(X).", {"q": "?- p(X).", "use_cache": False}],
+            clients=2,
+            duration=0.4,
+            think_time=0.0,
+            use_processes=False,
+        )
+        after = server.metrics.snapshot()["counters"]
+    assert report.errors == 0 and report.busy == 0
+    assert report.requests > 0
+    served = after["server.requests"] - before.get("server.requests", 0)
+    assert served == report.requests
+    hits = after.get("server.cache.hits", 0) - before.get("server.cache.hits", 0)
+    assert hits == report.cached
+    latency = report.latency_ms
+    assert 0 < latency["p50"] <= latency["p95"] <= latency["p99"]
 
 
 def test_multi_target_round_robin_spreads_clients(tmp_path):

@@ -7,6 +7,7 @@ import urllib.request
 
 import pytest
 
+from repro.obs.metrics import REQUEST_SECONDS_BUCKETS
 from repro.server.client import DkbClient, ServerError
 from repro.server.service import DkbServer, ServerConfig
 
@@ -113,6 +114,79 @@ class TestMetricsEndpoint:
         assert {"hits", "misses"} <= set(stats["pool"]["cache"])
         assert "admitted" in stats["pool"]["admission"]
         assert stats["metrics"]["counters"]["server.requests"] >= 1
+
+
+    def test_request_histogram_uses_the_request_buckets(self, metrics_server):
+        histogram = metrics_server.metrics.histograms["server.request_seconds"]
+        assert histogram.bounds == REQUEST_SECONDS_BUCKETS
+
+    def test_bucket_series_reconciles_with_the_request_count(
+        self, metrics_server
+    ):
+        host, port = metrics_server.address
+        with DkbClient(host, port) as client:
+            for _ in range(5):
+                client.query("?- ancestor('john', X).")
+            client.ping()
+        body = scrape(metrics_server.exporter)
+        buckets = [
+            float(line.rsplit(" ", 1)[1])
+            for line in body.splitlines()
+            if line.startswith("server_request_seconds_bucket{")
+        ]
+        assert len(buckets) == len(REQUEST_SECONDS_BUCKETS) + 1
+        assert buckets == sorted(buckets)
+        assert buckets[-1] == sample(body, "server_request_seconds_count")
+        assert buckets[-1] == sample(body, "server_requests_total") == 6
+
+    def test_shed_connection_counts_as_busy_not_as_a_request(
+        self, metrics_server
+    ):
+        host, port = metrics_server.address
+        with DkbClient(host, port) as client:
+            client.ping()
+            with DkbClient(host, port) as shed:
+                with pytest.raises(ServerError):
+                    shed.ping()
+        body = scrape(metrics_server.exporter)
+        assert sample(body, "server_busy_total") == 1
+        # A shed connection never reached a session: no request, no error.
+        assert sample(body, "server_requests_total") == 1
+        assert sample(body, "server_errors_total") == 0
+
+    def test_version_gauge_follows_writes(self, metrics_server):
+        before = sample(scrape(metrics_server.exporter), "server_dkb_version")
+        host, port = metrics_server.address
+        with DkbClient(host, port) as client:
+            client.insert("parent", [["ann", "zoe"]])
+        after = sample(scrape(metrics_server.exporter), "server_dkb_version")
+        assert after == before + 1
+
+    def test_admission_gauges_mirror_the_config(self, metrics_server):
+        body = scrape(metrics_server.exporter)
+        assert sample(body, "server_admission_slots") == 1
+        assert sample(body, "server_admission_max_waiters") == 0
+        assert sample(body, "server_admission_in_use") == 0
+
+    def test_two_scrapes_bound_a_window(self, metrics_server):
+        # What the deleted window store computed is the difference of two
+        # scrapes: here, 1 miss and 2 hits between them.
+        host, port = metrics_server.address
+        with DkbClient(host, port) as client:
+            client.query("?- ancestor('mary', X).")
+            before = scrape(metrics_server.exporter)
+            client.query("?- ancestor('john', X).")
+            client.query("?- ancestor('john', X).")
+            client.query("?- ancestor('mary', X).")
+        after = scrape(metrics_server.exporter)
+
+        def delta(series: str) -> float:
+            return sample(after, series) - sample(before, series)
+
+        assert delta("server_requests_total") == 3
+        assert delta("server_cache_hits_total") == 2
+        assert delta("server_cache_misses_total") == 1
+        assert delta('server_request_seconds_bucket{le="+Inf"}') == 3
 
 
 class TestZeroOverheadWhenDisabled:

@@ -221,3 +221,31 @@ def test_default_read_creates_no_temp_table(pool):
                 "SELECT COUNT(*) FROM sqlite_temp_master"
             )[0]
         assert count == 0
+
+
+def test_traced_sessions_stay_traced_across_reads(dkb_path):
+    # A session keeps the ``trace=`` it was opened with: nothing switches
+    # tracing on or off between reads.
+    with SessionPool(dkb_path, readers=1, trace=True) as pool:
+        with pool.reader() as session:
+            tracer = session.testbed.tracer
+            assert tracer is not None
+            for _ in range(3):
+                session.query(ANCESTOR_JOHN, use_cache=False)
+                assert session.testbed.tracer is tracer
+        assert tracer.roots and tracer.statements
+
+
+def test_untraced_sessions_never_trace(pool):
+    for _ in range(3):
+        pool.query(ANCESTOR_JOHN, use_cache=False)
+    assert pool.writer.tracer is None
+    for session in pool._sessions:
+        assert session.testbed.tracer is None
+
+
+def test_traced_writer_records_the_write(dkb_path):
+    with SessionPool(dkb_path, readers=1, trace=True) as pool:
+        pool.load_facts("parent", [("ann", "zed")])
+        assert pool.writer.tracer is not None
+        assert pool.writer.tracer.statements

@@ -234,3 +234,12 @@ def test_concurrent_clients_each_get_answers(server):
     for thread in threads:
         thread.join(timeout=30.0)
     assert not errors
+
+
+def test_defaulted_requests_use_the_library_defaults(client):
+    first = client.query("?- ancestor('john', Y).")
+    repeat = client.query("?- ancestor('john', Y).")
+    explicit = client.query("?- ancestor('john', Y).", use_cache=False)
+    assert first["cached"] is False and repeat["cached"] is True
+    assert explicit["cached"] is False
+    assert first["rows"] == repeat["rows"] == explicit["rows"]

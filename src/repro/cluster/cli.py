@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 
 
 def _parse_spec_arguments(arguments: argparse.Namespace) -> "Any":
@@ -213,6 +214,8 @@ def cluster_main(argv: "list[str] | None" = None) -> int:
         metrics_port=arguments.metrics_port,
     )
     supervisor = ClusterSupervisor(config)
+    # SIGTERM (``kill``, a service manager) stops the shards like Ctrl-C.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         if arguments.demo_depth:
             from ..bench.cluster import seed_cluster, wait_for_replicas
@@ -239,7 +242,12 @@ def cluster_main(argv: "list[str] | None" = None) -> int:
         print("\nshutting down")
     finally:
         supervisor.close()
+        signal.signal(signal.SIGTERM, previous)
     return 0
+
+
+def _interrupt(signum: int, frame: object) -> None:
+    raise KeyboardInterrupt
 
 
 def build_bench_cluster_parser() -> argparse.ArgumentParser:

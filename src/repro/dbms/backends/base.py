@@ -12,7 +12,7 @@ counting, phases, tracing) engine-neutral.
 
 Capability flags, not feature sniffing: the evaluation strategies ask the
 backend what it supports (``supports_recursive_cte``,
-``supports_changes_function``, ...) and pick a portable plan when a feature
+``supports_deadline``, ...) and pick a portable plan when a feature
 is missing, so a query never errors because of the engine underneath it.
 """
 
@@ -32,19 +32,13 @@ class BackendCapabilities:
 
     Attributes:
         supports_recursive_cte: ``WITH RECURSIVE`` is available, so a whole
-            linear clique can be evaluated in one statement
+            plan of linear cliques can be evaluated in one statement
             (:mod:`repro.runtime.lfp_cte`).
         supports_wal: write-ahead-log journalling (the concurrent query
             server's reader/writer mode) can be enabled.
         supports_temp_namespace: a per-connection ``temp.`` namespace exists
             and shadows same-named main-database tables — required by
             ``ConnectionOptions(temp_derived=True)`` reader sessions.
-        supports_without_rowid: ``WITHOUT ROWID`` keyed tables and
-            ``INSERT OR IGNORE`` — the storage layout of the in-DBMS LFP
-            operator (:mod:`repro.runtime.lfp`).
-        supports_changes_function: ``SELECT changes()`` reports the row
-            count of the previous DML statement (the LFP operator's
-            termination signal).
         supports_deadline: a running statement can be aborted once a
             deadline passes (:meth:`SqlBackend.set_deadline`, the query
             server's per-request budget).  Without it
@@ -70,8 +64,6 @@ class BackendCapabilities:
     supports_recursive_cte: bool = True
     supports_wal: bool = False
     supports_temp_namespace: bool = False
-    supports_without_rowid: bool = False
-    supports_changes_function: bool = False
     supports_deadline: bool = False
     supports_shared_cursors: bool = False
     supports_snapshot_copy: bool = False
@@ -155,24 +147,6 @@ class SqlBackend(abc.ABC):
     @abc.abstractmethod
     def table_names_query(self) -> str:
         """SQL returning one ``(name,)`` row per permanent table, ordered."""
-
-    # -- dialect ------------------------------------------------------------
-
-    def recursive_insert_sql(
-        self, with_clause: str, insert_into: str, select_stmt: str
-    ) -> str:
-        """Compose ``WITH RECURSIVE`` + ``INSERT`` + ``SELECT`` as one statement.
-
-        Engines disagree on where the WITH clause attaches (SQLite: before
-        the INSERT; DuckDB: on the INSERT's SELECT), so the composition is a
-        backend decision.
-
-        Raises:
-            NotImplementedError: when ``supports_recursive_cte`` is False.
-        """
-        raise NotImplementedError(
-            f"backend {self.name!r} does not support recursive CTEs"
-        )
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

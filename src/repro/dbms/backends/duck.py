@@ -7,9 +7,6 @@ differs is everything around them, captured in the capability flags:
 * ``.cursor()`` clones the connection (its own temp namespace and
   transaction), so the prepared-cursor statement cache is unsound —
   ``supports_shared_cursors`` is False and the engine runs uncached;
-* there is no ``changes()`` function, no ``WITHOUT ROWID``, and no
-  ``INSERT OR IGNORE``, so the in-DBMS LFP operator strategy falls back to
-  semi-naive iteration;
 * ``rowcount`` is unreliable for DML, so per-statement ``rows_changed``
   statistics are best-effort (counts stay comparable *within* a backend,
   which is all the A/B benches compare);
@@ -51,8 +48,6 @@ class DuckDbBackend(SqlBackend):
         supports_recursive_cte=True,
         supports_wal=False,
         supports_temp_namespace=False,
-        supports_without_rowid=False,
-        supports_changes_function=False,
         supports_shared_cursors=False,
     )
 
@@ -120,9 +115,3 @@ class DuckDbBackend(SqlBackend):
             "SELECT table_name FROM information_schema.tables "
             "WHERE table_type = 'BASE TABLE' ORDER BY table_name"
         )
-
-    def recursive_insert_sql(
-        self, with_clause: str, insert_into: str, select_stmt: str
-    ) -> str:
-        # DuckDB attaches the WITH clause to the INSERT's SELECT.
-        return f"{insert_into} WITH RECURSIVE {with_clause} {select_stmt}"

@@ -30,8 +30,6 @@ class SqliteBackend(SqlBackend):
         supports_recursive_cte=True,
         supports_wal=True,
         supports_temp_namespace=True,
-        supports_without_rowid=True,
-        supports_changes_function=True,
         supports_deadline=True,
         supports_shared_cursors=True,
         supports_snapshot_copy=True,
@@ -89,12 +87,6 @@ class SqliteBackend(SqlBackend):
 
     def table_names_query(self) -> str:
         return "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name"
-
-    def recursive_insert_sql(
-        self, with_clause: str, insert_into: str, select_stmt: str
-    ) -> str:
-        # SQLite attaches the WITH clause before the INSERT keyword.
-        return f"WITH RECURSIVE {with_clause} {insert_into} {select_stmt}"
 
     def snapshot_to(self, connection: Any, dest_path: str) -> None:
         # The online backup API: copies the whole main database inside one

@@ -68,7 +68,9 @@ class CompiledSelect:
 
 
 def compile_rule_body(
-    clause: Clause, semijoin: frozenset[str] = frozenset()
+    clause: Clause,
+    semijoin: frozenset[str] = frozenset(),
+    tagged: frozenset[str] = frozenset(),
 ) -> CompiledSelect:
     """Compile the body of ``clause`` into a SELECT producing its head tuple.
 
@@ -84,6 +86,9 @@ def compile_rule_body(
       ``(cols) IN (SELECT c0, ... FROM <slot>)``, its slot placed after the
       negated atoms'.  The atom then only tests membership, so the engine
       cannot make its relation the outer loop of the join.
+    * A positive atom over a ``tagged`` predicate reads a tagged union of
+      several predicates (a mutually recursive clique's recursive CTE): the
+      filter ``tN.tag = '<predicate>'`` keeps its own rows.
     * The head terms become the select list; ``SELECT DISTINCT`` performs the
       duplicate elimination relational projection requires.
 
@@ -123,6 +128,8 @@ def compile_rule_body(
         placeholder = f"{{{len(placeholders)}}}"
         placeholders.append(atom.predicate)
         from_items.append(f"{placeholder} AS {alias}")
+        if atom.predicate in tagged:
+            where_const.append(f"{alias}.tag = {string_literal(atom.predicate)}")
         for position, term in enumerate(atom.terms):
             column = f"{alias}.{column_name(position)}"
             if isinstance(term, Constant):
@@ -193,6 +200,12 @@ def compile_rule_body(
     if where:
         sql += " WHERE " + " AND ".join(where)
     return CompiledSelect(sql, all_parameters, tuple(placeholders), len(positive))
+
+
+def string_literal(value: str) -> str:
+    """``value`` as an SQL string literal, doubling embedded quotes."""
+    escaped = value.replace("'", "''")
+    return f"'{escaped}'"
 
 
 def _not_exists(

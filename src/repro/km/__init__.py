@@ -22,8 +22,6 @@ from .optimizer import OptimizationResult, optimization_applies, optimize
 from .policy import (
     DEFAULT_OPTIMIZE,
     AdaptiveDecision,
-    LfpStrategyDecision,
-    decide_clique_strategy,
     decide_rewrite,
 )
 from .precompile import (
@@ -43,8 +41,6 @@ __all__ = [
     "CacheStatistics",
     "CompilationResult",
     "DEFAULT_OPTIMIZE",
-    "LfpStrategyDecision",
-    "decide_clique_strategy",
     "decide_rewrite",
     "PrecompiledQueryCache",
     "RESERVED_PREDICATE",

@@ -13,9 +13,6 @@ rewritten program's magic guards compiled to semi-joins (see
 :func:`repro.dbms.sqlgen.compile_rule_body`), the worst end of the crossover
 — a root-bound query reaching the whole relation — costs about 1.3x the
 plain plan, while a leaf-bound query wins about 20x.
-
-**How to run a clique** (:func:`decide_clique_strategy`): the recursive-CTE
-eligibility check surfaced before execution.
 """
 
 from __future__ import annotations
@@ -23,9 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..datalog.clauses import Program, Query
-from ..datalog.pcg import Clique, find_cliques
-from ..dbms.engine import Database
-from ..runtime.lfp_cte import cte_eligibility
+from ..datalog.pcg import find_cliques
 from .optimizer import optimization_applies
 
 #: The ``optimize`` value every entry point uses unless the caller names one.
@@ -57,39 +52,3 @@ def decide_rewrite(relevant_rules: Program, query: Query) -> AdaptiveDecision:
     return AdaptiveDecision(
         True, "the bound goal reaches a recursive clique"
     )
-
-
-@dataclass(frozen=True)
-class LfpStrategyDecision:
-    """How a clique node should compute its fixpoint, with the evidence.
-
-    Surfaces the recursive-CTE eligibility check (and the backend's
-    capability gate) *before* execution, so callers — planners, the
-    benchmark drivers, a curious user — can see which path a clique will
-    take without running it.  ``evaluate_clique_lfp_cte`` applies exactly
-    the same checks at execution time, so the decision here is a faithful
-    prediction, never a promise the runtime breaks.
-    """
-
-    clique_label: str
-    use_cte: bool
-    reason: str
-
-    @property
-    def strategy_name(self) -> str:
-        """The runtime strategy label this decision resolves to."""
-        return "lfp_cte" if self.use_cte else "seminaive"
-
-
-def decide_clique_strategy(
-    clique: Clique, database: Database | None = None
-) -> LfpStrategyDecision:
-    """Decide whether ``clique`` should run as one recursive-CTE statement.
-
-    ``database`` is optional: without one the decision reflects the clique's
-    logical shape alone; with one, the backend's recursive-CTE support and
-    compound-select limit gate the answer too.
-    """
-    label = "+".join(sorted(clique.predicates))
-    check = cte_eligibility(clique, database)
-    return LfpStrategyDecision(label, check.eligible, check.reason)

@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--strategy",
-        help="LFP strategy: lfp_cte (default), naive, seminaive, or lfp_operator",
+        help="LFP strategy: lfp_cte (default), naive, or seminaive",
     )
     parser.add_argument(
         "--optimize",

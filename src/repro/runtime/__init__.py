@@ -2,9 +2,9 @@
 
 Bottom-up LFP evaluation strategies (naive, semi-naive) implemented as
 embedded-SQL application programs, query-program execution over the
-evaluation order list, plus the extension operators the paper's conclusions
-call for (a generalized in-DBMS LFP operator and a specialised transitive
-closure) and an independent top-down evaluator used as a correctness oracle.
+evaluation order list, the whole plan as one recursive-CTE statement (the
+in-DBMS LFP operator the paper's conclusions call for), and an independent
+top-down evaluator used as a correctness oracle.
 """
 
 from .context import (
@@ -22,12 +22,10 @@ from .counting import (
     evaluate_counting,
     recognize_counting_form,
 )
-from .lfp import evaluate_clique_lfp_operator
 from .lfp_cte import (
     CteEligibility,
     FusedProgram,
     cte_eligibility,
-    evaluate_clique_lfp_cte,
     fuse_program,
 )
 from .naive import LfpResult, evaluate_clique_naive
@@ -41,12 +39,6 @@ from .program import DEFAULT_STRATEGY, ExecutionResult, LfpStrategy, QueryProgra
 from .relalg import evaluate_nonrecursive, evaluate_rule_into
 from .seminaive import evaluate_clique_seminaive
 from .topdown import TopDownEvaluator, evaluate_top_down
-from .transitive_closure import (
-    incremental_closure_update,
-    reachable_from,
-    transitive_closure_python,
-    transitive_closure_sql,
-)
 
 __all__ = [
     "CountingForm",
@@ -73,16 +65,10 @@ __all__ = [
     "QueryProgram",
     "TopDownEvaluator",
     "derived_table_name",
-    "evaluate_clique_lfp_cte",
-    "evaluate_clique_lfp_operator",
     "evaluate_clique_naive",
     "evaluate_clique_seminaive",
     "evaluate_nonrecursive",
     "evaluate_rule_into",
     "evaluate_top_down",
     "fuse_program",
-    "incremental_closure_update",
-    "reachable_from",
-    "transitive_closure_python",
-    "transitive_closure_sql",
 ]

@@ -36,9 +36,8 @@ class EvaluationCounters:
 
     iterations_by_clique: dict[str, int] = field(default_factory=dict)
     tuples_by_predicate: dict[str, int] = field(default_factory=dict)
-    # Clique label -> how it was actually evaluated: "lfp_cte" when the
-    # recursive-CTE path ran, "fallback: <reason>" when it declined.
-    # Only filled in by strategies that make such a choice.
+    # Clique label -> "fallback: <reason>" when an ``LFP_CTE`` plan runs
+    # node by node (a fused plan reports "lfp_cte" without a context).
     strategy_by_clique: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -89,10 +88,6 @@ class EvaluationContext:
                 f"predicate {predicate!r} has no materialised relation"
             ) from None
 
-    def has_table(self, predicate: str) -> bool:
-        """Whether ``predicate`` already has a relation."""
-        return predicate in self._table_of
-
     def types_of(self, predicate: str) -> tuple[str, ...]:
         """Column types of ``predicate``.
 
@@ -133,16 +128,6 @@ class EvaluationContext:
         self._seeded.add(predicate)
         schema = RelationSchema(self.table_of(predicate), self.types_of(predicate))
         return self.database.insert_rows(schema, rows)
-
-    def adopt_table(self, predicate: str, name: str) -> None:
-        """Register an externally created relation for ``predicate``.
-
-        The table participates in :meth:`cleanup` like a materialised one.
-        Used by evaluation strategies that manage their own storage layout
-        (e.g. the keyed relations of the in-DBMS LFP operator).
-        """
-        self._table_of[predicate] = name
-        self._materialised.append(name)
 
     def schema_of(self, predicate: str) -> RelationSchema:
         """Schema of ``predicate``'s current relation."""

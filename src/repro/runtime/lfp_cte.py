@@ -1,4 +1,4 @@
-"""LFP evaluation as recursive CTE statements: per clique, or per program.
+"""LFP evaluation as one recursive-CTE statement per plan.
 
 The paper's central complaint about the SQL interface is that the fixpoint
 loop lives in the *application*: every iteration pays temp-table DDL, RHS
@@ -8,29 +8,30 @@ Modern engines can run the entire least-fixpoint inside the DBMS as one
 semantics and termination for free, and the engine's own memoisation
 replaces the delta bookkeeping.
 
-Not every clique qualifies.  The strategy compiles a clique into a single
-recursive CTE exactly when:
+:func:`fuse_program` compiles a whole evaluation order list into one
+statement (:class:`FusedProgram`): one CTE per derived predicate, the answer
+SELECT last, nothing created, filled, counted or dropped.  A clique of
+several mutually recursive predicates becomes one recursive CTE over their
+tagged union, ``k(tag, c0, ...)``, one arm per rule, narrower predicates
+padded with ``NULL``; a plain CTE per member then selects its rows back out
+(``... FROM k WHERE tag = '<p>'``), so readers see one relation per
+predicate as before.  A one-predicate clique is the degenerate union: its
+CTE is the member's own, untagged.
 
-* the clique has **one predicate** (no mutual recursion — SQL's recursive
-  CTE recurses through one table);
-* every recursive rule is **linear**: its body references the clique
-  predicate exactly once (which is also SQL's own restriction on the
-  recursive select);
+A plan fuses exactly when every clique qualifies (:func:`cte_eligibility`):
+
+* every recursive rule is **linear**: its body references the clique's
+  predicates exactly once — SQL's own restriction on a recursive select,
+  which may read the recursive table once and not in a subquery;
 * **no rule uses negation** (a negated reference to the table under
   construction is not expressible; this dialect has no aggregation, the
   other classic disqualifier); and
 * the backend runs recursive CTEs, with at most its compound-select limit
-  of arms (``BackendCapabilities.max_compound_select``).
+  of arms (``BackendCapabilities.max_compound_select``), and the statement
+  stays within :data:`MAX_REFERENCE_PATHS`.
 
-Anything else falls back to the configured iteration loop (semi-naive by
-default).  Fallback is silent and recorded in
-``EvaluationCounters.strategy_by_clique``; it is never an error.
-
-When *every* clique of a plan qualifies, :func:`fuse_program` goes one step
-further and compiles the whole evaluation order list into one statement
-(:class:`FusedProgram`): one CTE per derived predicate, the answer SELECT
-last, nothing created, filled, counted or dropped.  Both forms build their
-arms with :func:`cte_body`.
+Any other plan runs node by node with the semi-naive loop; the reason is
+recorded in ``EvaluationCounters.strategy_by_clique``, never raised.
 """
 
 from __future__ import annotations
@@ -46,19 +47,8 @@ from ..dbms.backends import BackendCapabilities
 from ..dbms.catalog import fact_table_name
 from ..dbms.engine import Database
 from ..dbms.schema import column_name, quote_identifier
-from ..dbms.sqlgen import compile_rule_body
-from .context import (
-    PHASE_RHS_EVAL,
-    PHASE_TEMP_TABLES,
-    EvaluationContext,
-    derived_table_name,
-)
-from .naive import LfpResult
-from .seminaive import evaluate_clique_seminaive
-
-#: Name of the recursive common table expression inside the generated
-#: statement.  Scoped to the statement, so no collision handling is needed.
-CTE_NAME = "lfp_cte"
+from ..dbms.sqlgen import compile_rule_body, string_literal
+from .context import derived_table_name
 
 #: Upper bound on the base-table references a fused statement expands to.
 #: SQLite copies a non-recursive CTE's body into every reference to it, so a
@@ -91,13 +81,6 @@ def cte_eligibility(
     limit (the clique's rules plus its ``seed_rows`` are the CTE's arms)
     gate it too.
     """
-    if len(clique.predicates) != 1:
-        return CteEligibility(
-            False,
-            "mutual recursion: a recursive CTE recurses through one table, "
-            f"clique has {sorted(clique.predicates)}",
-        )
-    (predicate,) = clique.predicates
     for clause in clique.rules:
         if any(atom.negated for atom in clause.body):
             return CteEligibility(
@@ -105,13 +88,13 @@ def cte_eligibility(
             )
     for clause in clique.recursive_rules:
         occurrences = sum(
-            1 for atom in clause.body if atom.predicate == predicate
+            1 for atom in clause.body if atom.predicate in clique.predicates
         )
         if occurrences != 1:
             return CteEligibility(
                 False,
                 f"non-linear recursive rule ({occurrences} occurrences of "
-                f"{predicate!r}): {clause}",
+                f"{sorted(clique.predicates)}): {clause}",
             )
     if database is not None:
         backend = database.backend.name
@@ -126,7 +109,7 @@ def cte_eligibility(
                 f"{terms} compound-select terms exceed the {backend!r} "
                 f"backend's limit of {database.capabilities.max_compound_select}",
             )
-    return CteEligibility(True, "single-predicate linear clique, no negation")
+    return CteEligibility(True, "linear clique, no negation")
 
 
 def _within_compound_limit(capabilities: BackendCapabilities, terms: int) -> bool:
@@ -151,183 +134,84 @@ def _without_distinct(select_sql: str) -> str:
 
 
 def cte_body(
-    predicate: str,
+    arities: Mapping[str, int],
     anchor_rules: Sequence[Clause],
     recursive_rules: Sequence[Clause],
-    seed_rows: Sequence[tuple],
-    arity: int,
+    seed_rows: Mapping[str, Sequence[tuple]],
     table_sql: Callable[[str], str],
 ) -> "tuple[str, tuple] | None":
-    """The compound SELECT defining ``predicate``'s CTE, with its parameters.
+    """The compound SELECT defining one CTE, with its parameters.
 
-    Anchor arms (``anchor_rules``, then one ``SELECT ?, ...`` per seed row)
-    precede the recursive arms; ``UNION`` joins them, keeping set semantics
-    (and with it, termination on cyclic data).  ``table_sql`` maps each
-    body predicate to the quoted SQL name it reads — the CTE itself for a
-    recursive occurrence.  A one-column magic guard in a rule body (an atom
-    over another predicate's magic set) compiles to an ``IN`` semi-join:
-    joined, SQLite makes the magic CTE the outer loop of the recursive step
-    and scans it once per queued row.  Returns ``None`` when nothing anchors the
-    CTE: its fixpoint is then empty and the recursive arms never run.
+    ``arities`` names the predicates the CTE holds, with their arities: one
+    predicate, or a mutually recursive clique's members, whose rows then
+    carry a leading ``tag`` column and ``NULL`` padding up to the widest
+    member.  Anchor arms (``anchor_rules``, then one ``SELECT ?, ...`` per
+    ``seed_rows`` row) precede the recursive arms; ``UNION`` joins them,
+    keeping set semantics (and with it, termination on cyclic data).
+    ``table_sql`` maps each body predicate to the quoted SQL name it reads —
+    the CTE itself for a recursive occurrence.  A one-column magic guard in
+    a rule body (an atom over another node's magic set) compiles to an
+    ``IN`` semi-join: joined, SQLite makes the magic CTE the outer loop of
+    the recursive step and scans it once per queued row.  Returns ``None``
+    when nothing anchors the CTE: its fixpoint is then empty and the
+    recursive arms never run.
     """
+    width = max(arities.values())
+    members = frozenset(arities)
+
+    def arm(predicate: str, select_sql: str) -> str:
+        if len(members) == 1:
+            return select_sql
+        # A rule arm's select list holds only column references, ``?`` and
+        # aliases, so its first " FROM " ends it (a seed arm has none).
+        items, sep, rest = select_sql[len("SELECT "):].partition(" FROM ")
+        padding = "".join(
+            f", NULL AS {column_name(i)}" for i in range(arities[predicate], width)
+        )
+        return f"SELECT {string_literal(predicate)} AS tag, {items}{padding}{sep}{rest}"
+
+    def rule_arm(clause: Clause) -> str:
+        select_sql = _rule_arm(clause, members, table_sql, parameters)
+        return arm(clause.head_predicate, select_sql)
+
     arms: list[str] = []
     parameters: list = []
-    for clause in anchor_rules:
-        arms.append(_rule_arm(clause, predicate, table_sql, parameters))
-    for row in seed_rows:
-        arms.append(
-            "SELECT "
-            + ", ".join(f"? AS {column_name(i)}" for i in range(arity))
-        )
-        parameters.extend(row)
+    arms.extend(rule_arm(clause) for clause in anchor_rules)
+    for predicate, rows in seed_rows.items():
+        columns = ", ".join(f"? AS {column_name(i)}" for i in range(arities[predicate]))
+        for row in rows:
+            arms.append(arm(predicate, f"SELECT {columns}"))
+            parameters.extend(row)
     if not arms:
         return None
-    for clause in recursive_rules:
-        arms.append(_rule_arm(clause, predicate, table_sql, parameters))
+    arms.extend(rule_arm(clause) for clause in recursive_rules)
     return " UNION ".join(arms), tuple(parameters)
 
 
 def _rule_arm(
     clause: Clause,
-    predicate: str,
+    members: frozenset[str],
     table_sql: Callable[[str], str],
     parameters: list,
 ) -> str:
     # One-column guards only: a one-column IN subquery is portable SQL, a
     # row-value one is not, and a wider guard (a bb magic set) measured
-    # within 1.2x of it as a join.
+    # within 1.2x of it as a join.  A guard over the CTE's own predicates
+    # stays a join: the recursive table may not appear in a subquery.
     guards = frozenset(
         atom.predicate
         for atom in clause.body
         if is_magic_name(atom.predicate)
-        and atom.predicate != predicate
+        and atom.predicate not in members
         and atom.arity == 1
     )
-    select = compile_rule_body(clause, semijoin=guards)
+    select = compile_rule_body(
+        clause, semijoin=guards, tagged=members if len(members) > 1 else frozenset()
+    )
     parameters.extend(select.parameters)
     return _without_distinct(
         select.sql.format(*(table_sql(p) for p in select.table_slots))
     )
-
-
-def compile_clique_cte(
-    context: EvaluationContext, clique: Clique, dedup: bool = True
-) -> "tuple[str, tuple] | None":
-    """The single recursive statement for an eligible ``clique``.
-
-    Returns ``(sql, parameters)``, or ``None`` when the clique has no
-    anchor at all (no exit rules and no seed rows) — the fixpoint is then
-    the already-materialised (empty) relation and no statement is needed.
-
-    The statement has the shape::
-
-        WITH RECURSIVE "lfp_cte"(c0, ...) AS (
-            <exit-rule select>  UNION  <seed VALUES>      -- anchor arms
-            UNION
-            <recursive-rule select over "lfp_cte">  ...   -- recursive arms
-        )
-        INSERT INTO "d_pred" (c0, ...)
-        SELECT c0, ... FROM "lfp_cte"
-        [EXCEPT SELECT c0, ... FROM "d_pred"]
-
-    (with the WITH/INSERT composition delegated to the backend, whose
-    dialects disagree on where the clause attaches).  ``dedup`` adds the
-    trailing EXCEPT, which keeps the insert idempotent against rows
-    already in the result relation; callers that just created the relation
-    skip it — the EXCEPT re-sorts the whole fixpoint for nothing.
-    """
-    (predicate,) = clique.predicates
-    arity = len(context.types_of(predicate))
-    columns = ", ".join(column_name(i) for i in range(arity))
-    quoted_cte = quote_identifier(CTE_NAME)
-    body = cte_body(
-        predicate,
-        clique.exit_rules,
-        clique.recursive_rules,
-        context.seed_rows.get(predicate, ()),
-        arity,
-        # The one recursive occurrence reads the CTE itself; every other
-        # slot reads its materialised relation as usual.
-        lambda p: quoted_cte
-        if p == predicate
-        else quote_identifier(context.table_of(p)),
-    )
-    if body is None:
-        return None
-    arms, parameters = body
-    result = quote_identifier(context.table_of(predicate))
-    select_stmt = f"SELECT {columns} FROM {quoted_cte}"
-    if dedup:
-        select_stmt += f" EXCEPT SELECT {columns} FROM {result}"
-    sql = context.database.backend.recursive_insert_sql(
-        f"{quoted_cte}({columns}) AS ({arms})",
-        f"INSERT INTO {result} ({columns})",
-        select_stmt,
-    )
-    return sql, parameters
-
-
-def evaluate_clique_lfp_cte(
-    context: EvaluationContext,
-    clique: Clique,
-    fallback: Callable[[EvaluationContext, Clique], LfpResult] | None = None,
-) -> LfpResult:
-    """Evaluate ``clique`` in one recursive-CTE statement when it qualifies.
-
-    Ineligible cliques (and backends without recursive-CTE support) are
-    handed to ``fallback`` — :func:`evaluate_clique_seminaive` by default —
-    so this strategy never fails where the iteration loop would succeed.
-    The choice made for each clique is recorded in
-    ``context.counters.strategy_by_clique``.
-    """
-    if fallback is None:
-        fallback = evaluate_clique_seminaive
-    label = "+".join(sorted(clique.predicates))
-    seeds = sum(len(context.seed_rows.get(p, ())) for p in clique.predicates)
-    check = cte_eligibility(clique, context.database, seeds)
-    if not check.eligible:
-        context.counters.strategy_by_clique[label] = f"fallback: {check.reason}"
-        return fallback(context, clique)
-    context.counters.strategy_by_clique[label] = "lfp_cte"
-
-    (predicate,) = clique.predicates
-    database = context.database
-    tracer = context.tracer
-
-    with database.phase(PHASE_TEMP_TABLES):
-        # A pre-existing relation (e.g. adopted storage) may already hold
-        # rows the INSERT must not duplicate; a freshly materialised one is
-        # empty by construction and skips the EXCEPT re-sort entirely.
-        fresh = not context.has_table(predicate)
-        context.materialise(predicate)
-        # Seed rows are NOT pre-inserted here: they ride the CTE as anchor
-        # arms and arrive in the result through the one INSERT, mirroring
-        # how the iteration strategies let seeds participate in recursion.
-
-    compiled = compile_clique_cte(context, clique, dedup=not fresh)
-    # The whole fixpoint is a single statement: one "iteration" from the
-    # counters' point of view, and no termination phase at all.
-    with tracer.span("iteration", category="iteration", iteration=1) as it_span:
-        if compiled is not None:
-            sql, parameters = compiled
-            with database.phase(PHASE_RHS_EVAL):
-                database.execute(sql, parameters)
-        if tracer.enabled:
-            rows = database.observe(
-                "SELECT COUNT(*) FROM "
-                + quote_identifier(context.table_of(predicate))
-            )
-            cardinality = int(rows[0][0])
-            it_span.set("delta_tuples", cardinality)
-            tracer.metrics.histogram(
-                "lfp.delta_tuples", (1, 10, 100, 1000, 10000)
-            ).observe(cardinality)
-            tracer.metrics.counter("lfp.iterations").inc()
-            tracer.metrics.counter("lfp.cte_statements").inc()
-
-    sizes = {predicate: context.record_result_size(predicate)}
-    context.counters.iterations_by_clique[label] = 1
-    return LfpResult(1, sizes)
 
 
 # -- whole-program fusion ----------------------------------------------------
@@ -411,9 +295,9 @@ def fuse_program(
     # recursive CTE is computed once per statement, so it counts as one.
     paths: dict[str, int] = {}
 
-    def expansion(clauses: Sequence[Clause], own: str | None = None) -> int:
+    def expansion(clauses: Sequence[Clause], own: frozenset[str] = frozenset()) -> int:
         return sum(
-            1 if atom.predicate == own else paths.get(atom.predicate, 1)
+            1 if atom.predicate in own else paths.get(atom.predicate, 1)
             for clause in clauses
             for atom in clause.body
         )
@@ -423,51 +307,65 @@ def fuse_program(
     parameters: list = []
     cliques: list[str] = []
     total = max_terms = 0
-    nodes = [(p, (), ()) for p in sorted(set(seeds_of) - defined)]
+    nodes = [((p,), (), ()) for p in sorted(set(seeds_of) - defined)]
     for node in order:
         if isinstance(node, Clique):
             if not cte_eligibility(node):
                 return None
-            (predicate,) = node.predicates
-            cliques.append(predicate)
-            nodes.append((predicate, node.exit_rules, node.recursive_rules))
+            members = tuple(sorted(node.predicates))
+            cliques.append("+".join(members))
+            nodes.append((members, node.exit_rules, node.recursive_rules))
         else:
-            nodes.append((node.predicate, node.rules, ()))
-    for predicate, anchor_rules, recursive_rules in nodes:
-        name = derived_table_name(predicate)
+            nodes.append(((node.predicate,), node.rules, ()))
+    for members, anchor_rules, recursive_rules in nodes:
+        # One member: its own CTE.  Several: one CTE over their tagged
+        # union, then one per member selecting its rows back out.
+        tagged = len(members) > 1
+        name = f"k_{'+'.join(members)}" if tagged else derived_table_name(members[0])
         quoted = quote_identifier(name)
-        seeds = seeds_of.get(predicate, ())
+        seeds = {p: seeds_of[p] for p in members if p in seeds_of}
         try:
-            arity = len(types[predicate])
+            arities = {p: len(types[p]) for p in members}
             body = cte_body(
-                predicate,
+                arities,
                 anchor_rules,
                 recursive_rules,
                 seeds,
-                arity,
-                lambda p: quoted if p == predicate else quote_identifier(tables[p]),
+                lambda p: quoted if p in arities else quote_identifier(tables[p]),
             )
         except KeyError:
             # Unknown types or an unplaced body predicate: the node-by-node
             # path reports it with a proper EvaluationError.
             return None
-        columns = ", ".join(column_name(i) for i in range(arity))
+        columns = [column_name(i) for i in range(max(arities.values()))]
+        if tagged:
+            columns.insert(0, "tag")
         if body is None:
             # Nothing anchors it: the fixpoint is empty.
-            nulls = ", ".join(f"NULL AS {column_name(i)}" for i in range(arity))
+            nulls = ", ".join(f"NULL AS {column}" for column in columns)
             body = (f"SELECT {nulls} WHERE 1 = 0", ())
         arms, arm_parameters = body
-        ctes.append(f"{quoted}({columns}) AS ({arms})")
+        ctes.append(f"{quoted}({', '.join(columns)}) AS ({arms})")
         parameters.extend(arm_parameters)
-        tables[predicate] = name
+        for predicate in members:
+            if tagged:
+                own = ", ".join(column_name(i) for i in range(arities[predicate]))
+                tables[predicate] = derived_table_name(predicate)
+                ctes.append(
+                    f"{quote_identifier(tables[predicate])}({own}) AS (SELECT {own} "
+                    f"FROM {quoted} WHERE tag = {string_literal(predicate)})"
+                )
+            else:
+                tables[predicate] = name
         max_terms = max(
-            max_terms, len(anchor_rules) + len(recursive_rules) + len(seeds)
+            max_terms,
+            len(anchor_rules) + len(recursive_rules) + sum(map(len, seeds.values())),
         )
         if recursive_rules:
-            total += expansion(anchor_rules + recursive_rules, predicate)
-            paths[predicate] = 1
+            total += expansion(anchor_rules + recursive_rules, frozenset(members))
+            paths.update(dict.fromkeys(members, 1))
         else:
-            paths[predicate] = max(1, expansion(anchor_rules))
+            paths[members[0]] = max(1, expansion(anchor_rules))
     goals = [goal_rewrites.get(g.predicate, g.predicate) for g in query.goals]
     total += sum(paths.get(p, 1) for p in goals)
     if total > MAX_REFERENCE_PATHS or not tables.keys() >= set(goals):

@@ -26,8 +26,7 @@ from ..dbms.sqlgen import compile_rule_body
 from ..errors import EvaluationError
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from .context import PHASE_RHS_EVAL, EvaluationContext
-from .lfp import evaluate_clique_lfp_operator
-from .lfp_cte import FusedProgram, evaluate_clique_lfp_cte
+from .lfp_cte import FusedProgram, cte_eligibility
 from .naive import LfpResult, evaluate_clique_naive
 from .relalg import evaluate_nonrecursive
 from .seminaive import evaluate_clique_seminaive
@@ -38,13 +37,10 @@ class LfpStrategy(enum.Enum):
 
     NAIVE = "naive"
     SEMINAIVE = "seminaive"
-    # Extension (paper conclusion #6): a generalized LFP operator inside the
-    # DBMS, avoiding per-iteration temp tables and full set differences.
-    LFP_OPERATOR = "lfp_operator"
-    # Extension: the whole fixpoint as one recursive-CTE statement when the
-    # clique qualifies (linear, single-predicate, negation-free); falls back
-    # to semi-naive iteration otherwise.  When every clique qualifies, the
-    # whole program runs as one statement (see ``QueryProgram.fused``).
+    # Extension (paper conclusion #6, the LFP operator inside the DBMS): the
+    # whole plan as one recursive-CTE statement when every clique qualifies
+    # (linear, negation-free; see ``QueryProgram.fused``), the semi-naive
+    # loop otherwise.
     LFP_CTE = "lfp_cte"
 
 
@@ -52,11 +48,21 @@ class LfpStrategy(enum.Enum):
 DEFAULT_STRATEGY = LfpStrategy.LFP_CTE
 
 
+def _evaluate_unfused(context: EvaluationContext, clique: Clique) -> LfpResult:
+    """An ``LFP_CTE`` clique of a plan that runs node by node: the
+    semi-naive loop, with the reason the plan did not fuse recorded."""
+    seeds = sum(len(context.seed_rows.get(p, ())) for p in clique.predicates)
+    check = cte_eligibility(clique, context.database, seeds)
+    reason = "plan does not fuse" if check else check.reason
+    label = "+".join(sorted(clique.predicates))
+    context.counters.strategy_by_clique[label] = f"fallback: {reason}"
+    return evaluate_clique_seminaive(context, clique)
+
+
 _CLIQUE_EVALUATORS = {
     LfpStrategy.NAIVE: evaluate_clique_naive,
     LfpStrategy.SEMINAIVE: evaluate_clique_seminaive,
-    LfpStrategy.LFP_OPERATOR: evaluate_clique_lfp_operator,
-    LfpStrategy.LFP_CTE: evaluate_clique_lfp_cte,
+    LfpStrategy.LFP_CTE: _evaluate_unfused,
 }
 
 
@@ -71,8 +77,8 @@ class ExecutionResult:
     # Wall seconds per evaluation node, keyed by the node's predicate set —
     # Fig 14 reads the magic-rules vs modified-rules LFP times from here.
     node_seconds: dict[str, float] = field(default_factory=dict)
-    # Clique label -> "lfp_cte" | "fallback: <reason>", filled in when the
-    # recursive-CTE strategy was in play.
+    # Clique label -> "lfp_cte" | "fallback: <reason>", filled in for
+    # ``LFP_CTE`` plans.
     strategy_by_clique: dict[str, str] = field(default_factory=dict)
 
     @property

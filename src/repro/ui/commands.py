@@ -30,7 +30,7 @@ HELP_TEXT = """\
 Enter Horn clauses ('parent(a, b).', 'anc(X,Y) :- parent(X,Y).'),
 queries ('?- anc(a, X).'), or commands:
   :help                 this message
-  :strategy [NAME]      show or set LFP strategy (lfp_cte, naive, seminaive, lfp_operator)
+  :strategy [NAME]      show or set LFP strategy (lfp_cte, naive, seminaive)
   :optimize [on|off|auto]  show or set magic sets rewriting (default: auto)
   :explain QUERY        show the generated program fragment for QUERY
   :update               move workspace rules into the stored D/KB

@@ -93,7 +93,7 @@ class TestExtensionRunners:
         assert {p.strategy for p in points} == {
             "naive",
             "seminaive",
-            "lfp_operator",
+            "lfp_cte",
             "tc_operator",
         }
         assert len({p.answers for p in points}) == 1

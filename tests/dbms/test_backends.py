@@ -51,8 +51,6 @@ class TestCapabilities:
     def test_sqlite_capabilities(self):
         caps = SqliteBackend.capabilities
         assert caps.supports_recursive_cte
-        assert caps.supports_without_rowid
-        assert caps.supports_changes_function
         assert caps.supports_shared_cursors
         assert caps.supports_wal
         assert caps.supports_temp_namespace
@@ -61,10 +59,7 @@ class TestCapabilities:
     def test_duckdb_capabilities(self):
         caps = DuckDbBackend.capabilities
         assert caps.supports_recursive_cte
-        # The SQLite-dialect storage tricks are off, so the LFP operator
-        # and the statement cache know to stand down.
-        assert not caps.supports_without_rowid
-        assert not caps.supports_changes_function
+        # Cursors clone the connection, so the statement cache stands down.
         assert not caps.supports_shared_cursors
         assert not caps.supports_wal
         assert not caps.supports_temp_namespace
@@ -74,23 +69,6 @@ class TestCapabilities:
     def test_database_surfaces_capabilities(self, database):
         assert database.capabilities is database.backend.capabilities
         assert database.backend.name == "sqlite"
-
-
-class TestRecursiveInsertComposition:
-    def test_sqlite_attaches_with_before_insert(self):
-        sql = SqliteBackend().recursive_insert_sql(
-            "cte(c0) AS (SELECT 1)", "INSERT INTO t (c0)", "SELECT c0 FROM cte"
-        )
-        assert sql.startswith("WITH RECURSIVE cte")
-        assert "INSERT INTO t" in sql
-
-    @pytest.mark.skipif(not HAS_DUCKDB, reason="duckdb not installed")
-    def test_duckdb_attaches_with_to_the_select(self):
-        sql = DuckDbBackend().recursive_insert_sql(
-            "cte(c0) AS (SELECT 1)", "INSERT INTO t (c0)", "SELECT c0 FROM cte"
-        )
-        assert sql.startswith("INSERT INTO t")
-        assert "WITH RECURSIVE cte" in sql
 
 
 class TestDuckDbGating:

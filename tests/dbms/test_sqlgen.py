@@ -9,6 +9,7 @@ from repro.dbms.sqlgen import (
     copy_sql,
     difference_sql,
     insert_new_tuples_sql,
+    string_literal,
 )
 from repro.errors import CodeGenerationError
 
@@ -220,3 +221,37 @@ class TestSemijoin:
         compiled, rows = self.run(guarded, "p(X) :- m(X).", frozenset({"m"}))
         assert " IN " not in compiled.sql
         assert rows == {("a",), ("c",)}
+
+
+class TestTagged:
+    """An atom over a ``tagged`` predicate reads a tagged union and keeps
+    only the rows carrying its own name."""
+
+    @pytest.fixture
+    def union(self, database):
+        database.execute("CREATE TABLE k (tag TEXT, c0 TEXT, c1 TEXT)")
+        database.execute(
+            "INSERT INTO k VALUES ('p', 'a', 'b'), ('q', 'b', 'c'), ('q', 'x', NULL)"
+        )
+        return database
+
+    def test_filter_keeps_the_atoms_own_rows(self, union):
+        compiled = compile_rule_body(
+            parse_clause("r(X, Y) :- p(X, Z), q(Z, Y)."), tagged=frozenset({"p", "q"})
+        )
+        assert "t0.tag = 'p'" in compiled.sql and "t1.tag = 'q'" in compiled.sql
+        rows = union.execute(compiled.render(["k", "k"]), compiled.parameters)
+        assert rows == [("a", "c")]
+
+    def test_untagged_atom_reads_every_row(self, union):
+        compiled = compile_rule_body(
+            parse_clause("r(X) :- q(X, Y)."), tagged=frozenset({"p"})
+        )
+        assert "tag" not in compiled.sql
+        rows = union.execute(compiled.render(["k"]), compiled.parameters)
+        assert sorted(rows) == [("a",), ("b",), ("x",)]
+
+    def test_string_literal_doubles_quotes(self, database):
+        literal = string_literal("it's")
+        assert literal == "'it''s'"
+        assert database.execute(f"SELECT {literal}") == [("it's",)]

@@ -27,6 +27,11 @@ from repro.workloads.relations import (
 
 DEPTH = 6
 LEVELS = (1, 2, 4)
+EVEN_ODD = (
+    "odd(X, Y) :- parent(X, Y)."
+    "odd(X, Y) :- parent(X, Z), even(Z, Y)."
+    "even(X, Y) :- parent(X, Z), odd(Z, Y)."
+)
 
 requires_duckdb = pytest.mark.skipif(
     not duckdb_available(), reason="duckdb not installed"
@@ -81,12 +86,26 @@ class TestEngineParity:
         duckdb_rows = answers(relation, "duckdb", strategy)
         assert duckdb_rows == sqlite_rows
 
-    def test_lfp_operator_falls_back_cleanly_on_duckdb(self, relation):
-        # The in-DBMS LFP operator is SQLite dialect; on DuckDB it must
-        # silently compute the same fixpoint via the portable loop.
-        sqlite_rows = answers(relation, "sqlite", LfpStrategy.LFP_OPERATOR)
-        duckdb_rows = answers(relation, "duckdb", LfpStrategy.LFP_OPERATOR)
-        assert duckdb_rows == sqlite_rows
+    def test_duckdb_mutual_clique_parity(self, relation):
+        # A mutually recursive clique fuses into one tagged-union CTE, free
+        # and under the magic rewrite.
+        def rows(backend):
+            testbed = Testbed(TestbedConfig(backend=backend))
+            try:
+                testbed.define(EVEN_ODD)
+                load_parent_relation(testbed, relation)
+                out = []
+                for query in ("?- even(X, Y).", "?- odd('t2', Y)."):
+                    result = testbed.query(query)
+                    assert set(result.execution.strategy_by_clique.values()) == {
+                        "lfp_cte"
+                    }
+                    out.append(set(result.rows))
+                return out
+            finally:
+                testbed.close()
+
+        assert rows("duckdb") == rows("sqlite")
 
     def test_duckdb_fused_magic_parity(self, relation):
         # The default one-statement plan with the magic seed as CTE arms.

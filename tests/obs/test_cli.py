@@ -39,3 +39,22 @@ def test_trace_cli_writes_chrome_trace(tmp_path, capsys):
 def test_trace_cli_rejects_unknown_strategy(capsys):
     assert main(["?- a(X).", "--strategy", "psychic"]) == 2
     assert "unknown strategy" in capsys.readouterr().out
+
+
+def test_trace_cli_mutual_clique_is_one_fused_statement(tmp_path, capsys):
+    rules = tmp_path / "rules.dkb"
+    rules.write_text(
+        "parent(a, b). parent(b, c). parent(c, d).\n"
+        "odd(X, Y) :- parent(X, Y).\n"
+        "odd(X, Y) :- parent(X, Z), even(Z, Y).\n"
+        "even(X, Y) :- parent(X, Z), odd(Z, Y).\n"
+    )
+    status = main(
+        ["?- even(a, Y).", "--load", str(rules), "--out", str(tmp_path / "t.json")]
+    )
+    assert status == 0
+    printed = capsys.readouterr().out
+    assert "1 answers" in printed
+    assert "fused" in printed and "clique:even+odd" not in printed
+    assert "lfp.cte_statements = 1" in printed
+    assert "dbms.statements.drop" not in printed

@@ -10,7 +10,7 @@ eligibility check accepts.
 
 The default strategy goes one step further when every clique qualifies and
 runs the whole program as one statement; :class:`TestWholeProgramFusion`
-checks that statement against the per-clique CTEs it replaces, against
+checks that statement against the same plan run node by node, against
 semi-naive evaluation, and against the top-down oracle.
 """
 
@@ -172,7 +172,8 @@ class TestGeneratedPrograms:
 
 
 def assert_fusion_agrees(program_text, base, edges, query, optimize=False):
-    """The one-statement default == per-clique CTEs == semi-naive == oracle."""
+    """The one-statement default == the same plan node by node == semi-naive
+    == oracle."""
     with Testbed() as tb:
         tb.define(program_text)
         tb.define_base_relation(base, ("TEXT", "TEXT"))
@@ -180,20 +181,23 @@ def assert_fusion_agrees(program_text, base, edges, query, optimize=False):
         fused = tb.query(query, optimize=optimize)
         program = fused.compilation.program
         assert program.fused is not None, query
-        per_clique = dataclasses.replace(program, fused=None).execute(
+        unfused = dataclasses.replace(program, fused=None).execute(
             tb.database, tb.catalog
         )
         loop = tb.query(query, optimize=optimize, strategy=LfpStrategy.SEMINAIVE)
     oracle = evaluate_top_down(
         parse_program(program_text), {base: set(edges)}, parse_query(query)
     )
-    assert set(fused.rows) == set(per_clique.rows) == set(loop.rows) == oracle
+    assert set(fused.rows) == set(unfused.rows) == set(loop.rows) == oracle
     # Nothing was materialised; every clique ran as one CTE "iteration".
     execution = fused.execution
     assert execution.tuples_by_predicate == {} and execution.node_seconds == {}
-    assert execution.strategy_by_clique == per_clique.strategy_by_clique
+    assert execution.strategy_by_clique.keys() == unfused.strategy_by_clique.keys()
     assert set(execution.strategy_by_clique.values()) <= {"lfp_cte"}
-    assert execution.iterations_by_clique == per_clique.iterations_by_clique
+    assert set(unfused.strategy_by_clique.values()) <= {
+        "fallback: plan does not fuse"
+    }
+    assert execution.iterations_by_clique.keys() == unfused.iterations_by_clique.keys()
     assert set(execution.iterations_by_clique.values()) <= {1}
 
 

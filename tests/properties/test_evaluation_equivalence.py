@@ -163,7 +163,6 @@ ITERATIONS = {"list": 6, "tree": 5, "dag": 5, "cyclic": 6}
 STRATEGIES = [
     LfpStrategy.NAIVE,
     LfpStrategy.SEMINAIVE,
-    LfpStrategy.LFP_OPERATOR,
     DEFAULT_STRATEGY,
 ]
 
@@ -212,7 +211,7 @@ class TestRandomGraphIterations:
     def test_iterating_strategies_agree_with_the_oracles(self, edges):
         expected_rows = top_down(edges, "?- ancestor(X, Y).")
         expected_iterations = longest_shortest_path(edges) + 1
-        for strategy in STRATEGIES[:3]:
+        for strategy in STRATEGIES[:2]:
             rows, iterations = run_query(edges, strategy)
             assert rows == expected_rows, (strategy, edges)
             assert iterations == {"ancestor": expected_iterations}, (

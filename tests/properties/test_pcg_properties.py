@@ -5,13 +5,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog.pcg import PredicateConnectionGraph
-from repro.runtime.transitive_closure import (
-    incremental_closure_update,
-    transitive_closure_python,
-)
 
 nodes = st.sampled_from([f"p{i}" for i in range(8)])
 edges = st.lists(st.tuples(nodes, nodes), min_size=0, max_size=25)
+
+
+def transitive_closure_python(edge_list):
+    """Reference closure of an edge list: a depth-first search per node."""
+    successors = {}
+    for source, target in edge_list:
+        successors.setdefault(source, set()).add(target)
+    closure = set()
+    for start in successors:
+        frontier = list(successors[start])
+        reached = set()
+        while frontier:
+            node = frontier.pop()
+            if node not in reached:
+                reached.add(node)
+                frontier.extend(successors.get(node, ()))
+        closure.update((start, node) for node in reached)
+    return closure
 
 
 def build_pcg(edge_list):
@@ -76,12 +90,3 @@ class TestStronglyConnectedComponents:
         for head, body in edge_list:
             assert position[body] <= position[head]
 
-
-class TestIncrementalClosure:
-    @given(edges, edges)
-    @settings(max_examples=150)
-    def test_incremental_equals_batch(self, initial, additions):
-        base = transitive_closure_python(initial)
-        added = incremental_closure_update(base, additions)
-        assert base | added == transitive_closure_python(initial + additions)
-        assert not (base & added)

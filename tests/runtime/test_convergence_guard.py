@@ -1,8 +1,8 @@
 """Regression tests: LFP loops must fail loudly when they hit the cap.
 
 The seed silently fell out of the evaluation loop at ``MAX_ITERATIONS``,
-returning a truncated (non-least) fixed point as if it had converged.  All
-three strategies must instead raise :class:`EvaluationError` so a runaway
+returning a truncated (non-least) fixed point as if it had converged.  Both
+iterating strategies must instead raise :class:`EvaluationError` so a runaway
 recursion can never masquerade as an answer.
 """
 
@@ -13,7 +13,6 @@ import pytest
 import repro.runtime.naive
 from repro.errors import EvaluationError
 from repro.runtime.context import EvaluationContext
-from repro.runtime.lfp import evaluate_clique_lfp_operator
 from repro.runtime.naive import evaluate_clique_naive
 from repro.runtime.seminaive import evaluate_clique_seminaive
 
@@ -22,7 +21,6 @@ from .conftest import EDGES, closure_of
 STRATEGIES = [
     ("naive", evaluate_clique_naive),
     ("semi-naive", evaluate_clique_seminaive),
-    ("lfp_operator", evaluate_clique_lfp_operator),
 ]
 
 
@@ -31,8 +29,8 @@ def test_iteration_cap_raises(
     monkeypatch, edge_context, ancestor_clique, name, evaluate
 ):
     # The 3-edge chain needs 4 iterations to converge; cap it at 2.  The
-    # authoritative constant lives in repro.runtime.naive and the other
-    # strategies read it dynamically, so one monkeypatch covers all three.
+    # authoritative constant lives in repro.runtime.naive and semi-naive
+    # reads it dynamically, so one monkeypatch covers both.
     monkeypatch.setattr(repro.runtime.naive, "MAX_ITERATIONS", 2)
     with pytest.raises(EvaluationError) as excinfo:
         evaluate(edge_context, ancestor_clique)

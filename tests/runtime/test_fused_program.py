@@ -7,12 +7,19 @@ plans here are magic-sets plans; ``optimize=False`` pins the plain ones.
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
 from repro import LfpStrategy, Testbed, TestbedConfig
 from repro.runtime.lfp_cte import MAX_REFERENCE_PATHS, fuse_program
-from repro.workloads.queries import ancestor_query, make_ancestor_testbed
+from repro.workloads.queries import (
+    ANCESTOR_RULES,
+    SAME_GENERATION_RULES,
+    ancestor_query,
+    make_ancestor_testbed,
+)
 from repro.workloads.relations import full_binary_trees, tree_node
 
 CHAIN = 40
@@ -107,6 +114,134 @@ class TestWarmStatementStream:
             assert result.compilation.program.fused is None
             assert result.execution.total_iterations > 1
             assert "CREATE" in tb.database.statistics.total.by_kind
+
+
+class TestStatementText:
+    """A one-predicate clique is the degenerate tagged union: its statement
+    text stays exactly the one recorded before mutual cliques fused."""
+
+    EXPECTED = json.loads(
+        (Path(__file__).with_name("fused_statements.json")).read_text()
+    )
+    PROGRAMS = {
+        "ancestor": (ANCESTOR_RULES, "ancestor", ("parent",)),
+        "same_generation": (
+            SAME_GENERATION_RULES, "same_generation", ("flat", "up", "down")
+        ),
+        "chain40": (CHAIN_RULES, "p0", ("step",)),
+    }
+    GOALS = {"unbound": "(X, Y)", "source": "('n0', Y)", "target": "(X, 'n0')"}
+
+    @pytest.mark.parametrize("binding", sorted(GOALS))
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_with_clause_is_unchanged(self, name, binding):
+        rules, goal, bases = self.PROGRAMS[name]
+        with Testbed() as tb:
+            tb.define(rules)
+            for base in bases:
+                tb.define_base_relation(base, ("TEXT", "TEXT"))
+            query = f"?- {goal}{self.GOALS[binding]}."
+            fused = tb.compile_query(query).program.fused
+            assert fused.with_clause == self.EXPECTED[f"{name}.{binding}"]
+
+
+class TestTaggedUnion:
+    """A mutually recursive clique: one CTE over the members' tagged union,
+    then one plain CTE per member."""
+
+    EVEN_ODD = (
+        "odd(X, Y) :- step(X, Y)."
+        "odd(X, Y) :- step(X, Z), even(Z, Y)."
+        "even(X, Y) :- step(X, Z), odd(Z, Y)."
+    )
+    MIXED = (
+        "p(X, Y) :- step(X, Y)."
+        "p(X, Y) :- step(X, Z), r(Z, Y)."
+        "q(Y) :- p(X, Y)."
+        "r(X, Y) :- q(X), step(X, Y)."
+    )
+
+    def test_union_then_one_cte_per_member(self):
+        with make_testbed(self.EVEN_ODD) as tb:
+            fused = tb.compile_query("?- even(X, Y).").program.fused
+            assert fused.cliques == ("even+odd",)
+            assert fused.max_terms == 3
+            assert fused.tables["even"] == "d_even"
+            clause = fused.with_clause
+            assert clause.startswith('WITH RECURSIVE "k_even+odd"(tag, c0, c1) AS (')
+            assert clause.count('"k_even+odd" AS t') == 2  # one per recursive arm
+            assert (
+                '"d_even"(c0, c1) AS (SELECT c0, c1 FROM "k_even+odd" '
+                "WHERE tag = 'even')" in clause
+            )
+            assert "t1.tag = 'odd'" in clause and "t1.tag = 'even'" in clause
+
+    def test_narrower_member_is_padded_with_null(self):
+        with make_testbed(self.MIXED) as tb:
+            fused = tb.compile_query("?- q(X).").program.fused
+            clause = fused.with_clause
+            assert '"k_p+q+r"(tag, c0, c1)' in clause
+            assert "SELECT 'q' AS tag, t0.c1 AS c0, NULL AS c1 FROM" in clause
+            assert '"d_q"(c0) AS (SELECT c0 FROM "k_p+q+r" WHERE tag = \'q\')' in clause
+            result = tb.query("?- q(X).")
+            assert sorted(result.rows) == sorted((f"n{i}",) for i in range(8))
+
+    def test_guard_over_a_clique_member_stays_a_join(self):
+        # The magic predicates m_even__bf/m_odd__bf form their own clique:
+        # a guard over a member may not become a subquery of the union.
+        with make_testbed(self.EVEN_ODD) as tb:
+            fused = tb.compile_query("?- even('n0', Y).").program.fused
+            assert fused.cliques == ("m_even__bf+m_odd__bf", "even__bf+odd__bf")
+            assert 'FROM "k_m_even__bf+m_odd__bf")' not in fused.with_clause
+            assert 'IN (SELECT c0 FROM "d_m_even__bf")' in fused.with_clause
+
+    def test_rebind_carries_the_union_statement(self):
+        with make_testbed(self.EVEN_ODD) as tb:
+            first = tb.query("?- even('n0', Y).")
+            second = tb.query("?- even('n5', Y).")
+            assert second.compilation.program.fused is first.compilation.program.fused
+            # Eight steps round the ring: an even walk ends on an even offset.
+            assert sorted(first.rows) == [(f"n{i}",) for i in range(0, 8, 2)]
+            assert sorted(second.rows) == sorted((f"n{(5 + i) % 8}",) for i in range(0, 8, 2))
+
+    def test_compound_limit_counts_every_member_arm(self, monkeypatch):
+        with make_testbed(self.EVEN_ODD) as tb:
+            program = tb.compile_query("?- odd(X, Y).").program
+            backend = type(tb.database.backend)
+            monkeypatch.setattr(
+                backend,
+                "capabilities",
+                dataclasses.replace(backend.capabilities, max_compound_select=2),
+            )
+            assert not program.fused.runs_on(tb.database)
+            result = program.execute(tb.database, tb.catalog)
+            assert len(result.rows) == 32
+            assert "compound-select" in result.strategy_by_clique["even+odd"]
+
+    def test_union_member_is_one_reference_path(self):
+        # A diamond over a union member doubles per level from 1, as over a
+        # base relation: the union is computed once, however many read it.
+        def fused(depth):
+            rules = self.EVEN_ODD + "\n".join(
+                [f"p{i}(X, Y) :- p{i + 1}(X, Z), p{i + 1}(Z, Y)." for i in range(depth)]
+                + [f"p{depth}(X, Y) :- even(X, Y)."]
+            )
+            with make_testbed(rules) as tb:
+                return tb.compile_query("?- p0(X, Y).").program.fused
+
+        assert fused(5) is not None
+        assert fused(6) is None
+
+    def test_negation_in_a_mutual_clique_does_not_fuse(self):
+        rules = self.EVEN_ODD.replace(
+            "even(X, Y) :- step(X, Z), odd(Z, Y).",
+            "even(X, Y) :- step(X, Z), odd(Z, Y), not step(X, Y).",
+        )
+        with make_testbed(rules) as tb:
+            result = tb.query("?- even(X, Y).")
+            assert result.compilation.program.fused is None
+            assert "negated" in result.execution.strategy_by_clique["even+odd"]
+            assert len(result.rows) == 32
 
 
 class TestMagicGuards:

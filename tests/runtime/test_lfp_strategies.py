@@ -1,6 +1,6 @@
-"""Unit tests for the three clique LFP evaluation strategies.
+"""Unit tests for the two clique LFP iteration strategies.
 
-All three must compute the same least fixed point; they differ only in how
+Both must compute the same least fixed point; they differ only in how
 they get there (and what that costs).
 """
 
@@ -11,7 +11,6 @@ from repro.runtime.context import (
     PHASE_TEMP_TABLES,
     PHASE_TERMINATION,
 )
-from repro.runtime.lfp import evaluate_clique_lfp_operator
 from repro.runtime.naive import evaluate_clique_naive
 from repro.runtime.seminaive import evaluate_clique_seminaive
 
@@ -20,7 +19,6 @@ from .conftest import CYCLE_EDGES, EDGES, closure_of
 STRATEGIES = [
     evaluate_clique_naive,
     evaluate_clique_seminaive,
-    evaluate_clique_lfp_operator,
 ]
 
 

@@ -77,6 +77,14 @@ class TestCommands:
         assert interpreter.state.strategy.value == "naive"
         assert "unknown strategy" in interpreter.execute(":strategy turbo")
 
+    def test_strategies_offered_are_the_loops_and_the_fused_statement(
+        self, interpreter
+    ):
+        assert "(lfp_cte, naive, seminaive)" in interpreter.execute(":help")
+        assert interpreter.execute(":strategy turbo").endswith(
+            "(one of: naive, seminaive, lfp_cte)"
+        )
+
     def test_optimize_modes(self, interpreter):
         assert "auto" in interpreter.execute(":optimize")
         interpreter.execute(":optimize on")

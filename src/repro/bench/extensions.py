@@ -158,10 +158,9 @@ def run_parallel_simulation(
     compiled = testbed.compile_query(
         f"?- p('{tree_node('w0_', 1)}', Y).", optimize=False, strategy=strategy
     )
-    testbed.database.statistics.enable_trace()
-    testbed.database.statistics.reset()
+    tracer = testbed.enable_tracing(capture_plans=False)
     compiled.program.execute(testbed.database, testbed.catalog)
-    trace = lfp_phase_events(testbed.database.statistics.trace)
+    trace = lfp_phase_events(tracer.statements)
     testbed.close()
     return sweep_workers(trace, worker_counts)
 

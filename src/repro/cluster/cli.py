@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import signal
+
+from ..server.cli import sigterm_interrupts
 
 
 def _parse_spec_arguments(arguments: argparse.Namespace) -> "Any":
@@ -215,39 +216,34 @@ def cluster_main(argv: "list[str] | None" = None) -> int:
     )
     supervisor = ClusterSupervisor(config)
     # SIGTERM (``kill``, a service manager) stops the shards like Ctrl-C.
-    previous = signal.signal(signal.SIGTERM, _interrupt)
-    try:
-        if arguments.demo_depth:
-            from ..bench.cluster import seed_cluster, wait_for_replicas
+    with sigterm_interrupts():
+        try:
+            if arguments.demo_depth:
+                from ..bench.cluster import seed_cluster, wait_for_replicas
 
-            host, port = supervisor.address
-            with DkbClient(host, port) as client:
-                trees = seed_cluster(
-                    client, depth=arguments.demo_depth, trees=spec.shards
+                host, port = supervisor.address
+                with DkbClient(host, port) as client:
+                    trees = seed_cluster(
+                        client, depth=arguments.demo_depth, trees=spec.shards
+                    )
+                    if arguments.replicas:
+                        wait_for_replicas(client)
+                print(
+                    f"seeded ancestor demo ({trees} trees of depth "
+                    f"{arguments.demo_depth}) through the router"
                 )
-                if arguments.replicas:
-                    wait_for_replicas(client)
-            print(
-                f"seeded ancestor demo ({trees} trees of depth "
-                f"{arguments.demo_depth}) through the router"
-            )
-        print(json.dumps(supervisor.describe(), indent=2))
-        host, port = supervisor.address
-        print(f"cluster router on {host}:{port}")
-        if supervisor.router is not None and supervisor.router.exporter is not None:
-            mhost, mport = supervisor.router.exporter.address
-            print(f"metrics: http://{mhost}:{mport}/metrics")
-        supervisor.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        supervisor.close()
-        signal.signal(signal.SIGTERM, previous)
+            print(json.dumps(supervisor.describe(), indent=2))
+            host, port = supervisor.address
+            print(f"cluster router on {host}:{port}")
+            if supervisor.router is not None and supervisor.router.exporter is not None:
+                mhost, mport = supervisor.router.exporter.address
+                print(f"metrics: http://{mhost}:{mport}/metrics")
+            supervisor.serve_forever()
+        except KeyboardInterrupt:
+            print("\nshutting down")
+        finally:
+            supervisor.close()
     return 0
-
-
-def _interrupt(signum: int, frame: object) -> None:
-    raise KeyboardInterrupt
 
 
 def build_bench_cluster_parser() -> argparse.ArgumentParser:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
 from ..errors import EvaluationError
-from ..obs.trace import StatementRecord, Tracer
+from ..obs.trace import DEFAULT_PHASE, Span, StatementRecord, Tracer
 from .backends import BackendCapabilities, SqlBackend, get_backend
 from .schema import RelationSchema, quote_identifier
 
@@ -198,69 +198,30 @@ class PhaseStats:
         return merged
 
 
-@dataclass(frozen=True)
-class StatementEvent:
-    """One executed statement, for trace-based analyses.
-
-    The parallel-evaluation simulator (paper conclusion 7) replays these
-    events under hypothetical schedules.
-    """
-
-    phase: str
-    kind: str
-    seconds: float
-
-
 class Statistics:
     """Per-phase statement statistics for one :class:`Database`.
 
-    Phases nest; a statement is attributed to the innermost active phase (or
-    ``"(none)"`` outside any phase).  The experiment harness resets the
-    statistics before a measured operation and reads them afterwards.
-
-    With :meth:`enable_trace` every statement is additionally recorded as a
-    :class:`StatementEvent`, in execution order.
+    A statement is attributed to the phase of the innermost open span on
+    the database's span stack (``"(none)"`` outside any span).  The
+    experiment harness resets the statistics before a measured operation
+    and reads them afterwards.
     """
 
-    DEFAULT_PHASE = "(none)"
+    DEFAULT_PHASE = DEFAULT_PHASE
 
-    def __init__(self) -> None:
+    def __init__(self, spans: list[Span]) -> None:
         self._phases: dict[str, PhaseStats] = {}
-        self._stack: list[str] = []
-        self._trace: list[StatementEvent] | None = None
+        # The owning database's open-span stack (innermost last).
+        self._spans = spans
 
     def reset(self) -> None:
-        """Drop all accumulated numbers (the phase stack survives)."""
+        """Drop all accumulated numbers (open spans are untouched)."""
         self._phases.clear()
-        if self._trace is not None:
-            self._trace = []
-
-    def enable_trace(self) -> None:
-        """Start recording per-statement events (cleared by :meth:`reset`)."""
-        self._trace = []
-
-    def disable_trace(self) -> None:
-        """Stop recording and drop any recorded events."""
-        self._trace = None
-
-    @property
-    def trace(self) -> list[StatementEvent]:
-        """The recorded statement events (empty unless tracing is enabled)."""
-        return list(self._trace or ())
 
     @property
     def current_phase(self) -> str:
-        """Name of the innermost active phase."""
-        return self._stack[-1] if self._stack else self.DEFAULT_PHASE
-
-    def push(self, phase: str) -> None:
-        """Enter a named phase."""
-        self._stack.append(phase)
-
-    def pop(self) -> None:
-        """Leave the innermost phase."""
-        if self._stack:
-            self._stack.pop()
+        """Phase of the innermost open span."""
+        return self._spans[-1].phase if self._spans else DEFAULT_PHASE
 
     def record(
         self,
@@ -273,26 +234,6 @@ class Statistics:
         """Attribute one statement to the current phase."""
         phase = self._phases.setdefault(self.current_phase, PhaseStats())
         phase.record(kind, seconds, fetched, changed, cache_hit)
-        if self._trace is not None:
-            self._trace.append(
-                StatementEvent(self.current_phase, kind, seconds)
-            )
-
-    def on_statement(self, record: StatementRecord) -> None:
-        """Sink adapter over the observability event stream.
-
-        :meth:`Database.execute` feeds Statistics directly through
-        :meth:`record` on the hot path; this adapter formalises that
-        Statistics is just another sink over the same per-statement events
-        the :class:`~repro.obs.Tracer` consumes.
-        """
-        self.record(
-            record.kind,
-            record.seconds,
-            record.rows_fetched,
-            record.rows_changed,
-            record.cache_hit,
-        )
 
     def record_span(self, phase: str, seconds: float) -> None:
         """Attribute non-statement wall time to ``phase``.
@@ -358,9 +299,12 @@ class Database:
         # re-entrant, so when a handle is shared across threads
         # (check_same_thread=False) the execute/record step must be atomic.
         self._execute_lock = threading.RLock()  # serializes: one statement at a time is the point
-        # Statistics.record() runs under _execute_lock; the phase stack is
+        # The open spans, innermost last (see span): one stack for the
+        # clock, the Statistics phase and the tracer's tree.
+        self._spans: list[Span] = []  # not-shared: spans are opened and closed by the single controlling thread
+        # Statistics.record() runs under _execute_lock; the span stack is
         # driven by the single controlling thread between statements.
-        self.statistics = Statistics()  # not-shared: record() is under _execute_lock, phases are single-threaded
+        self.statistics = Statistics(self._spans)  # not-shared: record() is under _execute_lock, spans are single-threaded
         self.statement_cache: StatementCache | None = (
             StatementCache(statement_cache_size)
             if statement_cache_size
@@ -406,14 +350,33 @@ class Database:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    @contextlib.contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Attribute statements inside the block to phase ``name``."""
-        self.statistics.push(name)
-        try:
-            yield
-        finally:
-            self.statistics.pop()
+    def span(
+        self,
+        name: str,
+        category: str = "",
+        phase: str | None = None,
+        **attributes: Any,
+    ) -> Span:
+        """A measured region, entered with ``with``: the one timing primitive.
+
+        The span's ``duration`` is valid once the block exits, traced or
+        not.  Statements inside it count toward ``phase`` in
+        :attr:`statistics` (default: the enclosing span's phase); with a
+        tracer installed the span is also a node of its tree, under the
+        innermost open span.
+        """
+        spans = self._spans
+        parent = spans[-1] if spans else None
+        if phase is None:
+            phase = parent.phase if parent is not None else DEFAULT_PHASE
+        span = Span(name, category, phase, attributes, spans)
+        if self._tracer is not None:
+            self._tracer.adopt(span, parent)
+        return span
+
+    def phase(self, name: str) -> Span:
+        """A span whose statements count toward phase ``name``."""
+        return self.span(name, "phase", name)
 
     def execute(
         self, sql: str, parameters: Sequence[Any] = ()
@@ -459,6 +422,7 @@ class Database:
                     cache_hit=cache_hit,
                     parameters=tuple(parameters),
                 ),
+                self._spans,
                 self,
             )
         return rows
@@ -501,6 +465,7 @@ class Database:
                     cache_hit=cache_hit,
                     parameters=tuple(rows[0]) if rows else (),
                 ),
+                self._spans,
                 self,
             )
         return changed

@@ -22,7 +22,6 @@ component so Tests 1-3 can report the breakdown:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -35,7 +34,6 @@ from ..datalog.parser import parse_query
 from ..datalog.pcg import PredicateConnectionGraph
 from ..dbms.catalog import ExtensionalCatalog
 from ..obs.timings import TimingsMapping
-from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from ..runtime.program import DEFAULT_STRATEGY, LfpStrategy, QueryProgram
 from .codegen import compile_and_link, generate_fragment
 from .optimizer import optimization_applies, optimize
@@ -47,7 +45,8 @@ from .workspace import WorkspaceDKB
 
 @dataclass
 class CompilationTimings(TimingsMapping):
-    """Wall-clock seconds per compilation component.
+    """Wall-clock seconds per compilation component: each is the duration
+    of the same-named child span of the ``compile`` span.
 
     Also a read-only :class:`~collections.abc.Mapping` over the components
     (iteration excludes ``total``, so ``sum(t.values()) == t.total``).
@@ -61,34 +60,6 @@ class CompilationTimings(TimingsMapping):
     optimize: float = 0.0
     eorder: float = 0.0
     gencompile: float = 0.0
-
-    @property
-    def total(self) -> float:
-        """Total compilation time ``t_c``."""
-        return (
-            self.setup
-            + self.extract
-            + self.readdict
-            + self.semantic
-            + self.lint
-            + self.optimize
-            + self.eorder
-            + self.gencompile
-        )
-
-    def as_dict(self) -> dict[str, float]:
-        """Component name to seconds, plus the total."""
-        return {
-            "setup": self.setup,
-            "extract": self.extract,
-            "readdict": self.readdict,
-            "semantic": self.semantic,
-            "lint": self.lint,
-            "optimize": self.optimize,
-            "eorder": self.eorder,
-            "gencompile": self.gencompile,
-            "total": self.total,
-        }
 
 
 @dataclass
@@ -139,7 +110,6 @@ class QueryCompiler:
         strategy: LfpStrategy = DEFAULT_STRATEGY,
         reorder_bodies: bool = False,
         lint: bool = False,
-        tracer: "Tracer | NullTracer | None" = None,
     ) -> CompilationResult:
         """Compile ``query`` into an executable program.
 
@@ -159,8 +129,9 @@ class QueryCompiler:
                 ``CompilationResult.diagnostics``; the time spent is the
                 ``lint`` timing component and a ``lint`` phase in the DBMS
                 statistics.
-            tracer: optional observability sink; every compilation
-                component becomes a child span of one ``compile`` span.
+
+        Every compilation component is a child span of one ``compile``
+        span on the stored D/KB's database; its duration is the timing.
 
         Raises:
             SemanticError: from the semantic checks.
@@ -175,15 +146,12 @@ class QueryCompiler:
                 f"optimize_query must be a bool or one of {valid_strings}, "
                 f"got {optimize_query!r}"
             )
-        tracer = tracer if tracer is not None else NULL_TRACER
-        with tracer.span("compile", category="compile") as compile_span:
+        with self.stored.database.span("compile", "compile") as compile_span:
             result = self._compile(
-                query, optimize_query, strategy, reorder_bodies, lint, tracer
+                query, optimize_query, strategy, reorder_bodies, lint
             )
-            if tracer.enabled:
-                for key, value in result.counts.items():
-                    compile_span.set(key, value)
-                compile_span.set("optimized", result.optimized)
+            compile_span.attributes.update(result.counts)
+            compile_span.set("optimized", result.optimized)
         return result
 
     def _compile(
@@ -193,13 +161,12 @@ class QueryCompiler:
         strategy: LfpStrategy,
         reorder_bodies: bool,
         lint: bool,
-        tracer: "Tracer | NullTracer",
     ) -> CompilationResult:
         timings = CompilationTimings()
+        database = self.stored.database
 
         # -- setup: parse the query, initial workspace reachability ----------
-        started = time.perf_counter()
-        with tracer.span("setup", category="compile"):
+        with database.span("setup", "compile") as span:
             if isinstance(query, str):
                 query = parse_query(query)
             goal_predicates = set(query.predicates)
@@ -211,11 +178,10 @@ class QueryCompiler:
             for clause in workspace_rules:
                 if clause.head_predicate in relevant_predicates:
                     relevant.add(clause)
-        timings.setup = time.perf_counter() - started
+        timings.setup = span.duration
 
         # -- extract: workspace/stored fixpoint (steps 1.3-1.5) ---------------
-        started = time.perf_counter()
-        with tracer.span("extract", category="compile"):
+        with database.span("extract", "compile") as span:
             stored_rule_count = 0
             while True:
                 extracted = self.stored.extract_relevant_rules(relevant_predicates)
@@ -235,37 +201,34 @@ class QueryCompiler:
                 if updated == relevant_predicates and not new_rules:
                     break
                 relevant_predicates = updated
-        timings.extract = time.perf_counter() - started
+        timings.extract = span.duration
 
         # -- readdict: extensional + intensional dictionaries ----------------
-        started = time.perf_counter()
-        with tracer.span("readdict", category="compile"):
+        with database.span("readdict", "compile") as span:
             derived = relevant.derived_predicates
             referenced = set(relevant_predicates) | goal_predicates
             base_candidates = sorted(referenced - derived)
             base_types = self.catalog.types_of(base_candidates)
             dictionary_types = self.stored.derived_types_of(sorted(derived))
-        timings.readdict = time.perf_counter() - started
+        timings.readdict = span.duration
 
         # -- semantic checks ---------------------------------------------------
-        started = time.perf_counter()
-        with tracer.span("semantic", category="compile"):
+        with database.span("semantic", "compile") as span:
             report = check_semantics(relevant, query, base_types, dictionary_types)
-        timings.semantic = time.perf_counter() - started
+        timings.semantic = span.duration
 
         # -- lint: full collect-all analysis (optional) ------------------------
         diagnostics: DiagnosticReport | None = None
         if lint:
-            started = time.perf_counter()
-            with tracer.span("lint", category="compile"):
+            with database.span("lint", "compile") as span:
                 diagnostics = analyze(
                     relevant,
                     query,
                     base_types=base_types,
                     dictionary_types=dictionary_types,
                 )
-            timings.lint = time.perf_counter() - started
-            self.stored.database.statistics.record_span("lint", timings.lint)
+            timings.lint = span.duration
+            database.statistics.record_span("lint", timings.lint)
 
         # -- optimization (optional, or decided per form) ----------------------
         rules_for_program = relevant
@@ -276,8 +239,7 @@ class QueryCompiler:
         types.update(base_types)
         optimized = False
         decision: AdaptiveDecision | None = None
-        started = time.perf_counter()
-        with tracer.span("optimize", category="compile"):
+        with database.span("optimize", "compile") as span:
             if optimize_query == "auto":
                 decision = decide_rewrite(relevant, query)
                 apply_rewrite = decision.use_magic
@@ -294,8 +256,7 @@ class QueryCompiler:
                 seed = result.query_seed
                 types.update(result.new_types)
                 optimized = True
-        if optimized or decision is not None:
-            timings.optimize = time.perf_counter() - started
+        timings.optimize = span.duration
 
         # -- optional body reordering (the paper's unimplemented IP strategy) --
         if reorder_bodies:
@@ -305,15 +266,13 @@ class QueryCompiler:
             rules_for_program = reordered
 
         # -- evaluation order list ---------------------------------------------
-        started = time.perf_counter()
-        with tracer.span("eorder", category="compile"):
+        with database.span("eorder", "compile") as span:
             graph = build_evaluation_graph(rules_for_program)
             order = evaluation_order(graph)
-        timings.eorder = time.perf_counter() - started
+        timings.eorder = span.duration
 
         # -- code generation, compile, link -------------------------------------
-        started = time.perf_counter()
-        with tracer.span("gencompile", category="compile"):
+        with database.span("gencompile", "compile") as span:
             base_predicates = frozenset(
                 p for p in referenced if p not in derived
             ) | frozenset(
@@ -336,7 +295,7 @@ class QueryCompiler:
                 seed,
             )
             program = compile_and_link(source)
-        timings.gencompile = time.perf_counter() - started
+        timings.gencompile = span.duration
 
         counts = {
             "relevant_rules": len(relevant.rules),

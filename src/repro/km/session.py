@@ -14,7 +14,6 @@ standard normalisation automatically when a text program mixes them.
 
 from __future__ import annotations
 
-import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from ..maintenance.plan import (
 )
 from ..maintenance.refresh import full_refresh
 from ..maintenance.registry import MaterializedViewRegistry, view_table_name
-from ..obs.trace import NULL_TRACER, NullTracer, Span, Tracer
+from ..obs.trace import Span, Tracer
 from ..runtime.program import DEFAULT_STRATEGY, ExecutionResult, LfpStrategy
 from .compiler import CompilationResult, QueryCompiler
 from .config import TestbedConfig
@@ -187,7 +186,6 @@ class Testbed:
         self.maintenance_policy = config.maintenance_policy
         self.maintenance_log: list[MaintenanceResult] = []
         self._view_plans: dict[str, MaintenancePlan] = {}
-        self._tracer: Tracer | None = None
         self.last_query_span: Span | None = None
         if config.trace:
             self.enable_tracing()
@@ -207,7 +205,7 @@ class Testbed:
     @property
     def tracer(self) -> Tracer | None:
         """The active observability sink (``None`` while tracing is off)."""
-        return self._tracer
+        return self.database.tracer
 
     def enable_tracing(self, capture_plans: bool = True) -> Tracer:
         """Switch structured tracing on; returns the (idempotent) tracer.
@@ -217,14 +215,13 @@ class Testbed:
         histograms, and (with ``capture_plans``) each distinct compiled
         SELECT gets an ``EXPLAIN QUERY PLAN`` snapshot.
         """
-        if self._tracer is None:
-            self._tracer = Tracer(capture_plans=capture_plans)
-            self.database.set_tracer(self._tracer)
-        return self._tracer
+        if self.database.tracer is None:
+            self.database.set_tracer(Tracer(capture_plans=capture_plans))
+        return self.database.tracer
 
     def disable_tracing(self) -> Tracer | None:
         """Switch tracing off; returns the detached tracer (if any)."""
-        tracer, self._tracer = self._tracer, None
+        tracer = self.database.tracer
         self.database.set_tracer(None)
         return tracer
 
@@ -240,20 +237,15 @@ class Testbed:
                 tb.query("?- ancestor(X, \\"john\\").")
             print(render_span_tree(tracer))
         """
-        previous = self._tracer
+        previous = self.database.tracer
         tracer = previous if previous is not None else Tracer(
             capture_plans=capture_plans
         )
-        self._tracer = tracer
         self.database.set_tracer(tracer)
         try:
             yield tracer
         finally:
-            self._tracer = previous
             self.database.set_tracer(previous)
-
-    def _active_tracer(self) -> "Tracer | NullTracer":
-        return self._tracer if self._tracer is not None else NULL_TRACER
 
     # -- building the D/KB ----------------------------------------------------
 
@@ -400,21 +392,16 @@ class Testbed:
             )
         plan = self._build_plan(predicate)
         self._register_plan(predicate, plan)
-        started = time.perf_counter()
-        total = full_refresh(
-            self.database,
-            plan,
-            self._tables_of(plan),
-            tracer=self._tracer,
-        )
-        self.views.mark_group_fresh(predicate)
-        self.database.commit()
+        with self.database.span("materialize", "maintenance") as span:
+            total = full_refresh(self.database, plan, self._tables_of(plan))
+            self.views.mark_group_fresh(predicate)
+            self.database.commit()
         self.maintenance_log.append(
             MaintenanceResult(
                 (predicate,),
                 "materialize",
                 "refresh",
-                seconds=time.perf_counter() - started,
+                seconds=span.duration,
                 tuples_added=total,
             )
         )
@@ -443,20 +430,15 @@ class Testbed:
         for view in targets:
             plan = self._build_plan(view)
             self._register_plan(view, plan)
-            started = time.perf_counter()
-            total = full_refresh(
-                self.database,
-                plan,
-                self._tables_of(plan),
-                tracer=self._tracer,
-            )
-            self.views.mark_group_fresh(view)
-            self.views.bump_epoch([view])
+            with self.database.span("refresh", "maintenance") as span:
+                total = full_refresh(self.database, plan, self._tables_of(plan))
+                self.views.mark_group_fresh(view)
+                self.views.bump_epoch([view])
             result = MaintenanceResult(
                 (view,),
                 "refresh",
                 "refresh",
-                seconds=time.perf_counter() - started,
+                seconds=span.duration,
                 tuples_added=total,
             )
             self.maintenance_log.append(result)
@@ -489,10 +471,7 @@ class Testbed:
         variables = tuple(Variable(f"V{i}") for i in range(arity))
         query = Query((Atom(predicate, variables),))
         compilation = self._compiler.compile(
-            query,
-            optimize_query=False,
-            strategy=LfpStrategy.SEMINAIVE,
-            tracer=self._tracer,
+            query, optimize_query=False, strategy=LfpStrategy.SEMINAIVE
         )
         return build_plan(predicate, compilation)
 
@@ -548,26 +527,25 @@ class Testbed:
         merged = merge_plans(plans)
         stage = self._stage_rows(predicate, rows, keep_existing=False)
         count = self.catalog.insert_facts(predicate, rows)
-        started = time.perf_counter()
         if merged.has_negation:
             self._refresh_fallback(
                 views, plans, "insert", "rules contain negation", count
             )
         else:
-            stats = propagate_inserts(
-                self.database,
-                merged,
-                self._tables_of(merged),
-                {predicate: stage},
-                tracer=self._tracer,
-            )
-            self.views.bump_epoch(views)
+            with self.database.span("maintain", "maintenance") as span:
+                stats = propagate_inserts(
+                    self.database,
+                    merged,
+                    self._tables_of(merged),
+                    {predicate: stage},
+                )
+                self.views.bump_epoch(views)
             self.maintenance_log.append(
                 MaintenanceResult(
                     tuple(views),
                     "insert",
                     "delta",
-                    seconds=time.perf_counter() - started,
+                    seconds=span.duration,
                     base_rows_changed=count,
                     tuples_added=stats.tuples_added,
                     iterations=stats.iterations,
@@ -587,26 +565,27 @@ class Testbed:
             self.catalog.fact_count(predicate),
             sum(self.views.tuple_count(p) for p in merged.derived),
         )
-        started = time.perf_counter()
         run = None
-        if not merged.has_negation and decision.use_incremental:
-            # Over-delete against the pre-deletion base relations: a rule
-            # joining the deleted relation against itself derives
-            # candidates from pairs of deleted rows, invisible afterwards.
-            run = DeleteMaintenance(
-                self.database, merged, self._tables_of(merged), tracer=self._tracer
-            )
-            run.overdelete({predicate: stage})
-        deleted = self.catalog.delete_rows(predicate, rows)
+        with self.database.span("maintain", "maintenance") as span:
+            if not merged.has_negation and decision.use_incremental:
+                # Over-delete against the pre-deletion base relations: a
+                # rule joining the deleted relation against itself derives
+                # candidates from pairs of deleted rows, invisible afterwards.
+                run = DeleteMaintenance(
+                    self.database, merged, self._tables_of(merged)
+                )
+                run.overdelete({predicate: stage})
+            deleted = self.catalog.delete_rows(predicate, rows)
+            if run is not None:
+                stats = run.apply_and_rederive()
+                self.views.bump_epoch(views)
         if run is not None:
-            stats = run.apply_and_rederive()
-            self.views.bump_epoch(views)
             self.maintenance_log.append(
                 MaintenanceResult(
                     tuple(views),
                     "delete",
                     "dred",
-                    seconds=time.perf_counter() - started,
+                    seconds=span.duration,
                     base_rows_changed=deleted,
                     tuples_removed=stats.tuples_removed,
                     iterations=stats.iterations,
@@ -635,17 +614,12 @@ class Testbed:
         decision: object | None = None,
     ) -> None:
         """Full-refresh every affected view (the incremental paths' fallback)."""
-        started = time.perf_counter()
         total = 0
-        for view, plan in zip(views, plans):
-            total += full_refresh(
-                self.database,
-                plan,
-                self._tables_of(plan),
-                tracer=self._tracer,
-            )
-            self.views.mark_group_fresh(view)
-        self.views.bump_epoch(views)
+        with self.database.span("maintain", "maintenance") as span:
+            for view, plan in zip(views, plans):
+                total += full_refresh(self.database, plan, self._tables_of(plan))
+                self.views.mark_group_fresh(view)
+            self.views.bump_epoch(views)
         self.maintenance_log.append(
             MaintenanceResult(
                 tuple(views),
@@ -653,7 +627,7 @@ class Testbed:
                 "refresh",
                 fell_back=True,
                 reason=reason,
-                seconds=time.perf_counter() - started,
+                seconds=span.duration,
                 base_rows_changed=base_rows_changed,
                 tuples_added=total,
                 decision=decision,
@@ -681,21 +655,16 @@ class Testbed:
                 return None
         if all(goal.negated for goal in query.goals):
             return None
-        started = time.perf_counter()
-        select = compile_rule_body(query.as_clause())
-        tracer = self._active_tracer()
-        with tracer.span(
-            "view_answer", category="query"
-        ), self.database.phase(VIEW_ANSWER_PHASE):
+        with self.database.span("view_answer", "query", VIEW_ANSWER_PHASE) as span:
+            select = compile_rule_body(query.as_clause())
             rows = self.database.execute(
                 select.render([table_of[p] for p in select.table_slots]),
                 select.parameters,
             )
-        if not query.answer_variables:
-            rows = [()] if rows else []
-        elapsed = time.perf_counter() - started
+            if not query.answer_variables:
+                rows = [()] if rows else []
         return QueryResult(
-            rows, None, ExecutionResult(rows), elapsed, answered_from_view=True
+            rows, None, ExecutionResult(rows), span.duration, answered_from_view=True
         )
 
     # -- querying ----------------------------------------------------------------
@@ -717,9 +686,7 @@ class Testbed:
         ``lint`` timing component.
         """
         self._check_workspace_consistency()
-        return self._compiler.compile(
-            query, optimize, strategy, lint=lint, tracer=self._tracer
-        )
+        return self._compiler.compile(query, optimize, strategy, lint=lint)
 
     def query(
         self,
@@ -751,13 +718,10 @@ class Testbed:
         (``QueryResult.answered_from_view`` marks such results).  Pass
         ``use_views=False`` to force the compile-and-evaluate path.
         """
-        tracer = self._active_tracer()
-        with tracer.span("query", category="query", text=str(query)):
-            result = self._query(
-                query, optimize, strategy, precompile, use_views, tracer
-            )
-        if self._tracer is not None:
-            self.last_query_span = self._tracer.last_root
+        with self.database.span("query", "query", text=str(query)) as span:
+            result = self._query(query, optimize, strategy, precompile, use_views)
+        if self.database.tracer is not None:
+            self.last_query_span = span
         return result
 
     def _query(
@@ -767,7 +731,6 @@ class Testbed:
         strategy: LfpStrategy,
         precompile: bool,
         use_views: bool,
-        tracer: "Tracer | NullTracer",
     ) -> QueryResult:
         if isinstance(query, str):
             query = parse_query(query)
@@ -784,13 +747,9 @@ class Testbed:
                 self.precompiled.put(key, compilation)
         else:
             compilation = self.compile_query(query, optimize, strategy)
-        started = time.perf_counter()
-        with tracer.span("execute", category="execute"):
-            execution = compilation.program.execute(
-                self.database, self.catalog, tracer=tracer
-            )
-        elapsed = time.perf_counter() - started
-        return QueryResult(execution.rows, compilation, execution, elapsed)
+        with self.database.span("execute", "execute") as span:
+            execution = compilation.program.execute(self.database, self.catalog)
+        return QueryResult(execution.rows, compilation, execution, span.duration)
 
     def _dkb_state(self) -> DkbState:
         """The rule base and schema this query compiles against.
@@ -860,8 +819,7 @@ class Testbed:
             assert_consistent(self)
         generation = self.workspace.generation
         result = update_stored_dkb(
-            self.workspace, self.stored, self.catalog, lint=lint,
-            tracer=self._tracer,
+            self.workspace, self.stored, self.catalog, lint=lint
         )
         self.precompiled.invalidate_for(
             {c.head_predicate for c in result.new_rules}

@@ -27,7 +27,6 @@ an order of magnitude faster, at the price of slower query compilation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from ..analysis import AnalysisConfig, analyze
@@ -36,14 +35,14 @@ from ..datalog.typecheck import infer_types
 from ..dbms.catalog import ExtensionalCatalog
 from ..errors import UpdateError
 from ..obs.timings import TimingsMapping
-from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from .stored import StoredDKB
 from .workspace import WorkspaceDKB
 
 
 @dataclass
 class UpdateTimings(TimingsMapping):
-    """Wall-clock seconds per update component.
+    """Wall-clock seconds per update component: each is the duration of
+    the same-named child span of the ``update`` span.
 
     Also a read-only :class:`~collections.abc.Mapping` over the components
     (iteration excludes ``total``, so ``sum(t.values()) == t.total``).
@@ -54,28 +53,6 @@ class UpdateTimings(TimingsMapping):
     typecheck: float = 0.0
     lint: float = 0.0
     store: float = 0.0
-
-    @property
-    def total(self) -> float:
-        """Total update time ``t_u``."""
-        return (
-            self.extract
-            + self.closure
-            + self.typecheck
-            + self.lint
-            + self.store
-        )
-
-    def as_dict(self) -> dict[str, float]:
-        """Component name to seconds, plus the total."""
-        return {
-            "extract": self.extract,
-            "closure": self.closure,
-            "typecheck": self.typecheck,
-            "lint": self.lint,
-            "store": self.store,
-            "total": self.total,
-        }
 
 
 @dataclass
@@ -104,7 +81,6 @@ def update_stored_dkb(
     stored: StoredDKB,
     catalog: ExtensionalCatalog,
     lint: bool = False,
-    tracer: "Tracer | NullTracer | None" = None,
 ) -> UpdateResult:
     """Fold the workspace rules into the Stored D/KB.
 
@@ -120,19 +96,18 @@ def update_stored_dkb(
             static-analysis pass set and reject the update when any
             error-level diagnostic is found; the time spent is the ``lint``
             timing component.
-        tracer: optional observability sink; each update component becomes
-            a child span of one ``update`` span.
+
+    Each update component is a child span of one ``update`` span on the
+    stored D/KB's database; its duration is the timing.
 
     Raises:
         UpdateError: when type checking fails against the stored dictionary,
             or (with ``lint=True``) when vetting finds an error.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    with tracer.span("update", category="update") as update_span:
-        result = _update_stored_dkb(workspace, stored, catalog, lint, tracer)
-        if tracer.enabled:
-            update_span.set("new_rules", len(result.new_rules))
-            update_span.set("new_closure_pairs", result.new_closure_pairs)
+    with stored.database.span("update", "update") as update_span:
+        result = _update_stored_dkb(workspace, stored, catalog, lint)
+        update_span.set("new_rules", len(result.new_rules))
+        update_span.set("new_closure_pairs", result.new_closure_pairs)
     return result
 
 
@@ -141,17 +116,16 @@ def _update_stored_dkb(
     stored: StoredDKB,
     catalog: ExtensionalCatalog,
     lint: bool,
-    tracer: "Tracer | NullTracer",
 ) -> UpdateResult:
     timings = UpdateTimings()
+    database = stored.database
 
     # Step 1: the difference between the workspace and the stored rules, and
     # the stored rules relevant to it.  Without compiled storage there is no
     # closure to maintain, so the relevant-rule extraction — the dominant
     # update cost per Test 9 — is skipped entirely: "the update time is
     # simply the time to store the source form of the rules" (Test 8).
-    started = time.perf_counter()
-    with tracer.span("extract", category="update"):
+    with database.span("extract", "update") as span:
         rules = workspace.rules
         texts = [str(c) for c in rules]
         stored_texts = stored.stored_among(texts)
@@ -164,14 +138,13 @@ def _update_stored_dkb(
             extracted = stored.extract_relevant_rules(sorted(referenced))
         else:
             extracted = Program()
-    timings.extract = time.perf_counter() - started
+    timings.extract = span.duration
 
     if not delta_rules:
         return UpdateResult([], 0, [], timings)
 
     # Steps 2-3: composite PCG and its (incremental) transitive closure.
-    started = time.perf_counter()
-    with tracer.span("closure", category="update"):
+    with database.span("closure", "update") as span:
         composite = Program(list(extracted) + delta_rules)
         new_closure_pairs = 0
         if stored.compiled_storage:
@@ -180,11 +153,10 @@ def _update_stored_dkb(
                 for atom in clause.body:
                     new_edges.append((clause.head_predicate, atom.predicate))
             new_closure_pairs = stored.add_edges_incremental(new_edges)
-    timings.closure = time.perf_counter() - started
+    timings.closure = span.duration
 
     # Step 4: type checking over the composite rules.
-    started = time.perf_counter()
-    with tracer.span("typecheck", category="update"):
+    with database.span("typecheck", "update") as span:
         derived = composite.derived_predicates
         base_candidates = sorted(
             {
@@ -211,27 +183,26 @@ def _update_stored_dkb(
             )
         except Exception as error:
             # Undo any closure pairs already written in step 3.
-            stored.database.rollback()
+            database.rollback()
             raise UpdateError(
                 f"update rejected by type checking: {error}"
             ) from error
-    timings.typecheck = time.perf_counter() - started
+    timings.typecheck = span.duration
 
     # Optional vetting: collect-all analysis over the composite rules, run
     # before anything is written so a rejected update leaves the Stored D/KB
     # untouched (the closure pairs from step 3 are rolled back).
     if lint:
-        started = time.perf_counter()
-        with tracer.span("lint", category="update"):
+        with database.span("lint", "update") as span:
             report = analyze(
                 composite,
                 config=VET_CONFIG,
                 base_types=base_types,
                 dictionary_types=dictionary_types,
             )
-        timings.lint = time.perf_counter() - started
+        timings.lint = span.duration
         if report.has_errors:
-            stored.database.rollback()
+            database.rollback()
             raise UpdateError(
                 "update rejected by static analysis: "
                 + "; ".join(str(d) for d in report.errors)
@@ -240,17 +211,16 @@ def _update_stored_dkb(
     # Steps 5-7: write the dictionary, closure, and source structures.  The
     # dictionary read of step 4 already holds every stored derived
     # predicate of the composite, so registration reads nothing again.
-    started = time.perf_counter()
-    with tracer.span("store", category="update"):
+    with database.span("store", "update") as span:
         types = {p: environment.of(p) for p in derived}
         try:
             new_predicates = stored.register_predicates(types, dictionary_types)
         except UpdateError:
             # Undo the closure pairs of step 3 before reporting.
-            stored.database.rollback()
+            database.rollback()
             raise
         stored.store_rules(delta_rules)
-        stored.database.commit()
-    timings.store = time.perf_counter() - started
+        database.commit()
+    timings.store = span.duration
 
     return UpdateResult(delta_rules, new_closure_pairs, new_predicates, timings)

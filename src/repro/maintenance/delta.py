@@ -29,7 +29,6 @@ from typing import Mapping
 from ..dbms.engine import Database
 from ..dbms.sqlgen import copy_sql, delete_members_sql, insert_new_tuples_sql
 from ..errors import EvaluationError
-from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from ..runtime import naive
 from .plan import MaintenancePlan
 
@@ -49,7 +48,6 @@ def propagate_inserts(
     plan: MaintenancePlan,
     table_of: Mapping[str, str],
     seed_tables: Mapping[str, str],
-    tracer: "Tracer | NullTracer | None" = None,
 ) -> DeltaStats:
     """Propagate inserted tuples into the plan's materialized relations.
 
@@ -74,13 +72,12 @@ def propagate_inserts(
             f"plan for {plan.view!r} contains negation; delta propagation "
             "is unsound — use a full refresh"
         )
-    tracer = tracer if tracer is not None else NULL_TRACER
     delta: dict[str, str] = dict(seed_tables)
     iterations = 0
     added = 0
-    with tracer.span(
-        "maint_delta", category="maintenance", view=plan.view
-    ) as maint_span, database.phase(PHASE_MAINT_DELTA):
+    with database.span(
+        "maint_delta", "maintenance", PHASE_MAINT_DELTA, view=plan.view
+    ) as maint_span:
         while delta:
             if iterations >= naive.MAX_ITERATIONS:
                 raise EvaluationError(
@@ -90,8 +87,8 @@ def propagate_inserts(
                 )
             iterations += 1
             added_before = added
-            with tracer.span(
-                "iteration", category="iteration", iteration=iterations
+            with database.span(
+                "iteration", "iteration", iteration=iterations
             ) as it_span:
                 new_delta: dict[str, str] = {}
                 for clause, select in plan.compiled:

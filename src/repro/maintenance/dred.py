@@ -42,7 +42,6 @@ from typing import Mapping
 from ..dbms.engine import Database
 from ..dbms.sqlgen import copy_sql, delete_members_sql, insert_new_tuples_sql
 from ..errors import EvaluationError
-from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from ..runtime import naive
 from .delta import propagate_inserts
 from .plan import MaintenancePlan
@@ -140,9 +139,7 @@ class DeleteMaintenance:
         database: Database,
         plan: MaintenancePlan,
         table_of: Mapping[str, str],
-        tracer: "Tracer | NullTracer | None" = None,
     ):
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         if plan.has_negation:
             raise EvaluationError(
                 f"plan for {plan.view!r} contains negation; DRed is "
@@ -167,9 +164,9 @@ class DeleteMaintenance:
         """
         delta = dict(seed_tables)
         iterations = 0
-        with self.tracer.span(
-            "dred_overdelete", category="maintenance", view=self.plan.view
-        ) as span, self.database.phase(PHASE_MAINT_DRED):
+        with self.database.span(
+            "dred_overdelete", "maintenance", PHASE_MAINT_DRED, view=self.plan.view
+        ) as span:
             while delta:
                 if iterations >= naive.MAX_ITERATIONS:
                     raise EvaluationError(
@@ -244,9 +241,9 @@ class DeleteMaintenance:
         """
         database = self.database
         rederive_seeds: dict[str, str] = {}
-        with self.tracer.span(
-            "dred_rederive", category="maintenance", view=self.plan.view
-        ) as span, database.phase(PHASE_MAINT_DRED):
+        with database.span(
+            "dred_rederive", "maintenance", PHASE_MAINT_DRED, view=self.plan.view
+        ) as span:
             for head, cand in self.candidates.items():
                 database.execute(
                     delete_members_sql(
@@ -285,7 +282,7 @@ class DeleteMaintenance:
         iterations = 0
         if survivors:
             stats = propagate_inserts(
-                database, self.plan, self.table_of, survivors, self.tracer
+                database, self.plan, self.table_of, survivors
             )
             rederived += stats.tuples_added
             iterations = stats.iterations

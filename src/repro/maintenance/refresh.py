@@ -19,7 +19,6 @@ from ..datalog.pcg import Clique
 from ..dbms.engine import Database
 from ..dbms.schema import quote_identifier
 from ..errors import EvaluationError
-from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from ..runtime.context import EvaluationContext
 from ..runtime.relalg import evaluate_nonrecursive
 from ..runtime.seminaive import evaluate_clique_seminaive
@@ -32,7 +31,6 @@ def full_refresh(
     database: Database,
     plan: MaintenancePlan,
     table_of: Mapping[str, str],
-    tracer: "Tracer | NullTracer | None" = None,
 ) -> int:
     """Recompute every materialized relation of ``plan`` from scratch.
 
@@ -46,15 +44,14 @@ def full_refresh(
             f"plan for {plan.view!r} has no evaluation order; merged plans "
             "cannot be refreshed as a unit"
         )
-    tracer = tracer if tracer is not None else NULL_TRACER
-    with tracer.span(
-        "maint_refresh", category="maintenance", view=plan.view
-    ) as span, database.phase(PHASE_MAINT_REFRESH):
+    with database.span(
+        "maint_refresh", "maintenance", PHASE_MAINT_REFRESH, view=plan.view
+    ) as span:
         for predicate in plan.derived:
             database.execute(
                 f"DELETE FROM {quote_identifier(table_of[predicate])}"
             )
-        context = EvaluationContext(database, table_of, plan.types, tracer=tracer)
+        context = EvaluationContext(database, table_of, plan.types)
         for node in plan.order:
             if isinstance(node, Clique):
                 evaluate_clique_seminaive(context, node)

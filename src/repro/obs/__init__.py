@@ -8,7 +8,7 @@ within the repo: nothing here imports from :mod:`repro.dbms`,
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .plans import CapturedPlan, PlanCapture
-from .trace import NULL_TRACER, NullTracer, Span, StatementRecord, Tracer
+from .trace import Span, StatementRecord, Tracer
 from .export import chrome_trace_events, render_span_tree, write_chrome_trace
 from .timings import TimingsMapping
 
@@ -19,8 +19,6 @@ __all__ = [
     "MetricsRegistry",
     "CapturedPlan",
     "PlanCapture",
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "StatementRecord",
     "Tracer",

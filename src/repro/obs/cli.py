@@ -47,13 +47,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--optimize",
         action="store_true",
-        help="apply the generalized magic sets optimization",
+        help="force the generalized magic sets rewrite (default: the "
+        "per-form decision every other entry point makes)",
     )
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
     from ..km.config import TestbedConfig
+    from ..km.policy import DEFAULT_OPTIMIZE
     from ..km.session import Testbed
     from ..runtime.program import DEFAULT_STRATEGY, LfpStrategy
     from .export import render_span_tree, write_chrome_trace
@@ -70,7 +72,9 @@ def main(argv: "list[str] | None" = None) -> int:
             with open(path) as handle:
                 testbed.define(handle.read())
         result = testbed.query(
-            arguments.query, optimize=arguments.optimize, strategy=strategy
+            arguments.query,
+            optimize=True if arguments.optimize else DEFAULT_OPTIMIZE,
+            strategy=strategy,
         )
         tracer = testbed.tracer
         assert tracer is not None

@@ -1,16 +1,18 @@
 """A Mapping facade over per-phase timing dataclasses.
 
-``CompilationTimings`` and ``UpdateTimings`` each expose an ``as_dict()``
-with one entry per phase plus a ``"total"``.  Mixing this class in turns
-them into read-only mappings over the *component* entries (iteration skips
-``"total"`` so ``sum(t.values())`` never double-counts) and gives every
-result object the common ``total_seconds`` accessor.
+``CompilationTimings`` and ``UpdateTimings`` are dataclasses with one float
+field per phase, each filled from that phase's span duration.  Mixing this
+class in derives everything else from the fields: ``total`` (their sum),
+``as_dict()`` (one entry per phase plus ``"total"`` — the shape the ledger
+probes read), and a read-only mapping over the *components* (iteration
+skips ``"total"`` so ``sum(t.values())`` never double-counts).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Iterator
+from dataclasses import fields
+from typing import Any, ClassVar, Iterator
 
 __all__ = ["TimingsMapping"]
 
@@ -18,12 +20,22 @@ __all__ = ["TimingsMapping"]
 class TimingsMapping(Mapping[str, float]):
     """Read-only mapping over a timing dataclass's phase components."""
 
-    def as_dict(self) -> dict[str, float]:  # pragma: no cover - overridden
-        raise NotImplementedError
+    # Mixed into dataclasses only; declared so ``fields(self)`` type-checks.
+    __dataclass_fields__: ClassVar[dict[str, Any]]
 
     def components(self) -> dict[str, float]:
         """Phase -> seconds, excluding the aggregate ``total`` entry."""
-        return {key: value for key, value in self.as_dict().items() if key != "total"}
+        return {field.name: getattr(self, field.name) for field in fields(self)}
+
+    @property
+    def total(self) -> float:
+        """The phases summed (``t_c`` for a compilation, ``t_u`` for an update)."""
+        return sum(self.components().values())
+
+    def as_dict(self) -> dict[str, float]:
+        """Component name to seconds, plus the total."""
+        components = self.components()
+        return {**components, "total": sum(components.values())}
 
     def __getitem__(self, key: str) -> float:
         # Consistent with iteration: only the components are mapping keys;
@@ -38,4 +50,4 @@ class TimingsMapping(Mapping[str, float]):
 
     @property
     def total_seconds(self) -> float:
-        return float(self.as_dict()["total"])
+        return self.total

@@ -1,19 +1,22 @@
-"""Hierarchical span tracing for the testbed (the ``TraceContext``).
+"""Spans: the testbed's one timing primitive, and the tracer that keeps them.
 
 The paper is a measurement apparatus: every figure in Section 5 is a
-breakdown of where compilation and LFP-evaluation time goes.  This module
-provides the event spine for that breakdown — a tree of :class:`Span`
-objects (query -> compile phases -> clique -> iteration) plus a flat stream
-of :class:`StatementRecord` events, one per DBMS statement, attributed to
-the innermost open span.
+breakdown of where compilation and LFP-evaluation time goes.  Every such
+number is the :attr:`Span.duration` of one region, opened with
+``Database.span(...)`` — the compile and update components, a query's
+execution time, the per-node evaluation times, the maintenance seconds.
+A span reads the clock twice, on entry and on exit, whether or not anyone
+traces it.
 
 Design constraints:
 
-* **Zero cost when disabled.**  The default tracer is :data:`NULL_TRACER`,
-  whose ``span(...)`` returns one shared re-usable null context manager and
-  whose ``on_statement`` hook is never installed on the
-  :class:`~repro.dbms.engine.Database` at all.  Instrumented code guards
-  any extra work (e.g. delta-cardinality probes) behind ``tracer.enabled``.
+* **One stack.**  The :class:`~repro.dbms.engine.Database` keeps the stack
+  of open spans.  Each span carries the Statistics *phase* its statements
+  count toward (its own, or its parent's), so entering a measured region
+  is one ``with`` for both the clock and the statement attribution.
+* **Cheap when untraced.**  With no :class:`Tracer` installed a span is a
+  slotted timer on that stack and nothing else; the tree below and the
+  statement records exist only for a traced database.
 * **No observer effect.**  The tracer itself must never issue counted
   statements; anything it wants to read from SQLite (EXPLAIN plans, delta
   counts) goes through ``Database.observe`` which bypasses both the
@@ -27,31 +30,28 @@ Design constraints:
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from dataclasses import dataclass
+from typing import Any, Iterator, Optional, Sequence
 
 from .metrics import MetricsRegistry
 from .plans import PlanCapture
 
 __all__ = [
+    "DEFAULT_PHASE",
     "Span",
     "StatementRecord",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
 ]
+
+#: The Statistics phase of a statement no span names a phase for.
+DEFAULT_PHASE = "(none)"
+
+_clock = time.perf_counter
 
 
 @dataclass(frozen=True)
 class StatementRecord:
-    """One DBMS statement as seen by the event stream.
-
-    Field names ``phase`` / ``kind`` / ``seconds`` deliberately match
-    :class:`repro.dbms.engine.StatementEvent` so consumers written against
-    the Statistics trace (e.g. :func:`repro.runtime.parallel_sim.
-    simulate_parallel_lfp`) accept either record type unchanged.
-    """
+    """One DBMS statement as seen by the event stream."""
 
     phase: str
     sql: str
@@ -63,28 +63,62 @@ class StatementRecord:
     parameters: tuple = ()
 
 
-@dataclass
 class Span:
-    """A node in the trace tree: a named interval with attributes.
+    """A named, timed region: its duration always, a trace node when traced.
 
+    Made by :meth:`repro.dbms.engine.Database.span`; the ``with`` block
+    holds it on the database's span stack and times it.
     ``statements`` / ``statement_seconds`` count only statements attributed
     *directly* to this span (not to descendants), so summing them over the
-    whole tree equals the total statement count of the traced region.
+    whole tree equals the total statement count of the traced region; they
+    stay zero on an untraced database.
     """
 
-    name: str
-    category: str = ""
-    start: float = 0.0
-    end: Optional[float] = None
-    attributes: dict[str, Any] = field(default_factory=dict)
-    children: list["Span"] = field(default_factory=list)
-    statements: int = 0
-    statement_seconds: float = 0.0
+    __slots__ = (
+        "name",
+        "category",
+        "phase",
+        "attributes",
+        "children",
+        "statements",
+        "statement_seconds",
+        "start",
+        "end",
+        "_stack",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        category: str,
+        phase: str,
+        attributes: dict[str, Any],
+        stack: list["Span"],
+    ) -> None:
+        self.name = name
+        self.category = category
+        self.phase = phase
+        self.attributes = attributes
+        self.children: list[Span] = []
+        self.statements = 0
+        self.statement_seconds = 0.0
+        self.start = 0.0
+        self.end: Optional[float] = None
+        self._stack = stack
+
+    def __enter__(self) -> "Span":
+        self._stack.append(self)
+        self.start = _clock()
+        return self
+
+    def __exit__(self, exc_type: object, exc: object, traceback: object) -> None:
+        self.end = _clock()
+        self._stack.pop()
 
     @property
     def duration(self) -> float:
         """Wall-clock seconds; measured up to *now* while the span is open."""
-        end = self.end if self.end is not None else time.perf_counter()
+        end = self.end if self.end is not None else _clock()
         return max(0.0, end - self.start)
 
     def set(self, key: str, value: Any) -> None:
@@ -98,75 +132,17 @@ class Span:
             yield from child.iter_spans()
 
 
-class _NullSpan:
-    """Inert span handed out by the disabled tracer; every call is a no-op."""
-
-    __slots__ = ()
-    name = ""
-    category = ""
-    attributes: dict[str, Any] = {}
-    children: list[Span] = []
-    statements = 0
-    statement_seconds = 0.0
-    duration = 0.0
-
-    def set(self, key: str, value: Any) -> None:
-        pass
-
-    def iter_spans(self) -> Iterator[Span]:
-        return iter(())
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class _NullSpanContext:
-    """Shared, re-entrant, re-usable context manager yielding the null span."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> _NullSpan:
-        return _NULL_SPAN
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_CONTEXT = _NullSpanContext()
-
-
-class NullTracer:
-    """Disabled tracer: satisfies the Tracer interface at zero cost.
-
-    Instrumented code always holds *some* tracer (``tracer or NULL_TRACER``)
-    so hot loops contain no ``if tracer is not None`` branching beyond the
-    single ``tracer.enabled`` guard for optional extra work.
-    """
-
-    enabled = False
-    metrics: Optional[MetricsRegistry] = None
-    plans: Optional[PlanCapture] = None
-
-    def span(self, name: str, category: str = "", **attributes: Any) -> _NullSpanContext:
-        return _NULL_CONTEXT
-
-    def on_statement(self, record: StatementRecord, database: Any = None) -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()
-
-
 class Tracer:
     """Collects a forest of spans plus per-statement events and metrics.
 
-    One tracer instance can span many queries (e.g. a REPL session with
-    ``:trace on``); each top-level operation opens a new root span.
-    Statements executed while no span is open are attributed to a synthetic
-    ``(ambient)`` root so that *every* statement belongs to exactly one span.
+    Installed on a :class:`~repro.dbms.engine.Database` (``set_tracer``),
+    it is handed every span the database opens (:meth:`adopt`) and every
+    statement it runs (:meth:`on_statement`).  One tracer can span many
+    queries (e.g. a REPL session with ``:trace on``); each top-level
+    operation opens a new root span.  Statements executed while no span is
+    open are attributed to a synthetic ``(ambient)`` root so that *every*
+    statement belongs to exactly one span.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -177,58 +153,43 @@ class Tracer:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.plans: Optional[PlanCapture] = PlanCapture() if capture_plans else None
         self.keep_statements = keep_statements
-        self.epoch = time.perf_counter()
+        self.epoch = _clock()
         self.roots: list[Span] = []
         self.statements: list[StatementRecord] = []
-        self._stack: list[Span] = []
         self._ambient: Optional[Span] = None
 
     # ------------------------------------------------------------------ spans
 
-    @contextmanager
-    def span(self, name: str, category: str = "", **attributes: Any) -> Iterator[Span]:
-        """Open a child span of the innermost open span (or a new root)."""
-        node = Span(
-            name=name,
-            category=category,
-            start=time.perf_counter(),
-            attributes=dict(attributes),
-        )
-        if self._stack:
-            self._stack[-1].children.append(node)
-        else:
-            self.roots.append(node)
-        self._stack.append(node)
-        try:
-            yield node
-        finally:
-            node.end = time.perf_counter()
-            self._stack.pop()
-
-    @property
-    def current_span(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
+    def adopt(self, span: Span, parent: Optional[Span]) -> None:
+        """Link a span the database just opened under ``parent`` (or as a root)."""
+        (parent.children if parent is not None else self.roots).append(span)
 
     @property
     def last_root(self) -> Optional[Span]:
         return self.roots[-1] if self.roots else None
 
-    def span_path(self) -> str:
-        """Human-readable path of the open span stack, e.g. ``query/compile``."""
-        return "/".join(span.name for span in self._stack)
-
     def _ambient_span(self) -> Span:
         if self._ambient is None:
-            self._ambient = Span(name="(ambient)", category="ambient", start=self.epoch)
+            self._ambient = Span("(ambient)", "ambient", DEFAULT_PHASE, {}, [])
+            self._ambient.start = self.epoch
             self.roots.append(self._ambient)
-        self._ambient.end = time.perf_counter()
+        self._ambient.end = _clock()
         return self._ambient
 
     # ------------------------------------------------------------ event sink
 
-    def on_statement(self, record: StatementRecord, database: Any = None) -> None:
-        """Sink for the Database event stream: attribute, count, capture."""
-        span = self._stack[-1] if self._stack else self._ambient_span()
+    def on_statement(
+        self,
+        record: StatementRecord,
+        spans: Sequence[Span] = (),
+        database: Any = None,
+    ) -> None:
+        """Sink for the Database event stream: attribute, count, capture.
+
+        ``spans`` is the database's open-span stack; the statement belongs
+        to its innermost span.
+        """
+        span = spans[-1] if spans else self._ambient_span()
         span.statements += 1
         span.statement_seconds += record.seconds
         if self.keep_statements:
@@ -250,8 +211,9 @@ class Tracer:
             and database is not None
             and self.plans.wants(record.kind, record.sql)
         ):
+            path = "/".join(open_span.name for open_span in spans)
             self.plans.capture(
-                database, record.sql, record.parameters, self.span_path() or span.name
+                database, record.sql, record.parameters, path or span.name
             )
 
     # --------------------------------------------------------------- utility
@@ -260,5 +222,4 @@ class Tracer:
         """Drop collected spans/statements; metrics and plans are kept."""
         self.roots = []
         self.statements = []
-        self._stack = []
         self._ambient = None

@@ -14,7 +14,6 @@ from typing import Mapping
 from ..dbms.engine import Database
 from ..dbms.schema import RelationSchema
 from ..errors import EvaluationError
-from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 
 DERIVED_TABLE_PREFIX = "d_"
 
@@ -60,12 +59,8 @@ class EvaluationContext:
         table_of: Mapping[str, str],
         types_of: Mapping[str, tuple[str, ...]],
         seed_rows: Mapping[str, tuple[tuple, ...]] | None = None,
-        tracer: "Tracer | NullTracer | None" = None,
     ):
         self.database = database
-        # Observability sink for the evaluation strategies; NULL_TRACER when
-        # tracing is off, so strategy code needs no None checks.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self._table_of: dict[str, str] = dict(table_of)
         self._types_of: dict[str, tuple[str, ...]] = dict(types_of)
         # Ground tuples to pre-load into derived relations — how the magic

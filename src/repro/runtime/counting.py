@@ -26,7 +26,6 @@ from ..datalog.terms import Variable
 from ..dbms.engine import Database
 from ..dbms.schema import quote_identifier
 from ..errors import EvaluationError
-from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,6 @@ def evaluate_counting(
     form: CountingForm,
     table_of: dict[str, str],
     constant: object,
-    tracer: "Tracer | NullTracer | None" = None,
 ) -> CountingResult:
     """Evaluate ``form.predicate(constant, Y)`` by the counting method.
 
@@ -147,14 +145,14 @@ def evaluate_counting(
         form: a recognised counting form.
         table_of: physical table per base predicate (``up``/``flat``/``down``).
         constant: the bound first argument of the query.
-        tracer: optional observability sink; the up/down phases become spans.
+
+    The up and down phases are spans on ``database``.
 
     Raises:
         EvaluationError: when the ``up`` relation is cyclic below the
             constant (counting does not terminate there — the documented
             limitation of the method).
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
     up_table = quote_identifier(table_of[form.up])
     flat_table = quote_identifier(table_of[form.flat])
 
@@ -173,7 +171,7 @@ def evaluate_counting(
 
     # Phase 1 — count up: level i holds the nodes i `up`-steps from the
     # constant.  A level exceeding the number of distinct nodes means a cycle.
-    with tracer.span("count_up", category="counting") as up_span:
+    with database.span("count_up", "counting") as up_span:
         database.execute(
             f"INSERT INTO {counts} VALUES (0, ?)", (constant,)
         )
@@ -211,7 +209,7 @@ def evaluate_counting(
 
     # Phase 2 — flat across, then count down.
     down_iterations = 0
-    with tracer.span("count_down", category="counting") as down_span:
+    with database.span("count_down", "counting") as down_span:
         if form.down is None:
             # Ancestor form (up == flat, down == identity): the answers are
             # exactly the nodes counted at level >= 1.

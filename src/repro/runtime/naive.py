@@ -75,7 +75,7 @@ def evaluate_clique_naive(context: EvaluationContext, clique: Clique) -> LfpResu
     """
     predicates = sorted(clique.predicates)
     database = context.database
-    tracer = context.tracer
+    tracer = database.tracer
 
     compiled = [(c, compile_rule_body(c)) for c in clique.rules]
 
@@ -88,8 +88,8 @@ def evaluate_clique_naive(context: EvaluationContext, clique: Clique) -> LfpResu
         if iterations >= MAX_ITERATIONS:
             raise non_convergence_error("naive", clique, MAX_ITERATIONS)
         iterations += 1
-        with tracer.span(
-            "iteration", category="iteration", iteration=iterations
+        with database.span(
+            "iteration", "iteration", iteration=iterations
         ) as it_span:
             scratch: dict[str, str] = {}
             with database.phase(PHASE_TEMP_TABLES):
@@ -135,7 +135,7 @@ def evaluate_clique_naive(context: EvaluationContext, clique: Clique) -> LfpResu
                     if rows:
                         changed = True
                         new_tuples += len(rows)
-            if tracer.enabled:
+            if tracer is not None:
                 # The set-difference rows *are* this iteration's delta.
                 it_span.set("delta_tuples", new_tuples)
                 tracer.metrics.histogram(

@@ -13,7 +13,7 @@ measure (no parallel database machine was available):
 
 We do not have a parallel database machine either, so — per the
 reproduction's substitution rule — we *simulate* one: a real evaluation is
-traced statement by statement (:class:`repro.dbms.engine.StatementEvent`),
+traced statement by statement (:class:`repro.obs.StatementRecord`),
 then the trace is replayed under a k-worker schedule in which the
 ``rhs_eval`` statements of one iteration run concurrently (longest-
 processing-time assignment) while everything else remains serial.  This is
@@ -24,18 +24,12 @@ conclusions it supports are conservative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import heapq
 
-from ..dbms.engine import StatementEvent
 from ..obs.trace import StatementRecord, Tracer
 from .context import PHASE_RHS_EVAL, PHASE_TEMP_TABLES, PHASE_TERMINATION
-
-# The simulator only reads ``.phase`` and ``.seconds``, so it accepts both
-# the Statistics trace (StatementEvent) and the observability layer's
-# per-statement records (StatementRecord) interchangeably.
-TraceEvent = Union[StatementEvent, StatementRecord]
 
 
 @dataclass(frozen=True)
@@ -76,7 +70,7 @@ def _lpt_makespan(durations: list[float], workers: int) -> float:
 
 
 def simulate_parallel_lfp(
-    trace: Sequence[TraceEvent], workers: int
+    trace: Sequence[StatementRecord], workers: int
 ) -> SimulatedSchedule:
     """Replay ``trace`` with the RHS statements of each batch parallelised.
 
@@ -113,13 +107,13 @@ def simulate_parallel_lfp(
 
 
 def sweep_workers(
-    trace: Sequence[TraceEvent], worker_counts: tuple[int, ...] = (1, 2, 4, 8, 16)
+    trace: Sequence[StatementRecord], worker_counts: tuple[int, ...] = (1, 2, 4, 8, 16)
 ) -> list[SimulatedSchedule]:
     """Simulate the trace across several degrees of parallelism."""
     return [simulate_parallel_lfp(trace, k) for k in worker_counts]
 
 
-def lfp_phase_events(trace: Sequence[TraceEvent]) -> list[TraceEvent]:
+def lfp_phase_events(trace: Sequence[StatementRecord]) -> list[StatementRecord]:
     """Only the events of the three LFP phases (drops setup/answer noise)."""
     wanted = (PHASE_RHS_EVAL, PHASE_TEMP_TABLES, PHASE_TERMINATION)
     return [e for e in trace if e.phase in wanted]

@@ -12,7 +12,6 @@ answer relation.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -24,7 +23,6 @@ from ..dbms.catalog import ExtensionalCatalog, fact_table_name
 from ..dbms.engine import Database
 from ..dbms.sqlgen import compile_rule_body
 from ..errors import EvaluationError
-from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from .context import PHASE_RHS_EVAL, EvaluationContext
 from .lfp_cte import FusedProgram, cte_eligibility
 from .naive import LfpResult, evaluate_clique_naive
@@ -139,16 +137,13 @@ class QueryProgram:
         self,
         database: Database,
         catalog: ExtensionalCatalog,
-        tracer: "Tracer | NullTracer | None" = None,
     ) -> ExecutionResult:
         """Run the program and return the answer tuples.
 
         A plan with a :attr:`fused` statement the backend can run is one
-        statement; any other runs bottom-up, node by node.  ``tracer``
-        threads the observability sink through to the evaluation
-        strategies.
+        statement; any other runs bottom-up, node by node, each node one
+        span whose duration is its ``node_seconds`` entry.
         """
-        tracer = tracer if tracer is not None else NULL_TRACER
         table_of = {}
         for predicate in self.base_predicates:
             if not catalog.has_relation(predicate):
@@ -157,11 +152,9 @@ class QueryProgram:
                 )
             table_of[predicate] = fact_table_name(predicate)
         if self.fused is not None and self.fused.runs_on(database):
-            return self._execute_fused(database, self.fused, tracer)
+            return self._execute_fused(database, self.fused)
         seed_rows = self.seed_rows()
-        context = EvaluationContext(
-            database, table_of, self.types, seed_rows, tracer
-        )
+        context = EvaluationContext(database, table_of, self.types, seed_rows)
 
         evaluate_clique = _CLIQUE_EVALUATORS[self.strategy]
         lfp_results: list[LfpResult] = []
@@ -177,19 +170,18 @@ class QueryProgram:
             for node in self.order:
                 label = "+".join(sorted(node.predicates))
                 is_clique = isinstance(node, Clique)
-                with tracer.span(
+                with database.span(
                     f"clique:{label}" if is_clique else f"node:{label}",
-                    category="clique" if is_clique else "node",
-                ):
-                    started = time.perf_counter()
+                    "clique" if is_clique else "node",
+                ) as span:
                     if is_clique:
                         lfp_results.append(evaluate_clique(context, node))
                     elif isinstance(node, PredicateNode):
                         evaluate_nonrecursive(context, node.predicate, node.rules)
                     else:  # pragma: no cover - the node union is closed
                         raise EvaluationError(f"unknown evaluation node {node!r}")
-                    node_seconds[label] = time.perf_counter() - started
-            with tracer.span("answer", category="answer"):
+                node_seconds[label] = span.duration
+            with database.span("answer", "answer"):
                 rows = self._answer_rows(database, context.table_of)
         finally:
             context.cleanup()
@@ -206,20 +198,20 @@ class QueryProgram:
         self,
         database: Database,
         fused: FusedProgram,
-        tracer: "Tracer | NullTracer",
     ) -> ExecutionResult:
         """The whole plan as one statement: nothing is materialised, so the
         result has no per-predicate sizes and no per-node seconds."""
         parameters = fused.parameters
         if self.query_seed is not None:
             parameters = fused.parameters_for(self.query_seed.row(self.query.goals[0]))
-        with tracer.span(
-            "fused", category="fused", cliques=len(fused.cliques)
-        ), database.phase(PHASE_RHS_EVAL):
+        with database.span(
+            "fused", "fused", PHASE_RHS_EVAL, cliques=len(fused.cliques)
+        ):
             rows = self._answer_rows(
                 database, fused.tables.__getitem__, fused.with_clause, parameters
             )
-        if tracer.enabled:
+        tracer = database.tracer
+        if tracer is not None:
             tracer.metrics.counter("lfp.iterations").inc(len(fused.cliques))
             tracer.metrics.counter("lfp.cte_statements").inc()
         return ExecutionResult(

@@ -75,7 +75,7 @@ def evaluate_clique_seminaive(
     """
     predicates = sorted(clique.predicates)
     database = context.database
-    tracer = context.tracer
+    tracer = database.tracer
 
     exit_selects = [(c, compile_rule_body(c)) for c in clique.exit_rules]
     recursive = [(c, compile_rule_body(c)) for c in clique.recursive_rules]
@@ -100,7 +100,7 @@ def evaluate_clique_seminaive(
 
     # Iteration 1: exit rules seed both the result and the first delta.
     delta = delta_relations(1)
-    with tracer.span("iteration", category="iteration", iteration=1) as it_span:
+    with database.span("iteration", "iteration", iteration=1) as it_span:
         with database.phase(PHASE_RHS_EVAL):
             for clause, select in exit_selects:
                 tables = [context.table_of(p) for p in select.table_slots]
@@ -119,7 +119,7 @@ def evaluate_clique_seminaive(
                         len(context.types_of(predicate)),
                     )
                 )
-        if tracer.enabled:
+        if tracer is not None:
             cardinality = _delta_cardinality(context, [delta[p] for p in predicates])
             it_span.set("delta_tuples", cardinality)
             tracer.metrics.histogram("lfp.delta_tuples", (1, 10, 100, 1000, 10000)).observe(
@@ -140,8 +140,8 @@ def evaluate_clique_seminaive(
             )
         iterations += 1
 
-        with tracer.span(
-            "iteration", category="iteration", iteration=iterations
+        with database.span(
+            "iteration", "iteration", iteration=iterations
         ) as it_span:
             new_delta = delta_relations(iterations)
 
@@ -176,7 +176,7 @@ def evaluate_clique_seminaive(
                         f'DELETE FROM "{new_delta[predicate]}" WHERE ({columns}) IN '
                         f'(SELECT {columns} FROM "{context.table_of(predicate)}")'
                     )
-            if tracer.enabled:
+            if tracer is not None:
                 # After the strip, the new delta holds exactly this
                 # iteration's genuinely new tuples.
                 cardinality = _delta_cardinality(

@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from ..datalog.clauses import Clause, Program, Query
 from ..datalog.terms import Atom, Constant, Variable
 from ..datalog.unify import Substitution, apply_substitution, unify_atoms
-from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 
 FactsByPredicate = Mapping[str, Iterable[tuple]]
 
@@ -32,9 +31,7 @@ class TopDownEvaluator:
         self,
         program: Program,
         facts: FactsByPredicate,
-        tracer: "Tracer | NullTracer | None" = None,
     ):
-        self._tracer = tracer if tracer is not None else NULL_TRACER
         self._rules: dict[str, list[Clause]] = {}
         self._facts: dict[str, set[tuple]] = {
             predicate: set(rows) for predicate, rows in facts.items()
@@ -54,29 +51,17 @@ class TopDownEvaluator:
         # subgoals; deriving each tabled subgoal once per sweep grows the
         # tables; stop when a whole sweep neither grows a table nor
         # discovers a new subgoal.
-        tracer = self._tracer
-        sweep = 0
-        while True:
-            sweep += 1
-            with tracer.span("sweep", category="iteration", iteration=sweep) as span:
-                changed = False
-                before = len(self._tables)
-                tuples_before = sum(len(t) for t in self._tables.values())
-                for __ in self._solve_conjunction(query.goals, {}):
-                    pass  # discovery only; answers are collected after the fixpoint
-                for key in list(self._tables):
-                    if self._derive_once(key):
-                        changed = True
-                if len(self._tables) > before:
+        changed = True
+        while changed:
+            changed = False
+            before = len(self._tables)
+            for __ in self._solve_conjunction(query.goals, {}):
+                pass  # discovery only; answers are collected after the fixpoint
+            for key in list(self._tables):
+                if self._derive_once(key):
                     changed = True
-                if tracer.enabled:
-                    span.set("subgoals", len(self._tables))
-                    span.set(
-                        "delta_tuples",
-                        sum(len(t) for t in self._tables.values()) - tuples_before,
-                    )
-            if not changed:
-                break
+            if len(self._tables) > before:
+                changed = True
 
         answers: set[tuple] = set()
         for substitution in self._solve_conjunction(query.goals, {}):
@@ -216,7 +201,6 @@ def evaluate_top_down(
     program: Program,
     facts: FactsByPredicate,
     query: Query,
-    tracer: "Tracer | NullTracer | None" = None,
 ) -> set[tuple]:
     """One-shot convenience wrapper around :class:`TopDownEvaluator`."""
-    return TopDownEvaluator(program, facts, tracer).query(query)
+    return TopDownEvaluator(program, facts).query(query)

@@ -15,6 +15,30 @@ Heavyweight imports happen inside the entry points, keeping
 from __future__ import annotations
 
 import argparse
+import signal
+from contextlib import contextmanager
+from typing import Iterator
+
+
+@contextmanager
+def sigterm_interrupts() -> Iterator[None]:
+    """Within the block, SIGTERM (``kill``, a service manager) raises
+    :class:`KeyboardInterrupt` like Ctrl-C, so the caller's cleanup runs;
+    the previous handler is restored on exit.  Off the main thread, where
+    no signal handler can run, the block runs unchanged."""
+    try:
+        previous = signal.signal(signal.SIGTERM, _interrupt)
+    except ValueError:
+        yield
+        return
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _interrupt(signum: int, frame: object) -> None:
+    raise KeyboardInterrupt
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -101,12 +125,13 @@ def serve_main(argv: "list[str] | None" = None) -> int:
     if server.exporter is not None:
         mhost, mport = server.exporter.address
         print(f"metrics: http://{mhost}:{mport}/metrics")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        server.close()
+    with sigterm_interrupts():
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            print("\nshutting down")
+        finally:
+            server.close()
     return 0
 
 

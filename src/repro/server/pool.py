@@ -180,6 +180,9 @@ class ReaderSession:
                         time.perf_counter() - started,
                         hit.answered_from_view,
                     )
+        if database.tracer is not None:
+            # A traced session keeps the current request's spans only.
+            database.tracer.clear()
         try:
             with database.transaction():
                 version = read_version(database)
@@ -383,6 +386,8 @@ class SessionPool:
             )
         try:
             database = self.writer.database
+            if database.tracer is not None:
+                database.tracer.clear()
             with database.transaction():
                 yield self.writer
                 database.execute(

@@ -31,8 +31,8 @@ class TestCompilationRunners:
             assert row.total > 0
             assert abs(sum(row.percentage(c) for c in row.components) - 100) < 1e-6
             # The paper's Table 4 has no optimize component: the runner pins
-            # unrewritten plans rather than timing the per-form decision.
-            assert row.components["optimize"] == 0.0
+            # unrewritten plans and leaves the (decision-only) span out.
+            assert "optimize" not in row.components
 
 
 class TestExecutionRunners:

@@ -58,3 +58,18 @@ def test_trace_cli_mutual_clique_is_one_fused_statement(tmp_path, capsys):
     assert "fused" in printed and "clique:even+odd" not in printed
     assert "lfp.cte_statements = 1" in printed
     assert "dbms.statements.drop" not in printed
+
+
+def test_trace_cli_traces_the_plan_a_plain_query_runs(tmp_path, capsys):
+    # Without --optimize the traced plan is the default per-form decision:
+    # a bound goal reaching a recursive clique runs its magic rewrite, as
+    # through Testbed.query.
+    rules = tmp_path / "rules.dkb"
+    rules.write_text(RULES)
+    out = tmp_path / "trace.json"
+    assert main(["?- ancestor(ann, X).", "--load", str(rules), "--out", str(out)]) == 0
+    assert "optimized=True" in capsys.readouterr().out
+    (compile_event,) = [
+        e for e in json.loads(out.read_text())["traceEvents"] if e["name"] == "compile"
+    ]
+    assert compile_event["args"]["optimized"] is True

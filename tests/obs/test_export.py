@@ -2,26 +2,30 @@
 
 import json
 
+from repro.dbms.engine import Database
 from repro.obs.export import chrome_trace_events, render_span_tree, write_chrome_trace
 from repro.obs.trace import StatementRecord, Tracer
 
 
 def build_tracer():
     tracer = Tracer()
-    with tracer.span("query", text="?- a(X)."):
-        with tracer.span("compile", category="compile"):
-            with tracer.span("parse", category="compile"):
-                pass
-        with tracer.span("execute", category="execute"):
-            tracer.on_statement(
-                StatementRecord(
-                    phase="lfp", sql="SELECT 1", kind="SELECT", seconds=0.002
+    with Database(":memory:") as database:
+        database.set_tracer(tracer)
+        with database.span("query", text="?- a(X)."):
+            with database.span("compile", category="compile"):
+                with database.span("parse", category="compile"):
+                    pass
+            with database.span("execute", category="execute") as execute:
+                tracer.on_statement(
+                    StatementRecord(
+                        phase="lfp", sql="SELECT 1", kind="SELECT", seconds=0.002
+                    ),
+                    [execute],
                 )
-            )
     return tracer
 
 
-class TestChromeTraceEvents:
+class TestChromeEventList:
     def test_empty_forest_yields_no_events(self):
         assert chrome_trace_events([]) == []
 

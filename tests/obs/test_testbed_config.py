@@ -4,6 +4,7 @@ import pytest
 
 from repro import Testbed, TestbedConfig
 from repro.maintenance.dred import MaintenancePolicy
+from repro.obs import Tracer
 
 
 class TestConfigForm:
@@ -29,7 +30,7 @@ class TestConfigForm:
     def test_config_trace_enables_tracer(self):
         with Testbed(TestbedConfig(trace=True)) as testbed:
             assert testbed.tracer is not None
-            assert testbed.tracer.enabled
+            assert isinstance(testbed.tracer, Tracer)
             assert testbed.database.tracer is testbed.tracer
 
     def test_positional_path_string_does_not_warn(self, tmp_path):

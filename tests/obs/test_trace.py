@@ -1,7 +1,9 @@
-"""Unit tests for the span tracer: nesting, attribution, the null tracer."""
+"""Unit tests for spans and the tracer: nesting, attribution, untraced spans."""
+
+import pytest
 
 from repro.dbms.engine import Database
-from repro.obs.trace import NULL_TRACER, NullTracer, Span, StatementRecord, Tracer
+from repro.obs.trace import DEFAULT_PHASE, Span, StatementRecord, Tracer
 
 
 def record(sql="SELECT 1", kind="SELECT", seconds=0.001, **overrides):
@@ -10,78 +12,99 @@ def record(sql="SELECT 1", kind="SELECT", seconds=0.001, **overrides):
     return StatementRecord(**fields)
 
 
+@pytest.fixture()
+def traced():
+    """An in-memory database with a fresh tracer installed."""
+    tracer = Tracer()
+    with Database(":memory:") as database:
+        database.set_tracer(tracer)
+        yield database, tracer
+
+
+def assert_stack_empty(database, tracer):
+    """No span is left open: the next span opened is a new root."""
+    assert database.statistics.current_phase == DEFAULT_PHASE
+    with database.span("probe") as probe:
+        pass
+    assert tracer.last_root is probe
+
+
 class TestSpanTree:
-    def test_nesting_builds_a_tree(self):
-        tracer = Tracer()
-        with tracer.span("query") as query:
-            with tracer.span("compile") as compile_span:
-                with tracer.span("parse"):
+    def test_nesting_builds_a_tree(self, traced):
+        database, tracer = traced
+        with database.span("query") as query:
+            with database.span("compile") as compile_span:
+                with database.span("parse"):
                     pass
-            with tracer.span("execute"):
+            with database.span("execute"):
                 pass
         assert tracer.roots == [query]
         assert [child.name for child in query.children] == ["compile", "execute"]
         assert [child.name for child in compile_span.children] == ["parse"]
         assert tracer.last_root is query
-        assert tracer.current_span is None
+        assert_stack_empty(database, tracer)
 
-    def test_span_attributes_and_set(self):
-        tracer = Tracer()
-        with tracer.span("clique", category="lfp", predicate="ancestor") as span:
+    def test_span_attributes_and_set(self, traced):
+        database, _ = traced
+        with database.span("clique", category="lfp", predicate="ancestor") as span:
             span.set("iterations", 4)
         assert span.category == "lfp"
         assert span.attributes == {"predicate": "ancestor", "iterations": 4}
 
-    def test_span_path_reflects_open_stack(self):
-        tracer = Tracer()
-        assert tracer.span_path() == ""
-        with tracer.span("query"):
-            with tracer.span("compile"):
-                assert tracer.span_path() == "query/compile"
+    def test_plan_path_reflects_open_stack(self, traced):
+        database, tracer = traced
+        database.execute("CREATE TABLE t (x INTEGER)")
+        with database.span("query"):
+            with database.span("compile"):
+                database.execute("SELECT x FROM t")
+        (plan,) = [p for p in tracer.plans.plans.values() if p.sql.startswith("SELECT")]
+        assert plan.span == "query/compile"
 
-    def test_durations_are_closed_and_nested(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            with tracer.span("inner") as inner:
+    def test_durations_are_closed_and_nested(self, traced):
+        database, _ = traced
+        with database.span("outer") as outer:
+            with database.span("inner") as inner:
                 pass
         assert outer.end is not None and inner.end is not None
         assert inner.start >= outer.start
         assert inner.end <= outer.end
         assert outer.duration >= inner.duration
 
-    def test_iter_spans_is_depth_first_preorder(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            with tracer.span("b"):
-                with tracer.span("c"):
+    def test_iter_spans_is_depth_first_preorder(self, traced):
+        database, tracer = traced
+        with database.span("a"):
+            with database.span("b"):
+                with database.span("c"):
                     pass
-            with tracer.span("d"):
+            with database.span("d"):
                 pass
         names = [span.name for span in tracer.roots[0].iter_spans()]
         assert names == ["a", "b", "c", "d"]
 
-    def test_span_survives_exceptions(self):
-        tracer = Tracer()
+    def test_span_survives_exceptions(self, traced):
+        database, tracer = traced
         try:
-            with tracer.span("failing"):
+            with database.span("failing", phase="boom"):
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
         assert tracer.roots[0].end is not None
-        assert tracer.current_span is None
+        assert_stack_empty(database, tracer)
 
 
 class TestStatementAttribution:
-    def test_statement_counts_go_to_innermost_span(self):
-        tracer = Tracer()
-        with tracer.span("query") as query:
-            tracer.on_statement(record(seconds=0.5))
-            with tracer.span("execute") as execute:
-                tracer.on_statement(record(seconds=0.25))
-                tracer.on_statement(record(seconds=0.25))
+    def test_statement_counts_go_to_innermost_span(self, traced):
+        database, tracer = traced
+        with database.span("query") as query:
+            database.execute("SELECT 0")
+            with database.span("execute") as execute:
+                database.execute("SELECT 1")
+                database.execute("SELECT 2")
         assert query.statements == 1
         assert execute.statements == 2
-        assert execute.statement_seconds == 0.5
+        assert execute.statement_seconds == sum(
+            r.seconds for r in tracer.statements[1:]
+        )
         # Summing direct counts over the tree gives the total.
         assert sum(s.statements for s in query.iter_spans()) == 3
 
@@ -127,7 +150,7 @@ class TestStatementAttribution:
             database.set_tracer(tracer)
             database.execute("CREATE TABLE t (x INTEGER)")
             database.execute("INSERT INTO t VALUES (1)")
-            with tracer.span("query"):
+            with database.span("query"):
                 database.execute("SELECT x FROM t WHERE x = ?", (1,))
         assert tracer.plans is not None
         captured = list(tracer.plans.plans.values())
@@ -149,36 +172,41 @@ class TestStatementAttribution:
         assert len(tracer.statements) == 2
         assert not any("EXPLAIN" in s.sql.upper() for s in tracer.statements)
 
-    def test_clear_keeps_metrics_and_plans(self):
-        tracer = Tracer()
-        with tracer.span("query"):
-            tracer.on_statement(record())
+    def test_clear_keeps_metrics_and_plans(self, traced):
+        database, tracer = traced
+        with database.span("query"):
+            database.execute("SELECT 1")
         plans = tracer.plans
         tracer.clear()
         assert tracer.roots == []
         assert tracer.statements == []
-        assert tracer.current_span is None
         assert tracer.plans is plans
         assert tracer.metrics.snapshot()["counters"]["dbms.statements"] == 1
+        assert_stack_empty(database, tracer)
 
 
-class TestNullTracer:
-    def test_is_disabled_and_shares_one_context(self):
-        assert NULL_TRACER.enabled is False
-        assert isinstance(NULL_TRACER, NullTracer)
-        first = NULL_TRACER.span("a")
-        second = NULL_TRACER.span("b", category="c", attr=1)
-        assert first is second
+class TestUntracedSpans:
+    def test_untraced_span_times_its_region_and_keeps_nothing(self, database):
+        assert database.tracer is None
+        with database.span("anything", category="c", attr=1) as span:
+            database.execute("SELECT 1")
+        assert isinstance(span, Span)
+        assert span.end is not None and span.end >= span.start
+        assert span.duration == span.end - span.start
+        assert span.children == [] and span.statements == 0
 
-    def test_null_span_is_inert(self):
-        with NULL_TRACER.span("anything") as span:
-            span.set("ignored", True)
-            assert span.attributes == {}
-            assert list(span.iter_spans()) == []
-            assert span.statements == 0
-        NULL_TRACER.on_statement(record())  # no-op, no error
+    def test_span_phase_attributes_statements_and_is_inherited(self, database):
+        database.statistics.reset()
+        with database.span("outer", phase="p") as outer:
+            with database.span("inner") as inner:
+                database.execute("SELECT 1")
+            with database.phase("q"):
+                database.execute("SELECT 2")
+        assert (outer.phase, inner.phase) == ("p", "p")
+        assert database.statistics.phase("p").statements == 1
+        assert database.statistics.phase("q").statements == 1
 
-    def test_real_spans_are_spans(self):
-        tracer = Tracer()
-        with tracer.span("s") as span:
-            assert isinstance(span, Span)
+    def test_traced_and_untraced_spans_are_one_type(self, traced, database):
+        traced_database, _ = traced
+        with traced_database.span("s") as span, database.span("t") as other:
+            assert isinstance(span, Span) and isinstance(other, Span)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dbms.engine import StatementEvent
+from repro.obs.trace import StatementRecord, Tracer
 from repro.runtime.context import (
     PHASE_RHS_EVAL,
     PHASE_TEMP_TABLES,
@@ -16,12 +16,16 @@ from repro.runtime.parallel_sim import (
 )
 
 
+def event(phase, kind, seconds):
+    return StatementRecord(phase=phase, sql="", kind=kind, seconds=seconds)
+
+
 def rhs(seconds):
-    return StatementEvent(PHASE_RHS_EVAL, "INSERT", seconds)
+    return event(PHASE_RHS_EVAL, "INSERT", seconds)
 
 
 def serial(seconds, phase=PHASE_TERMINATION):
-    return StatementEvent(phase, "SELECT", seconds)
+    return event(phase, "SELECT", seconds)
 
 
 class TestLptMakespan:
@@ -94,9 +98,9 @@ class TestSimulate:
 class TestPhaseFilter:
     def test_drops_non_lfp_phases(self):
         trace = [
-            StatementEvent("(none)", "SELECT", 1.0),
+            event("(none)", "SELECT", 1.0),
             rhs(1.0),
-            StatementEvent("extract", "SELECT", 1.0),
+            event("extract", "SELECT", 1.0),
             serial(1.0),
         ]
         kept = lfp_phase_events(trace)
@@ -106,12 +110,12 @@ class TestPhaseFilter:
 
 class TestTraceCapture:
     def test_engine_records_events(self, database):
-        database.statistics.enable_trace()
-        database.statistics.reset()
+        tracer = Tracer(capture_plans=False)
+        database.set_tracer(tracer)
         with database.phase(PHASE_RHS_EVAL):
             database.execute("SELECT 1")
         database.execute("SELECT 2")
-        trace = database.statistics.trace
+        trace = tracer.statements
         assert len(trace) == 2
         assert trace[0].phase == PHASE_RHS_EVAL
         assert trace[0].kind == "SELECT"
@@ -119,10 +123,15 @@ class TestTraceCapture:
 
     def test_trace_disabled_by_default(self, database):
         database.execute("SELECT 1")
-        assert database.statistics.trace == []
+        assert database.tracer is None
+        tracer = Tracer(capture_plans=False)
+        database.set_tracer(tracer)
+        assert tracer.statements == []
 
-    def test_disable_trace(self, database):
-        database.statistics.enable_trace()
+    def test_detached_tracer_records_nothing_more(self, database):
+        tracer = Tracer(capture_plans=False)
+        database.set_tracer(tracer)
         database.execute("SELECT 1")
-        database.statistics.disable_trace()
-        assert database.statistics.trace == []
+        database.set_tracer(None)
+        database.execute("SELECT 2")
+        assert [record.sql for record in tracer.statements] == ["SELECT 1"]

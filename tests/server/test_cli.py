@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import os
+import signal
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -109,3 +112,29 @@ def test_demo_depth_seeds_the_dkb(tmp_path, servers, monkeypatch):
     assert os.path.exists(path)
     with SessionPool(path, readers=1) as pool:
         assert pool.query("?- ancestor(X, Y).").rows
+
+
+def test_sigterm_closes_the_server_and_exits_zero(tmp_path):
+    # ``kill`` or a service manager stops the server like Ctrl-C: the
+    # cleanup runs and the process exits 0 instead of dying on the signal.
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "1"}
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", str(tmp_path / "dkb.sqlite"),
+         "--port", "0", "--readers", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=env,
+    )
+    try:
+        first = process.stdout.readline()
+        assert first.startswith("serving"), first
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=30) == 0
+        assert "shutting down" in process.stdout.read()
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+        process.stdout.close()

@@ -236,6 +236,27 @@ def test_traced_sessions_stay_traced_across_reads(dkb_path):
         assert tracer.roots and tracer.statements
 
 
+def test_traced_sessions_keep_only_the_current_request(dkb_path):
+    # Spans and statement records are per request; the metrics keep
+    # counting every request.
+    with SessionPool(dkb_path, readers=1, trace=True) as pool:
+        with pool.reader() as session:
+            tracer = session.testbed.tracer
+            roots, counted = [], []
+            for _ in range(20):
+                session.query(ANCESTOR_JOHN, use_cache=False)
+                roots.append(len(tracer.roots))
+                counted.append(tracer.metrics.snapshot()["counters"]["dbms.statements"])
+            assert max(roots) == roots[0] <= 2
+            assert len(tracer.statements) <= counted[0]
+            assert counted == sorted(set(counted)) and counted[-1] >= 20
+        writes = []
+        for index in range(5):
+            pool.load_facts("parent", [("ann", f"kid{index}")])
+            writes.append(len(pool.writer.tracer.roots))
+        assert max(writes) == writes[0]
+
+
 def test_untraced_sessions_never_trace(pool):
     for _ in range(3):
         pool.query(ANCESTOR_JOHN, use_cache=False)

@@ -37,7 +37,12 @@ from ..obs.timings import TimingsMapping
 from ..runtime.program import DEFAULT_STRATEGY, LfpStrategy, QueryProgram
 from .codegen import compile_and_link, generate_fragment
 from .optimizer import optimization_applies, optimize
-from .policy import DEFAULT_OPTIMIZE, AdaptiveDecision, decide_rewrite
+from .policy import (
+    DEFAULT_OPTIMIZE,
+    AdaptiveDecision,
+    check_optimize,
+    decide_rewrite,
+)
 from .semantic import check_semantics
 from .stored import StoredDKB
 from .workspace import WorkspaceDKB
@@ -116,9 +121,8 @@ class QueryCompiler:
         Args:
             query: a :class:`Query` or its concrete syntax.
             optimize_query: apply generalized magic sets when applicable —
-                ``True``/``"magic"``, ``"supplementary"``, ``False``, or
-                ``"auto"`` (the default) to rewrite exactly the forms whose
-                bound goal reaches a recursive clique
+                ``True``, ``False``, or ``"auto"`` (the default) to rewrite
+                exactly the forms whose bound goal reaches a recursive clique
                 (:func:`repro.km.policy.decide_rewrite`).
             strategy: LFP strategy the program will use for cliques.
             reorder_bodies: greedily reorder rule bodies so bound atoms come
@@ -134,18 +138,15 @@ class QueryCompiler:
         span on the stored D/KB's database; its duration is the timing.
 
         Raises:
+            ValueError: ``optimize_query`` is not ``True``, ``False`` or
+                ``"auto"``.
             SemanticError: from the semantic checks.
             OptimizationError: only when optimization was requested for a
                 query it can never apply to *and* the rules make it
                 unusable; inapplicable optimization falls back silently
                 (recorded in ``CompilationResult.optimized``).
         """
-        valid_strings = ("auto", "magic", "supplementary")
-        if isinstance(optimize_query, str) and optimize_query not in valid_strings:
-            raise ValueError(
-                f"optimize_query must be a bool or one of {valid_strings}, "
-                f"got {optimize_query!r}"
-            )
+        check_optimize(optimize_query)
         with self.stored.database.span("compile", "compile") as compile_span:
             result = self._compile(
                 query, optimize_query, strategy, reorder_bodies, lint
@@ -246,10 +247,7 @@ class QueryCompiler:
             else:
                 apply_rewrite = bool(optimize_query)
             if apply_rewrite and optimization_applies(query, derived):
-                method = (
-                    "supplementary" if optimize_query == "supplementary" else "magic"
-                )
-                result = optimize(relevant, query, report.types, method)
+                result = optimize(relevant, query, report.types)
                 rules_for_program = result.rules
                 goal_rewrites = result.goal_rewrites
                 seed_facts = result.seed_facts

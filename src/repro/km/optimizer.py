@@ -1,10 +1,9 @@
 """The Optimizer (paper section 3.2.5).
 
-Wraps the rule rewriting strategies of section 2.5 for the compilation
-pipeline: it decides whether an optimization *applies* to a query, performs
-the chosen rewriting (generalized magic sets, or the supplementary variant),
-types the new predicates, and packages the rewritten rules together with the
-seed positions and goal mapping the Code Generator needs.
+Wraps the generalized magic sets rewriting of section 2.5 for the
+compilation pipeline: it decides whether the rewriting *applies* to a query,
+performs it, types the new predicates, and packages the rewritten rules
+together with the seed positions and goal mapping the Code Generator needs.
 
 Whether to *use* the optimizer stays the caller's choice (section 4.2 step
 5); the default, ``optimize="auto"``, makes it once per query form
@@ -14,20 +13,14 @@ Whether to *use* the optimizer stays the caller's choice (section 4.2 step
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from ..datalog.adornment import split_adorned_name
 from ..datalog.clauses import Clause, Program, Query
-from ..datalog.magic import MagicProgram, QuerySeed, is_magic_name, magic_rewrite
-from ..datalog.supplementary import (
-    SupplementaryProgram,
-    supplementary_rewrite,
-)
+from ..datalog.magic import QuerySeed, magic_rewrite
 from ..datalog.terms import Constant
 from ..datalog.typecheck import TypeEnvironment
 from ..errors import OptimizationError
-
-REWRITE_METHODS = ("magic", "supplementary")
 
 
 @dataclass(frozen=True)
@@ -45,13 +38,6 @@ class OptimizationResult:
     seed_facts: dict[str, tuple[tuple, ...]]
     query_seed: QuerySeed
     new_types: dict[str, tuple[str, ...]]
-    rewrite: Union[MagicProgram, SupplementaryProgram]
-    method: str = "magic"
-
-    @property
-    def magic(self) -> Union[MagicProgram, SupplementaryProgram]:
-        """Backwards-compatible alias for :attr:`rewrite`."""
-        return self.rewrite
 
 
 def optimization_applies(query: Query, derived_predicates: set[str]) -> bool:
@@ -70,19 +56,14 @@ def optimization_applies(query: Query, derived_predicates: set[str]) -> bool:
 
 
 def optimize(
-    rules: Program,
-    query: Query,
-    types: TypeEnvironment,
-    method: str = "magic",
+    rules: Program, query: Query, types: TypeEnvironment
 ) -> OptimizationResult:
-    """Rewrite ``rules`` for ``query`` with the chosen rewriting strategy.
+    """Rewrite ``rules`` for ``query`` with generalized magic sets.
 
     Args:
         rules: the relevant rules.
         query: the (single-goal, bound) user query.
         types: inferred types of the original predicates.
-        method: ``"magic"`` (generalized magic sets) or ``"supplementary"``
-            (supplementary magic sets — materialised join prefixes).
 
     Raises:
         OptimizationError: when the optimization does not apply; callers
@@ -93,39 +74,17 @@ def optimize(
         raise OptimizationError(
             f"magic sets does not apply to query {query}"
         )
-    if method not in REWRITE_METHODS:
-        raise OptimizationError(
-            f"unknown rewriting method {method!r}; one of {REWRITE_METHODS}"
-        )
-    goal = query.goals[0]
-
-    rewrite: Union[MagicProgram, SupplementaryProgram]
-    if method == "magic":
-        rewrite = magic_rewrite(rules, query, derived)
-        rewritten, seed_facts = _split_facts(
-            list(rewrite.magic_rules) + list(rewrite.modified_rules)
-        )
-        magic_predicates = rewrite.magic_predicates
-    else:
-        rewrite = supplementary_rewrite(rules, query, derived)
-        rewritten, seed_facts = _split_facts(rewrite.rules)
-        magic_predicates = {
-            clause.head_predicate
-            for clause in rewrite.rules
-            if is_magic_name(clause.head_predicate)
-        } | {rewrite.query_seed.predicate}
+    rewrite = magic_rewrite(rules, query, derived)
+    rewritten, seed_facts = _split_facts(
+        list(rewrite.magic_rules) + list(rewrite.modified_rules)
+    )
     _add_negated_support(rewritten, rules, derived)
-    new_types = _type_rewritten_predicates(rewritten, magic_predicates, types)
-    if isinstance(rewrite, SupplementaryProgram):
-        new_types.update(_type_supplementary_predicates(rewrite, types))
     return OptimizationResult(
         rewritten,
-        {goal.predicate: rewrite.goal.predicate},
+        {query.goals[0].predicate: rewrite.goal.predicate},
         seed_facts,
         rewrite.query_seed,
-        new_types,
-        rewrite,
-        method,
+        _type_rewritten_predicates(rewritten, rewrite.magic_predicates, types),
     )
 
 
@@ -206,42 +165,7 @@ def _type_rewritten_predicates(
         try:
             base, __ = split_adorned_name(target)
         except ValueError:
-            continue  # unadorned: a base or supplementary predicate
+            continue  # unadorned: a base predicate
         new_types[name] = types.of(base)
     return new_types
 
-
-def _type_supplementary_predicates(
-    supplementary: SupplementaryProgram, types: TypeEnvironment
-) -> dict[str, tuple[str, ...]]:
-    """Column types for the ``sup_k_i`` predicates via type unification.
-
-    The supplementary columns are rule variables; running the standard type
-    inference over the rewritten rules — with every adorned, magic, and base
-    predicate already typed — pins each supplementary column's type.
-    """
-    from ..datalog.typecheck import infer_types
-
-    known: dict[str, tuple[str, ...]] = {}
-    for predicate in types.types:
-        known[predicate] = types.of(predicate)
-    known.update(
-        _type_rewritten_predicates(
-            supplementary.rules,
-            {
-                c.head_predicate
-                for c in supplementary.rules
-                if c.head_predicate.startswith("m_")
-            }
-            | {supplementary.query_seed.predicate},
-            types,
-        )
-    )
-    environment = infer_types(
-        supplementary.rules, known, allow_undefined=True
-    )
-    return {
-        name: environment.of(name)
-        for name in supplementary.supplementary_arities
-        if name in environment
-    }

@@ -27,6 +27,12 @@ from .optimizer import optimization_applies
 DEFAULT_OPTIMIZE = "auto"
 
 
+def check_optimize(value: object) -> None:
+    """Raise ``ValueError`` unless ``value`` is ``True``, ``False`` or ``"auto"``."""
+    if not (isinstance(value, bool) or value == "auto"):
+        raise ValueError(f"optimize must be True, False or 'auto', got {value!r}")
+
+
 @dataclass(frozen=True)
 class AdaptiveDecision:
     """The ``optimize="auto"`` verdict for one query form, with its reason."""

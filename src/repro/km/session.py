@@ -46,7 +46,7 @@ from ..runtime.program import DEFAULT_STRATEGY, ExecutionResult, LfpStrategy
 from .compiler import CompilationResult, QueryCompiler
 from .config import TestbedConfig
 from .constraints import assert_consistent, check_consistency
-from .policy import DEFAULT_OPTIMIZE
+from .policy import DEFAULT_OPTIMIZE, check_optimize
 from .precompile import PrecompiledQueryCache, cache_key
 from .stored import RULE_STAMP_SQL, StoredDKB
 from .update import UpdateResult, update_stored_dkb
@@ -678,9 +678,9 @@ class Testbed:
     ) -> CompilationResult:
         """Compile a query without executing it (Tests 1-3 use this).
 
-        ``optimize`` is ``True``/``False``/``"supplementary"``, or ``"auto"``
-        (the default) to rewrite exactly the forms whose bound goal reaches
-        a recursive clique.  With ``lint=True``
+        ``optimize`` is ``True``, ``False``, or ``"auto"`` (the default) to
+        rewrite exactly the forms whose bound goal reaches a recursive
+        clique; any other value raises ``ValueError``.  With ``lint=True``
         the full static-analysis report is attached to the result
         (``CompilationResult.diagnostics``) and its cost recorded as the
         ``lint`` timing component.
@@ -710,7 +710,9 @@ class Testbed:
         ``optimize="auto"`` (the default) runs a form whose bound goal
         reaches a recursive clique through its magic-sets rewrite, so a
         bound query derives only what its constants reach; ``False`` keeps
-        every form unrewritten.
+        every form unrewritten and ``True`` rewrites every bound goal.  Any
+        other value raises ``ValueError``, even when a view or a cached plan
+        could answer.
 
         With ``use_views=True`` (the default) a query whose goals are all
         fresh materialized views or base relations is answered by a plain
@@ -732,6 +734,7 @@ class Testbed:
         precompile: bool,
         use_views: bool,
     ) -> QueryResult:
+        check_optimize(optimize)
         if isinstance(query, str):
             query = parse_query(query)
         if use_views and self.views.has_views():

@@ -15,13 +15,6 @@ from .context import (
     EvaluationCounters,
     derived_table_name,
 )
-from .counting import (
-    CountingForm,
-    CountingResult,
-    counting_applies,
-    evaluate_counting,
-    recognize_counting_form,
-)
 from .lfp_cte import (
     CteEligibility,
     FusedProgram,
@@ -41,17 +34,12 @@ from .seminaive import evaluate_clique_seminaive
 from .topdown import TopDownEvaluator, evaluate_top_down
 
 __all__ = [
-    "CountingForm",
-    "CountingResult",
     "CteEligibility",
     "cte_eligibility",
     "DEFAULT_STRATEGY",
     "EvaluationContext",
     "SimulatedSchedule",
-    "counting_applies",
-    "evaluate_counting",
     "lfp_phase_events",
-    "recognize_counting_form",
     "simulate_parallel_lfp",
     "sweep_workers",
     "EvaluationCounters",

@@ -146,7 +146,7 @@ class DkbClient:
         q: str,
         bindings: Optional[dict[str, Any]] = None,
         strategy: Optional[str] = None,
-        optimize: Optional[bool] = None,
+        optimize: "bool | str | None" = None,
         use_views: Optional[bool] = None,
         use_cache: Optional[bool] = None,
         min_version: Optional[int] = None,

@@ -156,6 +156,20 @@ def validate_request(message: Any) -> dict[str, Any]:
         raise ProtocolError(
             ErrorCode.BAD_REQUEST, "field 'bindings' must be an object"
         )
+    # The library's rule (``repro.km.policy.check_optimize``), restated so
+    # the wire layer imports nothing of the Knowledge Manager.
+    if "optimize" in message and not (
+        isinstance(message["optimize"], bool) or message["optimize"] == "auto"
+    ):
+        raise ProtocolError(
+            ErrorCode.BAD_REQUEST,
+            "field 'optimize' must be true, false or \"auto\"",
+        )
+    for name in ("use_views", "use_cache"):
+        if name in message and not isinstance(message[name], bool):
+            raise ProtocolError(
+                ErrorCode.BAD_REQUEST, f"field {name!r} must be a boolean"
+            )
     for name in ("min_version", "shard"):
         if name in message and (
             isinstance(message[name], bool)

@@ -100,13 +100,11 @@ class TestExtensionRunners:
 
     def test_rewrite_methods(self):
         points = bench.run_rewrite_methods(generations=4, width=3, repetitions=1)
-        assert {p.method for p in points} == {
-            "plain",
-            "magic",
-            "supplementary",
-            "counting",
-        }
+        assert [p.method for p in points] == ["plain", "magic", "default"]
         assert len({p.answers for p in points}) == 1
+        # The default plan is one warm statement with no DDL.
+        assert points[-1].ddl == 0
+        assert points[-1].statements < points[0].statements
 
     def test_parallel_simulation(self):
         schedules = bench.run_parallel_simulation(

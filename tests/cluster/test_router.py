@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import ReadPolicy
-from repro.server import DkbClient, WrongShardError
+from repro.server import DkbClient, ServerError, WrongShardError
 from repro.workloads.queries import ANCESTOR_RULES
 
 #: Eight chains g0..g7: crc32 spreads them over both shards of the 2-way
@@ -78,6 +78,18 @@ class TestRouterReads:
             assert reply["shards"] == [spec.shard_of_key("g1_1")]
             assert sorted(reply["rows"]) == [["g1_2"], ["g1_3"]]
             assert router_counters(client).get("router.pinned_reads", 0) >= 1
+
+    def test_bad_optimize_is_refused_at_the_router(self, make_cluster):
+        cluster = make_cluster()
+        with cluster.client() as client:
+            seed(client)
+            for __ in range(2):  # cold, then after the form was answered
+                with pytest.raises(ServerError) as excinfo:
+                    client.request(
+                        "query", q="?- ancestor('g1_1', Y).", optimize="bogus"
+                    )
+                assert excinfo.value.code == "BAD_REQUEST"
+                client.query("?- ancestor('g1_1', Y).")
 
     def test_fanout_read_merges_all_shards(self, make_cluster):
         cluster = make_cluster()

@@ -29,12 +29,12 @@ class TestMutualRecursion:
     EXPECTED_ODD = [("b",), ("d",)]
     EXPECTED_EVEN = [("c",), ("e",)]
 
-    @pytest.mark.parametrize("optimize", [False, True, "supplementary", "auto"])
+    @pytest.mark.parametrize("optimize", [False, True, "auto"])
     def test_odd_paths(self, mutual_tb, optimize):
         rows = sorted(mutual_tb.query("?- odd('a', Y).", optimize=optimize).rows)
         assert rows == self.EXPECTED_ODD
 
-    @pytest.mark.parametrize("optimize", [False, True, "supplementary"])
+    @pytest.mark.parametrize("optimize", [False, True])
     def test_even_paths(self, mutual_tb, optimize):
         rows = sorted(mutual_tb.query("?- even('a', Y).", optimize=optimize).rows)
         assert rows == self.EXPECTED_EVEN

@@ -31,7 +31,7 @@ class TestIntegerColumns:
         with pytest.raises(TypeInferenceError):
             tb.query("?- needs('one', X).")
 
-    @pytest.mark.parametrize("optimize", [False, True, "supplementary"])
+    @pytest.mark.parametrize("optimize", [False, True])
     def test_rewrites_preserve_integer_semantics(self, tb, optimize):
         rows = sorted(tb.query("?- needs(2, X).", optimize=optimize).rows)
         assert rows == [(3,), (4,), (5,)]

@@ -8,8 +8,7 @@ top-down evaluator over a model of the rules and facts entered so far —
 or fail with the same error when its rules are not all there yet.  Each run
 uses either the default strategy (whose cached plans carry their one-statement
 form across rebinds) or semi-naive iteration, and one ``optimize`` setting:
-the default per-form decision, none, or a forced magic / supplementary
-rewrite.  Rewritten plans are cached per form too, so a query rebinds a plan
+the default per-form decision, none, or a forced magic-sets rewrite.  Rewritten plans are cached per form too, so a query rebinds a plan
 another constant compiled, magic seed and all.
 """
 
@@ -53,7 +52,7 @@ DEFINABLE = [rule for chosen in MODULES for rule in chosen.rules] + [
     *SEED_TWINS,
 ]
 NODES = ["a", "b", "c"]
-OPTIMIZE = [{}, {"optimize": False}, {"optimize": True}, {"optimize": "supplementary"}]
+OPTIMIZE = [{}, {"optimize": False}, {"optimize": True}]
 
 module = st.sampled_from(MODULES)
 node = st.sampled_from(NODES)

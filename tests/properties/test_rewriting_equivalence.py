@@ -1,13 +1,16 @@
-"""Property-based tests: every rewriting strategy preserves query answers."""
+"""Property-based tests: every ``optimize`` setting preserves query answers.
+
+Each plan — unrewritten (``optimize=False``), magic-sets rewritten
+(``True``) and the default per-form decision — must return exactly what the
+independent top-down evaluator derives from the same rules and facts.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Testbed
-from repro.dbms.engine import Database
-from repro.dbms.schema import RelationSchema
-from repro.datalog.parser import parse_program
-from repro.runtime.counting import evaluate_counting, recognize_counting_form
+from repro.datalog.parser import parse_program, parse_query
+from repro.runtime.topdown import evaluate_top_down
 
 NODES = [f"n{i}" for i in range(6)]
 node = st.sampled_from(NODES)
@@ -26,46 +29,10 @@ SG = (
     "sg(X, Y) :- flat(X, Y)."
     "sg(X, Y) :- up(X, U), sg(U, V), down(V, Y)."
 )
+OPTIMIZE = ({"optimize": False}, {"optimize": True}, {})
 
-
-class TestSupplementaryEquivalence:
-    @given(graphs, node)
-    @settings(max_examples=30, deadline=None)
-    def test_ancestor_all_rewrites_agree(self, edges, source):
-        tb = Testbed()
-        try:
-            tb.define(ANCESTOR)
-            tb.define_base_relation("parent", ("TEXT", "TEXT"))
-            tb.load_facts("parent", edges)
-            query = f"?- ancestor('{source}', Y)."
-            plain = set(tb.query(query).rows)
-            magic = set(tb.query(query, optimize=True).rows)
-            supplementary = set(
-                tb.query(query, optimize="supplementary").rows
-            )
-            assert plain == magic == supplementary
-        finally:
-            tb.close()
-
-    @given(graphs, graphs, graphs, node)
-    @settings(max_examples=20, deadline=None)
-    def test_same_generation_all_rewrites_agree(self, up, flat, down, source):
-        tb = Testbed()
-        try:
-            tb.define(SG)
-            for name, edges in (("up", up), ("flat", flat), ("down", down)):
-                tb.define_base_relation(name, ("TEXT", "TEXT"))
-                tb.load_facts(name, edges)
-            query = f"?- sg('{source}', Y)."
-            plain = set(tb.query(query).rows)
-            magic = set(tb.query(query, optimize=True).rows)
-            supplementary = set(tb.query(query, optimize="supplementary").rows)
-            assert plain == magic == supplementary
-        finally:
-            tb.close()
-
-
-# Layered (acyclic-by-construction) graphs where counting is applicable.
+# Layered (acyclic-by-construction) genealogies: ``up`` climbs the layers
+# and ``down`` descends them, the shape same-generation queries are built for.
 LEVELS = 4
 PER_LEVEL = 3
 layer_nodes = [
@@ -87,38 +54,44 @@ layered_edges = st.lists(
         }
     )
 )
+random_sg = st.tuples(graphs, graphs, graphs, node)
+layered_sg = st.tuples(
+    layered_edges, layered_edges, layered_edges, st.integers(0, PER_LEVEL - 1)
+).map(
+    lambda drawn: (
+        [(b, a) for a, b in drawn[0]],  # reverse the downward edges
+        drawn[1],
+        drawn[2],
+        layer_nodes[LEVELS - 1][drawn[3]],
+    )
+)
 
 
-class TestCountingEquivalence:
-    @given(layered_edges, layered_edges, layered_edges, st.integers(0, PER_LEVEL - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_counting_matches_bottom_up(self, up_raw, flat, down_raw, start):
-        # `up` must climb the layers: reverse the generated downward edges.
-        up = [(b, a) for a, b in up_raw]
-        down = list(down_raw)
-        source = layer_nodes[LEVELS - 1][start]
+def assert_every_plan_matches_top_down(rules, facts, query):
+    expected = evaluate_top_down(parse_program(rules), facts, parse_query(query))
+    with Testbed() as tb:
+        tb.define(rules)
+        for name, edges in facts.items():
+            tb.define_base_relation(name, ("TEXT", "TEXT"))
+            tb.load_facts(name, edges)
+        for options in OPTIMIZE:
+            assert set(tb.query(query, **options).rows) == expected, options
 
-        tb = Testbed()
-        try:
-            tb.define(SG)
-            for name, edges in (("up", up), ("flat", flat), ("down", down)):
-                tb.define_base_relation(name, ("TEXT", "TEXT"))
-                tb.load_facts(name, edges)
-            expected = set(tb.query(f"?- sg('{source}', Y).").rows)
-        finally:
-            tb.close()
 
-        database = Database()
-        for name, edges in (("t_up", up), ("t_flat", flat), ("t_down", down)):
-            schema = RelationSchema(name, ("TEXT", "TEXT"))
-            database.create_relation(schema)
-            database.insert_rows(schema, edges)
-        form = recognize_counting_form(parse_program(SG), "sg")
-        result = evaluate_counting(
-            database,
-            form,
-            {"up": "t_up", "flat": "t_flat", "down": "t_down"},
-            source,
+class TestRewritingEquivalence:
+    @given(graphs, node)
+    @settings(max_examples=30, deadline=None)
+    def test_ancestor_every_plan_agrees(self, edges, source):
+        assert_every_plan_matches_top_down(
+            ANCESTOR, {"parent": edges}, f"?- ancestor('{source}', Y)."
         )
-        database.close()
-        assert result.rows == expected
+
+    @given(st.one_of(random_sg, layered_sg))
+    @settings(max_examples=30, deadline=None)
+    def test_same_generation_every_plan_agrees(self, drawn):
+        up, flat, down, source = drawn
+        assert_every_plan_matches_top_down(
+            SG,
+            {"up": up, "flat": flat, "down": down},
+            f"?- sg('{source}', Y).",
+        )

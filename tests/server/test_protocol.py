@@ -58,6 +58,10 @@ def test_decode_rejects_oversized_line():
         {"op": "lint"},
         {"op": "lint", "q": "?- p(X)."},
         {"op": "stats"},
+        {"op": "query", "q": "?- p(X).", "optimize": True},
+        {"op": "query", "q": "?- p(X).", "optimize": False},
+        {"op": "query", "q": "?- p(X).", "optimize": "auto"},
+        {"op": "query", "q": "?- p(X).", "use_views": False, "use_cache": True},
     ],
 )
 def test_validate_accepts_well_formed(message):
@@ -79,6 +83,15 @@ def test_validate_accepts_well_formed(message):
         {"op": "update", "predicate": "p", "action": "insert", "rows": [1]},
         {"op": "define", "program": 7},
         {"op": "materialize"},
+        {"op": "query", "q": "?- p(X).", "optimize": "bogus"},
+        {"op": "query", "q": "?- p(X).", "optimize": "magic"},
+        {"op": "query", "q": "?- p(X).", "optimize": "supplementary"},
+        {"op": "query", "q": "?- p(X).", "optimize": [1]},
+        {"op": "query", "q": "?- p(X).", "optimize": 1},
+        {"op": "query", "q": "?- p(X).", "optimize": None},
+        {"op": "query", "q": "?- p(X).", "use_cache": "no"},
+        {"op": "query", "q": "?- p(X).", "use_views": "no"},
+        {"op": "query", "q": "?- p(X).", "use_views": 0},
     ],
 )
 def test_validate_rejects_malformed(message):

@@ -158,6 +158,18 @@ def test_unknown_strategy_is_bad_request(client):
     assert excinfo.value.code == "BAD_REQUEST"
 
 
+@pytest.mark.parametrize("optimize", ["bogus", "magic", [1], 1])
+def test_bad_optimize_is_bad_request_cold_and_cached(client, optimize):
+    query = "?- ancestor('john', Y)."
+    for warmed in (False, True):
+        with pytest.raises(ServerError) as excinfo:
+            client.request("query", q=query, optimize=optimize)
+        assert excinfo.value.code == "BAD_REQUEST", warmed
+        # The next round asks again with the answer in the result cache.
+        client.query(query)
+    assert client.query(query)["cached"] is True
+
+
 def test_unknown_op_is_bad_request(client):
     with pytest.raises(ServerError) as excinfo:
         client.request("frobnicate")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.datalog.magic import is_magic_name, magic_name, magic_rewrite
 from repro.datalog.parser import parse_program, parse_query
+from repro.datalog.safety import is_safe
 from repro.errors import OptimizationError
 
 ANCESTOR = parse_program(
@@ -58,6 +59,42 @@ class TestAncestorRewrite:
     def test_magic_predicates(self, rewrite):
         assert rewrite.magic_predicates == {"m_ancestor__bf"}
 
+    def test_one_modified_rule_per_adorned_rule(self, rewrite):
+        heads = [c.head_predicate for c in rewrite.modified_rules]
+        assert heads == ["ancestor__bf", "ancestor__bf"]
+
+    def test_all_rules_safe(self, rewrite):
+        for clause in rewrite.combined:
+            assert is_safe(clause), str(clause)
+
+    def test_rules_hold_no_query_constant(self, rewrite):
+        # Only the seed carries 'john': another constant of the same form
+        # rewrites to the very same magic and modified rules.
+        other = magic_rewrite(
+            ANCESTOR, parse_query("?- ancestor('mary', X)."), {"ancestor"}
+        )
+        assert list(other.magic_rules) == list(rewrite.magic_rules)
+        assert list(other.modified_rules) == list(rewrite.modified_rules)
+        assert other.query_seed == rewrite.query_seed
+        assert other.seed.head.ground_tuple() == ("mary",)
+
+
+class TestSecondArgumentBound:
+    @pytest.fixture
+    def rewrite(self):
+        query = parse_query("?- ancestor(X, 'john').")
+        return magic_rewrite(ANCESTOR, query, {"ancestor"})
+
+    def test_seed_binds_the_second_position(self, rewrite):
+        assert rewrite.goal.predicate == "ancestor__fb"
+        assert rewrite.query_seed.positions == (1,)
+        assert rewrite.seed.head_predicate == "m_ancestor__fb"
+        assert rewrite.seed.head.ground_tuple() == ("john",)
+
+    def test_all_rules_safe(self, rewrite):
+        for clause in rewrite.combined:
+            assert is_safe(clause), str(clause)
+
 
 class TestRightLinearRewrite:
     def test_not_separable(self):
@@ -103,3 +140,36 @@ class TestSameGeneration:
         modified = list(rewrite.modified_rules)
         assert len(modified) == 2
         assert rewrite.separable
+
+    def test_same_generation_rules_safe(self):
+        program = parse_program(
+            "sg(X, Y) :- flat(X, Y)."
+            "sg(X, Y) :- up(X, U), sg(U, V), down(V, Y)."
+        )
+        rewrite = magic_rewrite(program, parse_query("?- sg('ann', Y)."), {"sg"})
+        assert rewrite.seed.head.ground_tuple() == ("ann",)
+        for clause in rewrite.combined:
+            assert is_safe(clause), str(clause)
+
+
+class TestMultipleDerivedCalls:
+    @pytest.fixture
+    def rewrite(self):
+        program = parse_program(
+            "t(X, Y) :- e(X, Y)."
+            "t(X, Y) :- t(X, Z), t(Z, Y)."
+        )
+        return magic_rewrite(program, parse_query("?- t('a', Y)."), {"t"})
+
+    def test_one_magic_rule_per_bound_occurrence(self, rewrite):
+        bodies = [c.body_predicates for c in rewrite.magic_rules]
+        assert bodies == [("m_t__bf",), ("m_t__bf", "t__bf")]
+
+    def test_not_separable(self, rewrite):
+        # The second call's binding comes from the first call's answers, so
+        # the magic set needs the modified rules: one fixpoint, not two.
+        assert not rewrite.separable
+
+    def test_all_rules_safe(self, rewrite):
+        for clause in rewrite.combined:
+            assert is_safe(clause), str(clause)

@@ -44,7 +44,7 @@ def main() -> None:
         decision = result.compilation.adaptive_decision
         print(
             f"  {label:<10} {len(result.rows):>5} answers; "
-            f"{'magic sets' if decision.use_magic else 'plain evaluation'} "
+            f"{decision.rewrite} plan "
             f"({decision.reason})"
         )
 

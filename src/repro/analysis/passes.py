@@ -348,9 +348,10 @@ def check_redundancy(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 def check_adornment(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     """DK008 — all-free adornments on recursive predicates.
 
-    Adorns the program for the query with the standard left-to-right SIP
-    and flags every recursive predicate that ends up called with an
-    all-``f`` adornment: magic sets cannot restrict such a call, so the
+    Adorns the program for the query with the SIP the optimizer uses (most
+    bound atom first, :func:`repro.datalog.adornment.sip_order`) and flags
+    every recursive predicate that ends up called with an all-``f``
+    adornment: magic sets cannot restrict such a call, so the
     optimization degenerates to full materialization for that clique (the
     crossover the paper's Test 7 measures).
     """

@@ -3,10 +3,13 @@
 The generalized magic sets optimization (Beeri & Ramakrishnan, the paper's
 reference [10]) works on an *adorned* rule set: every derived predicate
 occurrence carries a string over ``{b, f}`` marking which argument positions
-are bound at call time.  Bindings propagate *sideways* through a rule body;
-this module implements the standard left-to-right SIP, which the paper's
-testbed also uses (it lists cleverer IP-strategy generation as designed but
-not implemented).
+are bound at call time.  Bindings propagate *sideways* through a rule body.
+The paper's testbed passed them left to right and lists a better
+information-passing strategy as designed but not built; this module chooses
+the order per head adornment instead (:func:`sip_order`): the most-bound
+body atom first, as Query-Subquery Nets order their subqueries.  The rule's
+text order is kept, so a rule whose adornments the choice does not change
+compiles to the same SQL.
 """
 
 from __future__ import annotations
@@ -31,6 +34,45 @@ def adornment_of(atom: Atom, bound_variables: set[Variable]) -> str:
         else:
             letters.append(FREE)
     return "".join(letters)
+
+
+def head_bound_variables(head: Atom, adornment: str) -> set[Variable]:
+    """The variables at the bound positions of ``head`` under ``adornment``."""
+    return {
+        term
+        for term, letter in zip(head.terms, adornment)
+        if letter == BOUND and isinstance(term, Variable)
+    }
+
+
+def sip_order(body: Sequence[Atom], bound: Iterable[Variable]) -> tuple[int, ...]:
+    """The body positions in the order the SIP evaluates them.
+
+    Greedy, most-bound first: repeatedly take the atom with the most bound
+    argument positions (constants and already-bound variables), ties in text
+    order.  A positive atom then binds all its variables; a negated atom
+    binds nothing and is taken only once its variables are all bound (or,
+    failing that, after every positive atom).
+    """
+    bound = set(bound)
+    remaining = list(range(len(body)))
+    order: list[int] = []
+
+    def ready(index: int) -> bool:
+        atom = body[index]
+        return not atom.negated or set(atom.variables) <= bound
+
+    while remaining:
+        candidates = [i for i in remaining if ready(i)] or remaining
+        best = max(
+            candidates,
+            key=lambda i: (adornment_of(body[i], bound).count(BOUND), -i),
+        )
+        remaining.remove(best)
+        order.append(best)
+        if not body[best].negated:
+            bound.update(body[best].variables)
+    return tuple(order)
 
 
 def adorned_name(predicate: str, adornment: str) -> str:
@@ -80,7 +122,7 @@ class AdornedProgram:
 def adorn_program(
     rules: Program, query: Query, derived_predicates: Iterable[str]
 ) -> AdornedProgram:
-    """Adorn ``rules`` for ``query`` using the left-to-right SIP.
+    """Adorn ``rules`` for ``query``, choosing the SIP per head adornment.
 
     Only single-goal queries over a derived predicate are adorned (the
     testbed rewrites multi-goal queries into an auxiliary rule first; see
@@ -141,24 +183,17 @@ def _adorn_rule(
         raise OptimizationError(
             f"adornment {head_adornment!r} does not fit head of {clause}"
         )
-    bound: set[Variable] = set()
-    for term, letter in zip(clause.head.terms, head_adornment):
-        if letter == BOUND and isinstance(term, Variable):
-            bound.add(term)
-
-    new_body: list[Atom] = []
+    bound = head_bound_variables(clause.head, head_adornment)
+    new_body = list(clause.body)
     calls: list[tuple[str, str]] = []
-    for atom in clause.body:
+    for index in sip_order(clause.body, bound):
+        atom = clause.body[index]
         if atom.predicate in derived and not atom.negated:
             atom_adornment = adornment_of(atom, bound)
             calls.append((atom.predicate, atom_adornment))
-            new_body.append(
-                Atom(adorned_name(atom.predicate, atom_adornment), atom.terms)
+            new_body[index] = Atom(
+                adorned_name(atom.predicate, atom_adornment), atom.terms
             )
-        else:
-            new_body.append(atom)
-        # Left-to-right SIP: after an atom is evaluated all its variables are
-        # bound for the atoms to its right (negated atoms bind nothing).
         if not atom.negated:
             bound.update(atom.variables)
 
@@ -166,29 +201,3 @@ def _adorn_rule(
         adorned_name(clause.head.predicate, head_adornment), clause.head.terms
     )
     return Clause(new_head, tuple(new_body)), calls
-
-
-def reorder_body_for_sip(clause: Clause, head_bound: Sequence[Variable]) -> Clause:
-    """Greedy body reordering so bound atoms come first (an IP strategy).
-
-    The paper lists an algorithm for "efficiently generating [an] information
-    passing strategy" as designed but unimplemented; this simple greedy pass
-    stands in for it: repeatedly pick the not-yet-placed atom sharing the most
-    variables with the already-bound set (ties: original order), so sideways
-    information flows early.
-    """
-    remaining = list(clause.body)
-    bound = set(head_bound)
-    ordered: list[Atom] = []
-    while remaining:
-        def score(atom: Atom) -> tuple[int, int]:
-            shared = sum(1 for v in atom.variables if v in bound)
-            constants = sum(1 for t in atom.terms if isinstance(t, Constant))
-            return (shared + constants, -remaining.index(atom))
-
-        best = max(remaining, key=score)
-        remaining.remove(best)
-        ordered.append(best)
-        if not best.negated:
-            bound.update(best.variables)
-    return Clause(clause.head, tuple(ordered))

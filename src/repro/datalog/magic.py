@@ -7,13 +7,25 @@ magic, and modified rules" plus an adorned version of the query:
 * a **magic predicate** ``m_p__a`` per adorned derived predicate ``p__a`` with
   at least one bound position, holding the bindings with which ``p__a`` will
   be called;
-* **magic rules** deriving those bindings by walking rule bodies left to
-  right (the SIP);
+* **magic rules** deriving those bindings from the body atoms the SIP
+  evaluates before each call (:func:`repro.datalog.adornment.sip_order`);
 * **modified rules**: the original adorned rules guarded by their magic
   predicate, so bottom-up evaluation only derives facts relevant to the
   query;
 * a **seed fact** for the query goal's magic predicate, built from the query
   constants.
+
+Two simplifications drop what the rewrite would otherwise repeat.  A
+modified rule whose body calls its own ``p__a`` with the head's bound terms
+keeps no guard: every ``p__a`` fact already satisfies it.  A magic rule
+whose body holds its own head atom derives nothing new and is dropped.
+Together they leave a bound argument that a recursion passes through
+unchanged as a one-row magic set read by the exit rules only.
+
+:func:`factored_rewrite` is the third plan ``optimize="auto"`` chooses
+from: right-/left-linear factoring (Naughton, Ramakrishnan, Sagiv & Ullman,
+SIGMOD 1989) for a linear clique that passes every free argument through
+unchanged.  Its answer is the exit rules over the magic set.
 
 The rules depend only on *which* goal arguments are bound, never on their
 values, so the rewrite records the seed as a :class:`QuerySeed` — goal
@@ -32,10 +44,12 @@ from .adornment import (
     AdornedProgram,
     adorn_program,
     bound_terms,
+    head_bound_variables,
+    sip_order,
     split_adorned_name,
 )
 from .clauses import Clause, Program, Query
-from .terms import Atom, Constant
+from .terms import Atom, Constant, Variable
 
 MAGIC_PREFIX = "m_"
 
@@ -164,19 +178,28 @@ def magic_rewrite(
 
     for clause in adorned.rules:
         head_magic = _magic_atom(clause.head)
-        prefix: list[Atom] = [] if head_magic is None else [head_magic]
-        # Magic rules: one per derived body occurrence with bound positions.
-        seen_body: list[Atom] = []
-        for atom in clause.body:
-            if _is_adorned_derived(atom):
-                body_magic = _magic_atom(atom)
-                if body_magic is not None:
-                    magic_rules.add(
-                        Clause(body_magic, tuple(prefix + seen_body))
-                    )
-            seen_body.append(atom)
-        # Modified rule: original adorned rule guarded by its magic literal.
-        modified_rules.add(Clause(clause.head, tuple(prefix + list(clause.body))))
+        guard: list[Atom] = [] if head_magic is None else [head_magic]
+        __, adornment = split_adorned_name(clause.head.predicate)
+        rank = {
+            index: position
+            for position, index in enumerate(
+                sip_order(clause.body, head_bound_variables(clause.head, adornment))
+            )
+        }
+        # Magic rules: one per derived body occurrence with bound positions,
+        # over the atoms the SIP evaluates before it (kept in text order).
+        for index, atom in enumerate(clause.body):
+            body_magic = _magic_atom(atom) if _is_adorned_derived(atom) else None
+            if body_magic is None:
+                continue
+            prefix = [b for j, b in enumerate(clause.body) if rank[j] < rank[index]]
+            if body_magic not in guard + prefix:
+                magic_rules.add(Clause(body_magic, tuple(guard + prefix)))
+        # Modified rule: the adorned rule guarded by its magic literal,
+        # unless it calls itself with the guard's bound terms.
+        if head_magic is not None and _calls_itself_with(clause, head_magic):
+            guard = []
+        modified_rules.add(Clause(clause.head, tuple(guard + list(clause.body))))
 
     return MagicProgram(
         magic_rules,
@@ -185,6 +208,89 @@ def magic_rewrite(
         adorned.query_goal,
         adorned,
     )
+
+
+def factored_rewrite(
+    rules: Program, query: Query, derived_predicates: set[str]
+) -> MagicProgram | None:
+    """Right-/left-linear factoring of a bound query, or ``None``.
+
+    Applies when the query's goal reaches one recursive predicate ``p``,
+    adorned ``a`` and nothing else derived, no rule is negated, and every
+    recursive rule is linear and passes each free head argument unchanged
+    into the same position of its recursive call, the argument's variable
+    occurring nowhere else in the rule.  The free arguments then never
+    change across the recursion: ``p__a`` holds for a bound tuple exactly
+    what its exit rules give for some tuple of the magic set.  So the rules
+    are the magic rules, one per recursive rule over its whole non-recursive
+    body, and the exit rules guarded by the magic set; no ``p__a``
+    recursion.  Their ``p__a`` relation holds one row per magic tuple and
+    exit answer, so the query's answer reads its free positions only.
+
+    Right-linear ``p(X, Y) :- e(X, Z), p(Z, Y)`` bound ``bf`` and its
+    left-linear mirror ``p(X, Y) :- p(X, Z), e(Z, Y)`` bound ``fb`` qualify;
+    same-generation does not.
+    """
+    adorned = adorn_program(rules, query, derived_predicates)
+    predicate, adornment = split_adorned_name(adorned.query_goal.predicate)
+    if BOUND not in adornment or adorned.adornments != {predicate: {adornment}}:
+        return None
+    magic_rules = Program()
+    exit_rules = Program()
+    recursive = False
+    for clause in adorned.rules:
+        if any(atom.negated for atom in clause.body):
+            return None
+        head_magic = _magic_atom(clause.head)
+        calls = [a for a in clause.body if a.predicate == clause.head.predicate]
+        if not calls:
+            exit_rules.add(Clause(clause.head, (head_magic, *clause.body)))
+            continue
+        if len(calls) != 1 or not _passes_free_arguments(clause, calls[0], adornment):
+            return None
+        recursive = True
+        rest = tuple(a for a in clause.body if a is not calls[0])
+        call_magic = _magic_atom(calls[0])
+        if call_magic != head_magic:
+            magic_rules.add(Clause(call_magic, (head_magic, *rest)))
+    if not recursive or not exit_rules:
+        return None
+    return MagicProgram(
+        magic_rules,
+        exit_rules,
+        query_seed(adorned.query_goal),
+        adorned.query_goal,
+        adorned,
+    )
+
+
+def _calls_itself_with(clause: Clause, head_magic: Atom) -> bool:
+    """Whether ``clause``'s body calls its head predicate with the head's
+    bound terms: every such fact already satisfies the head's guard."""
+    __, adornment = split_adorned_name(clause.head.predicate)
+    return any(
+        atom.predicate == clause.head.predicate
+        and not atom.negated
+        and bound_terms(atom, adornment) == head_magic.terms
+        for atom in clause.body
+    )
+
+
+def _passes_free_arguments(clause: Clause, call: Atom, adornment: str) -> bool:
+    """Whether every free head argument of ``clause`` is a variable passed
+    unchanged into the same position of ``call``, occurring nowhere else."""
+    occurrences = list(clause.head.terms) + [
+        term for atom in clause.body for term in atom.terms
+    ]
+    for position, letter in enumerate(adornment):
+        term = clause.head.terms[position]
+        if letter != BOUND and not (
+            isinstance(term, Variable)
+            and call.terms[position] == term
+            and occurrences.count(term) == 2
+        ):
+            return False
+    return True
 
 
 def _is_adorned_derived(atom: Atom) -> bool:

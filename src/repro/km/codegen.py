@@ -48,12 +48,14 @@ def generate_fragment(
     goal_rewrites: Mapping[str, str],
     seed_facts: Mapping[str, tuple[tuple, ...]],
     query_seed: QuerySeed | None = None,
+    factored: bool = False,
 ) -> str:
     """Emit the Python source of the query's program fragment.
 
     The fragment records a rewritten query's seed as goal positions
     (``query_seed``), never as values: the program serves every query of
-    its form.
+    its form.  ``factored`` marks a factored rewrite, whose answer reads
+    the goal relation's free positions only.
     """
     nodes = []
     for node in order:
@@ -94,6 +96,7 @@ def generate_fragment(
             if query_seed is None
             else (query_seed.predicate, query_seed.positions)
         ),
+        "factored": factored,
     }
     literal = pprint.pformat(spec, width=88, sort_dicts=False)
     return f"{FRAGMENT_HEADER}SPEC = {literal}\n\nPROGRAM = link_program(SPEC)\n"
@@ -161,6 +164,7 @@ def link_program(spec: Mapping) -> QueryProgram:
         goal_rewrites=goal_rewrites,
         seed_facts=seed_facts,
         query_seed=query_seed,
+        factored=spec["factored"],
         fused=fused,
     )
 

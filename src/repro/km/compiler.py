@@ -12,8 +12,8 @@ component so Tests 1-3 can report the breakdown:
 * ``semantic``  — the two semantic checks (definedness, type inference);
 * ``lint``      — the optional full static-analysis run (all passes of
                   :mod:`repro.analysis`, not just the error-level ones);
-* ``optimize``  — the per-form rewrite decision and the generalized magic
-                  sets rewriting it chooses;
+* ``optimize``  — the per-form rewrite decision and the magic sets
+                  rewriting (generalized or factored) it chooses;
 * ``eorder``    — clique finding, evaluation graph construction, and the
                   topological sort (``t_eorder``);
 * ``gencompile``— emitting the program fragment, byte-compiling it, and
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from ..analysis import DiagnosticReport, analyze
-from ..datalog.adornment import reorder_body_for_sip
 from ..datalog.clauses import Program, Query
 from ..datalog.evalgraph import build_evaluation_graph, evaluation_order
 from ..datalog.magic import QuerySeed
@@ -113,7 +112,6 @@ class QueryCompiler:
         query: Union[Query, str],
         optimize_query: Union[bool, str] = DEFAULT_OPTIMIZE,
         strategy: LfpStrategy = DEFAULT_STRATEGY,
-        reorder_bodies: bool = False,
         lint: bool = False,
     ) -> CompilationResult:
         """Compile ``query`` into an executable program.
@@ -122,12 +120,10 @@ class QueryCompiler:
             query: a :class:`Query` or its concrete syntax.
             optimize_query: apply generalized magic sets when applicable —
                 ``True``, ``False``, or ``"auto"`` (the default) to rewrite
-                exactly the forms whose bound goal reaches a recursive clique
+                exactly the forms whose bound goal reaches a recursive
+                clique, factored where the clique allows it
                 (:func:`repro.km.policy.decide_rewrite`).
             strategy: LFP strategy the program will use for cliques.
-            reorder_bodies: greedily reorder rule bodies so bound atoms come
-                first (the information-passing strategy the paper lists as
-                designed but unimplemented; :func:`reorder_body_for_sip`).
             lint: additionally run the full static-analysis pass set over
                 the relevant rules and attach the collect-all report to
                 ``CompilationResult.diagnostics``; the time spent is the
@@ -148,9 +144,7 @@ class QueryCompiler:
         """
         check_optimize(optimize_query)
         with self.stored.database.span("compile", "compile") as compile_span:
-            result = self._compile(
-                query, optimize_query, strategy, reorder_bodies, lint
-            )
+            result = self._compile(query, optimize_query, strategy, lint)
             compile_span.attributes.update(result.counts)
             compile_span.set("optimized", result.optimized)
         return result
@@ -160,7 +154,6 @@ class QueryCompiler:
         query: Union[Query, str],
         optimize_query: Union[bool, str],
         strategy: LfpStrategy,
-        reorder_bodies: bool,
         lint: bool,
     ) -> CompilationResult:
         timings = CompilationTimings()
@@ -238,30 +231,26 @@ class QueryCompiler:
         seed: QuerySeed | None = None
         types = {p: report.types.of(p) for p in derived}
         types.update(base_types)
-        optimized = False
+        optimized = factored = False
         decision: AdaptiveDecision | None = None
         with database.span("optimize", "compile") as span:
             if optimize_query == "auto":
                 decision = decide_rewrite(relevant, query)
-                apply_rewrite = decision.use_magic
+                rewrite = decision.rewrite
             else:
-                apply_rewrite = bool(optimize_query)
-            if apply_rewrite and optimization_applies(query, derived):
-                result = optimize(relevant, query, report.types)
+                rewrite = "magic" if optimize_query else "plain"
+            if rewrite != "plain" and optimization_applies(query, derived):
+                result = optimize(
+                    relevant, query, report.types, factor=rewrite == "factored"
+                )
                 rules_for_program = result.rules
                 goal_rewrites = result.goal_rewrites
                 seed_facts = result.seed_facts
                 seed = result.query_seed
                 types.update(result.new_types)
                 optimized = True
+                factored = result.factored
         timings.optimize = span.duration
-
-        # -- optional body reordering (the paper's unimplemented IP strategy) --
-        if reorder_bodies:
-            reordered = Program()
-            for clause in rules_for_program:
-                reordered.add(reorder_body_for_sip(clause, ()))
-            rules_for_program = reordered
 
         # -- evaluation order list ---------------------------------------------
         with database.span("eorder", "compile") as span:
@@ -291,6 +280,7 @@ class QueryCompiler:
                 goal_rewrites,
                 seed_facts,
                 seed,
+                factored,
             )
             program = compile_and_link(source)
         timings.gencompile = span.duration

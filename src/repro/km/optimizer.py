@@ -2,8 +2,10 @@
 
 Wraps the generalized magic sets rewriting of section 2.5 for the
 compilation pipeline: it decides whether the rewriting *applies* to a query,
-performs it, types the new predicates, and packages the rewritten rules
-together with the seed positions and goal mapping the Code Generator needs.
+performs it (or, when asked, its factored form for a linear clique that
+passes its free arguments through), types the new predicates, and packages
+the rewritten rules together with the seed positions and goal mapping the
+Code Generator needs.
 
 Whether to *use* the optimizer stays the caller's choice (section 4.2 step
 5); the default, ``optimize="auto"``, makes it once per query form
@@ -17,7 +19,7 @@ from typing import Iterable
 
 from ..datalog.adornment import split_adorned_name
 from ..datalog.clauses import Clause, Program, Query
-from ..datalog.magic import QuerySeed, magic_rewrite
+from ..datalog.magic import QuerySeed, factored_rewrite, magic_rewrite
 from ..datalog.terms import Constant
 from ..datalog.typecheck import TypeEnvironment
 from ..errors import OptimizationError
@@ -31,6 +33,8 @@ class OptimizationResult:
     bound to constants of a rule body); ``query_seed`` is where each query's
     own constants seed the goal's magic predicate.  The two are kept apart:
     a rule's fact may equal one query's seed row and not the next one's.
+    ``factored`` marks a factored rewrite, whose goal relation holds the
+    exit rules over the magic set: the answer reads its free positions.
     """
 
     rules: Program
@@ -38,6 +42,7 @@ class OptimizationResult:
     seed_facts: dict[str, tuple[tuple, ...]]
     query_seed: QuerySeed
     new_types: dict[str, tuple[str, ...]]
+    factored: bool = False
 
 
 def optimization_applies(query: Query, derived_predicates: set[str]) -> bool:
@@ -56,7 +61,7 @@ def optimization_applies(query: Query, derived_predicates: set[str]) -> bool:
 
 
 def optimize(
-    rules: Program, query: Query, types: TypeEnvironment
+    rules: Program, query: Query, types: TypeEnvironment, factor: bool = False
 ) -> OptimizationResult:
     """Rewrite ``rules`` for ``query`` with generalized magic sets.
 
@@ -64,6 +69,8 @@ def optimize(
         rules: the relevant rules.
         query: the (single-goal, bound) user query.
         types: inferred types of the original predicates.
+        factor: take the factored rewrite
+            (:func:`repro.datalog.magic.factored_rewrite`) when it applies.
 
     Raises:
         OptimizationError: when the optimization does not apply; callers
@@ -74,7 +81,8 @@ def optimize(
         raise OptimizationError(
             f"magic sets does not apply to query {query}"
         )
-    rewrite = magic_rewrite(rules, query, derived)
+    factored = factored_rewrite(rules, query, derived) if factor else None
+    rewrite = factored or magic_rewrite(rules, query, derived)
     rewritten, seed_facts = _split_facts(
         list(rewrite.magic_rules) + list(rewrite.modified_rules)
     )
@@ -85,6 +93,7 @@ def optimize(
         seed_facts,
         rewrite.query_seed,
         _type_rewritten_predicates(rewritten, rewrite.magic_predicates, types),
+        factored is not None,
     )
 
 

@@ -19,6 +19,7 @@ from ..datalog.clauses import Query
 from ..datalog.evalgraph import EvaluationNode, PredicateNode
 from ..datalog.magic import QuerySeed
 from ..datalog.pcg import Clique
+from ..datalog.terms import Atom, Variable
 from ..dbms.catalog import ExtensionalCatalog, fact_table_name
 from ..dbms.engine import Database
 from ..dbms.sqlgen import compile_rule_body
@@ -104,6 +105,9 @@ class QueryProgram:
             magic predicate; the row is read from :attr:`query` at every
             execution (:meth:`seed_rows`), so a plan-cache rebind is all it
             takes to run the plan for other constants.
+        factored: the goal relation holds a factored rewrite's exit rules
+            over the magic set, one row per magic tuple: the answer reads
+            its free positions, the seed's goal positions matching any row.
         fused: the whole plan as one statement (built once, at link time,
             for ``LFP_CTE`` plans whose every clique qualifies); an init
             field, so a plan-cache rebind carries it along.
@@ -118,6 +122,7 @@ class QueryProgram:
     goal_rewrites: Mapping[str, str] = field(default_factory=dict)
     seed_facts: Mapping[str, tuple[tuple, ...]] = field(default_factory=dict)
     query_seed: QuerySeed | None = None
+    factored: bool = False
     fused: FusedProgram | None = field(default=None, compare=False, repr=False)
 
     def seed_rows(self) -> Mapping[str, tuple[tuple, ...]]:
@@ -237,6 +242,12 @@ class QueryProgram:
             goal.with_predicate(self.goal_rewrites.get(goal.predicate, goal.predicate))
             for goal in self.query.goals
         )
+        if self.factored:
+            (goal,) = goals
+            terms = list(goal.terms)
+            for position in self.query_seed.positions:
+                terms[position] = Variable(f"#{position}")
+            goals = (Atom(goal.predicate, tuple(terms)),)
         answer_clause = Query(goals, self.query.answer_variables).as_clause()
         select = compile_rule_body(answer_clause)
         sql = select.render([table_of(p) for p in select.table_slots])

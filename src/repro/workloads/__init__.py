@@ -8,7 +8,7 @@ families with exact selectivity computation.
 
 from .queries import (
     ANCESTOR_RULES,
-    ANCESTOR_RULES_RIGHT,
+    ANCESTOR_RULES_LEFT,
     SAME_GENERATION_RULES,
     SelectivityPoint,
     ancestor_query,
@@ -38,7 +38,7 @@ from .rulegen import (
 
 __all__ = [
     "ANCESTOR_RULES",
-    "ANCESTOR_RULES_RIGHT",
+    "ANCESTOR_RULES_LEFT",
     "GeneratedRelation",
     "RuleModule",
     "SAME_GENERATION_RULES",

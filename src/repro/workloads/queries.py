@@ -23,8 +23,9 @@ ancestor(X, Y) :- parent(X, Y).
 ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 """
 
-# Right-linear variant: recursing through the second body position.
-ANCESTOR_RULES_RIGHT = """
+# Left-linear variant (Naughton, Ramakrishnan, Sagiv & Ullman's term): the
+# recursive call is the first body atom.  ``ANCESTOR_RULES`` is right-linear.
+ANCESTOR_RULES_LEFT = """
 ancestor(X, Y) :- parent(X, Y).
 ancestor(X, Y) :- ancestor(X, Z), parent(Z, Y).
 """
@@ -50,11 +51,11 @@ def load_parent_relation(
 
 
 def make_ancestor_testbed(
-    relation: GeneratedRelation, right_linear: bool = False
+    relation: GeneratedRelation, left_linear: bool = False
 ) -> Testbed:
     """A fresh testbed with the ancestor rules and ``relation`` as ``parent``."""
     testbed = Testbed()
-    testbed.define(ANCESTOR_RULES_RIGHT if right_linear else ANCESTOR_RULES)
+    testbed.define(ANCESTOR_RULES_LEFT if left_linear else ANCESTOR_RULES)
     load_parent_relation(testbed, relation)
     return testbed
 

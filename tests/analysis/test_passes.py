@@ -268,6 +268,18 @@ class TestAdornment:
         report = run(self.SOURCE, ("adornment",), base_types={"parent": TT})
         assert len(report) == 0
 
+    def test_left_linear_target_bound_query_is_fine(self):
+        # The SIP evaluates parent(Z, Y), bound on Y, before anc(X, Z), so
+        # the recursive call is fb; left to right it was ff and warned.
+        report = run(
+            "anc(X, Y) :- parent(X, Y).\n"
+            "anc(X, Y) :- anc(X, Z), parent(Z, Y).",
+            ("adornment",),
+            query="?- anc(X, 'a').",
+            base_types={"parent": TT},
+        )
+        assert len(report) == 0
+
 
 class TestPlan:
     def test_cartesian_product_detected(self):

@@ -7,7 +7,7 @@ from repro.datalog.adornment import (
     adorned_name,
     adornment_of,
     bound_terms,
-    reorder_body_for_sip,
+    sip_order,
     split_adorned_name,
 )
 from repro.datalog.parser import parse_clause, parse_program, parse_query
@@ -80,7 +80,7 @@ class TestAdornProgram:
         # the recursive occurrence is adorned bf.
         assert "bf" in adorned.adornments["ancestor"]
 
-    def test_right_linear_second_argument_bound(self):
+    def test_left_linear_second_argument_free(self):
         program = parse_program(
             "anc(X, Y) :- par(X, Y). anc(X, Y) :- anc(X, Z), par(Z, Y)."
         )
@@ -99,8 +99,9 @@ class TestAdornProgram:
         adorned = adorn_program(program, query, {"anc", "rev"})
         assert adorned.adornments["rev"] == {"bf"}
         # anc is entered with fb from rev; inside the recursive rule the
-        # sideways pass then binds the first argument too, yielding bb.
-        assert adorned.adornments["anc"] == {"fb", "bb"}
+        # SIP evaluates anc(Z, Y), bound on Y, before par(X, Z), so the
+        # recursive call stays fb (left to right it was bb).
+        assert adorned.adornments["anc"] == {"fb"}
 
     def test_multi_goal_query_rejected(self):
         query = parse_query("?- ancestor('a', X), ancestor(X, Y).")
@@ -121,20 +122,74 @@ class TestAdornProgram:
                     assert atom.predicate == "parent"
 
 
-class TestSipReordering:
-    def test_bound_atoms_move_first(self):
-        clause = parse_clause("p(X) :- r(Y, Z), q(X, Y).")
-        reordered = reorder_body_for_sip(clause, [X])
-        assert reordered.body[0].predicate == "q"
-        assert reordered.body[1].predicate == "r"
+def _call(adorned, head, callee):
+    """The adorned predicate of ``callee``'s call in the rule for ``head``."""
+    (clause,) = [
+        c
+        for c in adorned.rules
+        if c.head_predicate == head and any(
+            a.predicate.startswith(callee + "__") for a in c.body
+        )
+    ]
+    (atom,) = [a for a in clause.body if a.predicate.startswith(callee + "__")]
+    return atom.predicate
 
-    def test_constant_atoms_score(self):
-        clause = parse_clause("p(X) :- r(Y), q('a', Y), s(X, Y).")
-        reordered = reorder_body_for_sip(clause, [X])
-        # s shares X with the head; q has a constant — both beat bare r.
-        assert reordered.body[-1].predicate == "r"
 
-    def test_reordering_preserves_atoms(self):
-        clause = parse_clause("p(X) :- a(X), b(X), c(X).")
-        reordered = reorder_body_for_sip(clause, [])
-        assert sorted(a.predicate for a in reordered.body) == ["a", "b", "c"]
+class TestSipPerAdornment:
+    """The SIP evaluates the most-bound body atom first, per head adornment."""
+
+    def test_default_rules_target_bound_call_is_fb(self):
+        # anc(Z, Y) is bound on Y, par(X, Z) on nothing: the call goes first
+        # and stays fb, where left to right it was bb (a cross product).
+        query = parse_query("?- ancestor(X, 'c').")
+        adorned = adorn_program(ANCESTOR, query, {"ancestor"})
+        assert adorned.adornments == {"ancestor": {"fb"}}
+        assert _call(adorned, "ancestor__fb", "ancestor") == "ancestor__fb"
+
+    def test_left_linear_target_bound_call_is_fb(self):
+        # par(Z, Y) is bound on Y and binds Z: the recursive call is fb,
+        # where left to right it was ff (an unrestricted closure).
+        program = parse_program(
+            "anc(X, Y) :- par(X, Y). anc(X, Y) :- anc(X, Z), par(Z, Y)."
+        )
+        adorned = adorn_program(program, parse_query("?- anc(X, 'c')."), {"anc"})
+        assert adorned.adornments == {"anc": {"fb"}}
+        assert _call(adorned, "anc__fb", "anc") == "anc__fb"
+
+    def test_mutual_clique_calls_r_fb(self):
+        # p/q/r: p's fb rule evaluates r(Z, Y), bound on Y, before
+        # parent(X, Z), so r is called fb, not bb.
+        program = parse_program(
+            "p(X, Y) :- parent(X, Y). p(X, Y) :- parent(X, Z), r(Z, Y)."
+            "q(Y) :- p(X, Y). r(X, Y) :- q(X), parent(X, Y)."
+        )
+        adorned = adorn_program(
+            program, parse_query("?- p('t1', Y)."), {"p", "q", "r"}
+        )
+        assert _call(adorned, "p__fb", "r") == "r__fb"
+        assert "bb" not in adorned.adornments["r"]
+
+    def test_source_bound_adornments_unchanged(self):
+        # The pinned bf plan of Fig 13/14 keeps its adornment.
+        query = parse_query("?- ancestor('john', X).")
+        adorned = adorn_program(ANCESTOR, query, {"ancestor"})
+        assert _call(adorned, "ancestor__bf", "ancestor") == "ancestor__bf"
+
+    def test_text_order_is_kept(self):
+        query = parse_query("?- ancestor(X, 'c').")
+        adorned = adorn_program(ANCESTOR, query, {"ancestor"})
+        for clause in adorned.rules:
+            assert clause.body[0].predicate == "parent"
+
+    def test_order_most_bound_first_ties_in_text_order(self):
+        clause = parse_clause("p(X) :- r(Y, Z), q(X, Y), s(Z).")
+        assert sip_order(clause.body, {X}) == (1, 0, 2)
+        assert sip_order(clause.body, set()) == (0, 1, 2)
+
+    def test_constants_count_as_bound(self):
+        clause = parse_clause("p(X) :- r(Y), q('a', Y).")
+        assert sip_order(clause.body, set()) == (1, 0)
+
+    def test_negated_atom_waits_for_its_variables(self):
+        clause = parse_clause("p(X) :- not s(Y), q('a', X), r(X, Y).")
+        assert sip_order(clause.body, set()) == (1, 2, 0)

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.datalog.magic import is_magic_name, magic_name, magic_rewrite
+from repro.datalog.magic import (
+    factored_rewrite,
+    is_magic_name,
+    magic_name,
+    magic_rewrite,
+)
 from repro.datalog.parser import parse_program, parse_query
 from repro.datalog.safety import is_safe
 from repro.errors import OptimizationError
@@ -85,6 +90,15 @@ class TestSecondArgumentBound:
         query = parse_query("?- ancestor(X, 'john').")
         return magic_rewrite(ANCESTOR, query, {"ancestor"})
 
+    def test_guard_implied_by_the_call_is_dropped(self, rewrite):
+        # The recursive call ancestor__fb(Z, Y) carries the head's bound Y:
+        # no guard, and no magic rule m_ancestor__fb(Y) :- m_ancestor__fb(Y).
+        assert list(rewrite.magic_rules) == []
+        assert [str(c) for c in rewrite.modified_rules] == [
+            "ancestor__fb(X, Y) :- m_ancestor__fb(Y), parent(X, Y).",
+            "ancestor__fb(X, Y) :- parent(X, Z), ancestor__fb(Z, Y).",
+        ]
+
     def test_seed_binds_the_second_position(self, rewrite):
         assert rewrite.goal.predicate == "ancestor__fb"
         assert rewrite.query_seed.positions == (1,)
@@ -98,19 +112,22 @@ class TestSecondArgumentBound:
 
 class TestRightLinearRewrite:
     def test_not_separable(self):
-        # Right-linear ancestor: the magic rule references the adorned
-        # ancestor itself, so magic and modified rules are mutually
-        # recursive and must be evaluated together.
+        # Left-linear ancestor (the recursive call first) bound bf: the
+        # call passes the head's binding straight through.
         program = parse_program(
             "anc(X, Y) :- par(X, Y). anc(X, Y) :- anc(X, Z), par(Z, Y)."
         )
         query = parse_query("?- anc('a', Y).")
         rewrite = magic_rewrite(program, query, {"anc"})
         assert rewrite.separable  # head binding passes straight through
-        # The magic rule for the bf adornment is m_anc__bf(X) :- m_anc__bf(X)
-        # — the binding is copied, so the magic set is just the seed.
-        magic_rules = list(rewrite.magic_rules)
-        assert len(magic_rules) == 1
+        # Its magic rule would be m_anc__bf(X) :- m_anc__bf(X), which derives
+        # nothing: it is dropped, and the magic set is just the seed.
+        assert list(rewrite.magic_rules) == []
+        # The recursive rule's guard is implied by its call anc__bf(X, Z).
+        assert [str(c) for c in rewrite.modified_rules] == [
+            "anc__bf(X, Y) :- m_anc__bf(X), par(X, Y).",
+            "anc__bf(X, Y) :- anc__bf(X, Z), par(Z, Y).",
+        ]
 
 
 class TestRejections:
@@ -162,8 +179,10 @@ class TestMultipleDerivedCalls:
         return magic_rewrite(program, parse_query("?- t('a', Y)."), {"t"})
 
     def test_one_magic_rule_per_bound_occurrence(self, rewrite):
+        # The first call's magic rule, m_t__bf(X) :- m_t__bf(X), derives
+        # nothing and is dropped; the second reads the first call's answers.
         bodies = [c.body_predicates for c in rewrite.magic_rules]
-        assert bodies == [("m_t__bf",), ("m_t__bf", "t__bf")]
+        assert bodies == [("m_t__bf", "t__bf")]
 
     def test_not_separable(self, rewrite):
         # The second call's binding comes from the first call's answers, so
@@ -173,3 +192,65 @@ class TestMultipleDerivedCalls:
     def test_all_rules_safe(self, rewrite):
         for clause in rewrite.combined:
             assert is_safe(clause), str(clause)
+
+
+class TestFactoredRewrite:
+    LEFT = parse_program(
+        "anc(X, Y) :- par(X, Y). anc(X, Y) :- anc(X, Z), par(Z, Y)."
+    )
+
+    def test_right_linear_bf_is_the_magic_set_and_the_exit_rule(self):
+        rewrite = factored_rewrite(
+            ANCESTOR, parse_query("?- ancestor('a', Y)."), {"ancestor"}
+        )
+        assert [str(c) for c in rewrite.magic_rules] == [
+            "m_ancestor__bf(Z) :- m_ancestor__bf(X), parent(X, Z)."
+        ]
+        assert [str(c) for c in rewrite.modified_rules] == [
+            "ancestor__bf(X, Y) :- m_ancestor__bf(X), parent(X, Y)."
+        ]
+        assert rewrite.query_seed.positions == (0,)
+
+    def test_left_linear_fb_mirrors_it(self):
+        rewrite = factored_rewrite(self.LEFT, parse_query("?- anc(X, 'a')."), {"anc"})
+        assert [str(c) for c in rewrite.magic_rules] == [
+            "m_anc__fb(Z) :- m_anc__fb(Y), par(Z, Y)."
+        ]
+        assert [str(c) for c in rewrite.modified_rules] == [
+            "anc__fb(X, Y) :- m_anc__fb(Y), par(X, Y)."
+        ]
+
+    def test_the_whole_non_recursive_body_steps_the_magic_set(self):
+        # f(Z, W) follows the call in SIP order, yet it filters every step.
+        program = parse_program(
+            "p(X, Y) :- e(X, Y). p(X, Y) :- e(X, Z), p(Z, Y), f(Z, W)."
+        )
+        rewrite = factored_rewrite(program, parse_query("?- p('a', Y)."), {"p"})
+        assert [str(c) for c in rewrite.magic_rules] == [
+            "m_p__bf(Z) :- m_p__bf(X), e(X, Z), f(Z, W)."
+        ]
+
+    @pytest.mark.parametrize(
+        "rules, query",
+        [
+            # The free argument changes across the recursion.
+            ("anc(X, Y) :- par(X, Y). anc(X, Y) :- par(X, Z), anc(Z, Y).", "?- anc(X, 'a')."),
+            ("anc(X, Y) :- par(X, Y). anc(X, Y) :- anc(X, Z), par(Z, Y).", "?- anc('a', Y)."),
+            ("sg(X, Y) :- flat(X, Y). sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).",
+             "?- sg('a', Y)."),
+            # The passed-through argument is filtered, or repeated.
+            ("p(X, Y) :- e(X, Y). p(X, Y) :- e(X, Z), p(Z, Y), f(Y, W).", "?- p('a', Y)."),
+            ("p(X, Y) :- e(X, Y). p(X, X) :- e(X, Z), p(Z, X).", "?- p('a', Y)."),
+            # Non-linear, negated, or reaching another derived predicate.
+            ("t(X, Y) :- e(X, Y). t(X, Y) :- t(X, Z), t(Z, Y).", "?- t('a', Y)."),
+            ("p(X, Y) :- e(X, Y). p(X, Y) :- e(X, Z), p(Z, Y), not f(X, Y).", "?- p('a', Y)."),
+            ("p(X, Y) :- q(X, Y). p(X, Y) :- e(X, Z), p(Z, Y). q(X, Y) :- e(X, Y).",
+             "?- p('a', Y)."),
+            # No exit rule: nothing to evaluate over the magic set.
+            ("p(X, Y) :- p(X, Y).", "?- p('a', Y)."),
+        ],
+    )
+    def test_declines(self, rules, query):
+        program = parse_program(rules)
+        goal = parse_query(query)
+        assert factored_rewrite(program, goal, program.derived_predicates) is None

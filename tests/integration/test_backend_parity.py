@@ -15,6 +15,7 @@ from repro import LfpStrategy, Testbed, TestbedConfig
 from repro.dbms.backends.duck import duckdb_available
 from repro.workloads.queries import (
     ANCESTOR_RULES,
+    ANCESTOR_RULES_LEFT,
     ancestor_query,
     expected_ancestor_answers,
     load_parent_relation,
@@ -142,3 +143,34 @@ class TestEngineParity:
             relation, "duckdb", LfpStrategy.SEMINAIVE, optimize=True
         )
         assert duckdb_rows == sqlite_rows
+
+    @pytest.mark.parametrize(
+        "rules, query, rewrite",
+        [
+            (ANCESTOR_RULES, "?- ancestor('t2', Y).", "factored"),
+            (ANCESTOR_RULES_LEFT, "?- ancestor(X, 't9').", "factored"),
+            (ANCESTOR_RULES, "?- ancestor(X, 't9').", "magic"),
+            (ANCESTOR_RULES_LEFT, "?- ancestor('t2', Y).", "magic"),
+        ],
+        ids=["right-source", "left-target", "right-target", "left-source"],
+    )
+    def test_duckdb_factored_and_guard_dropped_parity(
+        self, relation, rules, query, rewrite
+    ):
+        # A factored plan reads its goal relation's free positions only; a
+        # pass-through argument leaves its recursive rule unguarded.
+        def rows(backend):
+            testbed = Testbed(TestbedConfig(backend=backend))
+            try:
+                testbed.define(rules)
+                load_parent_relation(testbed, relation)
+                result = testbed.query(query)
+                assert result.compilation.adaptive_decision.rewrite == rewrite
+                assert set(result.execution.strategy_by_clique.values()) == {"lfp_cte"}
+                return set(result.rows), set(testbed.query(query, optimize=False).rows)
+            finally:
+                testbed.close()
+
+        sqlite_rows, plain_rows = rows("sqlite")
+        assert sqlite_rows == plain_rows
+        assert rows("duckdb") == (sqlite_rows, plain_rows)

@@ -75,29 +75,3 @@ class TestNoDebrisAfterFailures:
         testbed.close()
         with pytest.raises(EvaluationError):
             testbed.database.execute("SELECT 1")
-
-
-class TestReorderOption:
-    def test_reordered_plan_gives_same_answers(self, tb):
-        plain = tb.compile_query("?- anc('a', X).")
-        reordered = tb._compiler.compile(
-            "?- anc('a', X).", reorder_bodies=True
-        )
-        a = plain.program.execute(tb.database, tb.catalog)
-        b = reordered.program.execute(tb.database, tb.catalog)
-        assert sorted(a.rows) == sorted(b.rows)
-
-    def test_reordering_moves_constant_atoms_first(self, testbed):
-        testbed.define(
-            """
-            big(1, 2). sel(9).
-            v(X) :- big(X, Y), sel(X).
-            """
-        )
-        result = testbed._compiler.compile("?- v(X).", reorder_bodies=True)
-        # No constants here, but sel shares X with... both share X; the
-        # greedy pass keeps a deterministic, valid order and answers match.
-        plain = testbed.query("?- v(X).").rows
-        assert sorted(
-            result.program.execute(testbed.database, testbed.catalog).rows
-        ) == sorted(plain)

@@ -46,6 +46,27 @@ class TestDecision:
         assert not decision.use_magic
         assert "no recursive clique" in decision.reason
 
+    def test_source_bound_right_linear_factors(self):
+        decision = decide_rewrite(ANCESTOR, parse_query("?- anc('a', X)."))
+        assert decision.rewrite == "factored"
+        assert "free arguments through" in decision.reason
+
+    def test_target_bound_left_linear_factors(self):
+        left = parse_program(
+            "anc(X, Y) :- par(X, Y). anc(X, Y) :- anc(X, Z), par(Z, Y)."
+        )
+        assert decide_rewrite(left, parse_query("?- anc(X, 'a').")).rewrite == "factored"
+
+    def test_target_bound_right_linear_keeps_magic(self):
+        decision = decide_rewrite(ANCESTOR, parse_query("?- anc(X, 'a')."))
+        assert decision.rewrite == "magic"
+
+    def test_same_generation_keeps_magic(self):
+        sg = parse_program(
+            "sg(X, Y) :- flat(X, Y). sg(X, Y) :- up(X, U), sg(U, V), down(V, Y)."
+        )
+        assert decide_rewrite(sg, parse_query("?- sg('a', Y).")).rewrite == "magic"
+
     def test_multi_goal_query_does_not(self):
         query = parse_query("?- anc('a', X), anc(X, 'b').")
         assert not decide_rewrite(ANCESTOR, query).use_magic
@@ -68,6 +89,22 @@ class TestCompilerDefault:
         result = tree_testbed.compile_query("?- ancestor(X, Y).")
         assert not result.optimized
         assert not result.adaptive_decision.use_magic
+
+    def test_factored_plan_answers_with_no_recursion_over_the_answer(
+        self, tree_testbed
+    ):
+        result = tree_testbed.compile_query(ancestor_query(tree_node("t", 2)))
+        assert result.adaptive_decision.rewrite == "factored"
+        assert result.program.factored
+        # The only clique left is the magic set's.
+        cliques = result.program.fused.cliques
+        assert cliques == ("m_ancestor__bf",)
+
+    def test_forced_magic_is_never_factored(self, tree_testbed):
+        result = tree_testbed.compile_query(
+            ancestor_query(tree_node("t", 2)), optimize=True
+        )
+        assert result.optimized and not result.program.factored
 
     def test_explicit_modes_skip_the_decision(self, tree_testbed):
         query = ancestor_query(tree_node("t", 1))

@@ -9,7 +9,9 @@ or fail with the same error when its rules are not all there yet.  Each run
 uses either the default strategy (whose cached plans carry their one-statement
 form across rebinds) or semi-naive iteration, and one ``optimize`` setting:
 the default per-form decision, none, or a forced magic-sets rewrite.  Rewritten plans are cached per form too, so a query rebinds a plan
-another constant compiled, magic seed and all.
+another constant compiled, magic seed and all.  The bound linear cliques of
+:mod:`tests.properties.linear_cliques` run the same way, so factored plans
+and plans with implied guards dropped are rebound across constants too.
 """
 
 from hypothesis import example, given, settings
@@ -17,10 +19,12 @@ from hypothesis import strategies as st
 
 from repro import LfpStrategy, Testbed
 from repro.datalog.clauses import Program
-from repro.datalog.parser import parse_clause, parse_query
+from repro.datalog.parser import parse_clause, parse_program, parse_query
 from repro.errors import TestbedError
 from repro.runtime.topdown import evaluate_top_down
 from repro.workloads.rulegen import make_module
+
+from . import linear_cliques
 
 MODULES = [
     make_module("m0", 3, rules_per_predicate=2),
@@ -143,3 +147,43 @@ def test_cached_plans_track_every_rule_and_fact_change(
                         rules, facts, parse_query(argument)
                     )
                     assert fresh == sorted(expected)
+
+
+@st.composite
+def clique_steps(draw):
+    """A bound goal on the clique, or one new ``e`` or ``f`` edge."""
+    if draw(st.integers(0, 3)):
+        return "query", draw(linear_cliques.bound_goals())
+    edge = (draw(linear_cliques.node), draw(linear_cliques.node))
+    return "load", (draw(st.sampled_from(["e", "f"])), edge)
+
+
+@given(
+    st.sampled_from([{}, {"strategy": LfpStrategy.SEMINAIVE}]),
+    st.sampled_from(OPTIMIZE),
+    linear_cliques.linear_cliques(),
+    linear_cliques.edges,
+    linear_cliques.edges,
+    st.lists(clique_steps(), min_size=4, max_size=14),
+)
+@settings(max_examples=60, deadline=None)
+def test_cached_linear_clique_plans_rebind(strategy, optimize, rules, e, f, sequence):
+    options = {**strategy, **optimize}
+    facts = {"e": set(e), "f": set(f)}
+    program = parse_program(rules)
+    with Testbed() as testbed:
+        for base, rows in facts.items():
+            testbed.define_base_relation(base, ("TEXT", "TEXT"))
+            testbed.load_facts(base, sorted(rows))
+        testbed.define(rules)
+        for kind, argument in sequence:
+            if kind == "load":
+                base, edge = argument
+                testbed.load_facts(base, [edge])
+                facts[base].add(edge)
+                continue
+            fresh = outcome(testbed, argument, precompile=False, **options)
+            assert outcome(testbed, argument, **options) == fresh
+            expected = evaluate_top_down(program, facts, parse_query(argument))
+            assert fresh == sorted(expected), argument
+            linear_cliques.assert_guards_hold(rules, facts, argument)

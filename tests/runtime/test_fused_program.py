@@ -18,6 +18,7 @@ from repro.workloads.queries import (
     ANCESTOR_RULES,
     SAME_GENERATION_RULES,
     ancestor_query,
+    load_parent_relation,
     make_ancestor_testbed,
 )
 from repro.workloads.relations import full_binary_trees, tree_node
@@ -279,10 +280,32 @@ class TestMagicGuards:
             assert magic_steps < 2 * plain_steps
 
     def test_guard_joins_when_its_variables_are_unbound(self):
-        # m_anc__bb(Z, Y) :- m_anc__fb(Y), step(X, Z): Y only in the guard.
-        with make_testbed(ANCESTOR) as tb:
-            fused = tb.compile_query("?- anc(X, 'n1').").program.fused
-            assert '"d_m_anc__fb" AS t0' in fused.with_clause
+        # step('n0', Z) and anc(Z, Y) tie on one bound argument, so the SIP
+        # keeps text order: m_anc__bb(Z, Y) :- m_top__b(Y), step('n0', Z),
+        # with Y only in the guard.
+        with make_testbed(ANCESTOR + "top(Y) :- step('n0', Z), anc(Z, Y).") as tb:
+            fused = tb.compile_query("?- top('n1').").program.fused
+            assert '"d_m_top__b" AS t0' in fused.with_clause
+
+    def test_mutual_clique_stays_near_the_plain_plan(self):
+        # p/q/r: left to right, p's fb rule called r bb through the cross
+        # product m_r__bb(Z, Y) :- m_p__fb(Y), parent(X, Z), ~200x the
+        # plain plan's steps.  Most-bound first it calls r fb.
+        rules = (
+            "p(X, Y) :- parent(X, Y). p(X, Y) :- parent(X, Z), r(Z, Y)."
+            "q(Y) :- p(X, Y). r(X, Y) :- q(X), parent(X, Y)."
+        )
+        with Testbed() as tb:
+            tb.define(rules)
+            load_parent_relation(tb, full_binary_trees(1, 8))
+            query = "?- p('t1', Y)."
+            plain = tb.compile_query(query, optimize=False).program
+            default = tb.compile_query(query).program
+            assert default.optimized and default.fused is not None
+            plain_steps, plain_rows = self.vm_steps(tb, plain)
+            default_steps, default_rows = self.vm_steps(tb, default)
+            assert sorted(default_rows) == sorted(plain_rows)
+            assert default_steps < 2 * plain_steps
 
 
 class TestReferenceExpansion:

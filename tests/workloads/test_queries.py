@@ -49,7 +49,7 @@ class TestExpectedAnswers:
 
 
 class TestTestbedBuilders:
-    def test_make_ancestor_testbed_left_linear(self):
+    def test_make_ancestor_testbed_right_linear(self):
         relation = full_binary_trees(1, 4)
         tb = make_ancestor_testbed(relation)
         root = tree_node("t", 2)
@@ -57,9 +57,9 @@ class TestTestbedBuilders:
         assert rows == expected_ancestor_answers(relation, root)
         tb.close()
 
-    def test_make_ancestor_testbed_right_linear(self):
+    def test_make_ancestor_testbed_left_linear(self):
         relation = full_binary_trees(1, 4)
-        tb = make_ancestor_testbed(relation, right_linear=True)
+        tb = make_ancestor_testbed(relation, left_linear=True)
         root = tree_node("t", 2)
         rows = set(tb.query(ancestor_query(root)).rows)
         assert rows == expected_ancestor_answers(relation, root)

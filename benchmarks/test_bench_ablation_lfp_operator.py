@@ -16,30 +16,31 @@ workload:
 
 from __future__ import annotations
 
-from repro.bench import format_ablation, run_lfp_operator_ablation
+from repro.bench.specs import ABLATION
+
+from .conftest import p50
 
 DEPTH = 10
 
 
-def test_ablation_lfp_operator(run_once):
-    points = run_once(run_lfp_operator_ablation, DEPTH, 3)
-    print()
-    print(format_ablation(points))
+def test_ablation_lfp_operator(run_spec):
+    rows = run_spec(ABLATION, depth=DEPTH, repetitions=3)
 
-    by_strategy = {p.strategy: p for p in points}
+    by_strategy = {row["lever"]: p50(row) for row in rows}
     naive = by_strategy["naive"]
     seminaive = by_strategy["seminaive"]
     operator = by_strategy["lfp_cte"]
     tc = by_strategy["tc_operator"]
 
-    # All strategies agree on the answer set size.
-    assert len({p.answers for p in points}) == 1
+    # All strategies agree on the answer set size (the runner also compares
+    # the answer sets themselves).
+    assert len({row["counts"]["answers"] for row in rows}) == 1
 
     # The paper's proposed interface improvements pay off, in order.
-    assert seminaive.seconds < naive.seconds
-    assert operator.seconds < seminaive.seconds
-    assert tc.seconds < operator.seconds
+    assert seminaive < naive
+    assert operator < seminaive
+    assert tc < operator
 
     # The specialised operator is dramatically faster than the application
     # program — the headline motivation for conclusion 8.
-    assert tc.seconds * 5 < seminaive.seconds
+    assert tc * 5 < seminaive

@@ -4,7 +4,8 @@ Two experiments over the fig-12 ancestor mix:
 
 * **CTE vs loop** — the semi-naive iteration loop against the whole
   fixpoint as one ``WITH RECURSIVE`` statement.  Asserts the acceptance
-  criteria: identical answers (the runner raises otherwise), the eligible
+  criteria: identical answers (the runner records an error row otherwise),
+  the eligible
   clique really took the one-statement path, and >= 1.3x wall-clock at the
   largest seed size.
 * **Engine vs engine** — the same workload on every importable backend.
@@ -17,14 +18,10 @@ from __future__ import annotations
 
 import os
 
-from repro.bench import (
-    format_cte_ab,
-    format_engine_ab,
-    run_cte_ab,
-    run_engine_ab,
-    write_bench_json,
-)
+from repro.bench.specs import CTE_AB, ENGINES
 from repro.dbms import available_backends
+
+from .conftest import by, p50
 
 DEPTH = 9
 # Quick mode (CI smoke): fewer levels and repetitions, relaxed assertions.
@@ -33,69 +30,46 @@ LEVELS = (1, 4) if QUICK else (1, 2, 4, 6, 8)
 REPETITIONS = 1 if QUICK else 5
 
 
-def test_cte_vs_loop_speedup(run_once):
-    points = run_once(run_cte_ab, DEPTH, LEVELS, REPETITIONS)
-    print()
-    print(format_cte_ab(points))
+def test_cte_vs_loop_speedup(run_spec):
+    rows = run_spec(CTE_AB, depth=DEPTH, levels=LEVELS, repetitions=REPETITIONS)
 
-    report_dir = os.environ.get("BENCH_REPORT_DIR")
-    if report_dir:
-        write_bench_json(
-            os.path.join(report_dir, "BENCH_cte_ab.json"),
-            "cte_ab",
-            points,
-            depth=DEPTH,
-            repetitions=REPETITIONS,
-            quick=QUICK,
-        )
-
-    by_label = {p.label: p for p in points}
-    largest = by_label["level-1"]  # whole tree: the largest D_rel seed size
+    loop = by(rows, "level", "seminaive")
+    cte = by(rows, "level", "lfp_cte")
+    # Level 1 is the whole tree: the largest D_rel seed size.
+    largest_loop, largest_cte = loop[1], cte[1]
 
     # The linear, negation-free ancestor clique must actually take the
     # one-statement path at every level — fallback here would mean the
     # eligibility check regressed.
-    assert all(p.cte_strategy == "lfp_cte" for p in points), [
-        (p.label, p.cte_strategy) for p in points
+    assert all(row["counts"]["path"] == "lfp_cte" for row in cte.values()), [
+        (level, row["counts"]["path"]) for level, row in cte.items()
     ]
     # The loop's iteration count is the tree depth; the CTE reports one.
-    assert largest.loop_iterations >= 2
-    assert largest.answers == 2**DEPTH - 2
+    assert largest_loop["counts"]["iterations"] >= 2
+    assert largest_cte["counts"]["answers"] == 2**DEPTH - 2
 
     if QUICK:
         # Smoke only: both paths completed and produced comparable numbers.
-        assert largest.loop_seconds > 0 and largest.cte_seconds > 0
+        assert p50(largest_loop) > 0 and p50(largest_cte) > 0
         return
 
     # Tentpole acceptance: >= 1.3x at the largest seed size.
-    assert largest.speedup >= 1.3, (
-        f"recursive-CTE speedup {largest.speedup:.2f}x at level-1, "
-        "expected >= 1.3x"
+    speedup = p50(largest_loop) / p50(largest_cte)
+    assert speedup >= 1.3, (
+        f"recursive-CTE speedup {speedup:.2f}x at level-1, expected >= 1.3x"
     )
 
 
-def test_engine_vs_engine(run_once):
+def test_engine_vs_engine(run_spec):
     backends = available_backends()
-    points = run_once(run_engine_ab, DEPTH, LEVELS, REPETITIONS)
-    print()
-    print(format_engine_ab(points))
+    rows = run_spec(
+        ENGINES, depth=DEPTH, levels=LEVELS, repetitions=REPETITIONS, levers=backends
+    )
 
-    report_dir = os.environ.get("BENCH_REPORT_DIR")
-    if report_dir:
-        write_bench_json(
-            os.path.join(report_dir, "BENCH_engines.json"),
-            "engine_ab",
-            points,
-            depth=DEPTH,
-            repetitions=REPETITIONS,
-            backends=list(backends),
-            quick=QUICK,
-        )
-
-    # One point per (backend, level); cross-engine answer equality is
-    # asserted inside the runner.
-    assert len(points) == len(backends) * len(LEVELS)
-    assert {p.backend for p in points} == set(backends)
-    for point in points:
-        assert point.seconds > 0
-        assert point.answers > 0
+    # One row per (backend, level); the runner compares the engines'
+    # answer sets at every level.
+    assert len(rows) == len(backends) * len(LEVELS)
+    assert {row["lever"] for row in rows} == set(backends)
+    for row in rows:
+        assert p50(row) > 0
+        assert row["counts"]["answers"] > 0

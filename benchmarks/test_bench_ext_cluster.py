@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import os
 
-from repro.bench import (
-    format_cluster_scaling,
-    run_cluster_scaling,
-    write_bench_json,
-)
+from repro.bench.specs import CLUSTER_SCALING
+
+from .conftest import by
 
 # Quick mode (CI smoke): 2 shards, shallower trees, shorter burst, no
 # speedup floor — the job only proves the supervisor + router + loadgen
@@ -34,38 +32,23 @@ DURATION = 2.5 if QUICK else 5.0
 THINK_TIME = 0.02
 
 
-def test_cluster_shard_scaling(run_once):
-    points = run_once(
-        run_cluster_scaling,
-        shard_counts=(1, SHARDS),
+def test_cluster_shard_scaling(run_spec):
+    rows = run_spec(
+        CLUSTER_SCALING,
+        shards=(1, SHARDS),
         depth=DEPTH,
         clients=CLIENTS,
         duration=DURATION,
         think_time=THINK_TIME,
     )
-    print()
-    print(format_cluster_scaling(points))
 
-    report_dir = os.environ.get("BENCH_REPORT_DIR")
-    if report_dir:
-        write_bench_json(
-            os.path.join(report_dir, "BENCH_cluster_scaling.json"),
-            "cluster_scaling",
-            points,
-            depth=DEPTH,
-            clients=CLIENTS,
-            duration=DURATION,
-            think_time=THINK_TIME,
-            quick=QUICK,
-        )
-
-    by_shards = {p.shards: p for p in points}
-    single, many = by_shards[1], by_shards[SHARDS]
+    by_shards = by(rows, "shards")
+    single, many = by_shards[1]["counts"], by_shards[SHARDS]["counts"]
 
     # Protocol hygiene: a loaded router must never produce malformed or
     # failed replies on any backend — shedding is allowed, errors are not.
-    assert single.errors == 0 and many.errors == 0, points
-    assert single.requests > 0 and many.requests > 0
+    assert single["errors"] == 0 and many["errors"] == 0, rows
+    assert single["requests"] > 0 and many["requests"] > 0
 
     if QUICK:
         # Smoke only: both topologies served the burst.
@@ -73,9 +56,8 @@ def test_cluster_shard_scaling(run_once):
 
     # Tentpole acceptance: 4 shard processes sustain >= 2x the aggregate
     # read throughput of 1 shard under the same client population.
-    scaling = many.throughput_rps / single.throughput_rps
+    scaling = many["rps"] / single["rps"]
     assert scaling >= 2.0, (
         f"{SHARDS}-shard throughput only {scaling:.2f}x the 1-shard "
-        f"baseline ({many.throughput_rps:.1f} vs "
-        f"{single.throughput_rps:.1f} rps)"
+        f"baseline ({many['rps']:.1f} vs {single['rps']:.1f} rps)"
     )

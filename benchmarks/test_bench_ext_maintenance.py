@@ -19,12 +19,9 @@ from __future__ import annotations
 
 import os
 
-from repro.bench import (
-    find_maintenance_crossover,
-    format_maintenance,
-    run_maintenance_ab,
-    write_bench_json,
-)
+from repro.bench.specs import MAINTENANCE
+
+from .conftest import by, p50
 
 DEPTH = 9
 # Quick mode (CI smoke): smaller tree, fewer batch sizes and repetitions,
@@ -35,43 +32,34 @@ REPETITIONS = 1 if QUICK else 3
 TREE_DEPTH = 6 if QUICK else DEPTH
 
 
-def test_maintenance_ab_crossover(run_once):
-    points = run_once(run_maintenance_ab, TREE_DEPTH, BATCH_SIZES, REPETITIONS)
-    print()
-    print(format_maintenance(points))
+def test_maintenance_ab_crossover(run_spec):
+    rows = run_spec(
+        MAINTENANCE, depth=TREE_DEPTH, batch_sizes=BATCH_SIZES, repetitions=REPETITIONS
+    )
 
-    report_dir = os.environ.get("BENCH_REPORT_DIR")
-    if report_dir:
-        write_bench_json(
-            os.path.join(report_dir, "BENCH_maintenance.json"),
-            "maintenance_ab",
-            points,
-            depth=TREE_DEPTH,
-            repetitions=REPETITIONS,
-            quick=QUICK,
-            crossover=find_maintenance_crossover(points),
-        )
+    incremental = by(rows, "batch_size", "incremental")
+    recompute = by(rows, "batch_size", "recompute")
+    speedups = {
+        size: p50(recompute[size]) / p50(incremental[size]) for size in BATCH_SIZES
+    }
+    single = incremental[1]
 
-    by_size = {p.batch_size: p for p in points}
-    single = by_size[1]
-
-    # The run itself asserts both views stayed identical; check the
+    # The runner compares both views after every batch; check the
     # maintenance actually did incremental work.
-    assert single.incremental_tuples > 0
-    assert single.view_rows > single.base_rows  # closure outgrew the base
+    assert single["counts"]["tuples_added"] > 0
+    # The closure outgrew the base.
+    assert single["counts"]["view_rows"] > single["counts"]["base_rows"]
 
     if QUICK:
         # Smoke only: both paths completed and produced comparable numbers.
-        assert single.incremental_seconds > 0
-        assert single.recompute_seconds > 0
+        assert p50(single) > 0
+        assert p50(recompute[1]) > 0
         return
 
     # Acceptance: single-row insert maintenance beats recompute >= 2x.
-    assert single.speedup >= 2.0, (
-        f"incremental speedup {single.speedup:.2f}x at batch size 1, "
+    assert speedups[1] >= 2.0, (
+        f"incremental speedup {speedups[1]:.2f}x at batch size 1, "
         "expected >= 2x"
     )
     # Speedup should shrink as batches grow (recompute amortises).
-    assert points[-1].speedup <= points[0].speedup * 1.5, [
-        (p.batch_size, round(p.speedup, 2)) for p in points
-    ]
+    assert speedups[BATCH_SIZES[-1]] <= speedups[BATCH_SIZES[0]] * 1.5, speedups

@@ -14,53 +14,49 @@ concurrently while temp-table management and termination checks stay serial
 
 from __future__ import annotations
 
-from repro.bench import format_parallel_simulation, run_parallel_simulation
-from repro.runtime import LfpStrategy
+from repro.bench.specs import PARALLEL
+
+from .conftest import by, p50
 
 DEPTH = 10
 WORKERS = (1, 2, 4, 8, 16)
 
 
-def test_parallel_lfp_simulation(run_once):
-    schedules = run_once(run_parallel_simulation, DEPTH, WORKERS)
-    print()
-    print(format_parallel_simulation(schedules))
+def test_parallel_lfp_simulation(run_spec):
+    rows = run_spec(PARALLEL, depth=DEPTH, workers=WORKERS, levers=("seminaive",))
 
-    baseline = schedules[0]
+    schedules = [row for row in rows if row["lever"] == "seminaive"]
+    baseline = schedules[0]["counts"]
     # Monotone, real speedup from parallel RHS evaluation (conclusion 7).
-    walls = [s.total_seconds for s in schedules]
+    walls = [p50(row) for row in schedules]
     assert all(b >= a - 1e-12 for a, b in zip(walls[1:], walls)), walls
-    assert schedules[-1].speedup_over(baseline) > 1.2
+    assert schedules[-1]["counts"]["speedup"] > 1.2
 
     # The serial share grows with the worker count (conclusion 5): table
     # copies and termination checks do not parallelise away.
-    serial_shares = [s.serial_fraction for s in schedules]
+    serial_shares = [row["counts"]["serial_share"] for row in schedules]
     assert all(
         b >= a - 1e-12 for a, b in zip(serial_shares, serial_shares[1:])
     ), serial_shares
-    assert schedules[-1].serial_fraction > baseline.serial_fraction
+    assert schedules[-1]["counts"]["serial_share"] > baseline["serial_share"]
 
     # Amdahl bound: the speedup can never exceed 1 / serial_fraction(1).
-    limit = 1.0 / baseline.serial_fraction
-    assert schedules[-1].speedup_over(baseline) <= limit + 1e-9
+    limit = 1.0 / baseline["serial_share"]
+    assert schedules[-1]["counts"]["speedup"] <= limit + 1e-9
 
 
-def test_parallelism_helps_naive_more(run_once):
+def test_parallelism_helps_naive_more(run_spec):
     """Naive evaluation has more redundant RHS work, so it parallelises
     better — but still saturates at its serial floor."""
 
-    def both():
-        semi = run_parallel_simulation(DEPTH, (1, 8), LfpStrategy.SEMINAIVE)
-        naive = run_parallel_simulation(DEPTH, (1, 8), LfpStrategy.NAIVE)
-        return semi, naive
-
-    semi, naive = run_once(both)
-    semi_speedup = semi[1].speedup_over(semi[0])
-    naive_speedup = naive[1].speedup_over(naive[0])
-    print()
+    rows = run_spec(PARALLEL, depth=DEPTH, workers=(1, 8))
+    semi = by(rows, "workers", "seminaive")
+    naive = by(rows, "workers", "naive")
+    semi_speedup = semi[8]["counts"]["speedup"]
+    naive_speedup = naive[8]["counts"]["speedup"]
     print(
         f"8-worker simulated speedup: semi-naive {semi_speedup:.2f}x, "
         f"naive {naive_speedup:.2f}x"
     )
     assert naive_speedup >= semi_speedup * 0.8  # never dramatically worse
-    assert naive[1].serial_fraction > naive[0].serial_fraction
+    assert naive[8]["counts"]["serial_share"] > naive[1]["counts"]["serial_share"]

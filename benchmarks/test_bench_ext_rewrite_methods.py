@@ -12,25 +12,25 @@ fused into one statement) — and checks:
 
 from __future__ import annotations
 
-from repro.bench import format_rewrite_methods, run_rewrite_methods
+from repro.bench.specs import REWRITE
+
+from .conftest import p50
 
 GENERATIONS = 10
 WIDTH = 48
 
 
-def test_rewrite_methods_ablation(run_once):
-    points = run_once(run_rewrite_methods, GENERATIONS, WIDTH, 3)
-    print()
-    print(format_rewrite_methods(points))
+def test_rewrite_methods_ablation(run_spec):
+    rows = run_spec(REWRITE, generations=GENERATIONS, width=WIDTH, repetitions=3)
 
-    by_method = {p.method: p for p in points}
+    by_method = {row["lever"]: p50(row) for row in rows}
     plain = by_method["plain"]
     magic = by_method["magic"]
     default = by_method["default"]
 
-    # Same answers everywhere.
-    assert len({p.answers for p in points}) == 1
+    # Same answers everywhere (the runner also compares the answer sets).
+    assert len({row["counts"]["answers"] for row in rows}) == 1
 
     # The bound query is selective: every rewriting wins over plain.
-    assert magic.seconds < plain.seconds
-    assert default.seconds < plain.seconds
+    assert magic < plain
+    assert default < plain

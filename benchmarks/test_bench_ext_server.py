@@ -16,14 +16,9 @@ from __future__ import annotations
 
 import os
 
-from repro.bench import (
-    format_cache_ab,
-    format_server_scaling,
-    run_cache_ab,
-    run_server_scaling,
-    write_bench_json,
-    write_trace_json,
-)
+from repro.bench.specs import SERVER_CACHE, SERVER_SCALING
+
+from .conftest import by, p50
 
 # Quick mode (CI smoke): smaller tree, shorter burst, relaxed assertions —
 # the job only proves the server + loadgen harness runs end to end.
@@ -34,8 +29,8 @@ DURATION = 2.0 if QUICK else 4.0
 THINK_TIME = 0.02
 
 
-def _trace_served_query():
-    """One traced served query; returns the reader session's tracer.
+def _write_served_query_trace(path):
+    """Trace one served query into a Chrome trace file.
 
     The span tree (compile phases, LFP iterations, cache interaction) for
     a query that went through the pool's snapshot-read path ships with the
@@ -43,61 +38,47 @@ def _trace_served_query():
     """
     import tempfile
 
-    from repro.bench.server import _seed_dkb, ancestor_query_mix
+    from repro.obs.export import write_chrome_trace
     from repro.server import SessionPool
+    from repro.workloads.served import ancestor_query_mix, seed_dkb
 
     with tempfile.TemporaryDirectory(prefix="repro_srv_trace_") as scratch:
-        path = os.path.join(scratch, "dkb.sqlite")
-        _seed_dkb(path, DEPTH)
-        with SessionPool(path, readers=1, trace=True) as pool:
+        dkb = os.path.join(scratch, "dkb.sqlite")
+        seed_dkb(dkb, DEPTH)
+        with SessionPool(dkb, readers=1, trace=True) as pool:
             with pool.reader() as session:
                 session.query(ancestor_query_mix(DEPTH, 1)[0])
-                return session.testbed.tracer
+                write_chrome_trace(
+                    path,
+                    session.testbed.tracer,
+                    metadata={"name": "server_reader_query_trace", "depth": DEPTH},
+                )
 
 
-def test_server_throughput_scaling(run_once):
-    points = run_once(
-        run_server_scaling,
+def test_server_throughput_scaling(run_spec):
+    rows = run_spec(
+        SERVER_SCALING,
         depth=DEPTH,
-        reader_counts=(1, 8),
+        readers=(1, 8),
         clients=CLIENTS,
         duration=DURATION,
         think_time=THINK_TIME,
     )
-    print()
-    print(format_server_scaling(points))
-
     report_dir = os.environ.get("BENCH_REPORT_DIR")
     if report_dir:
-        write_bench_json(
-            os.path.join(report_dir, "BENCH_server_scaling.json"),
-            "server_scaling",
-            points,
-            depth=DEPTH,
-            clients=CLIENTS,
-            duration=DURATION,
-            think_time=THINK_TIME,
-            quick=QUICK,
-        )
-        write_trace_json(
-            os.path.join(report_dir, "TRACE_server.json"),
-            _trace_served_query(),
-            "server_reader_query_trace",
-            depth=DEPTH,
-            quick=QUICK,
-        )
+        _write_served_query_trace(os.path.join(report_dir, "TRACE_server.json"))
 
-    by_readers = {p.readers: p for p in points}
-    single, many = by_readers[1], by_readers[8]
+    by_readers = by(rows, "readers")
+    single, many = by_readers[1]["counts"], by_readers[8]["counts"]
 
     # Protocol hygiene: a loaded server must never produce malformed or
     # failed replies — shedding is allowed, errors are not.
-    assert single.errors == 0 and many.errors == 0, points
-    assert single.requests > 0 and many.requests > 0
+    assert single["errors"] == 0 and many["errors"] == 0, rows
+    assert single["requests"] > 0 and many["requests"] > 0
 
     # The versioned result cache must carry the steady state: every client
     # replays the same bound-query mix, so hits dominate.
-    assert many.cache_hit_fraction > 0.0, many
+    assert many["hit_fraction"] > 0.0, many
 
     if QUICK:
         # Smoke only: both configurations served traffic.
@@ -105,40 +86,31 @@ def test_server_throughput_scaling(run_once):
 
     # Tentpole acceptance: 8 reader sessions sustain >= 3x the aggregate
     # read throughput of 1 session under the same client population.
-    scaling = many.throughput_rps / single.throughput_rps
+    scaling = many["rps"] / single["rps"]
     assert scaling >= 3.0, (
         f"8-reader throughput only {scaling:.2f}x the 1-reader baseline "
-        f"({many.throughput_rps:.1f} vs {single.throughput_rps:.1f} rps)"
+        f"({many['rps']:.1f} vs {single['rps']:.1f} rps)"
     )
 
 
-def test_server_cache_ab(run_once):
-    point = run_once(run_cache_ab, depth=DEPTH)
-    print()
-    print(format_cache_ab(point))
+def test_server_cache_ab(run_spec):
+    rows = run_spec(SERVER_CACHE, depth=DEPTH)
+    # A cold read that hit the cache, or a warm one that missed, is an
+    # error row: the spec's measure checks every read.
+    cold, warm = rows
+    speedup = p50(cold) / p50(warm)
 
-    report_dir = os.environ.get("BENCH_REPORT_DIR")
-    if report_dir:
-        write_bench_json(
-            os.path.join(report_dir, "BENCH_server_cache.json"),
-            "server_cache_ab",
-            [point],
-            depth=DEPTH,
-            speedup=point.speedup,
-            quick=QUICK,
-        )
-
-    assert point.hits > 0 and point.misses > 0, point
-    assert point.warm_seconds > 0.0
+    assert warm["counts"]["hits"] > 0 and warm["counts"]["misses"] > 0, rows
+    assert p50(warm) > 0.0
 
     if QUICK:
         # Smoke only: both paths produced timings.
-        assert point.cold_seconds > 0.0
+        assert p50(cold) > 0.0
         return
 
     # Tentpole acceptance: a warm hit is >= 10x faster than the cold
     # compile + evaluate it replaces.
-    assert point.speedup >= 10.0, (
-        f"cache speedup only {point.speedup:.1f}x "
-        f"(cold {point.cold_seconds:.6f}s, warm {point.warm_seconds:.6f}s)"
+    assert speedup >= 10.0, (
+        f"cache speedup only {speedup:.1f}x "
+        f"(cold {p50(cold):.6f}s, warm {p50(warm):.6f}s)"
     )

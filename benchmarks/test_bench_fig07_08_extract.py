@@ -13,34 +13,30 @@ from __future__ import annotations
 
 from statistics import median
 
-from repro.bench import (
-    format_fig7,
-    format_fig8,
-    run_extract_experiment,
-)
+from repro.bench.specs import EXTRACT
+
+from .conftest import p50
 
 TOTAL_RULES = (60, 120, 240, 480)
 RELEVANT_RULES = (1, 7, 20)
 
 
-def test_fig07_08_extract_time(run_once):
-    points = run_once(
-        run_extract_experiment, TOTAL_RULES, RELEVANT_RULES, 7
+def test_fig07_08_extract_time(run_spec):
+    rows = run_spec(
+        EXTRACT, total_rules=TOTAL_RULES, relevant_rules=RELEVANT_RULES, repetitions=7
     )
-    print()
-    print(format_fig7(points))
-    print()
-    print(format_fig8(points))
 
     # Single-statement extraction, independent of R_s (exact, logical).
-    assert all(p.statements == 1 for p in points)
+    assert all(row["counts"]["statements"] == 1 for row in rows)
     # Exactly the relevant rules come back, never more.
-    assert all(p.rules_extracted == p.relevant_rules for p in points)
+    assert all(
+        row["counts"]["rules_extracted"] == row["point"]["relevant_rules"] for row in rows
+    )
 
     # Insensitive to R_s: within each R_rs curve the spread over an 8x range
     # of R_s stays within a loose noise bound.
     for relevant in RELEVANT_RULES:
-        curve = [p.seconds for p in points if p.relevant_rules == relevant]
+        curve = [p50(row) for row in rows if row["point"]["relevant_rules"] == relevant]
         assert max(curve) < 5 * min(curve), (
             f"t_extract should be flat in R_s for R_rs={relevant}: {curve}"
         )
@@ -49,13 +45,13 @@ def test_fig07_08_extract_time(run_once):
     # above the R_rs=1 curve.
     for total in TOTAL_RULES:
         small = median(
-            p.seconds
-            for p in points
-            if p.total_rules == total and p.relevant_rules == 1
+            p50(row)
+            for row in rows
+            if row["point"] == {"relevant_rules": 1, "total_rules": total}
         )
         large = median(
-            p.seconds
-            for p in points
-            if p.total_rules == total and p.relevant_rules == 20
+            p50(row)
+            for row in rows
+            if row["point"] == {"relevant_rules": 20, "total_rules": total}
         )
         assert large > 1.5 * small, (total, small, large)

@@ -12,45 +12,42 @@ from __future__ import annotations
 
 from statistics import median
 
-from repro.bench import (
-    format_fig9,
-    format_fig10,
-    run_dictionary_experiment,
-)
+from repro.bench.specs import DICTIONARY
+
+from .conftest import p50
 
 TOTAL_PREDICATES = (50, 100, 200, 400)
 RELEVANT_PREDICATES = (1, 4, 10)
 
 
-def test_fig09_10_dictionary_read_time(run_once):
-    points = run_once(
-        run_dictionary_experiment, TOTAL_PREDICATES, RELEVANT_PREDICATES, 7
+def test_fig09_10_dictionary_read_time(run_spec):
+    rows = run_spec(
+        DICTIONARY,
+        total_predicates=TOTAL_PREDICATES,
+        relevant_predicates=RELEVANT_PREDICATES,
+        repetitions=7,
     )
-    print()
-    print(format_fig9(points))
-    print()
-    print(format_fig10(points))
 
     # One dictionary query regardless of catalog size.
-    assert all(p.statements == 1 for p in points)
+    assert all(row["counts"]["statements"] == 1 for row in rows)
 
     # Insensitive to P_s within each P_rs curve.
     for relevant in RELEVANT_PREDICATES:
         curve = [
-            p.seconds for p in points if p.relevant_predicates == relevant
+            p50(row) for row in rows if row["point"]["relevant_predicates"] == relevant
         ]
         assert max(curve) < 5 * min(curve), (relevant, curve)
 
     # Grows with P_rs at each fixed P_s.
     for total in TOTAL_PREDICATES:
         small = median(
-            p.seconds
-            for p in points
-            if p.total_predicates == total and p.relevant_predicates == 1
+            p50(row)
+            for row in rows
+            if row["point"] == {"relevant_predicates": 1, "total_predicates": total}
         )
         large = median(
-            p.seconds
-            for p in points
-            if p.total_predicates == total and p.relevant_predicates == 10
+            p50(row)
+            for row in rows
+            if row["point"] == {"relevant_predicates": 10, "total_predicates": total}
         )
         assert large > 1.5 * small, (total, small, large)

@@ -11,34 +11,41 @@ Paper findings reproduced here (semi-naive, no optimization):
 
 from __future__ import annotations
 
-from repro.bench import format_fig11, run_relevant_fraction_experiment
+from repro.bench.specs import FIG11
+
+from .conftest import p50
 
 DEPTH = 9
 GROWING_DEPTHS = (6, 7, 8, 9)
 
 
-def test_fig11_relevant_fraction(run_once):
-    fixed_d, fixed_rel = run_once(
-        run_relevant_fraction_experiment, DEPTH, GROWING_DEPTHS, 5, 3
+def test_fig11_relevant_fraction(run_spec):
+    rows = run_spec(
+        FIG11,
+        depth=DEPTH,
+        growing_depths=GROWING_DEPTHS,
+        fixed_subtree_depth=5,
+        repetitions=3,
     )
-    print()
-    print(format_fig11(fixed_d, fixed_rel))
+    fixed_d = [row for row in rows if row["point"]["series"] == "fixed_d"]
+    fixed_rel = [row for row in rows if row["point"]["series"] == "fixed_rel"]
 
     # Series (a): D fixed — flat within a loose noise bound despite D_rel
     # spanning two orders of magnitude.
-    seconds = [p.seconds for p in fixed_d]
+    seconds = [p50(row) for row in fixed_d]
     assert max(seconds) < 3 * min(seconds), seconds
-    selectivities = [p.selectivity for p in fixed_d]
+    selectivities = [row["counts"]["selectivity"] for row in fixed_d]
     assert max(selectivities) / min(selectivities) > 50
 
     # Series (b): D_rel fixed — time grows as the relation grows.
-    assert all(
-        p.relevant_facts == fixed_rel[0].relevant_facts for p in fixed_rel
-    )
-    assert fixed_rel[-1].total_facts > 4 * fixed_rel[0].total_facts
-    assert fixed_rel[-1].seconds > 1.5 * fixed_rel[0].seconds, [
-        (p.total_facts, p.seconds) for p in fixed_rel
+    facts = [row["counts"] for row in fixed_rel]
+    assert all(f["relevant_facts"] == facts[0]["relevant_facts"] for f in facts)
+    assert facts[-1]["total_facts"] > 4 * facts[0]["total_facts"]
+    assert p50(fixed_rel[-1]) > 1.5 * p50(fixed_rel[0]), [
+        (row["counts"]["total_facts"], p50(row)) for row in fixed_rel
     ]
 
     # Both series answer correctly sized results.
-    assert all(p.answers == p.relevant_facts for p in fixed_d)
+    assert all(
+        row["counts"]["answers"] == row["counts"]["relevant_facts"] for row in fixed_d
+    )

@@ -10,32 +10,30 @@ from __future__ import annotations
 
 from statistics import median
 
-from repro.bench import format_fig12, run_naive_vs_seminaive
+from repro.bench.specs import FIG12
+
+from .conftest import by, p50
 
 DEPTH = 9
 
 
-def test_fig12_naive_vs_seminaive(run_once):
-    points = run_once(run_naive_vs_seminaive, DEPTH, 3)
-    print()
-    print(format_fig12(points))
+def test_fig12_naive_vs_seminaive(run_spec):
+    rows = run_spec(FIG12, depth=DEPTH, repetitions=3)
 
-    naive = {p.label: p for p in points if p.strategy == "naive"}
-    seminaive = {p.label: p for p in points if p.strategy == "seminaive"}
+    naive = by(rows, "level", "naive")
+    seminaive = by(rows, "level", "seminaive")
     assert set(naive) == set(seminaive)
 
-    ratios = [
-        naive[label].seconds / seminaive[label].seconds for label in naive
-    ]
+    ratios = [p50(naive[level]) / p50(seminaive[level]) for level in naive]
     # Semi-naive wins at every point, and the typical advantage is in the
     # paper's 2.5-3x neighbourhood.
     assert all(r > 1.2 for r in ratios), ratios
     assert median(ratios) > 1.7, ratios
 
     # Both strategies compute identical answers.
-    for label in naive:
-        assert naive[label].answers == seminaive[label].answers
+    for level in naive:
+        assert naive[level]["counts"]["answers"] == seminaive[level]["counts"]["answers"]
 
     # Both need the same number of iterations (depth of the recursion).
-    for label in naive:
-        assert naive[label].iterations >= 2
+    for level in naive:
+        assert naive[level]["counts"]["iterations"] >= 2

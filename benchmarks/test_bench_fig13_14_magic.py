@@ -17,81 +17,95 @@ Paper findings reproduced here:
 
 from __future__ import annotations
 
-from repro.bench import (
-    find_crossover,
-    format_fig13,
-    format_fig14,
-    run_low_selectivity_blowup,
-    run_magic_crossover,
-)
+from repro.bench.specs import BLOWUP, FIG13
+
+from .conftest import p50
 
 DEPTH = 10
 BLOWUP_DEPTH = 13
 
 
-def test_fig13_crossover(run_once):
-    points = run_once(run_magic_crossover, DEPTH)
-    print()
-    print(format_fig13(points))
-    print()
-    print(format_fig14(points))
+def find_crossover(rows, strategy):
+    """Lowest selectivity at which optimization stops paying for ``strategy``.
+
+    Compares the optimized and unoptimized medians point by point and
+    returns the selectivity of the first point, in increasing selectivity
+    order, where the optimized run is slower; ``None`` when optimization
+    wins everywhere.
+    """
+    mine = [row for row in rows if row["point"]["strategy"] == strategy]
+    plain = {row["point"]["level"]: row for row in mine if row["lever"] == "plain"}
+    optimized = [row for row in mine if row["lever"] == "magic"]
+    for row in sorted(optimized, key=lambda row: row["counts"]["selectivity"]):
+        baseline = plain.get(row["point"]["level"])
+        if baseline is not None and p50(row) > p50(baseline):
+            return row["counts"]["selectivity"]
+    return None
+
+
+def test_fig13_crossover(run_spec):
+    rows = run_spec(FIG13, depth=DEPTH)
+    for strategy in ("naive", "seminaive"):
+        crossover = find_crossover(rows, strategy)
+        pretty = f"{crossover:.2f}" if crossover is not None else "none observed"
+        print(f"crossover selectivity ({strategy}): {pretty}")
 
     for strategy in ("naive", "seminaive"):
-        strategy_points = [p for p in points if p.strategy == strategy]
-        plain = {p.label: p for p in strategy_points if not p.optimized}
-        optimized = {p.label: p for p in strategy_points if p.optimized}
+        strategy_rows = [row for row in rows if row["point"]["strategy"] == strategy]
+        plain = {r["point"]["level"]: r for r in strategy_rows if r["lever"] == "plain"}
+        optimized = {r["point"]["level"]: r for r in strategy_rows if r["lever"] == "magic"}
+
+        def selectivity(row):
+            return row["counts"]["selectivity"]
 
         # Unoptimized: flat across two decades of selectivity.
-        plain_seconds = [p.seconds for p in plain.values()]
+        plain_seconds = [p50(row) for row in plain.values()]
         assert max(plain_seconds) < 4 * min(plain_seconds), plain_seconds
 
         # Optimized: clearly cheaper at the lowest selectivity...
-        lowest = min(optimized.values(), key=lambda p: p.selectivity)
-        assert lowest.seconds < 0.6 * plain[lowest.label].seconds
+        lowest = min(optimized.values(), key=selectivity)
+        assert p50(lowest) < 0.6 * p50(plain[lowest["point"]["level"]])
 
         # ...growing with selectivity (highest point much above lowest).
-        highest = max(optimized.values(), key=lambda p: p.selectivity)
-        assert highest.seconds > 2 * lowest.seconds
+        highest = max(optimized.values(), key=selectivity)
+        assert p50(highest) > 2 * p50(lowest)
 
         # A crossover exists, at high selectivity.
-        crossover = find_crossover(points, strategy)
+        crossover = find_crossover(rows, strategy)
         assert crossover is not None, f"no crossover for {strategy}"
         assert crossover > 0.3, crossover
 
         # Identical answers with and without optimization.
-        for label, p in optimized.items():
-            assert p.answers == plain[label].answers
+        for level, row in optimized.items():
+            assert row["counts"]["answers"] == plain[level]["counts"]["answers"]
 
     # Naive's crossover is no lower than semi-naive's.
-    naive_crossover = find_crossover(points, "naive")
-    seminaive_crossover = find_crossover(points, "seminaive")
+    naive_crossover = find_crossover(rows, "naive")
+    seminaive_crossover = find_crossover(rows, "seminaive")
     assert naive_crossover >= seminaive_crossover - 1e-9
 
     # Figure 14: the modified-rules LFP is the selectivity-sensitive one.
     optimized_semi = sorted(
         (
-            p
-            for p in points
-            if p.optimized and p.strategy == "seminaive"
+            row
+            for row in rows
+            if row["lever"] == "magic" and row["point"]["strategy"] == "seminaive"
         ),
-        key=lambda p: p.selectivity,
+        key=lambda row: row["counts"]["selectivity"],
     )
-    modified = [
-        sum(s for l, s in p.node_seconds.items() if not l.startswith("m_"))
-        for p in optimized_semi
-    ]
+    modified = [p50(row, "modified_lfp") for row in optimized_semi]
     assert modified[-1] > 2 * modified[0], modified
 
 
-def test_fig13_low_selectivity_blowup(run_once):
-    plain, optimized = run_once(run_low_selectivity_blowup, BLOWUP_DEPTH)
-    ratio = plain.seconds / optimized.seconds
-    print()
+def test_fig13_low_selectivity_blowup(run_spec):
+    plain, optimized = run_spec(BLOWUP, depth=BLOWUP_DEPTH)
+    ratio = p50(plain) / p50(optimized)
+    facts = plain["counts"]
     print(
-        f"low-selectivity blowup (depth {BLOWUP_DEPTH}, D={plain.total_facts}, "
-        f"D_rel={plain.relevant_facts}): plain {plain.seconds * 1000:.1f} ms, "
-        f"magic {optimized.seconds * 1000:.1f} ms, ratio {ratio:.0f}x"
+        f"low-selectivity blowup (depth {BLOWUP_DEPTH}, D={facts['total_facts']}, "
+        f"D_rel={facts['relevant_facts']}): plain {p50(plain) * 1000:.1f} ms, "
+        f"magic {p50(optimized) * 1000:.1f} ms, ratio {ratio:.0f}x"
     )
-    assert plain.answers == optimized.answers
+    assert plain["counts"]["answers"] == optimized["counts"]["answers"]
     # The paper reports "several orders of magnitude"; we require >= 20x.
     assert ratio > 20, ratio

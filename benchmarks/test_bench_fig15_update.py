@@ -14,32 +14,30 @@ from __future__ import annotations
 
 from statistics import median
 
-from repro.bench import format_fig15, run_update_experiment
+from repro.bench.specs import FIG15
+
+from .conftest import by, p50
 
 STORED_RULES = (9, 45, 90, 135, 189)
 
 
-def test_fig15_update_time(run_once):
-    points = run_once(run_update_experiment, STORED_RULES, 1, 5)
-    print()
-    print(format_fig15(points))
+def test_fig15_update_time(run_spec):
+    rows = run_spec(FIG15, stored_rules=STORED_RULES, workspace_rules=1, repetitions=5)
 
-    compiled = {p.stored_rules: p for p in points if p.compiled_storage}
-    source_only = {p.stored_rules: p for p in points if not p.compiled_storage}
+    compiled = by(rows, "stored_rules", "compiled")
+    source_only = by(rows, "stored_rules", "source_only")
     assert set(compiled) == set(source_only) == set(STORED_RULES)
 
     # Source-only updates are much cheaper at every R_s.
-    ratios = [
-        compiled[r].seconds / source_only[r].seconds for r in STORED_RULES
-    ]
+    ratios = [p50(compiled[r]) / p50(source_only[r]) for r in STORED_RULES]
     assert all(r > 1.5 for r in ratios), ratios
     assert median(ratios) > 3.0, ratios
 
     # Insensitive to R_s (21x spread in R_s, bounded spread in t_u).
     for curve in (compiled, source_only):
-        seconds = [curve[r].seconds for r in STORED_RULES]
+        seconds = [p50(curve[r]) for r in STORED_RULES]
         assert max(seconds) < 6 * min(seconds), seconds
 
     # Storing the source form is a small part of even the compiled update.
-    for point in compiled.values():
-        assert point.percentage("store") < 50.0
+    for row in compiled.values():
+        assert row["share"]["store"] < 50.0

@@ -11,24 +11,21 @@ Paper findings reproduced here:
 
 from __future__ import annotations
 
-from repro.bench import format_table4, run_compile_breakdown
+from repro.bench.specs import TABLE4
+
+from .conftest import by
 
 RELEVANT_RULES = (1, 7, 20)
 
 
-def test_table4_compile_breakdown(run_once):
-    rows = run_once(run_compile_breakdown, RELEVANT_RULES, 189, 7)
-    print()
-    print(format_table4(rows))
+def test_table4_compile_breakdown(run_spec):
+    rows = run_spec(TABLE4, relevant_rules=RELEVANT_RULES, total_rules=189, repetitions=7)
 
-    by_relevant = {row.relevant_rules: row for row in rows}
+    by_relevant = by(rows, "relevant_rules")
     # Extract time rises with R_rs: ~0.15 ms at 1 rule, ~2.3 ms at 20.
-    assert (
-        by_relevant[20].components["extract"]
-        > 5 * by_relevant[1].components["extract"]
-    )
+    assert by_relevant[20]["p50"]["extract"] > 5 * by_relevant[1]["p50"]["extract"]
     # Generate-compile-link is a real contributor for the small query.
-    assert by_relevant[1].percentage("gencompile") > 10.0
+    assert by_relevant[1]["share"]["gencompile"] > 10.0
     # Components cover the whole compilation (no unaccounted time).
     for row in rows:
-        assert abs(sum(row.percentage(c) for c in row.components) - 100.0) < 1e-6
+        assert abs(sum(row["share"].values()) - 100.0) < 1e-6

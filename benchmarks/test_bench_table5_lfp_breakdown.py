@@ -12,37 +12,29 @@ Paper findings reproduced here:
 
 from __future__ import annotations
 
-from repro.bench import format_table5, run_lfp_breakdown
+from repro.bench.specs import TABLE5
 from repro.runtime import PHASE_RHS_EVAL, PHASE_TEMP_TABLES, PHASE_TERMINATION
 
 DEPTH = 10
 
 
-def test_table5_lfp_breakdown(run_once):
-    rows = run_once(run_lfp_breakdown, DEPTH, 1)
-    print()
-    print(format_table5(rows))
+def test_table5_lfp_breakdown(run_spec):
+    rows = run_spec(TABLE5, depth=DEPTH, root_level=1)
 
-    by_strategy = {row.strategy: row for row in rows}
+    by_strategy = {row["lever"]: row for row in rows}
     naive = by_strategy["naive"]
     seminaive = by_strategy["seminaive"]
 
     # RHS evaluation + termination dominate for both strategies.
     for row in rows:
-        eval_and_check = row.phase_percentage(
-            PHASE_RHS_EVAL
-        ) + row.phase_percentage(PHASE_TERMINATION)
-        assert eval_and_check > 50.0, (row.strategy, eval_and_check)
+        eval_and_check = row["share"][PHASE_RHS_EVAL] + row["share"][PHASE_TERMINATION]
+        assert eval_and_check > 50.0, (row["lever"], eval_and_check)
 
     # Naive's eval+check wall time is a multiple of semi-naive's.
-    naive_work = naive.phase_seconds(PHASE_RHS_EVAL) + naive.phase_seconds(
-        PHASE_TERMINATION
-    )
-    seminaive_work = seminaive.phase_seconds(
-        PHASE_RHS_EVAL
-    ) + seminaive.phase_seconds(PHASE_TERMINATION)
+    naive_work = naive["p50"][PHASE_RHS_EVAL] + naive["p50"][PHASE_TERMINATION]
+    seminaive_work = seminaive["p50"][PHASE_RHS_EVAL] + seminaive["p50"][PHASE_TERMINATION]
     assert naive_work > 1.5 * seminaive_work, (naive_work, seminaive_work)
 
     # Temp-table churn is real, measurable overhead in both.
     for row in rows:
-        assert row.phase_seconds(PHASE_TEMP_TABLES) > 0.0
+        assert row["p50"][PHASE_TEMP_TABLES] > 0.0

@@ -11,28 +11,28 @@ Paper findings reproduced here (configurations (R_w=36, R_s=189) and
 
 from __future__ import annotations
 
-from repro.bench import format_table8, run_update_breakdown
+from repro.bench.specs import TABLE8
+
+from .conftest import by, p50
 
 CONFIGURATIONS = ((36, 189), (1, 189))
 
 
-def test_table8_update_breakdown(run_once):
-    points = run_once(run_update_breakdown, CONFIGURATIONS, 5)
-    print()
-    print(format_table8(points))
+def test_table8_update_breakdown(run_spec):
+    rows = run_spec(TABLE8, configurations=CONFIGURATIONS, repetitions=5)
 
-    by_workspace = {p.workspace_rules: p for p in points}
+    by_workspace = by(rows, "workspace_rules")
     large, small = by_workspace[36], by_workspace[1]
 
     # A bigger workspace means a bigger absolute update time.
-    assert large.seconds > small.seconds
+    assert p50(large) > p50(small)
 
     # Extraction's share shrinks as the workspace grows (more of the time
     # goes to closure maintenance and type checking of the new rules).
-    assert small.percentage("extract") > large.percentage("extract")
+    assert small["share"]["extract"] > large["share"]["extract"]
     # Extraction is a significant component of the small-workspace update.
-    assert small.percentage("extract") > 20.0
+    assert small["share"]["extract"] > 20.0
 
     # Source-form storage stays a minor share in both configurations.
-    for point in points:
-        assert point.percentage("store") < 40.0, point
+    for row in rows:
+        assert row["share"]["store"] < 40.0, row

@@ -1,144 +1,35 @@
 """The experiment harness regenerating the paper's evaluation (section 5.3).
 
-One runner per test in :mod:`repro.bench.experiments`, matching text
-formatters in :mod:`repro.bench.reporting`, and timing helpers in
-:mod:`repro.bench.timing`.  The ``benchmarks/`` suite drives these and
-asserts the paper's qualitative shapes.
+One :class:`Experiment` spec per figure or table (:mod:`repro.bench.specs`,
+registered in :data:`SPECS`), one runner (:func:`run`) returning a plain
+dict per (point, lever), one JSONL writer (:func:`append_jsonl`) and one
+formatter (:func:`format_table`).  ``benchmarks/`` runs the specs and
+asserts the paper's qualitative shapes; ``python -m repro.bench FILE.jsonl``
+prints the latest table of every experiment in a report file.
 """
 
-from .experiments import (
-    AblationPoint,
-    CompileBreakdownRow,
-    DictReadPoint,
-    ExecutionPoint,
-    ExtractPoint,
-    LfpBreakdownRow,
-    UpdatePoint,
-    find_crossover,
-    run_compile_breakdown,
-    run_dictionary_experiment,
-    run_extract_experiment,
-    run_lfp_breakdown,
-    run_lfp_operator_ablation,
-    run_low_selectivity_blowup,
-    run_magic_crossover,
-    run_naive_vs_seminaive,
-    run_relevant_fraction_experiment,
-    run_update_breakdown,
-    run_update_experiment,
+from .experiment import (
+    ROW_KEYS,
+    Experiment,
+    Sample,
+    append_jsonl,
+    format_table,
+    latest,
+    read_jsonl,
+    report,
+    run,
 )
-from .extensions import (
-    RewritePoint,
-    format_parallel_simulation,
-    format_rewrite_methods,
-    run_parallel_simulation,
-    run_rewrite_methods,
-)
-from .backends import CtePoint, EnginePoint, run_cte_ab, run_engine_ab
-from .cluster import (
-    ClusterScalingPoint,
-    cluster_partition_spec,
-    cluster_query_mix,
-    format_cluster_scaling,
-    run_cluster_scaling,
-    seed_cluster,
-    wait_for_replicas,
-)
-from .maintenance import MaintenancePoint, run_maintenance_ab
-from .server import (
-    CacheAbPoint,
-    ServerScalingPoint,
-    format_cache_ab,
-    format_server_scaling,
-    run_cache_ab,
-    run_server_scaling,
-)
-from .reporting import (
-    find_maintenance_crossover,
-    format_ablation,
-    format_cte_ab,
-    format_engine_ab,
-    format_maintenance,
-    format_fig7,
-    format_fig8,
-    format_fig9,
-    format_fig10,
-    format_fig11,
-    format_fig12,
-    format_fig13,
-    format_fig14,
-    format_fig15,
-    format_table4,
-    format_table5,
-    format_table8,
-    write_bench_json,
-    write_trace_json,
-)
-from .timing import TimedRun, timed
+from .specs import SPECS
 
 __all__ = [
-    "AblationPoint",
-    "CacheAbPoint",
-    "ClusterScalingPoint",
-    "cluster_partition_spec",
-    "cluster_query_mix",
-    "format_cluster_scaling",
-    "run_cluster_scaling",
-    "seed_cluster",
-    "wait_for_replicas",
-    "CtePoint",
-    "EnginePoint",
-    "MaintenancePoint",
-    "RewritePoint",
-    "ServerScalingPoint",
-    "format_cache_ab",
-    "format_server_scaling",
-    "run_cache_ab",
-    "run_server_scaling",
-    "find_maintenance_crossover",
-    "format_cte_ab",
-    "format_engine_ab",
-    "format_maintenance",
-    "format_parallel_simulation",
-    "format_rewrite_methods",
-    "run_cte_ab",
-    "run_engine_ab",
-    "run_maintenance_ab",
-    "run_parallel_simulation",
-    "run_rewrite_methods",
-    "CompileBreakdownRow",
-    "DictReadPoint",
-    "ExecutionPoint",
-    "ExtractPoint",
-    "LfpBreakdownRow",
-    "TimedRun",
-    "UpdatePoint",
-    "find_crossover",
-    "format_ablation",
-    "format_fig10",
-    "format_fig11",
-    "format_fig12",
-    "format_fig13",
-    "format_fig14",
-    "format_fig15",
-    "format_fig7",
-    "format_fig8",
-    "format_fig9",
-    "format_table4",
-    "format_table5",
-    "format_table8",
-    "run_compile_breakdown",
-    "run_dictionary_experiment",
-    "run_extract_experiment",
-    "run_lfp_breakdown",
-    "run_lfp_operator_ablation",
-    "run_low_selectivity_blowup",
-    "run_magic_crossover",
-    "run_naive_vs_seminaive",
-    "run_relevant_fraction_experiment",
-    "run_update_breakdown",
-    "run_update_experiment",
-    "timed",
-    "write_bench_json",
-    "write_trace_json",
+    "ROW_KEYS",
+    "SPECS",
+    "Experiment",
+    "Sample",
+    "append_jsonl",
+    "format_table",
+    "latest",
+    "read_jsonl",
+    "report",
+    "run",
 ]

@@ -1,9 +1,9 @@
 """Minimal ASCII scatter/line plots for the figure benchmarks.
 
-The paper presents its results as figures; the benchmark suite prints
-tables *and* — via this module — terminal-friendly plots of the same
-series, so the shapes (flat curves, crossovers, knees) are visible at a
-glance in the bench output.
+The paper presents its results as figures; a spec that names a plot gets
+one under its table (:func:`repro.bench.experiment.report`), so the shapes
+(flat curves, crossovers, knees) are visible at a glance in the bench
+output.
 """
 
 from __future__ import annotations
@@ -74,21 +74,3 @@ def ascii_plot(
     )
     return "\n".join(lines)
 
-
-def plot_execution_points(points, title: str) -> str:
-    """Plot a list of :class:`~repro.bench.experiments.ExecutionPoint`.
-
-    Series are split by (strategy, optimized); x = selectivity, y = ms.
-    """
-    series: dict[str, list[Point]] = {}
-    for point in points:
-        mode = "magic" if point.optimized else "plain"
-        name = f"{point.strategy}/{mode}"
-        series.setdefault(name, []).append(
-            (point.selectivity, point.seconds * 1000.0)
-        )
-    for pts in series.values():
-        pts.sort()
-    return ascii_plot(
-        series, title=title, x_label="D_rel/D", y_label="t_e ms"
-    )

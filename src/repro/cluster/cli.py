@@ -4,10 +4,10 @@
 replicas, the router in the supervising process) and serves until
 interrupted; ``--demo-depth`` seeds the ancestor workload through the
 router first so the cluster is immediately queryable.  ``bench-cluster``
-runs the shard-scaling benchmark (1 shard vs N shards under an identical
-closed-loop population), prints the table, optionally writes
-``BENCH_cluster_*.json``, and exits non-zero on protocol errors or a
-scaling regression, so CI can gate on it.
+runs the shard-scaling experiment spec (1 shard vs N shards under an
+identical closed-loop population), prints the table, optionally appends its
+rows to ``BENCH_cluster_scaling.jsonl``, and exits non-zero on an error row,
+protocol errors or a scaling regression, so CI can gate on it.
 
 Heavyweight imports happen inside the entry points, keeping
 ``python -m repro``'s startup light.
@@ -219,7 +219,7 @@ def cluster_main(argv: "list[str] | None" = None) -> int:
     with sigterm_interrupts():
         try:
             if arguments.demo_depth:
-                from ..bench.cluster import seed_cluster, wait_for_replicas
+                from ..workloads.served import seed_cluster, wait_for_replicas
 
                 host, port = supervisor.address
                 with DkbClient(host, port) as client:
@@ -282,7 +282,7 @@ def build_bench_cluster_parser() -> argparse.ArgumentParser:
         "--report",
         metavar="DIR",
         default=None,
-        help="write BENCH_cluster_*.json artifacts into DIR",
+        help="append BENCH_cluster_scaling.jsonl into DIR",
     )
     parser.add_argument(
         "--min-speedup",
@@ -297,50 +297,33 @@ def build_bench_cluster_parser() -> argparse.ArgumentParser:
 def bench_cluster_main(argv: "list[str] | None" = None) -> int:
     import os
 
-    from ..bench.cluster import format_cluster_scaling, run_cluster_scaling
-    from ..bench.reporting import write_bench_json
+    from ..bench import append_jsonl, report, run
+    from ..bench.specs import CLUSTER_SCALING
 
     arguments = build_bench_cluster_parser().parse_args(argv)
-    shards = 2 if arguments.quick else arguments.shards
-    depth = 5 if arguments.quick else 8
-    duration = arguments.duration or (2.5 if arguments.quick else 5.0)
-
-    points = run_cluster_scaling(
-        shard_counts=(1, shards),
-        depth=depth,
+    rows = run(
+        CLUSTER_SCALING,
+        shards=(1, 2 if arguments.quick else arguments.shards),
+        depth=5 if arguments.quick else 8,
         replicas=arguments.replicas,
         clients=arguments.clients,
-        duration=duration,
+        duration=arguments.duration or (2.5 if arguments.quick else 5.0),
     )
-    print("Cluster read scaling (fig-12 ancestor mix, closed-loop clients):")
-    print(format_cluster_scaling(points))
-
+    print(report(CLUSTER_SCALING, rows))
     if arguments.report:
-        os.makedirs(arguments.report, exist_ok=True)
         print()
-        print(
-            write_bench_json(
-                os.path.join(arguments.report, "BENCH_cluster_scaling.json"),
-                "cluster_scaling",
-                points,
-                depth=depth,
-                clients=arguments.clients,
-                duration=duration,
-                replicas=arguments.replicas,
-            )
-        )
+        print(append_jsonl(os.path.join(arguments.report, "BENCH_cluster_scaling.jsonl"), rows))
 
-    failures = []
-    if any(point.errors for point in points):
+    failures = [f"{row['point']}: {row['error']}" for row in rows if row["error"]]
+    if any(row["counts"].get("errors") for row in rows):
         failures.append("protocol errors during the scaling run")
-    if arguments.min_speedup is not None:
-        baseline = points[0].throughput_rps
-        scaled = points[-1].throughput_rps
-        speedup = scaled / baseline if baseline else 0.0
+    if arguments.min_speedup is not None and not failures:
+        baseline = rows[0]["counts"]["rps"]
+        speedup = rows[-1]["counts"]["rps"] / baseline if baseline else 0.0
         if speedup < arguments.min_speedup:
             failures.append(
-                f"{points[-1].shards}-shard speedup {speedup:.2f}x is below "
-                f"the {arguments.min_speedup:.2f}x floor"
+                f"{rows[-1]['point']['shards']}-shard speedup {speedup:.2f}x is "
+                f"below the {arguments.min_speedup:.2f}x floor"
             )
     for failure in failures:
         print(f"FAIL: {failure}")

@@ -1,9 +1,10 @@
 """Consolidated Testbed configuration.
 
 Every session knob lives in one frozen :class:`TestbedConfig` value instead
-of a growing pile of ``Testbed.__init__`` keywords.  The legacy keyword form
-(``Testbed(compiled_rule_storage=False, ...)``) still works but emits a
-:class:`DeprecationWarning`; new code writes::
+of a growing pile of ``Testbed.__init__`` keywords.  ``Testbed`` takes a
+config, a bare path string, or nothing; the keyword form
+(``Testbed(compiled_rule_storage=False, ...)``) is a ``TypeError``.  Code
+writes::
 
     from repro import Testbed, TestbedConfig
 

@@ -14,7 +14,6 @@ standard normalisation automatically when a text program mixes them.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -113,15 +112,6 @@ class QueryResult:
         return self.total_seconds - self.execution_seconds
 
 
-#: ``Testbed(...)`` keywords accepted for backward compatibility; each maps
-#: onto the :class:`TestbedConfig` field of the same name.
-_LEGACY_KEYWORDS = (
-    "path",
-    "compiled_rule_storage",
-    "maintenance_policy",
-)
-
-
 class Testbed:
     """A D/KBMS testbed session.
 
@@ -129,46 +119,16 @@ class Testbed:
         config: a :class:`TestbedConfig` carrying every session knob, or a
             bare database path string (shorthand for
             ``TestbedConfig(path=...)``), or ``None`` for the defaults.
-        **legacy: the pre-config keywords (``path``,
-            ``compiled_rule_storage``, ``maintenance_policy``) — still
-            accepted, but deprecated; each emits a
-            :class:`DeprecationWarning` and maps onto the
-            :class:`TestbedConfig` field of the same name.  Mixing them with
-            an explicit :class:`TestbedConfig` is an error.
     """
 
     # Despite the Test* name (from the paper), this is not a pytest case.
     __test__ = False
 
-    def __init__(
-        self,
-        config: "TestbedConfig | str | None" = None,
-        **legacy: object,
-    ):
-        if isinstance(config, TestbedConfig):
-            if legacy:
-                raise TypeError(
-                    "pass either a TestbedConfig or legacy keywords, not "
-                    "both: " + ", ".join(sorted(legacy))
-                )
-        else:
-            unknown = sorted(set(legacy) - set(_LEGACY_KEYWORDS))
-            if unknown:
-                raise TypeError(
-                    "unknown Testbed keyword(s): " + ", ".join(unknown)
-                )
-            if isinstance(config, str):
-                legacy.setdefault("path", config)
-            if set(legacy) - {"path"} or (
-                "path" in legacy and not isinstance(config, str)
-            ):
-                warnings.warn(
-                    "Testbed keyword configuration is deprecated; pass a "
-                    "TestbedConfig instead: Testbed(TestbedConfig(...))",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            config = TestbedConfig(**legacy)  # type: ignore[arg-type]
+    def __init__(self, config: "TestbedConfig | str | None" = None):
+        if config is None:
+            config = TestbedConfig()
+        elif isinstance(config, str):
+            config = TestbedConfig(path=config)
         self.config = config
         self.database = Database(
             config.path,

@@ -2,11 +2,11 @@
 
 ``serve`` boots the concurrent query server on a D/KB file (optionally
 seeding a demo ancestor workload first) and runs until interrupted.
-``bench-serve`` runs the two server benchmarks in-process — throughput
+``bench-serve`` runs the two server experiment specs in-process — throughput
 scaling across reader-session counts and the cold/warm cache A/B — prints
-the tables, optionally writes ``BENCH_*.json`` artifacts, and exits
-non-zero when the run shows protocol errors or a cold cache, so CI can
-gate on it.
+the tables, optionally appends their rows to ``BENCH_*.jsonl`` reports, and
+exits non-zero when the run shows an error row, protocol errors or a cold
+cache, so CI can gate on it.
 
 Heavyweight imports happen inside the entry points, keeping
 ``python -m repro``'s startup light.
@@ -99,9 +99,9 @@ def serve_main(argv: "list[str] | None" = None) -> int:
 
     arguments = build_serve_parser().parse_args(argv)
     if arguments.demo_depth:
-        from ..bench.server import _seed_dkb
+        from ..workloads.served import seed_dkb
 
-        _seed_dkb(arguments.db, arguments.demo_depth)
+        seed_dkb(arguments.db, arguments.demo_depth)
         print(
             f"seeded ancestor demo D/KB (tree depth {arguments.demo_depth}) "
             f"into {arguments.db}"
@@ -150,7 +150,7 @@ def build_bench_parser() -> argparse.ArgumentParser:
         "--report",
         metavar="DIR",
         default=None,
-        help="write BENCH_*.json artifacts into DIR",
+        help="append BENCH_*.jsonl reports into DIR",
     )
     parser.add_argument(
         "--clients", type=int, default=8, help="closed-loop clients (default: 8)"
@@ -167,59 +167,29 @@ def build_bench_parser() -> argparse.ArgumentParser:
 def bench_serve_main(argv: "list[str] | None" = None) -> int:
     import os
 
-    from ..bench.reporting import write_bench_json
-    from ..bench.server import (
-        format_cache_ab,
-        format_server_scaling,
-        run_cache_ab,
-        run_server_scaling,
-    )
+    from ..bench import append_jsonl, report, run
+    from ..bench.specs import SERVER_CACHE, SERVER_SCALING
 
     arguments = build_bench_parser().parse_args(argv)
-    depth = 6 if arguments.quick else 7
-    duration = arguments.duration or (2.0 if arguments.quick else 4.0)
-
-    scaling = run_server_scaling(
-        depth=depth,
-        reader_counts=(1, 8),
+    scaling = run(
+        SERVER_SCALING,
+        depth=6 if arguments.quick else 7,
         clients=arguments.clients,
-        duration=duration,
+        duration=arguments.duration or (2.0 if arguments.quick else 4.0),
     )
-    print("Throughput scaling (fig-12 ancestor mix, closed-loop clients):")
-    print(format_server_scaling(scaling))
-    print()
-    cache = run_cache_ab(depth=6 if arguments.quick else 8)
-    print("Result cache A/B (one session, served seconds):")
-    print(format_cache_ab(cache))
-
-    if arguments.report:
-        os.makedirs(arguments.report, exist_ok=True)
+    cache = run(SERVER_CACHE, depth=6 if arguments.quick else 8)
+    for spec, rows in ((SERVER_SCALING, scaling), (SERVER_CACHE, cache)):
+        print(report(spec, rows))
         print()
-        print(
-            write_bench_json(
-                os.path.join(arguments.report, "BENCH_server_scaling.json"),
-                "server_scaling",
-                scaling,
-                depth=depth,
-                clients=arguments.clients,
-                duration=duration,
-            )
-        )
-        print(
-            write_bench_json(
-                os.path.join(arguments.report, "BENCH_server_cache.json"),
-                "server_cache_ab",
-                [cache],
-                speedup=cache.speedup,
-            )
-        )
+        if arguments.report:
+            print(append_jsonl(os.path.join(arguments.report, f"BENCH_{spec.name}.jsonl"), rows))
 
-    failures = []
-    if any(point.errors for point in scaling):
+    failures = [f"{row['spec']}: {row['error']}" for row in scaling + cache if row["error"]]
+    if any(row["counts"].get("errors") for row in scaling):
         failures.append("protocol errors during the scaling run")
-    if all(point.cache_hit_fraction == 0.0 for point in scaling):
+    if all(not row["counts"].get("hit_fraction") for row in scaling):
         failures.append("result cache never hit during the scaling run")
-    if cache.hits == 0:
+    if not any(row["counts"].get("hits") for row in cache):
         failures.append("cache A/B recorded no hits")
     for failure in failures:
         print(f"FAIL: {failure}")

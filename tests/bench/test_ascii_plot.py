@@ -1,7 +1,6 @@
 """Unit tests for the ASCII plot helper."""
 
-from repro.bench.ascii_plot import MARKERS, ascii_plot, plot_execution_points
-from repro.bench.experiments import ExecutionPoint
+from repro.bench.ascii_plot import MARKERS, ascii_plot
 
 
 class TestAsciiPlot:
@@ -51,28 +50,3 @@ class TestAsciiPlot:
         ]
         assert len(rows_with_markers) == 1
 
-
-class TestPlotExecutionPoints:
-    def make_point(self, selectivity, seconds, optimized):
-        return ExecutionPoint(
-            label="x",
-            selectivity=selectivity,
-            relevant_facts=1,
-            total_facts=10,
-            seconds=seconds,
-            iterations=1,
-            answers=1,
-            strategy="seminaive",
-            optimized=optimized,
-        )
-
-    def test_series_split_by_mode(self):
-        points = [
-            self.make_point(0.1, 0.001, False),
-            self.make_point(0.9, 0.002, False),
-            self.make_point(0.1, 0.0005, True),
-        ]
-        plot = plot_execution_points(points, "demo")
-        assert "seminaive/plain" in plot
-        assert "seminaive/magic" in plot
-        assert "demo" in plot

@@ -1,187 +1,145 @@
-"""Smoke tests for the experiment harness runners (tiny parameters).
+"""The experiment runner, every registered spec, and the committed report.
 
-The benchmark suite runs these at full size; here each runner is exercised
-with minimal parameters so its mechanics — workload construction,
-measurement plumbing, result shapes — are covered by the fast test suite.
+``benchmarks/`` runs the specs at full size and asserts the paper's
+shapes; here every spec runs once at its smallest sweep so its mechanics —
+inputs, measurement, row schema, formatting and the JSONL round trip — are
+covered by the fast suite, beside the runner's own contract.
 """
+
+from pathlib import Path
 
 import pytest
 
-import repro.bench as bench
+from repro.bench import (
+    ROW_KEYS,
+    SPECS,
+    Experiment,
+    Sample,
+    append_jsonl,
+    format_table,
+    latest,
+    read_jsonl,
+    report,
+    run,
+)
+from repro.bench import specs
+from repro.server.cache import VersionedResultCache
+
+PAPER_REPORT = Path(__file__).resolve().parents[2] / "BENCH_paper.jsonl"
 
 
-class TestCompilationRunners:
-    def test_extract_experiment(self):
-        points = bench.run_extract_experiment((10, 20), (1, 3), repetitions=1)
-        assert len(points) == 4
-        for point in points:
-            assert point.statements == 1
-            assert point.rules_extracted == point.relevant_rules
-            assert point.seconds > 0
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_every_spec_runs_at_its_smallest_sweep(name, tmp_path):
+    spec = SPECS[name]
+    rows = run(spec, repetitions=1, **spec.quick)
 
-    def test_dictionary_experiment(self):
-        points = bench.run_dictionary_experiment((10, 20), (1, 2), repetitions=1)
-        assert len(points) == 4
-        assert all(p.statements == 1 for p in points)
+    assert rows
+    assert {row["lever"] for row in rows} == set(spec.levers)
+    for row in rows:
+        assert sorted(row) == sorted(ROW_KEYS)
+        assert row["error"] is None, row
+        assert row["spec"] == name and row["n"] == 1
+        assert row["p50"] and set(row["p90"]) == set(row["p50"])
+        assert all(value >= 0 for value in row["p50"].values())
+        assert set(row["share"]) == set(spec.parts)
+        assert bool(row["ratio"]) == (spec.baseline is not None)
 
-    def test_compile_breakdown(self):
-        rows = bench.run_compile_breakdown((1, 3), total_rules=10, repetitions=1)
-        assert [r.relevant_rules for r in rows] == [1, 3]
-        for row in rows:
-            assert row.total > 0
-            assert abs(sum(row.percentage(c) for c in row.components) - 100) < 1e-6
-            # The paper's Table 4 has no optimize component: the runner pins
-            # unrewritten plans and leaves the (decision-only) span out.
-            assert "optimize" not in row.components
+    text = report(spec, rows)
+    assert text.startswith(spec.title)
+    assert all(lever in text for lever in spec.levers)
 
-
-class TestExecutionRunners:
-    def test_relevant_fraction(self):
-        fixed_d, fixed_rel = bench.run_relevant_fraction_experiment(
-            depth=5, growing_depths=(4, 5), fixed_subtree_depth=3, repetitions=1
-        )
-        assert len(fixed_d) == 4
-        assert len(fixed_rel) == 2
-        assert all(
-            p.relevant_facts == fixed_rel[0].relevant_facts for p in fixed_rel
-        )
-
-    def test_naive_vs_seminaive(self):
-        points = bench.run_naive_vs_seminaive(depth=5, repetitions=1)
-        strategies = {p.strategy for p in points}
-        assert strategies == {"naive", "seminaive"}
-
-    def test_lfp_breakdown(self):
-        rows = bench.run_lfp_breakdown(depth=5)
-        assert {r.strategy for r in rows} == {"naive", "seminaive"}
-        for row in rows:
-            assert row.total_seconds > 0
-
-    def test_magic_crossover_and_find(self):
-        points = bench.run_magic_crossover(depth=5, repetitions=1)
-        modes = {(p.strategy, p.optimized) for p in points}
-        assert len(modes) == 4
-        for strategy in ("naive", "seminaive"):
-            # A crossover may or may not appear at this tiny size; the
-            # helper must simply not crash and return None or a selectivity.
-            crossover = bench.find_crossover(points, strategy)
-            assert crossover is None or 0 < crossover <= 1
-
-    def test_low_selectivity_blowup(self):
-        plain, optimized = bench.run_low_selectivity_blowup(depth=7)
-        assert plain.answers == optimized.answers
-        assert plain.total_facts == optimized.total_facts
+    path = append_jsonl(str(tmp_path / f"BENCH_{name}.jsonl"), rows)
+    assert read_jsonl(path) == rows
+    assert latest(read_jsonl(path)) == {name: rows}
 
 
-class TestUpdateRunners:
-    def test_update_experiment(self):
-        points = bench.run_update_experiment((9, 20), 1, repetitions=1)
-        assert len(points) == 4
-        assert {p.compiled_storage for p in points} == {True, False}
-
-    def test_update_breakdown(self):
-        points = bench.run_update_breakdown(((2, 20), (1, 20)), repetitions=1)
-        assert [p.workspace_rules for p in points] == [2, 1]
-        for point in points:
-            total = sum(point.percentage(c) for c in point.components)
-            assert abs(total - 100) < 1e-6
+def _toy(measure, levers=("a", "b"), baseline="a", points=({"x": 1},)):
+    return Experiment(
+        name="toy",
+        title="toy",
+        levers=levers,
+        baseline=baseline,
+        sweep=lambda params: points,
+        measure=measure,
+    )
 
 
-class TestExtensionRunners:
-    def test_ablation(self):
-        points = bench.run_lfp_operator_ablation(depth=5, repetitions=1)
-        assert {p.strategy for p in points} == {
-            "naive",
-            "seminaive",
-            "lfp_cte",
-            "tc_operator",
-        }
-        assert len({p.answers for p in points}) == 1
+def test_levers_returning_different_answers_make_an_error_row():
+    def measure(inputs, point, lever):
+        answers = frozenset({("t2",)}) if lever == "c" else frozenset({("t1",)})
+        return Sample({"seconds": 0.001}, {"answers": 1}, answers=answers)
 
-    def test_rewrite_methods(self):
-        points = bench.run_rewrite_methods(generations=4, width=3, repetitions=1)
-        assert [p.method for p in points] == ["plain", "magic", "default"]
-        assert len({p.answers for p in points}) == 1
-        # The default plan is one warm statement with no DDL.
-        assert points[-1].ddl == 0
-        assert points[-1].statements < points[0].statements
-
-    def test_parallel_simulation(self):
-        schedules = bench.run_parallel_simulation(
-            depth=4, worker_counts=(1, 4), rule_count=3
-        )
-        assert [s.workers for s in schedules] == [1, 4]
-        assert schedules[1].total_seconds <= schedules[0].total_seconds
+    rows = run(_toy(measure, levers=("a", "b", "c")))
+    errors = {row["lever"]: row["error"] for row in rows}
+    assert errors["a"] is None and errors["b"] is None
+    assert errors["c"] == "answers differ from lever 'a'"
+    assert rows[2]["p50"] == {}
+    assert "error" in format_table(rows)
 
 
-class TestFormatters:
-    """Every formatter renders its runner's output without crashing and
-    mentions the artifact it reproduces."""
+def test_a_failing_measure_is_an_error_row_and_the_sweep_goes_on():
+    def measure(inputs, point, lever):
+        if point["x"] == 1 and lever == "b":
+            raise ValueError("boom")
+        return Sample({"seconds": 0.001})
 
-    def test_all_figure_formatters(self):
-        extract = bench.run_extract_experiment((10,), (1,), repetitions=1)
-        assert "Figure 7" in bench.format_fig7(extract)
-        assert "Figure 8" in bench.format_fig8(extract)
-
-        dictionary = bench.run_dictionary_experiment((10,), (1,), repetitions=1)
-        assert "Figure 9" in bench.format_fig9(dictionary)
-        assert "Figure 10" in bench.format_fig10(dictionary)
-
-        rows = bench.run_compile_breakdown((1,), total_rules=5, repetitions=1)
-        assert "Table 4" in bench.format_table4(rows)
-
-        fixed_d, fixed_rel = bench.run_relevant_fraction_experiment(
-            depth=4, growing_depths=(3, 4), fixed_subtree_depth=2, repetitions=1
-        )
-        assert "Figure 11" in bench.format_fig11(fixed_d, fixed_rel)
-
-        nvs = bench.run_naive_vs_seminaive(depth=4, repetitions=1)
-        assert "Figure 12" in bench.format_fig12(nvs)
-
-        lfp = bench.run_lfp_breakdown(depth=4)
-        assert "Table 5" in bench.format_table5(lfp)
-
-        crossover = bench.run_magic_crossover(depth=4, repetitions=1)
-        assert "Figure 13" in bench.format_fig13(crossover)
-        assert "Figure 14" in bench.format_fig14(crossover)
-
-        updates = bench.run_update_experiment((9,), 1, repetitions=1)
-        assert "Figure 15" in bench.format_fig15(updates)
-
-        breakdown = bench.run_update_breakdown(((1, 10),), repetitions=1)
-        assert "Table 8" in bench.format_table8(breakdown)
-
-    def test_extension_formatters(self):
-        ablation = bench.run_lfp_operator_ablation(depth=4, repetitions=1)
-        assert "Ablation" in bench.format_ablation(ablation)
-
-        rewrites = bench.run_rewrite_methods(generations=3, width=2, repetitions=1)
-        assert "rewriting" in bench.format_rewrite_methods(rewrites)
-
-        schedules = bench.run_parallel_simulation(
-            depth=4, worker_counts=(1, 2), rule_count=2
-        )
-        assert "parallel" in bench.format_parallel_simulation(schedules)
+    rows = run(_toy(measure, points=({"x": 1}, {"x": 2})))
+    assert [(row["point"]["x"], row["lever"], row["error"]) for row in rows] == [
+        (1, "a", None),
+        (1, "b", "ValueError: boom"),
+        (2, "a", None),
+        (2, "b", None),
+    ]
 
 
-class TestTiming:
-    def test_timed_median(self):
-        from repro.bench.timing import timed
+def test_a_failing_build_is_one_error_row():
+    def build(params, stack):
+        raise OSError("no disk")
 
-        run = timed(lambda: 42, repetitions=5)
-        assert run.value == 42
-        assert run.repetitions == 5
-        assert run.seconds >= 0
+    spec = Experiment(
+        name="toy", title="toy", levers=("a",), sweep=lambda p: [{}],
+        measure=lambda inputs, point, lever: Sample({"seconds": 0.0}), build=build,
+    )
+    (row,) = run(spec)
+    assert row["error"] == "OSError: no disk" and row["lever"] is None
 
-    def test_timed_requires_positive_reps(self):
-        from repro.bench.timing import timed
 
-        with pytest.raises(ValueError):
-            timed(lambda: None, repetitions=0)
+def test_levers_take_turns_going_first_and_ratios_are_paired():
+    calls = []
+    seconds = {"a": [1.0, 2.0, 4.0], "b": [3.0, 4.0, 8.0]}
 
-    def test_fraction_and_percentage(self):
-        from repro.bench.timing import fraction, percentage
+    def measure(inputs, point, lever):
+        calls.append(lever)
+        return Sample({"seconds": seconds[lever][calls.count(lever) - 1]})
 
-        assert fraction(1, 4) == 0.25
-        assert fraction(1, 0) == 0.0
-        assert percentage(1, 4) == 25.0
+    rows = run(_toy(measure), repetitions=3)
+    assert calls == ["a", "b", "b", "a", "a", "b"]
+    a, b = rows
+    assert a["p50"] == {"seconds": 2.0} and a["p90"] == {"seconds": 4.0}
+    assert a["ratio"] == {"seconds": 1.0}
+    # Per-repetition ratios 3, 2, 2: their median, not the medians' ratio.
+    assert b["ratio"] == {"seconds": 2.0}
+
+
+def test_unknown_parameters_are_refused():
+    with pytest.raises(TypeError, match="no parameter"):
+        run(specs.FIG12, depht=4)
+
+
+def test_a_cache_that_never_hits_is_an_error_row(monkeypatch):
+    class NeverHits(VersionedResultCache):
+        def get(self, key, version):
+            return super().get(key, -1)
+
+    monkeypatch.setattr(specs, "VersionedResultCache", NeverHits)
+    rows = run(specs.SERVER_CACHE, repetitions=2, **specs.SERVER_CACHE.quick)
+    errors = {row["lever"]: row["error"] for row in rows}
+    assert errors == {"cold": None, "warm": "AssertionError: a warm read was a cache miss"}
+
+
+def test_the_committed_paper_report_names_every_spec():
+    rows = read_jsonl(str(PAPER_REPORT))
+    assert set(SPECS) <= {row["spec"] for row in rows}
+    assert all(sorted(row) == sorted(ROW_KEYS) for row in rows)
+    for name, group in latest(rows).items():
+        assert report(SPECS.get(name), group)

@@ -1,4 +1,4 @@
-"""The consolidated TestbedConfig API and the deprecated keyword form."""
+"""The consolidated TestbedConfig API; the keyword form is gone."""
 
 import pytest
 
@@ -42,28 +42,7 @@ class TestConfigForm:
                 assert testbed.config.path.endswith("db.sqlite")
 
 
-class TestLegacyKeywordForm:
-    def test_legacy_keywords_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="Testbed keyword configuration"):
-            testbed = Testbed(
-                compiled_rule_storage=False,
-                maintenance_policy=MaintenancePolicy(max_delete_fraction=0.5),
-            )
-        with testbed:
-            assert testbed.config.compiled_rule_storage is False
-            assert testbed.maintenance_policy.max_delete_fraction == 0.5
-            testbed.define("parent(ann, bob).")
-            assert len(testbed.query("?- parent(ann, X).").rows) == 1
-
-    def test_legacy_path_keyword_warns(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="Testbed keyword configuration"):
-            testbed = Testbed(path=str(tmp_path / "db.sqlite"))
-        testbed.close()
-
-    def test_mixing_config_and_keywords_raises(self):
-        with pytest.raises(TypeError, match="not both"):
-            Testbed(TestbedConfig(), compiled_rule_storage=False)
-
-    def test_unknown_keyword_raises(self):
-        with pytest.raises(TypeError, match="unknown Testbed keyword"):
-            Testbed(compiled_rules=True)
+class TestKeywordForm:
+    def test_keyword_configuration_is_rejected(self):
+        with pytest.raises(TypeError):
+            Testbed(compiled_rule_storage=False)

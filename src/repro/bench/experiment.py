@@ -54,6 +54,10 @@ class Sample:
     answers: object = None
 
 
+def _no_inputs(params: Mapping[str, Any], stack: ExitStack) -> None:
+    """The build of a spec whose ``measure`` makes its own inputs."""
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One figure or table: inputs, a sweep, levers and a measurement.
@@ -72,7 +76,7 @@ class Experiment:
     levers: tuple[str, ...]
     sweep: Callable[[Mapping[str, Any]], Iterable[Mapping[str, Any]]]
     measure: Callable[[Any, Mapping[str, Any], str], Sample]
-    build: Callable[[Mapping[str, Any], ExitStack], Any] = lambda params, stack: None
+    build: Callable[[Mapping[str, Any], ExitStack], Any] = _no_inputs
     params: Mapping[str, Any] = field(default_factory=dict)
     quick: Mapping[str, Any] = field(default_factory=dict)
     baseline: Optional[str] = None
@@ -98,7 +102,7 @@ def run(
     params = {**spec.params, **overrides}
     chosen = tuple(levers or spec.levers)
     stamp = {
-        "commit": commit(),
+        "commit": _commit(),
         "run": datetime.now(timezone.utc).isoformat(),
         "spec": spec.name,
         "params": params,
@@ -211,7 +215,7 @@ def _describe(error: BaseException) -> str:
 
 
 @lru_cache(maxsize=1)
-def commit() -> str:
+def _commit() -> str:
     """The checkout's commit (``-dirty`` with local changes), or ``unknown``."""
     try:
         described = subprocess.run(
@@ -281,13 +285,13 @@ def format_table(rows: Sequence[dict]) -> str:
     Columns: the point's fields, the lever, each timed key's p50 in ms
     (a breakdown's parts as shares of their summed p50s instead, and that
     sum), the first key's p90 when a row has more than one sample, the
-    paired ratio against the baseline, the counts, and an ``error`` column
-    when a row failed.
+    paired ratio against the baseline, the counts (but those the point
+    already names), and an ``error`` column when a row failed.
     """
     point_keys = _keys(row["point"] for row in rows)
     shared = _keys(row["share"] for row in rows)
     timed_keys = [key for key in _keys(row["p50"] for row in rows) if key not in shared]
-    count_keys = _keys(row["counts"] for row in rows)
+    count_keys = [key for key in _keys(row["counts"] for row in rows) if key not in point_keys]
     primary = timed_keys[0] if timed_keys else None
     show_p90 = primary is not None and any(row["n"] > 1 for row in rows)
     show_ratio = any(row["ratio"].get(primary) is not None for row in rows)

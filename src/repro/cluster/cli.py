@@ -276,7 +276,7 @@ def build_bench_cluster_parser() -> argparse.ArgumentParser:
         "--duration",
         type=float,
         default=None,
-        help="seconds per measurement (default: 6, quick: 2.5)",
+        help="seconds per measurement (default: 5, quick: 2.5)",
     )
     parser.add_argument(
         "--report",

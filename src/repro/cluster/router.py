@@ -130,6 +130,24 @@ class _BackendPool:
             self._clients[address] = client
         return client
 
+    def request(
+        self, address: tuple[str, int], op: str, **payload: Any
+    ) -> dict[str, Any]:
+        """One request to ``address``, dropping its client on a transport
+        failure.
+
+        A timeout, a socket error, or a truncated or mismatched reply leaves
+        the connection's stream unusable (a timed-out socket file refuses
+        every later read), so the next request to ``address`` reconnects.
+        A structured error reply leaves the connection as it was.
+        """
+        client = self.client(address)
+        try:
+            return client.request(op, **payload)
+        except (OSError, ProtocolError):
+            self.drop(address)
+            raise
+
     def drop(self, address: tuple[str, int]) -> None:
         client = self._clients.pop(address, None)
         if client is not None:
@@ -190,6 +208,12 @@ class _RouterHandler(socketserver.StreamRequestHandler):
                 )
             except ParseError as error:
                 reply = error_reply(request_id, ErrorCode.BAD_REQUEST, str(error))
+            except TimeoutError as error:
+                reply = error_reply(
+                    request_id,
+                    ErrorCode.TIMEOUT,
+                    f"backend did not reply in time: {error}",
+                )
             except ConnectionError as error:
                 reply = error_reply(
                     request_id,
@@ -393,8 +417,9 @@ class ClusterRouter:
             return self._fanout_write(message, handler, count_key="count")
         if op == "lint":
             # The rule base is identical on every shard; any one can lint.
-            client = handler.backends.client(self._read_backend(self._any_shard()))
-            reply = client.request("lint", q=message.get("q"))
+            reply = handler.backends.request(
+                self._read_backend(self._any_shard()), "lint", q=message.get("q")
+            )
             return ok_reply(request_id, diagnostics=reply["diagnostics"])
         if op == "stats":
             return ok_reply(request_id, stats=self.stats(handler))
@@ -427,8 +452,7 @@ class ClusterRouter:
         """Ping every primary: the authoritative per-shard version map."""
         versions: dict[str, int] = {}
         for shard in self.partitioner.all_shards():
-            client = handler.backends.client(self.config.shards[shard].primary)
-            reply = client.ping()
+            reply = handler.backends.request(self.config.shards[shard].primary, "ping")
             self.witness(shard, reply.get("version"))
             versions[str(shard)] = int(reply["version"])
         return ok_reply(
@@ -474,19 +498,16 @@ class ClusterRouter:
         primary = self.config.shards[shard].primary
         if backend != primary:
             try:
-                reply = handler.backends.client(backend).request(
-                    "query", shard=shard, **payload
+                reply = handler.backends.request(
+                    backend, "query", shard=shard, **payload
                 )
                 self.witness(shard, reply.get("version"))
                 return reply
             except StaleReplicaError:
                 self.metrics.counter("router.stale_fallbacks").inc()
-            except (ConnectionError, OSError):
-                handler.backends.drop(backend)
+            except OSError:
                 self.metrics.counter("router.backend_failures").inc()
-        reply = handler.backends.client(primary).request(
-            "query", shard=shard, **payload
-        )
+        reply = handler.backends.request(primary, "query", shard=shard, **payload)
         self.witness(shard, reply.get("version"))
         return reply
 
@@ -534,12 +555,16 @@ class ClusterRouter:
         message: dict[str, Any],
     ) -> dict[str, Any]:
         """One write on ``shard``'s primary, floors and versions updated."""
-        client = handler.backends.client(self.config.shards[shard].primary)
-        reply = client.request(message["op"], shard=shard, **{
-            key: value
-            for key, value in message.items()
-            if key not in ("op", "id", "shard")
-        })
+        reply = handler.backends.request(
+            self.config.shards[shard].primary,
+            message["op"],
+            shard=shard,
+            **{
+                key: value
+                for key, value in message.items()
+                if key not in ("op", "id", "shard")
+            },
+        )
         version = reply.get("version")
         self.witness(shard, version)
         if isinstance(version, int):
@@ -711,18 +736,18 @@ class ClusterRouter:
         shards: dict[str, Any] = {}
         for shard in self.partitioner.all_shards():
             addresses = self.config.shards[shard]
-            primary = handler.backends.client(addresses.primary).stats()
+            primary = handler.backends.request(addresses.primary, "stats")
             replicas = []
             for address in addresses.replicas:
                 try:
-                    reply = handler.backends.client(address).ping()
+                    reply = handler.backends.request(address, "ping")
                     replicas.append(
                         {
                             "address": list(address),
                             "watermark": int(reply["version"]),
                         }
                     )
-                except (ServerError, ConnectionError, OSError):
+                except (ServerError, OSError):
                     replicas.append({"address": list(address), "watermark": None})
             shards[str(shard)] = {
                 "primary": primary["stats"],

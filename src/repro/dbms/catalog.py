@@ -9,7 +9,7 @@ checking.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from ..errors import CatalogError
 from .engine import Database
@@ -26,8 +26,8 @@ FACT_TABLE_PREFIX = "e_"
 #: and re-created between two reads can leave both values as they were;
 #: :attr:`ExtensionalCatalog.generation` covers that for this handle.
 DICTIONARY_STAMP_SQL = (
-    f"(SELECT COUNT(*) FROM {EPREDICATES}), "
-    f"(SELECT MAX(rowid) FROM {EPREDICATES})"
+    f"(SELECT COUNT(*) FROM {EPREDICATES})",
+    f"(SELECT MAX(rowid) FROM {EPREDICATES})",
 )
 
 
@@ -43,6 +43,10 @@ class ExtensionalCatalog:
         self.database = database
         #: Bumped by every create/drop made through this handle.
         self.generation = 0
+        # The dictionary stamp ``has_relation`` last confirmed relations
+        # under, and those relations.
+        self._stamp: Hashable = None
+        self._confirmed: set[str] = set()
         self._ensure_dictionary()
 
     def _ensure_dictionary(self) -> None:
@@ -114,11 +118,24 @@ class ExtensionalCatalog:
         self.database.commit()
         self.generation += 1
 
-    def has_relation(self, predicate: str) -> bool:
-        """Whether ``predicate`` is a registered base relation."""
+    def has_relation(self, predicate: str, stamp: Hashable = None) -> bool:
+        """Whether ``predicate`` is a registered base relation.
+
+        ``stamp`` is a dictionary state the caller has just read (the
+        :data:`DICTIONARY_STAMP_SQL` values with :attr:`generation`).  A
+        relation found under a stamp is not probed again while the caller
+        passes the same one; any create or drop, through any handle, moves
+        the stamp.  Without one, the dictionary is always probed.
+        """
+        if stamp is not None and stamp == self._stamp and predicate in self._confirmed:
+            return True
         rows = self.database.execute(
             f"SELECT 1 FROM {EPREDICATES} WHERE predname = ?", (predicate,)
         )
+        if rows and stamp is not None:
+            if stamp != self._stamp:
+                self._stamp, self._confirmed = stamp, set()
+            self._confirmed.add(predicate)
         return bool(rows)
 
     def relation_names(self) -> list[str]:

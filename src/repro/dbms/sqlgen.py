@@ -71,6 +71,7 @@ def compile_rule_body(
     clause: Clause,
     semijoin: frozenset[str] = frozenset(),
     tagged: frozenset[str] = frozenset(),
+    cross_join: bool = False,
 ) -> CompiledSelect:
     """Compile the body of ``clause`` into a SELECT producing its head tuple.
 
@@ -89,6 +90,9 @@ def compile_rule_body(
     * A positive atom over a ``tagged`` predicate reads a tagged union of
       several predicates (a mutually recursive clique's recursive CTE): the
       filter ``tN.tag = '<predicate>'`` keeps its own rows.
+    * With ``cross_join`` the FROM items are joined with ``CROSS JOIN``
+      instead of commas: SQLite then nests the loops in body order (the
+      left operand outermost); other engines read it as an inner join.
     * The head terms become the select list; ``SELECT DISTINCT`` performs the
       duplicate elimination relational projection requires.
 
@@ -196,7 +200,7 @@ def compile_rule_body(
     all_parameters = tuple(head_constants) + tuple(parameters)
 
     sql = "SELECT DISTINCT " + ", ".join(select_items)
-    sql += " FROM " + ", ".join(from_items)
+    sql += " FROM " + (" CROSS JOIN " if cross_join else ", ").join(from_items)
     if where:
         sql += " WHERE " + " AND ".join(where)
     return CompiledSelect(sql, all_parameters, tuple(placeholders), len(positive))

@@ -146,7 +146,8 @@ def link_program(spec: Mapping) -> QueryProgram:
     query_seed = None if seed is None else QuerySeed(seed[0], tuple(seed[1]))
     # The one-statement form is built here, once per compiled plan: the
     # plan cache rebinds the program to each query of its form and carries
-    # the statement along, so only the answer SELECT is compiled per query.
+    # the statement and the answer SELECT along: a query only supplies its
+    # constants.
     fused = (
         fuse_program(
             query, order, types, base_predicates, seed_facts, goal_rewrites, query_seed

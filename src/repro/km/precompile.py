@@ -15,12 +15,13 @@ and drops the entries an update could invalidate.
 
 Why the form is enough: the constants of a query reach the compiled program
 in two places only, both read from ``QueryProgram.query`` at execution time —
-the final answer SELECT (``QueryProgram._answer_rows``) and, for a rewritten
-plan, the magic seed row (``QueryProgram.query_seed``, goal positions rather
-than values).  Relevant-rule extraction, type checking (which sees only each
-constant's type), the rewrite decision and the rewrite itself (which see only
-*which* arguments are bound), the evaluation order and every per-rule SQL
-statement are the same for ``p('a', X)`` and ``p('b', X)``.  A hit therefore
+the final answer SELECT's parameters (``QueryProgram.answer``) and, for a
+rewritten plan, the magic seed row (``QueryProgram.query_seed``, goal
+positions rather than values).  Relevant-rule extraction, type checking
+(which sees only each constant's type), the rewrite decision and the rewrite
+itself (which see only *which* arguments are bound), the evaluation order and
+every per-rule SQL statement, in its SIP join order, are the same for
+``p('a', X)`` and ``p('b', X)``.  A hit therefore
 rebinds the cached program to the incoming query and runs it; the rebind
 keeps the plan's one-statement form (``QueryProgram.fused``), so the cache's
 LRU is also what bounds those statements.

@@ -39,7 +39,11 @@ from ..maintenance.plan import (
     merge_plans,
 )
 from ..maintenance.refresh import full_refresh
-from ..maintenance.registry import MaterializedViewRegistry, view_table_name
+from ..maintenance.registry import (
+    VIEWS_EXIST_SQL,
+    MaterializedViewRegistry,
+    view_table_name,
+)
 from ..obs.trace import Span, Tracer
 from ..runtime.program import DEFAULT_STRATEGY, ExecutionResult, LfpStrategy
 from .compiler import CompilationResult, QueryCompiler
@@ -64,7 +68,17 @@ class DkbState(NamedTuple):
     dictionary: tuple  # (ExtensionalCatalog.generation, COUNT(*), MAX(rowid))
 
 
-_DKB_STAMP_SQL = f"SELECT {RULE_STAMP_SQL}, {DICTIONARY_STAMP_SQL}"
+_STAMP_COLUMNS = (RULE_STAMP_SQL, *DICTIONARY_STAMP_SQL)
+#: The plan-cache stamp (``Testbed._dkb_state``).
+_DKB_STAMP_SQL = "SELECT FALSE, " + ", ".join(_STAMP_COLUMNS)
+#: The one catalog statement of a warm query: whether any view is
+#: registered, then the stamp unless one is.  A view-answered read needs
+#: only the first, and its snapshot then reads no other catalog relation.
+_DKB_PROBE_SQL = (
+    "SELECT views, "
+    + ", ".join(f"CASE WHEN views THEN NULL ELSE {c} END" for c in _STAMP_COLUMNS)
+    + f" FROM (SELECT {VIEWS_EXIST_SQL} AS views) AS probe"
+)
 
 
 @dataclass
@@ -697,12 +711,17 @@ class Testbed:
         check_optimize(optimize)
         if isinstance(query, str):
             query = parse_query(query)
-        if use_views and self.views.has_views():
-            answered = self._answer_from_views(query)
-            if answered is not None:
-                return answered
+        state = None
+        if use_views:
+            state = self._dkb_state(probe_views=True)
+            if state is None:
+                answered = self._answer_from_views(query)
+                if answered is not None:
+                    return answered
         if precompile:
-            self.precompiled.validate(self._dkb_state())
+            if state is None:
+                state = self._dkb_state()
+            self.precompiled.validate(state)
             key = cache_key(query, optimize, strategy)
             compilation = self.precompiled.get(key, query)
             if compilation is None:
@@ -711,19 +730,28 @@ class Testbed:
         else:
             compilation = self.compile_query(query, optimize, strategy)
         with self.database.span("execute", "execute") as span:
-            execution = compilation.program.execute(self.database, self.catalog)
+            execution = compilation.program.execute(
+                self.database, self.catalog, state and state.dictionary
+            )
         return QueryResult(execution.rows, compilation, execution, span.duration)
 
-    def _dkb_state(self) -> DkbState:
+    def _dkb_state(self, probe_views: bool = False) -> DkbState | None:
         """The rule base and schema this query compiles against.
 
         One SQL statement, run in the caller's snapshot *before* the cache
         lookup: a pooled reader compiles against whatever the writer handle
         has committed, so only the database can say which rule base this
         query sees.  (A plan compiled after a later commit than the stamp
-        it is filed under is merely dropped one query early.)
+        it is filed under is merely dropped one query early.)  The
+        dictionary part also lets the plan skip re-probing base relations
+        it confirmed under the same state (``ExtensionalCatalog.has_relation``).
+        With ``probe_views``, the same statement asks whether any view is
+        registered first, and returns ``None`` if one is.
         """
-        ((rules, relations, newest),) = self.database.execute(_DKB_STAMP_SQL)
+        sql = _DKB_PROBE_SQL if probe_views else _DKB_STAMP_SQL
+        ((views, rules, relations, newest),) = self.database.execute(sql)
+        if views:
+            return None
         return DkbState(
             self.workspace.generation,
             rules or 0,

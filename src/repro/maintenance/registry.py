@@ -34,6 +34,10 @@ MVIEWCOLUMNS = "mviewcolumns"
 MVIEWDEPS = "mviewdeps"
 VIEW_TABLE_PREFIX = "mv_"
 
+#: Whether any view is registered, as one SQL expression: the query path
+#: reads it in the same statement as its plan-cache stamp.
+VIEWS_EXIST_SQL = f"EXISTS (SELECT 1 FROM {MVIEWS} WHERE isview = 1)"
+
 DEP_DERIVED = "derived"
 DEP_BASE = "base"
 
@@ -210,9 +214,8 @@ class MaterializedViewRegistry:
 
     def has_views(self) -> bool:
         """Whether any view is registered (the ``query()`` fast-path gate)."""
-        return bool(
-            self.database.execute(f"SELECT 1 FROM {MVIEWS} WHERE isview = 1")
-        )
+        ((exists,),) = self.database.execute(f"SELECT {VIEWS_EXIST_SQL}")
+        return bool(exists)
 
     def is_view(self, predicate: str) -> bool:
         """Whether ``predicate`` was explicitly materialized as a view."""

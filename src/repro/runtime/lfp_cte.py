@@ -39,10 +39,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from ..datalog.adornment import (
+    BOUND,
+    adornment_of,
+    head_bound_variables,
+    sip_order,
+)
 from ..datalog.clauses import Clause, Query
-from ..datalog.evalgraph import EvaluationNode
+from ..datalog.evalgraph import EvaluationNode, PredicateNode
 from ..datalog.magic import QuerySeed, is_magic_name
 from ..datalog.pcg import Clique
+from ..datalog.terms import Atom
 from ..dbms.backends import BackendCapabilities
 from ..dbms.catalog import fact_table_name
 from ..dbms.engine import Database
@@ -139,6 +146,7 @@ def cte_body(
     recursive_rules: Sequence[Clause],
     seed_rows: Mapping[str, Sequence[tuple]],
     table_sql: Callable[[str], str],
+    cross_join: bool = False,
 ) -> "tuple[str, tuple] | None":
     """The compound SELECT defining one CTE, with its parameters.
 
@@ -171,7 +179,7 @@ def cte_body(
         return f"SELECT {string_literal(predicate)} AS tag, {items}{padding}{sep}{rest}"
 
     def rule_arm(clause: Clause) -> str:
-        select_sql = _rule_arm(clause, members, table_sql, parameters)
+        select_sql = _rule_arm(clause, members, table_sql, parameters, cross_join)
         return arm(clause.head_predicate, select_sql)
 
     arms: list[str] = []
@@ -193,6 +201,7 @@ def _rule_arm(
     members: frozenset[str],
     table_sql: Callable[[str], str],
     parameters: list,
+    cross_join: bool,
 ) -> str:
     # One-column guards only: a one-column IN subquery is portable SQL, a
     # row-value one is not, and a wider guard (a bb magic set) measured
@@ -206,7 +215,10 @@ def _rule_arm(
         and atom.arity == 1
     )
     select = compile_rule_body(
-        clause, semijoin=guards, tagged=members if len(members) > 1 else frozenset()
+        clause,
+        semijoin=guards,
+        tagged=members if len(members) > 1 else frozenset(),
+        cross_join=cross_join,
     )
     parameters.extend(select.parameters)
     return _without_distinct(
@@ -282,7 +294,9 @@ def fuse_program(
     ``query_seed`` row is one more anchor arm of its predicate's CTE, beside
     that predicate's ``seed_facts`` (``UNION`` drops a duplicate), with
     ``?`` slots that :meth:`FusedProgram.parameters_for` fills per query.
-    The statement text is the same for every query of the form.
+    The non-recursive rule bodies a plain plan's goal binds are joined in
+    SIP order (:func:`sip_rules`).  The statement text is the same for
+    every query of the form.
     """
     seeds_of = dict(seed_facts)
     if query_seed is not None:
@@ -303,6 +317,7 @@ def fuse_program(
         )
 
     defined = {p for node in order for p in node.predicates}
+    ordered = sip_rules(query, order)
     ctes: list[str] = []
     parameters: list = []
     cliques: list[str] = []
@@ -316,7 +331,7 @@ def fuse_program(
             cliques.append("+".join(members))
             nodes.append((members, node.exit_rules, node.recursive_rules))
         else:
-            nodes.append(((node.predicate,), node.rules, ()))
+            nodes.append(((node.predicate,), ordered.get(node.predicate, node.rules), ()))
     for members, anchor_rules, recursive_rules in nodes:
         # One member: its own CTE.  Several: one CTE over their tagged
         # union, then one per member selecting its rows back out.
@@ -332,6 +347,7 @@ def fuse_program(
                 recursive_rules,
                 seeds,
                 lambda p: quoted if p in arities else quote_identifier(tables[p]),
+                cross_join=members[0] in ordered,
             )
         except KeyError:
             # Unknown types or an unplaced body predicate: the node-by-node
@@ -381,3 +397,53 @@ def fuse_program(
         max_terms,
         seed_slots,
     )
+
+
+def sip_rules(
+    query: Query, order: Sequence[EvaluationNode]
+) -> dict[str, tuple[Clause, ...]]:
+    """The non-recursive predicates of a plain plan to join in SIP order.
+
+    SQLite flattens a chain of single-arm CTEs into one join and, with no
+    statistics, may start it anywhere: a 40-rule chain bound at its root
+    started from a full index scan in the middle of the chain.  The goal's
+    constants are passed sideways instead, as the magic rewrite's adornment
+    pass passes them (:func:`~repro.datalog.adornment.sip_order`), from
+    callers to callees (``order`` reversed).  A predicate is returned, with
+    its rules' bodies in SIP order, when every reference to it is positive
+    and has the same adornment, that adornment binds something, and each
+    reference is the goal or an atom of a body ordered this way.  Recursive
+    cliques keep their text, and so does everything they call: a recursive
+    CTE is computed whole, whatever binding its caller has.  A rewritten
+    plan gets nothing here: the goal names none of its (adorned)
+    predicates, and its bodies are in SIP order, bound by magic guards.
+    """
+    calls: dict[str, set[str | None]] = {}
+
+    def call(atom: Atom, adornment: str | None) -> None:
+        calls.setdefault(atom.predicate, set()).add(None if atom.negated else adornment)
+
+    for goal in query.goals:
+        call(goal, adornment_of(goal, set()))
+    chosen: dict[str, tuple[Clause, ...]] = {}
+    for node in reversed(order):
+        seen = calls.get(node.predicate, ()) if isinstance(node, PredicateNode) else ()
+        adornment = next(iter(seen)) if len(seen) == 1 else None
+        if adornment is None or BOUND not in adornment:
+            for clause in node.rules:
+                for atom in clause.body:
+                    call(atom, None)
+            continue
+        ordered = []
+        for clause in node.rules:
+            bound = head_bound_variables(clause.head, adornment)
+            body = []
+            for index in sip_order(clause.body, bound):
+                atom = clause.body[index]
+                call(atom, adornment_of(atom, bound))
+                if not atom.negated:
+                    bound.update(atom.variables)
+                body.append(atom)
+            ordered.append(Clause(clause.head, tuple(body)))
+        chosen[node.predicate] = tuple(ordered)
+    return chosen

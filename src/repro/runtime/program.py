@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from ..datalog.clauses import Query
 from ..datalog.evalgraph import EvaluationNode, PredicateNode
 from ..datalog.magic import QuerySeed
 from ..datalog.pcg import Clique
-from ..datalog.terms import Atom, Variable
+from ..datalog.terms import Atom, Constant, Variable
 from ..dbms.catalog import ExtensionalCatalog, fact_table_name
 from ..dbms.engine import Database
 from ..dbms.sqlgen import compile_rule_body
 from ..errors import EvaluationError
-from .context import PHASE_RHS_EVAL, EvaluationContext
+from .context import PHASE_RHS_EVAL, EvaluationContext, derived_table_name
 from .lfp_cte import FusedProgram, cte_eligibility
 from .naive import LfpResult, evaluate_clique_naive
 from .relalg import evaluate_nonrecursive
@@ -87,6 +87,29 @@ class ExecutionResult:
 
 
 @dataclass(frozen=True)
+class AnswerSelect:
+    """A plan's final answer SELECT, compiled once per query form.
+
+    Its text depends on the form only (the goals' predicates, negations and
+    variable pattern); each query supplies just the constants.
+
+    Attributes:
+        sql: the SELECT over the names the plan's relations carry, in the
+            fused statement's CTEs as in the node-by-node run: ``e_<p>``
+            for a base predicate, ``d_<p>`` for a derived one.
+        slots: per ``?`` parameter, in textual order, the (goal, argument)
+            position of the query constant it takes.
+    """
+
+    sql: str
+    slots: tuple[tuple[int, int], ...]
+
+    def parameters(self, query: Query) -> tuple:
+        """The parameters of ``query``, a query of the plan's form."""
+        return tuple(query.goals[goal].terms[argument].value for goal, argument in self.slots)
+
+
+@dataclass(frozen=True)
 class QueryProgram:
     """A compiled, executable query plan.
 
@@ -111,6 +134,8 @@ class QueryProgram:
         fused: the whole plan as one statement (built once, at link time,
             for ``LFP_CTE`` plans whose every clique qualifies); an init
             field, so a plan-cache rebind carries it along.
+        answer: the answer SELECT, built with the program unless given (a
+            rebind carries it along, as it does :attr:`fused`).
     """
 
     query: Query
@@ -124,6 +149,42 @@ class QueryProgram:
     query_seed: QuerySeed | None = None
     factored: bool = False
     fused: FusedProgram | None = field(default=None, compare=False, repr=False)
+    answer: AnswerSelect | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.answer is None:
+            object.__setattr__(self, "answer", self._compile_answer())
+
+    def _compile_answer(self) -> AnswerSelect:
+        """Join the query goals for the final answer.
+
+        Each query constant is compiled as a stand-in numbering its
+        position, so the compiled parameters name the slots to fill.  A
+        factored plan's goal relation holds one row per magic tuple: its
+        seed positions match any row.
+        """
+        slots: list[tuple[int, int]] = []
+        goals = []
+        for index, goal in enumerate(self.query.goals):
+            terms = list(goal.terms)
+            for position, term in enumerate(terms):
+                if isinstance(term, Constant):
+                    terms[position] = Constant(len(slots))
+                    slots.append((index, position))
+            if self.factored and index == 0:
+                for position in self.query_seed.positions:
+                    terms[position] = Variable(f"#{position}")
+            predicate = self.goal_rewrites.get(goal.predicate, goal.predicate)
+            goals.append(Atom(predicate, tuple(terms), goal.negated))
+        answer_clause = Query(tuple(goals), self.query.answer_variables).as_clause()
+        select = compile_rule_body(answer_clause)
+        sql = select.render(
+            [
+                fact_table_name(p) if p in self.base_predicates else derived_table_name(p)
+                for p in select.table_slots
+            ]
+        )
+        return AnswerSelect(sql, tuple(slots[i] for i in select.parameters))
 
     def seed_rows(self) -> Mapping[str, tuple[tuple, ...]]:
         """The seed rows for this program's query: :attr:`seed_facts` plus
@@ -142,16 +203,19 @@ class QueryProgram:
         self,
         database: Database,
         catalog: ExtensionalCatalog,
+        stamp: Hashable = None,
     ) -> ExecutionResult:
         """Run the program and return the answer tuples.
 
         A plan with a :attr:`fused` statement the backend can run is one
         statement; any other runs bottom-up, node by node, each node one
-        span whose duration is its ``node_seconds`` entry.
+        span whose duration is its ``node_seconds`` entry.  ``stamp`` is the
+        dictionary state the caller has just read, if any: base relations
+        the catalog confirmed under it are not probed again.
         """
         table_of = {}
         for predicate in self.base_predicates:
-            if not catalog.has_relation(predicate):
+            if not catalog.has_relation(predicate, stamp):
                 raise EvaluationError(
                     f"base relation {predicate!r} is not loaded in the DBMS"
                 )
@@ -187,7 +251,7 @@ class QueryProgram:
                         raise EvaluationError(f"unknown evaluation node {node!r}")
                 node_seconds[label] = span.duration
             with database.span("answer", "answer"):
-                rows = self._answer_rows(database, context.table_of)
+                rows = self._answer_rows(database, self.answer.sql)
         finally:
             context.cleanup()
         return ExecutionResult(
@@ -212,9 +276,10 @@ class QueryProgram:
         with database.span(
             "fused", "fused", PHASE_RHS_EVAL, cliques=len(fused.cliques)
         ):
-            rows = self._answer_rows(
-                database, fused.tables.__getitem__, fused.with_clause, parameters
-            )
+            sql = self.answer.sql
+            if fused.with_clause:
+                sql = f"{fused.with_clause} {sql}"
+            rows = self._answer_rows(database, sql, parameters)
         tracer = database.tracer
         if tracer is not None:
             tracer.metrics.counter("lfp.iterations").inc(len(fused.cliques))
@@ -227,33 +292,11 @@ class QueryProgram:
         )
 
     def _answer_rows(
-        self,
-        database: Database,
-        table_of: Callable[[str], str],
-        with_clause: str = "",
-        parameters: tuple = (),
+        self, database: Database, sql: str, parameters: tuple = ()
     ) -> list[tuple]:
-        """Join the query goals for the final answer.
-
-        The SELECT reads ``table_of`` — materialised relations, or the CTEs
-        of ``with_clause``, whose ``parameters`` precede its own.
-        """
-        goals = tuple(
-            goal.with_predicate(self.goal_rewrites.get(goal.predicate, goal.predicate))
-            for goal in self.query.goals
-        )
-        if self.factored:
-            (goal,) = goals
-            terms = list(goal.terms)
-            for position in self.query_seed.positions:
-                terms[position] = Variable(f"#{position}")
-            goals = (Atom(goal.predicate, tuple(terms)),)
-        answer_clause = Query(goals, self.query.answer_variables).as_clause()
-        select = compile_rule_body(answer_clause)
-        sql = select.render([table_of(p) for p in select.table_slots])
-        if with_clause:
-            sql = f"{with_clause} {sql}"
-        rows = database.execute(sql, parameters + select.parameters)
+        """Run the answer statement ``sql``: the answer SELECT, after any
+        ``WITH`` clause whose ``parameters`` precede the query's own."""
+        rows = database.execute(sql, parameters + self.answer.parameters(self.query))
         if not self.query.answer_variables:
             # Boolean (fully ground) query: true iff any witness row exists.
             return [()] if rows else []

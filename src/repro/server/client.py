@@ -109,7 +109,8 @@ class DkbClient:
             ServerError: the server replied with a structured error.
             ConnectionError: the server closed the connection.
             ProtocolError: the reply was truncated (no line terminator) —
-                an oversized or partial frame, never valid JSON to parse.
+                an oversized or partial frame, never valid JSON to parse —
+                or answers another request (its ``id`` is not this one's).
         """
         message = {"op": op, "id": next(self._ids)}
         message.update({k: v for k, v in payload.items() if v is not None})
@@ -128,6 +129,14 @@ class DkbClient:
                 "terminator (oversized or partial frame)",
             )
         reply = decode_line(line)
+        echoed = reply.get("id")
+        # An error the server could not tie to a request (a connection it
+        # refused at admission, a line it could not parse) carries no id.
+        if echoed != message["id"] and not (echoed is None and not reply.get("ok")):
+            raise ProtocolError(
+                ErrorCode.PARSE_ERROR,
+                f"reply id {echoed!r} does not answer request id {message['id']!r}",
+            )
         if not reply.get("ok"):
             error = reply.get("error") or {}
             code = error.get("code", "INTERNAL")

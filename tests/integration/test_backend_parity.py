@@ -174,3 +174,33 @@ class TestEngineParity:
         sqlite_rows, plain_rows = rows("sqlite")
         assert sqlite_rows == plain_rows
         assert rows("duckdb") == (sqlite_rows, plain_rows)
+
+    @pytest.mark.parametrize(
+        "goal", ["p0('n0', Y)", "p0(X, 'n0')"], ids=["source", "target"]
+    )
+    def test_duckdb_plain_sip_order_parity(self, goal):
+        # A 40-rule chain bound at its root stays plain: each body is
+        # joined in SIP order with CROSS JOIN, SQLite's loop nesting and
+        # DuckDB's ordinary inner join.
+        rules = "\n".join(
+            [f"p{i}(X, Y) :- p{i + 1}(X, Z), step(Z, Y)." for i in range(39)]
+            + ["p39(X, Y) :- step(X, Y)."]
+        )
+        steps = [(f"n{i}", f"n{(i + 1) % 8}") for i in range(8)] + [("n0", "n4")]
+
+        def rows(backend):
+            testbed = Testbed(TestbedConfig(backend=backend))
+            try:
+                testbed.define(rules)
+                testbed.define_base_relation("step", ("TEXT", "TEXT"))
+                testbed.load_facts("step", steps)
+                result = testbed.query(f"?- {goal}.")
+                assert not result.compilation.optimized
+                assert "CROSS JOIN" in result.compilation.program.fused.with_clause
+                loop = testbed.query(f"?- {goal}.", strategy=LfpStrategy.SEMINAIVE)
+                assert set(result.rows) == set(loop.rows)
+                return set(result.rows)
+            finally:
+                testbed.close()
+
+        assert rows("duckdb") == rows("sqlite")

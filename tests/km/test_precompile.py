@@ -5,7 +5,7 @@ import pytest
 from repro import Testbed, TestbedConfig
 from repro.datalog.parser import parse_query
 from repro.datalog.clauses import Query
-from repro.errors import SemanticError, TypeInferenceError
+from repro.errors import EvaluationError, SemanticError, TypeInferenceError
 from repro.km.compiler import CompilationTimings
 from repro.km.precompile import PrecompiledQueryCache, cache_key, query_form
 from repro.runtime.program import LfpStrategy
@@ -304,6 +304,27 @@ class TestUntrackedInvalidation:
             result = a.query("?- anc('ann', X).")
             assert not result.compilation.cached
             assert set(result.rows) == {("bob",), ("cal",)}
+
+    def test_another_handle_drops_a_relation_a_cached_plan_reads(self, tmp_path):
+        path = str(tmp_path / "kb.sqlite")
+        with Testbed(TestbedConfig(path=path)) as a, Testbed(
+            TestbedConfig(path=path)
+        ) as b:
+            a.define_base_relation("parent", ("TEXT", "TEXT"))
+            a.load_facts("parent", [("ann", "bob")])
+            a.define("child(X, Y) :- parent(Y, X).")
+            a.query("?- child(X, 'ann').")
+            warm = a.query("?- child(X, 'bob').")
+            # The warm query confirmed 'parent' under its stamp and did not
+            # probe it again; the plan itself still probes without one.
+            assert warm.compilation.cached
+            a.database.commit()
+            b.catalog.drop_relation("parent")
+            with pytest.raises(EvaluationError, match="not loaded"):
+                warm.compilation.program.execute(a.database, a.catalog)
+            # The session reads a new stamp, so it compiles afresh.
+            with pytest.raises(SemanticError, match="parent"):
+                a.query("?- child(X, 'ann').")
 
     def test_another_handle_creates_a_relation(self, tmp_path):
         path = str(tmp_path / "kb.sqlite")

@@ -35,18 +35,29 @@ ANCESTOR = (
 DDL = {"CREATE", "DROP", "ALTER"}
 
 
+def vm_steps(tb, program, interval=100):
+    """SQLite virtual-machine steps one execution takes, in ``interval``s."""
+    steps = [0]
+
+    def tick():
+        steps[0] += 1
+        return 0
+
+    connection = tb.database._connection
+    connection.set_progress_handler(tick, interval)
+    try:
+        rows = program.execute(tb.database, tb.catalog).rows
+    finally:
+        connection.set_progress_handler(None, 0)
+    return steps[0], rows
+
+
 def make_testbed(rules, trace=False):
     tb = Testbed(TestbedConfig(trace=trace))
     tb.define(rules)
     tb.define_base_relation("step", ("TEXT", "TEXT"))
     tb.load_facts("step", STEP)
     return tb
-
-
-def after_stamp(statements):
-    """Statement records after the last plan-cache stamp read."""
-    stamps = [i for i, r in enumerate(statements) if "MAX(ruleid)" in r.sql]
-    return statements[stamps[-1] + 1:]
 
 
 class TestWarmStatementStream:
@@ -70,11 +81,12 @@ class TestWarmStatementStream:
             warm = tb.query(query.format("n3"), optimize=optimize)
             assert warm.compilation.cached and not cold.compilation.cached
             assert warm.compilation.optimized is rewritten
-            stream = after_stamp(list(tracer.statements))
-            # One dictionary probe per base relation, then the plan itself.
+            stream = list(tracer.statements)
+            # One catalog probe (plan stamp and views), then the plan
+            # itself: the base relations were confirmed under this stamp.
             assert [r.kind for r in stream] == ["SELECT", "WITH"]
-            assert "epredicates" in stream[0].sql
-            assert not DDL & {r.kind for r in tracer.statements}
+            assert "MAX(ruleid)" in stream[0].sql and "mviews" in stream[0].sql
+            assert not DDL & {r.kind for r in stream}
             # Same form, same text: the prepared statement is reused.
             assert stream[-1].cache_hit is True
             assert warm.execution.strategy_by_clique == dict.fromkeys(
@@ -245,26 +257,60 @@ class TestTaggedUnion:
             assert len(result.rows) == 32
 
 
+class TestPlainSipOrder:
+    """A plain plan bound at its goal joins each non-recursive body in SIP
+    order, so SQLite's outer loop starts at the binding."""
+
+    @pytest.mark.parametrize(
+        "query", ["?- p0('{}', Y).", "?- p0(X, '{}')."], ids=["source", "target"]
+    )
+    def test_warm_chain_statement_starts_at_the_binding(self, query):
+        with make_testbed(CHAIN_RULES) as tb:
+            tb.query(query.format("n0"))
+            warm = tb.query(query.format("n3"))
+            program = warm.compilation.program
+            assert warm.compilation.cached and not program.optimized
+            assert "CROSS JOIN" in program.fused.with_clause
+            # One dictionary probe and the statement.  Left to itself,
+            # SQLite began the 40-way join with a full index scan in the
+            # middle of the chain: over 2 200 steps for the statement alone.
+            steps, rows = vm_steps(tb, program, interval=1)
+            assert len(rows) == 1
+            assert steps <= 600
+
+    def test_conflicting_adornments_keep_the_text(self):
+        # p binds q's first argument in one rule and its second in the
+        # other: one CTE cannot be ordered for both.
+        rules = (
+            "p(X, Y) :- q(X, Z), step(Z, Y). p(X, Y) :- step(X, Z), q(Y, Z)."
+            "q(X, Y) :- step(X, Z), step(Z, Y)."
+        )
+        with make_testbed(rules) as tb:
+            clause = tb.compile_query("?- p('n0', Y).").program.fused.with_clause
+            q_body, p_body = clause.split('"d_p"')
+            assert "CROSS JOIN" not in q_body and "CROSS JOIN" in p_body
+            assert sorted(tb.query("?- p('n0', Y).").rows) == [("n3",), ("n7",)]
+
+    def test_what_a_recursive_clique_calls_keeps_the_text(self):
+        # hop is called by the clique, whose CTE is computed whole, and
+        # bound by top: it keeps its text; top's body is ordered.
+        rules = (
+            "anc(X, Y) :- hop(X, Y). anc(X, Y) :- hop(X, Z), anc(Z, Y)."
+            "hop(X, Y) :- step(X, Z), step(Z, Y)."
+            "top(X, Y) :- anc(X, Z), hop(Z, Y)."
+        )
+        with make_testbed(rules) as tb:
+            clause = tb.compile_query("?- top('n0', Y).", optimize=False).program.fused.with_clause
+            below, top = clause.split('"d_top"')
+            assert "CROSS JOIN" not in below
+            assert '"d_anc" AS t0 CROSS JOIN "d_hop" AS t1' in top
+            rows = tb.query("?- top('n0', Y).", optimize=False).rows
+            assert sorted(rows) == [(f"n{i}",) for i in range(0, 8, 2)]
+
+
 class TestMagicGuards:
     """Magic guards are semi-joins, so a rewritten plan never scans its magic
     set once per row the recursion queues."""
-
-    @staticmethod
-    def vm_steps(tb, program):
-        """SQLite virtual-machine steps one execution takes (in 100s)."""
-        steps = [0]
-
-        def tick():
-            steps[0] += 1
-            return 0
-
-        connection = tb.database._connection
-        connection.set_progress_handler(tick, 100)
-        try:
-            rows = program.execute(tb.database, tb.catalog).rows
-        finally:
-            connection.set_progress_handler(None, 0)
-        return steps[0], rows
 
     def test_root_bound_tree_stays_near_the_plain_plan(self):
         relation = full_binary_trees(1, 9)
@@ -273,8 +319,8 @@ class TestMagicGuards:
             plain = tb.compile_query(query, optimize=False).program
             magic = tb.compile_query(query).program
             assert magic.optimized and magic.fused is not None
-            plain_steps, plain_rows = self.vm_steps(tb, plain)
-            magic_steps, magic_rows = self.vm_steps(tb, magic)
+            plain_steps, plain_rows = vm_steps(tb, plain)
+            magic_steps, magic_rows = vm_steps(tb, magic)
             assert sorted(magic_rows) == sorted(plain_rows)
             # Joined, the guard costs ~200x the plain plan's steps here.
             assert magic_steps < 2 * plain_steps
@@ -302,8 +348,8 @@ class TestMagicGuards:
             plain = tb.compile_query(query, optimize=False).program
             default = tb.compile_query(query).program
             assert default.optimized and default.fused is not None
-            plain_steps, plain_rows = self.vm_steps(tb, plain)
-            default_steps, default_rows = self.vm_steps(tb, default)
+            plain_steps, plain_rows = vm_steps(tb, plain)
+            default_steps, default_rows = vm_steps(tb, default)
             assert sorted(default_rows) == sorted(plain_rows)
             assert default_steps < 2 * plain_steps
 

@@ -65,6 +65,42 @@ class TestTruncatedReply:
         thread.join(timeout=5.0)
 
 
+class TestEchoedId:
+    """A reply answers the request whose ``id`` it echoes, or none."""
+
+    def test_wrong_id_raises_protocol_error(self):
+        host, port, thread = _one_shot_server(b'{"ok": true, "id": 7}\n')
+        with DkbClient(host, port, timeout=5.0) as client:
+            with pytest.raises(ProtocolError) as excinfo:
+                client.ping()
+        thread.join(timeout=5.0)
+        assert excinfo.value.code == ErrorCode.PARSE_ERROR
+        assert "id 7" in str(excinfo.value)
+
+    def test_error_for_another_request_raises_protocol_error(self):
+        host, port, thread = _one_shot_server(
+            b'{"ok": false, "id": 2, "error": {"code": "TIMEOUT", '
+            b'"message": "slow"}}\n'
+        )
+        with DkbClient(host, port, timeout=5.0) as client:
+            with pytest.raises(ProtocolError):
+                client.ping()
+        thread.join(timeout=5.0)
+
+    def test_unaddressed_error_is_still_the_servers(self):
+        # Admission refuses a connection before reading any request: its
+        # SERVER_BUSY reply has no id and still surfaces as that code.
+        host, port, thread = _one_shot_server(
+            b'{"ok": false, "id": null, "error": {"code": "SERVER_BUSY", '
+            b'"message": "full"}}\n'
+        )
+        with DkbClient(host, port, timeout=5.0) as client:
+            with pytest.raises(ServerError) as excinfo:
+                client.ping()
+        thread.join(timeout=5.0)
+        assert excinfo.value.code == "SERVER_BUSY"
+
+
 class TestTypedRetryableErrors:
     """Cluster error codes surface as typed exceptions with parsed hints."""
 

@@ -64,3 +64,34 @@ class SleepUnderLock:
             self._cursor.execute("SELECT 1")
             time.sleep(0.05)
             return self._cursor.fetchall()
+
+
+class Connection:
+    def __init__(self, sock) -> None:
+        self._sock = sock
+
+    def ping(self) -> bytes:
+        self._sock.sendall(b"ping\n")
+        return self._sock.recv(64)
+
+
+class Connections:
+    def __init__(self, sock) -> None:
+        self._sock = sock
+
+    def client(self, name: str) -> Connection:
+        return Connection(self._sock)
+
+
+class PingUnderLock:
+    """CC004 reached through a call's result: ``client()`` returns a
+    ``Connection`` whose ``ping`` does socket I/O."""
+
+    def __init__(self, sock) -> None:
+        self._lock = threading.Lock()
+        self._connections = Connections(sock)
+
+    def scrape(self) -> bytes:
+        with self._lock:
+            # CC004: a slow backend stalls every thread needing _lock.
+            return self._connections.client("a").ping()

@@ -26,8 +26,9 @@ its methods is a ``Thread``/``Timer`` target; socketserver plumbing
 framework-managed instances.
 
 Calls are resolved one level deep by construction site
-(``self.a = ClassName(...)``), parameter annotation (``db: Database``) and
-bare module-function name, then acquisition and blocking effects propagate
+(``self.a = ClassName(...)``), parameter annotation (``db: Database``),
+bare module-function name and, for ``f(...).m(...)``, ``f``'s return
+annotation, then acquisition and blocking effects propagate
 to a fixpoint — so "holds ``Replicator._lock``, calls ``read_version``,
 which executes SQL" is visible as a lock-graph edge and a potential
 blocking-under-lock site.
@@ -171,6 +172,11 @@ class _Registry:
             ]
             if len(candidates) == 1:
                 return self.units[(candidates[0].path, "<module>", name)]
+        if kind == "result":
+            inner = self.resolve_call(unit, ref[2:])
+            target = self.unique_class(inner.info.returns if inner else None)
+            if target is not None and ref[1] in target.methods:
+                return self.units[(target.path, target.name, ref[1])]
         return None
 
 
@@ -229,12 +235,6 @@ def _summarize(registry: _Registry) -> _Summaries:
                         blocking[key][name] = site
                         changed = True
     return _Summaries(acquires, blocking, callees)
-
-
-def _relative_held(
-    registry: _Registry, unit: _Unit, held: frozenset
-) -> set[LockUid]:
-    return registry.held_locks(unit, held)
 
 
 def _check_guarded_attributes(

@@ -178,8 +178,9 @@ class Access:
 class CallSite:
     """A call the checker may resolve to another scanned method.
 
-    ``ref`` is ``("self", m)``, ``("attr", a, m)``, ``("param", p, m)``
-    or ``("name", f)``.
+    ``ref`` is ``("self", m)``, ``("attr", a, m)``, ``("param", p, m)``,
+    ``("name", f)``, or ``("result", m, *inner)`` for ``m`` called on the
+    value another call (``inner``, one of the other forms) returns.
     """
 
     ref: tuple[str, ...]
@@ -217,6 +218,8 @@ class MethodInfo:
     acquires: list[Acquire] = field(default_factory=list)
     #: Parameter name -> annotated class name, for cross-class resolution.
     param_types: dict[str, str] = field(default_factory=dict)
+    #: The class named by the return annotation, if any.
+    returns: str | None = None
 
     @property
     def is_lifecycle(self) -> bool:
@@ -358,6 +361,7 @@ class _MethodScanner:
             annotated = _annotation_class(arg.annotation)
             if annotated is not None:
                 self.info.param_types[arg.arg] = annotated
+        self.info.returns = _annotation_class(node.returns)
         self._walk_body(node.body, frozenset())
 
     # -- statements -----------------------------------------------------
@@ -611,37 +615,29 @@ class _MethodScanner:
     def _visit_call(self, node: ast.Call, held: frozenset[LockRef]) -> None:
         func = node.func
         self._detect_thread_target(node)
-        handled_receiver = False
+        ref = self._call_ref(func)
+        if ref is not None and not (ref[0] == "attr" and ref[2] in ("acquire", "release")):
+            self.info.calls.append(CallSite(ref, node.lineno, held))
+        if isinstance(func, ast.Name) and func.id in BLOCKING_CALLS:
+            self.info.blocking.append(BlockingCall(func.id, node.lineno, held))
         if isinstance(func, ast.Attribute):
             method = func.attr
             receiver = func.value
             self_attr = _self_attr(receiver)
-            if isinstance(receiver, ast.Name) and receiver.id == "self":
-                # self.m(...)
-                self.info.calls.append(CallSite(("self", method), node.lineno, held))
-                handled_receiver = True
-            elif self_attr is not None:
+            if self_attr is not None:
                 # self.a.m(...)
-                if method in MUTATOR_METHODS:
-                    self.info.accesses.append(
-                        Access(self_attr, node.lineno, True, held)
-                    )
-                else:
-                    self.info.accesses.append(
-                        Access(self_attr, node.lineno, False, held)
-                    )
+                self.info.accesses.append(
+                    Access(self_attr, node.lineno, method in MUTATOR_METHODS, held)
+                )
                 if self._is_blocking(method, self_attr):
                     self.info.blocking.append(
                         BlockingCall(method, node.lineno, held)
                     )
-                if method not in ("acquire", "release"):
-                    self.info.calls.append(
-                        CallSite(("attr", self_attr, method), node.lineno, held)
-                    )
-                handled_receiver = True
             elif isinstance(receiver, ast.Name):
                 name = receiver.id
-                if name == "subprocess" or self._is_blocking(method, None):
+                if name != "self" and (
+                    name == "subprocess" or self._is_blocking(method, None)
+                ):
                     self.info.blocking.append(
                         BlockingCall(
                             f"{name}.{method}"
@@ -651,25 +647,12 @@ class _MethodScanner:
                             held,
                         )
                     )
-                if name in self.info.param_types:
-                    self.info.calls.append(
-                        CallSite(("param", name, method), node.lineno, held)
-                    )
-                handled_receiver = True
             else:
                 if self._is_blocking(method, None):
                     self.info.blocking.append(
                         BlockingCall(method, node.lineno, held)
                     )
-        elif isinstance(func, ast.Name):
-            if func.id in BLOCKING_CALLS:
-                self.info.blocking.append(
-                    BlockingCall(func.id, node.lineno, held)
-                )
-            self.info.calls.append(CallSite(("name", func.id), node.lineno, held))
-            handled_receiver = True
-        if not handled_receiver and isinstance(func, ast.Attribute):
-            self._visit_expr(func.value, held)
+                self._visit_expr(receiver, held)
         for argument in node.args:
             if isinstance(argument, ast.Starred):
                 self._visit_expr(argument.value, held)
@@ -677,6 +660,27 @@ class _MethodScanner:
                 self._visit_expr(argument, held)
         for keyword in node.keywords:
             self._visit_expr(keyword.value, held)
+
+    def _call_ref(self, func: ast.expr) -> tuple[str, ...] | None:
+        """The :class:`CallSite` ref of a call to ``func``, if resolvable;
+        ``f(...).m(...)`` is resolved through ``f``'s return annotation."""
+        if isinstance(func, ast.Name):
+            return ("name", func.id)
+        if not isinstance(func, ast.Attribute):
+            return None
+        receiver = func.value
+        if isinstance(receiver, ast.Name) and receiver.id == "self":
+            return ("self", func.attr)
+        self_attr = _self_attr(receiver)
+        if self_attr is not None:
+            return ("attr", self_attr, func.attr)
+        if isinstance(receiver, ast.Name) and receiver.id in self.info.param_types:
+            return ("param", receiver.id, func.attr)
+        if isinstance(receiver, ast.Call):
+            inner = self._call_ref(receiver.func)
+            if inner is not None:
+                return ("result", func.attr, *inner)
+        return None
 
     def _is_blocking(self, method: str, receiver_attr: str | None) -> bool:
         if method in BLOCKING_CALLS:

@@ -809,9 +809,10 @@ def _measure_cluster(inputs: dict, point: Params, lever: str) -> Sample:
         data_dir=os.path.join(inputs["scratch"], f"s{shards}"),
         replicas=replicas,
         read_policy=ReadPolicy(prefer_replica=replicas > 0),
-        # Size connection capacity to the population: the router holds one
-        # backend connection per client per shard it touches, and this
-        # experiment measures evaluation capacity, not admission shedding.
+        # Size connection capacity to the population: the router's pool
+        # opens a backend connection per concurrent request, up to
+        # ``readers`` per shard, and this experiment measures evaluation
+        # capacity, not waits for a connection.
         readers=clients + 4,
         max_waiters=4 * clients,
         request_timeout=inputs["duration"] + 30.0,

@@ -14,7 +14,7 @@ from ..km.partition import PartitionSpec, TablePartition
 from .partition import Partitioner, QueryRoute, merge_rows
 from .replica import Replicator
 from .router import ClusterRouter, ReadPolicy, RouterConfig
-from .shard import ShardAddresses, ShardConfig, ShardRuntime
+from .shard import ShardAddresses, ShardRuntime
 from .supervisor import ClusterConfig, ClusterSupervisor, LocalCluster
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "Replicator",
     "RouterConfig",
     "ShardAddresses",
-    "ShardConfig",
     "ShardRuntime",
     "TablePartition",
     "merge_rows",

@@ -1,7 +1,9 @@
 """The routing front-end: one wire endpoint over N shards and their replicas.
 
-The router speaks the *same* line-oriented JSON protocol as a single
-shard — a client cannot tell a cluster from one server — and implements
+The router is the second role of the protocol core
+(:class:`~repro.server.service.LineServer`), so it speaks the *same*
+line-oriented JSON protocol as a single shard — a client cannot tell a
+cluster from one server — and implements
 the distribution rules on top of the :class:`~repro.cluster.partition.
 Partitioner`:
 
@@ -28,27 +30,26 @@ produced (read-my-writes floors).
 
 from __future__ import annotations
 
-import socketserver
 import threading
-import time
-from dataclasses import dataclass, field
-from typing import Any, BinaryIO, Optional
+from contextlib import ExitStack, nullcontext
+from dataclasses import asdict, dataclass, field
+from typing import Any, ContextManager, Optional
 
 from ..datalog.parser import parse_program
-from ..errors import ParseError, TestbedError
+from ..errors import TestbedError
 from ..obs.live.exporter import MetricSample, MetricsExporter
-from ..obs.metrics import REQUEST_SECONDS_BUCKETS, MetricsRegistry
 from ..server.client import DkbClient, ServerError, StaleReplicaError
 from ..server.protocol import (
     PROTOCOL_VERSION,
     ErrorCode,
     ProtocolError,
-    decode_line,
-    encode_message,
-    error_reply,
     ok_reply,
-    validate_request,
 )
+# Not called here: the router's requests are decoded and encoded by the
+# protocol core.  Kept as names of this module because the perf ledger's
+# traced pass patches them here (``ledger/trace.py`` HOOKS).
+from ..server.protocol import decode_line, encode_message  # noqa: F401
+from ..server.service import LineServer
 from .partition import ANY, Partitioner, merge_rows
 from .shard import ShardAddresses
 from .speclint import partition_errors
@@ -92,7 +93,7 @@ class RouterConfig:
             (``0`` = ephemeral; ``None`` = no exporter).  The page carries
             the router's own counters plus per-shard cluster samples —
             witnessed versions, replica watermarks, and replica *lag* —
-            gathered by pinging the backends at scrape time.
+            gathered from the backends at scrape time (:meth:`ClusterRouter.stats`).
     """
 
     partitioner: Partitioner
@@ -116,143 +117,116 @@ class RouterConfig:
                 )
 
 
+class _BackendBusy(TimeoutError):
+    """Every pooled connection to a backend stayed in use for the wait."""
+
+
 class _BackendPool:
-    """One connection per backend address, owned by one handler thread."""
+    """Connections to the backends, shared by every router thread.
 
-    def __init__(self, timeout: float) -> None:
+    Each connection to a shard server holds one of its reader sessions,
+    busy or idle, so the pool lets at most ``readers`` requests at a time
+    use a backend (:class:`~repro.cluster.shard.ShardAddresses`); one more
+    waits here for a slot, not at the backend's admission, where no pooled
+    connection would ever make room.  A slot takes an idle connection or
+    opens one; the request runs outside the pool's lock.  A structured
+    error reply returns the connection; a transport failure closes it.
+    """
+
+    def __init__(self, shards: tuple[ShardAddresses, ...], timeout: float) -> None:
         self.timeout = timeout
-        self._clients: dict[tuple[str, int], DkbClient] = {}
-
-    def client(self, address: tuple[str, int]) -> DkbClient:
-        client = self._clients.get(address)
-        if client is None:
-            client = DkbClient(address[0], address[1], timeout=self.timeout)
-            self._clients[address] = client
-        return client
+        self._slots = {
+            address: threading.BoundedSemaphore(shard.readers)
+            for shard in shards
+            for address in (shard.primary, *shard.replicas)
+        }
+        self._lock = threading.Lock()
+        self._idle: dict[tuple[str, int], list[DkbClient]] = {}  # guarded-by: _lock
+        self._closed = False  # guarded-by: _lock
 
     def request(
-        self, address: tuple[str, int], op: str, **payload: Any
+        self,
+        address: tuple[str, int],
+        op: str,
+        payload: Optional[dict[str, Any]] = None,
+        wait: Optional[float] = None,
     ) -> dict[str, Any]:
-        """One request to ``address``, dropping its client on a transport
-        failure.
+        """One request to ``address`` on a pooled (or new) connection.
 
-        A timeout, a socket error, or a truncated or mismatched reply leaves
-        the connection's stream unusable (a timed-out socket file refuses
-        every later read), so the next request to ``address`` reconnects.
-        A structured error reply leaves the connection as it was.
+        Waits up to ``wait`` seconds (default ``connect_timeout``) for a
+        slot, then raises :class:`_BackendBusy`.  A timeout, a socket error,
+        or a truncated or mismatched reply leaves the connection's stream
+        unusable (a timed-out socket file refuses every later read), so the
+        connection is closed, not returned.  So is one refused with
+        ``SERVER_BUSY``: that is how a backend turns a connection away at
+        admission, closing it after the reply.
         """
-        client = self.client(address)
+        slot = self._slots[address]
+        wait = self.timeout if wait is None else wait
+        if not slot.acquire(timeout=wait):
+            raise _BackendBusy(f"no connection to {address} came free within {wait}s")
+        client: Optional[DkbClient] = None
+        keep = False
         try:
-            return client.request(op, **payload)
-        except (OSError, ProtocolError):
-            self.drop(address)
+            with self._lock:
+                if self._idle.get(address):
+                    client = self._idle[address].pop()
+            if client is None:
+                client = DkbClient(address[0], address[1], timeout=self.timeout)
+            reply = client.request(op, **(payload or {}))
+            keep = True
+        except ServerError as error:
+            keep = error.code != ErrorCode.SERVER_BUSY
             raise
-
-    def drop(self, address: tuple[str, int]) -> None:
-        client = self._clients.pop(address, None)
-        if client is not None:
-            try:
-                client.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
+        finally:
+            with self._lock:
+                if keep and client is not None and not self._closed:
+                    self._idle.setdefault(address, []).append(client)
+                    client = None
+            if client is not None:
+                _discard(client)
+            slot.release()
+        return reply
 
     def close(self) -> None:
-        for address in list(self._clients):
-            self.drop(address)
+        """Close every idle connection; one in use is closed on return."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, {}
+        for clients in idle.values():
+            for client in clients:
+                _discard(client)
 
 
-class _RouterHandler(socketserver.StreamRequestHandler):
-    """One client connection: route line requests until EOF."""
-
-    server: "_RouterTcpServer"
-
-    def setup(self) -> None:
-        super().setup()
-        self.backends = _BackendPool(self.server.router.config.connect_timeout)
-        # Read-my-writes floor tokens: shard -> lowest version this
-        # connection's reads may be served at.
-        self.write_floors: dict[int, int] = {}
-
-    def finish(self) -> None:
-        self.backends.close()
-        super().finish()
-
-    def handle(self) -> None:
-        router = self.server.router
-        while True:
-            try:
-                line = self.rfile.readline()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                return
-            if not line:
-                return
-            if not line.strip():
-                continue
-            started = time.perf_counter()
-            request_id: Any = None
-            try:
-                message = decode_line(line)
-                request_id = message.get("id")
-                validate_request(message)
-                reply = router.dispatch(message, self)
-                reply["id"] = request_id
-            except ProtocolError as error:
-                reply = error_reply(
-                    request_id, error.code, error.message, error.details
-                )
-            except ServerError as error:
-                # A backend refusal the router could not absorb — forward
-                # the structured code unchanged.
-                reply = error_reply(
-                    request_id, error.code, error.message, error.details
-                )
-            except ParseError as error:
-                reply = error_reply(request_id, ErrorCode.BAD_REQUEST, str(error))
-            except TimeoutError as error:
-                reply = error_reply(
-                    request_id,
-                    ErrorCode.TIMEOUT,
-                    f"backend did not reply in time: {error}",
-                )
-            except ConnectionError as error:
-                reply = error_reply(
-                    request_id,
-                    ErrorCode.INTERNAL,
-                    f"backend unreachable: {error}",
-                )
-            except Exception as error:  # pragma: no cover - defensive
-                reply = error_reply(
-                    request_id,
-                    ErrorCode.INTERNAL,
-                    f"{type(error).__name__}: {error}",
-                )
-            router.metrics.counter("router.requests").inc()
-            if not reply.get("ok"):
-                router.metrics.counter("router.errors").inc()
-            router.metrics.histogram(
-                "router.request_seconds", REQUEST_SECONDS_BUCKETS
-            ).observe(time.perf_counter() - started)
-            try:
-                wfile: BinaryIO = self.wfile
-                wfile.write(encode_message(reply))
-                wfile.flush()
-            except (BrokenPipeError, ConnectionResetError, OSError):
-                return
+def _discard(client: DkbClient) -> None:
+    try:
+        client.close()
+    except OSError:  # pragma: no cover - close is best-effort
+        pass
 
 
-class _RouterTcpServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    router: "ClusterRouter"
+class ClusterRouter(LineServer):
+    """The cluster's front door: the router role of the protocol core.
 
+    A client connection's context is its read-my-writes floors (shard ->
+    lowest version its reads may be served at); every connection, ``stats``
+    and the ``/metrics`` scrape share one backend pool.  Use as a context
+    manager or start/close.
+    """
 
-class ClusterRouter:
-    """The cluster's front door; use as a context manager or start/close."""
+    kind = "router"
+    series = (
+        "router.writes",
+        "router.pinned_reads",
+        "router.any_reads",
+        "router.fanout_reads",
+        "router.stale_fallbacks",
+        "router.backend_failures",
+    )
 
     def __init__(self, config: RouterConfig) -> None:
         self.config = config
         self.partitioner = config.partitioner
-        self.metrics = MetricsRegistry()
         # Highest version witnessed per shard, from any backend reply.
         self._versions: dict[int, int] = {}  # guarded-by: _versions_lock
         self._versions_lock = threading.Lock()
@@ -265,88 +239,20 @@ class ClusterRouter:
         # shard-local evaluation sees an empty relation, not a missing one.
         self._ensured: set[str] = set()  # guarded-by: _ensured_lock
         self._ensured_lock = threading.Lock()
-        self._tcp = _RouterTcpServer((config.host, config.port), _RouterHandler)
-        self._tcp.router = self
-        self._thread: Optional[threading.Thread] = None
-        self._serving = False  # not-shared: set before any serve loop runs
-        self.started_at = time.time()
-        # The /metrics side port: the exporter's scrape threads share one
-        # backend pool, serialized by a lock (scrapes are rare; one ping
-        # round per scrape is fine).
-        self.exporter: Optional[MetricsExporter] = None
-        self._scrape_lock = threading.Lock()
-        self._scrape_backends = _BackendPool(  # guarded-by: _scrape_lock
-            config.connect_timeout
+        self.backends = _BackendPool(config.shards, config.connect_timeout)
+        super().__init__(config.host, config.port, config.metrics_port)
+
+    def _open(self, opened: ExitStack) -> None:
+        opened.callback(self.backends.close)
+
+    def _export(self, exporter: MetricsExporter) -> MetricsExporter:
+        return exporter.add_source(self.metrics, {"role": "router"}).add_collector(
+            self._cluster_samples
         )
-        if config.metrics_port is not None:
-            # Touch the lazily-created counters so every family shows up
-            # on the very first scrape (a dashboard should see a zero
-            # series, not a missing one).
-            for name in (
-                "router.requests",
-                "router.errors",
-                "router.writes",
-                "router.pinned_reads",
-                "router.any_reads",
-                "router.fanout_reads",
-                "router.stale_fallbacks",
-                "router.backend_failures",
-            ):
-                self.metrics.counter(name)
-            try:
-                self.exporter = (
-                    MetricsExporter(config.host, config.metrics_port)
-                    .add_source(self.metrics, {"role": "router"})
-                    .add_collector(self._cluster_samples)
-                    .start()
-                )
-            except BaseException:
-                self._tcp.server_close()  # do not leak the bound socket
-                raise
 
-    # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._tcp.server_address[:2]
-        return str(host), int(port)
-
-    def start(self) -> "ClusterRouter":
-        if self._thread is not None:
-            raise RuntimeError("router already started")
-        self._serving = True
-        self._thread = threading.Thread(
-            target=self._tcp.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="dkb-router",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        self._serving = True
-        self._tcp.serve_forever(poll_interval=0.05)
-
-    def close(self) -> None:
-        # shutdown() waits for a running serve loop: only ask it of a
-        # router that was started.
-        if self._serving:
-            self._tcp.shutdown()
-        self._tcp.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        if self.exporter is not None:
-            self.exporter.close()
-        with self._scrape_lock:
-            self._scrape_backends.close()
-
-    def __enter__(self) -> "ClusterRouter":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+    def connection(self) -> ContextManager[dict[int, int]]:
+        """A fresh read-my-writes floor map for one client connection."""
+        return nullcontext({})
 
     # -- version bookkeeping ----------------------------------------------
 
@@ -363,20 +269,20 @@ class ClusterRouter:
             return self._versions.get(shard, 0)
 
     def _floor_for(
-        self, shard: int, handler: _RouterHandler
+        self, shard: int, floors: dict[int, int]
     ) -> Optional[int]:
         """The version floor a read on ``shard`` must satisfy, if any."""
         policy = self.config.read_policy
-        floors: list[int] = []
+        bounds: list[int] = []
         if policy.read_my_writes:
-            token = handler.write_floors.get(shard)
+            token = floors.get(shard)
             if token is not None:
-                floors.append(token)
+                bounds.append(token)
         if policy.max_lag is not None:
-            floors.append(
+            bounds.append(
                 max(0, self.witnessed_version(shard) - policy.max_lag)
             )
-        return max(floors) if floors else None
+        return max(bounds) if bounds else None
 
     # -- backend selection -------------------------------------------------
 
@@ -399,30 +305,30 @@ class ClusterRouter:
     # -- request dispatch --------------------------------------------------
 
     def dispatch(
-        self, message: dict[str, Any], handler: _RouterHandler
+        self, message: dict[str, Any], floors: dict[int, int]
     ) -> dict[str, Any]:
         """Serve one validated request; returns the success reply."""
         op = message["op"]
         request_id = message.get("id")
         if op == "ping":
-            return self._dispatch_ping(request_id, handler)
+            return self._dispatch_ping(request_id)
         if op == "query":
-            return self._dispatch_query(message, handler)
+            return self._dispatch_query(message, floors)
         if op == "update":
-            return self._dispatch_update(message, handler)
+            return self._dispatch_update(message, floors)
         if op == "define":
             self._vet_define(message)
-            return self._fanout_write(message, handler, count_key="added")
+            return self._fanout_write(message, floors, count_key="added")
         if op == "materialize":
-            return self._fanout_write(message, handler, count_key="count")
+            return self._fanout_write(message, floors, count_key="count")
         if op == "lint":
             # The rule base is identical on every shard; any one can lint.
-            reply = handler.backends.request(
-                self._read_backend(self._any_shard()), "lint", q=message.get("q")
+            reply = self.backends.request(
+                self._read_backend(self._any_shard()), "lint", {"q": message.get("q")}
             )
             return ok_reply(request_id, diagnostics=reply["diagnostics"])
         if op == "stats":
-            return ok_reply(request_id, stats=self.stats(handler))
+            return ok_reply(request_id, stats=self.stats())
         raise ProtocolError(ErrorCode.BAD_REQUEST, f"unknown op {op!r}")
 
     def _vet_define(self, message: dict[str, Any]) -> None:
@@ -446,13 +352,11 @@ class ClusterRouter:
                 f"rule base fails partition lints: {findings}",
             )
 
-    def _dispatch_ping(
-        self, request_id: Any, handler: _RouterHandler
-    ) -> dict[str, Any]:
+    def _dispatch_ping(self, request_id: Any) -> dict[str, Any]:
         """Ping every primary: the authoritative per-shard version map."""
         versions: dict[str, int] = {}
         for shard in self.partitioner.all_shards():
-            reply = handler.backends.request(self.config.shards[shard].primary, "ping")
+            reply = self.backends.request(self.config.shards[shard].primary, "ping")
             self.witness(shard, reply.get("version"))
             versions[str(shard)] = int(reply["version"])
         return ok_reply(
@@ -470,7 +374,7 @@ class ClusterRouter:
         self,
         shard: int,
         message: dict[str, Any],
-        handler: _RouterHandler,
+        floors: dict[int, int],
     ) -> dict[str, Any]:
         """One shard-local read honouring the staleness policy.
 
@@ -480,15 +384,13 @@ class ClusterRouter:
         Connection failures towards a replica also fail over to the
         primary rather than surfacing to the client.
         """
-        payload = {
-            key: message[key]
-            for key in (
-                "q", "bindings", "strategy", "optimize", "use_views",
-                "use_cache",
-            )
-            if key in message
-        }
-        floor = self._floor_for(shard, handler)
+        payload: dict[str, Any] = {"shard": shard}
+        for key in (
+            "q", "bindings", "strategy", "optimize", "use_views", "use_cache"
+        ):
+            if key in message:
+                payload[key] = message[key]
+        floor = self._floor_for(shard, floors)
         explicit = message.get("min_version")
         if explicit is not None:
             floor = explicit if floor is None else max(floor, explicit)
@@ -498,21 +400,19 @@ class ClusterRouter:
         primary = self.config.shards[shard].primary
         if backend != primary:
             try:
-                reply = handler.backends.request(
-                    backend, "query", shard=shard, **payload
-                )
+                reply = self.backends.request(backend, "query", payload)
                 self.witness(shard, reply.get("version"))
                 return reply
             except StaleReplicaError:
                 self.metrics.counter("router.stale_fallbacks").inc()
             except OSError:
                 self.metrics.counter("router.backend_failures").inc()
-        reply = handler.backends.request(primary, "query", shard=shard, **payload)
+        reply = self.backends.request(primary, "query", payload)
         self.witness(shard, reply.get("version"))
         return reply
 
     def _dispatch_query(
-        self, message: dict[str, Any], handler: _RouterHandler
+        self, message: dict[str, Any], floors: dict[int, int]
     ) -> dict[str, Any]:
         route = self.partitioner.route(message["q"])
         if route.is_pinned:
@@ -525,7 +425,7 @@ class ClusterRouter:
             shards = list(self.partitioner.all_shards())
             self.metrics.counter("router.fanout_reads").inc()
         replies = [
-            (shard, self._read_one(shard, message, handler))
+            (shard, self._read_one(shard, message, floors))
             for shard in shards
         ]
         rows = merge_rows(reply["rows"] for _, reply in replies)
@@ -551,25 +451,22 @@ class ClusterRouter:
     def _apply_write(
         self,
         shard: int,
-        handler: _RouterHandler,
+        floors: dict[int, int],
         message: dict[str, Any],
     ) -> dict[str, Any]:
         """One write on ``shard``'s primary, floors and versions updated."""
-        reply = handler.backends.request(
-            self.config.shards[shard].primary,
-            message["op"],
-            shard=shard,
-            **{
-                key: value
-                for key, value in message.items()
-                if key not in ("op", "id", "shard")
-            },
+        payload = {
+            key: value for key, value in message.items() if key not in ("op", "id")
+        }
+        payload["shard"] = shard
+        reply = self.backends.request(
+            self.config.shards[shard].primary, message["op"], payload
         )
         version = reply.get("version")
         self.witness(shard, version)
         if isinstance(version, int):
-            previous = handler.write_floors.get(shard, 0)
-            handler.write_floors[shard] = max(previous, version)
+            previous = floors.get(shard, 0)
+            floors[shard] = max(previous, version)
         return reply
 
     def _ensure_schema_everywhere(
@@ -604,12 +501,23 @@ class ClusterRouter:
             slices.setdefault(shard, [])
 
     def _dispatch_update(
-        self, message: dict[str, Any], handler: _RouterHandler
+        self, message: dict[str, Any], floors: dict[int, int]
     ) -> dict[str, Any]:
         predicate = message["predicate"]
         slices = self.partitioner.split_update(predicate, message["rows"])
         if not slices:
-            return ok_reply(message.get("id"), count=0, versions={})
+            # No shard writes, so no version moves: answer with what the
+            # router has witnessed, as a single server answers its own.
+            witnessed = {
+                str(shard): self.witnessed_version(shard)
+                for shard in self.partitioner.all_shards()
+            }
+            return ok_reply(
+                message.get("id"),
+                count=0,
+                version=min(witnessed.values()),
+                versions=witnessed,
+            )
         self._ensure_schema_everywhere(message, slices)
         broadcast = self.partitioner.spec.is_broadcast(predicate)
         counts: list[int] = []
@@ -617,7 +525,7 @@ class ClusterRouter:
         for shard in sorted(slices):
             sliced = dict(message)
             sliced["rows"] = [list(row) for row in slices[shard]]
-            reply = self._apply_write(shard, handler, sliced)
+            reply = self._apply_write(shard, floors, sliced)
             counts.append(int(reply.get("count", 0)))
             versions[str(shard)] = int(reply["version"])
         # A broadcast write applies the same batch everywhere: report one
@@ -635,12 +543,12 @@ class ClusterRouter:
     def _fanout_write(
         self,
         message: dict[str, Any],
-        handler: _RouterHandler,
+        floors: dict[int, int],
         count_key: str,
     ) -> dict[str, Any]:
         """Apply one rule-base write (define/materialize) on every shard."""
         replies = {
-            shard: self._apply_write(shard, handler, message)
+            shard: self._apply_write(shard, floors, message)
             for shard in self.partitioner.all_shards()
         }
         versions = {
@@ -659,114 +567,108 @@ class ClusterRouter:
 
     # -- live observability ------------------------------------------------
 
-    def _cluster_samples(self) -> "list[MetricSample]":
-        """Per-shard cluster samples for the /metrics page.
+    def _ask(
+        self, address: tuple[str, int], op: str
+    ) -> tuple[str, Optional[dict[str, Any]]]:
+        """One stats-walk request, which never waits for a busy backend.
 
-        One ping round per scrape: every shard primary (refreshing the
-        witnessed version) and every replica (its watermark).  Replica
-        **lag** is the distance from the shard's witnessed version to the
-        replica's watermark — the page a dashboard alerts on.  Unreachable
-        backends degrade to an ``up 0`` sample rather than failing the
-        whole scrape.
+        Returns ``("up", reply)``; ``("busy", None)`` when every pooled
+        connection to the backend is serving a request or it refused a new
+        one at admission; ``("down", None)`` when it could not be reached.
         """
-        samples: list[MetricSample] = []
-        with self._scrape_lock:
-            for shard in self.partitioner.all_shards():
-                addresses = self.config.shards[shard]
-                labels = {"shard": str(shard)}
-                try:
-                    reply = self._scrape_backends.client(
-                        addresses.primary
-                    ).ping()
-                    self.witness(shard, reply.get("version"))
-                    samples.append(
-                        MetricSample("cluster.primary.up", 1.0, labels)
-                    )
-                except (ServerError, ConnectionError, OSError):
-                    self._scrape_backends.drop(addresses.primary)
-                    samples.append(
-                        MetricSample("cluster.primary.up", 0.0, labels)
-                    )
-                witnessed = self.witnessed_version(shard)
-                samples.append(
-                    MetricSample(
-                        "cluster.shard.version",
-                        float(witnessed),
-                        labels,
-                        help="highest D/KB version witnessed per shard",
-                    )
-                )
-                for index, address in enumerate(addresses.replicas):
-                    rlabels = dict(labels)
-                    rlabels["replica"] = str(index)
-                    try:
-                        reply = self._scrape_backends.client(address).ping()
-                        watermark = int(reply["version"])
-                    except (ServerError, ConnectionError, OSError):
-                        self._scrape_backends.drop(address)
-                        samples.append(
-                            MetricSample("cluster.replica.up", 0.0, rlabels)
-                        )
-                        continue
-                    samples.append(
-                        MetricSample("cluster.replica.up", 1.0, rlabels)
-                    )
-                    samples.append(
-                        MetricSample(
-                            "cluster.replica.watermark",
-                            float(watermark),
-                            rlabels,
-                        )
-                    )
-                    samples.append(
-                        MetricSample(
-                            "cluster.replica.lag",
-                            float(max(0, witnessed - watermark)),
-                            rlabels,
-                            help="versions behind the shard's witnessed "
-                            "version",
-                        )
-                    )
-        return samples
+        try:
+            return "up", self.backends.request(address, op, wait=0)
+        except _BackendBusy:
+            return "busy", None
+        except ServerError as error:
+            return ("busy" if error.code == ErrorCode.SERVER_BUSY else "down"), None
+        except (ProtocolError, OSError):
+            return "down", None
 
-    # -- introspection -----------------------------------------------------
-
-    def stats(self, handler: _RouterHandler) -> dict[str, Any]:
-        """Router metrics plus the per-shard primary/replica stats."""
+    def stats(self) -> dict[str, Any]:
+        """Router metrics plus one round over every backend: each shard
+        primary's ``stats`` (witnessing its version) and each replica's
+        watermark, with each backend's state (``up``, ``busy``, ``down``);
+        ``None`` where the backend was not read."""
         shards: dict[str, Any] = {}
         for shard in self.partitioner.all_shards():
             addresses = self.config.shards[shard]
-            primary = handler.backends.request(addresses.primary, "stats")
+            state, primary = self._ask(addresses.primary, "stats")
+            if primary is not None:
+                self.witness(shard, primary["stats"]["pool"]["version"])
             replicas = []
             for address in addresses.replicas:
-                try:
-                    reply = handler.backends.request(address, "ping")
-                    replicas.append(
-                        {
-                            "address": list(address),
-                            "watermark": int(reply["version"]),
-                        }
-                    )
-                except (ServerError, OSError):
-                    replicas.append({"address": list(address), "watermark": None})
+                replica_state, reply = self._ask(address, "ping")
+                replicas.append(
+                    {
+                        "address": list(address),
+                        "state": replica_state,
+                        "watermark": None if reply is None else int(reply["version"]),
+                    }
+                )
             shards[str(shard)] = {
-                "primary": primary["stats"],
+                "primary": None if primary is None else primary["stats"],
+                "primary_state": state,
                 "primary_version": self.witnessed_version(shard),
                 "replicas": replicas,
             }
         return {
-            "protocol": PROTOCOL_VERSION,
+            **super().stats(),
             "router": True,
-            "uptime_seconds": time.time() - self.started_at,
-            "read_policy": {
-                "prefer_replica": self.config.read_policy.prefer_replica,
-                "max_lag": self.config.read_policy.max_lag,
-                "read_my_writes": self.config.read_policy.read_my_writes,
-            },
+            "read_policy": asdict(self.config.read_policy),
             "partition": self.partitioner.spec.to_dict(),
-            "metrics": self.metrics.snapshot(),
             "shards": shards,
         }
+
+    def _cluster_samples(self) -> "list[MetricSample]":
+        """Per-shard cluster samples for the /metrics page, from :meth:`stats`.
+
+        Replica **lag** is the distance from the shard's witnessed version
+        to the replica's watermark — the page a dashboard alerts on.
+        Unreachable backends degrade to an ``up 0`` sample rather than
+        failing the whole scrape; a busy one reads ``up 1`` with no
+        watermark.
+        """
+        samples: list[MetricSample] = []
+        for shard, entry in self.stats()["shards"].items():
+            labels = {"shard": shard}
+            witnessed = entry["primary_version"]
+            samples += [
+                MetricSample(
+                    "cluster.primary.up",
+                    float(entry["primary_state"] != "down"),
+                    labels,
+                ),
+                MetricSample(
+                    "cluster.shard.version",
+                    float(witnessed),
+                    labels,
+                    help="highest D/KB version witnessed per shard",
+                ),
+            ]
+            for index, replica in enumerate(entry["replicas"]):
+                rlabels = {**labels, "replica": str(index)}
+                watermark = replica["watermark"]
+                samples.append(
+                    MetricSample(
+                        "cluster.replica.up",
+                        float(replica["state"] != "down"),
+                        rlabels,
+                    )
+                )
+                if watermark is not None:
+                    samples += [
+                        MetricSample(
+                            "cluster.replica.watermark", float(watermark), rlabels
+                        ),
+                        MetricSample(
+                            "cluster.replica.lag",
+                            float(max(0, witnessed - watermark)),
+                            rlabels,
+                            help="versions behind the shard's witnessed version",
+                        ),
+                    ]
+        return samples
 
 
 __all__ = ["ClusterRouter", "ReadPolicy", "RouterConfig"]

@@ -12,136 +12,60 @@ by tests runs them as threads.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, replace
 
-from ..km.partition import PartitionSpec
 from ..server.service import DkbServer, ServerConfig
 from .replica import Replicator
 
 
-@dataclass(frozen=True)
-class ShardConfig:
-    """Everything one shard process needs to boot (picklable).
+@dataclass
+class ShardAddresses:
+    """The bound addresses of one running shard (JSON/pickle friendly).
 
-    Attributes:
-        shard_id: this shard's number in ``spec``'s hash space.
-        path: the primary database file; replica files live beside it.
-        spec: the cluster-wide partition metadata.
-        replicas: read replicas to boot for this shard.
-        host: bind address for the primary and every replica.
-        port: primary bind port (``0`` = ephemeral); replicas always bind
-            ephemerally.
-        readers: reader sessions per server (primary and replicas alike).
-        max_waiters: admission wait-queue bound per server.
-        cache_size: result-cache entries per server.
-        request_timeout: per-query budget in seconds.
-        replication_poll: replica pull cadence in seconds.
-        trace: open pooled sessions with tracing enabled.
+    ``readers`` is how many connections each of its servers admits at once.
     """
 
     shard_id: int
-    path: str
-    spec: PartitionSpec
-    replicas: int = 0
-    host: str = "127.0.0.1"
-    port: int = 0
-    readers: int = 4
-    max_waiters: int = 64
-    cache_size: int = 256
-    request_timeout: "float | None" = 30.0
-    session_timeout: "float | None" = 30.0
-    replication_poll: float = 0.25
-    trace: bool = False
-
-    def replica_path(self, index: int) -> str:
-        root, extension = os.path.splitext(self.path)
-        return f"{root}.replica{index}{extension or '.sqlite'}"
-
-
-@dataclass
-class ShardAddresses:
-    """The bound addresses of one running shard (JSON/pickle friendly)."""
-
-    shard_id: int
     primary: tuple[str, int]
+    readers: int
     replicas: list[tuple[str, int]] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "shard_id": self.shard_id,
-            "primary": list(self.primary),
-            "replicas": [list(address) for address in self.replicas],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ShardAddresses":
-        return cls(
-            shard_id=int(payload["shard_id"]),
-            primary=(str(payload["primary"][0]), int(payload["primary"][1])),
-            replicas=[
-                (str(host), int(port)) for host, port in payload["replicas"]
-            ],
-        )
 
 
 class ShardRuntime:
-    """Boots and owns one shard's primary, replicas, and replicators."""
+    """Boots and owns one shard's primary, replicas, and replicators.
 
-    def __init__(self, config: ShardConfig) -> None:
+    ``config`` is the primary's; it must name the shard (``shard_id``).
+    Each replica serves a copy beside the primary's file with the same
+    settings, as a ``replica`` of that primary, on an ephemeral port.
+    """
+
+    def __init__(self, config: ServerConfig, replicas: int = 0) -> None:
+        if config.shard_id is None:
+            raise ValueError("a shard's ServerConfig needs a shard_id")
         self.config = config
-        self.primary = DkbServer(
-            ServerConfig(
-                path=config.path,
-                host=config.host,
-                port=config.port,
-                readers=config.readers,
-                max_waiters=config.max_waiters,
-                session_timeout=config.session_timeout,
-                request_timeout=config.request_timeout,
-                cache_size=config.cache_size,
-                trace=config.trace,
-                shard_id=config.shard_id,
-                partition=config.spec,
-                role="primary",
-                replication_poll=config.replication_poll,
-            )
-        ).start()
-        leader = self.primary.address
+        self.shard_id: int = config.shard_id
+        self.primary = DkbServer(config).start()
         self.replicators: list[Replicator] = []
         self.replicas: list[DkbServer] = []
+        root, extension = os.path.splitext(config.path)
         try:
-            for index in range(config.replicas):
-                replica_path = config.replica_path(index)
+            for index in range(replicas):
+                path = f"{root}.replica{index}{extension or '.sqlite'}"
                 # The first sync (inside start()) writes a complete copy of
                 # the primary — catalog included — before the replica's own
                 # pool opens, so the replica never serves a half-built file.
                 replicator = Replicator(
-                    config.path,
-                    replica_path,
-                    poll_interval=config.replication_poll,
+                    config.path, path, poll_interval=config.replication_poll
                 ).start()
                 self.replicators.append(replicator)
-                self.replicas.append(
-                    DkbServer(
-                        ServerConfig(
-                            path=replica_path,
-                            host=config.host,
-                            port=0,
-                            readers=config.readers,
-                            max_waiters=config.max_waiters,
-                            session_timeout=config.session_timeout,
-                            request_timeout=config.request_timeout,
-                            cache_size=config.cache_size,
-                            trace=config.trace,
-                            shard_id=config.shard_id,
-                            partition=config.spec,
-                            role="replica",
-                            leader=leader,
-                            replication_poll=config.replication_poll,
-                        )
-                    ).start()
+                replica = replace(
+                    config,
+                    path=path,
+                    port=0,
+                    role="replica",
+                    leader=self.primary.address,
                 )
+                self.replicas.append(DkbServer(replica).start())
         except BaseException:
             self.close()
             raise
@@ -149,9 +73,10 @@ class ShardRuntime:
     @property
     def addresses(self) -> ShardAddresses:
         return ShardAddresses(
-            shard_id=self.config.shard_id,
+            shard_id=self.shard_id,
             primary=self.primary.address,
             replicas=[replica.address for replica in self.replicas],
+            readers=self.config.readers,
         )
 
     def sync_replicas(self) -> list[int]:
@@ -172,4 +97,4 @@ class ShardRuntime:
         self.close()
 
 
-__all__ = ["ShardAddresses", "ShardConfig", "ShardRuntime"]
+__all__ = ["ShardAddresses", "ShardRuntime"]

@@ -11,8 +11,8 @@ Two deployment shapes over the same parts:
   the supervising process — real multi-process parallelism, the shape
   ``python -m repro cluster`` and the scaling benchmark use.
 
-Both resolve a :class:`ClusterConfig` into per-shard
-:class:`~repro.cluster.shard.ShardConfig` s and a
+Both resolve a :class:`ClusterConfig` into one primary
+:class:`~repro.server.service.ServerConfig` per shard and a
 :class:`~repro.cluster.router.RouterConfig`.
 """
 
@@ -21,14 +21,15 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
 from ..km.partition import PartitionSpec
 from ..server.client import DkbClient
+from ..server.service import ServerConfig
 from .partition import Partitioner
 from .router import ClusterRouter, ReadPolicy, RouterConfig
-from .shard import ShardAddresses, ShardConfig, ShardRuntime
+from .shard import ShardAddresses, ShardRuntime
 
 
 @dataclass(frozen=True)
@@ -70,20 +71,20 @@ class ClusterConfig:
     def shard_path(self, shard_id: int) -> str:
         return os.path.join(self.data_dir, f"shard{shard_id}.sqlite")
 
-    def shard_config(self, shard_id: int) -> ShardConfig:
-        return ShardConfig(
-            shard_id=shard_id,
+    def shard_config(self, shard_id: int) -> ServerConfig:
+        """The primary server config of shard ``shard_id``."""
+        return ServerConfig(
             path=self.shard_path(shard_id),
-            spec=self.spec,
-            replicas=self.replicas,
             host=self.host,
-            port=0,
             readers=self.readers,
             max_waiters=self.max_waiters,
-            cache_size=self.cache_size,
+            session_timeout=30.0,
             request_timeout=self.request_timeout,
-            replication_poll=self.replication_poll,
+            cache_size=self.cache_size,
             trace=self.trace,
+            shard_id=shard_id,
+            partition=self.spec,
+            replication_poll=self.replication_poll,
         )
 
     def router_config(
@@ -109,7 +110,9 @@ class LocalCluster:
         self.router: Optional[ClusterRouter] = None
         try:
             for shard_id in range(config.spec.shards):
-                self.shards.append(ShardRuntime(config.shard_config(shard_id)))
+                self.shards.append(
+                    ShardRuntime(config.shard_config(shard_id), config.replicas)
+                )
             self.router = ClusterRouter(
                 config.router_config(
                     [runtime.addresses for runtime in self.shards]
@@ -131,10 +134,7 @@ class LocalCluster:
 
     def sync_replicas(self) -> dict[int, list[int]]:
         """Force one replication step everywhere; per-shard watermarks."""
-        return {
-            runtime.config.shard_id: runtime.sync_replicas()
-            for runtime in self.shards
-        }
+        return {runtime.shard_id: runtime.sync_replicas() for runtime in self.shards}
 
     def close(self) -> None:
         if self.router is not None:
@@ -152,7 +152,9 @@ class LocalCluster:
 
 
 def _shard_entry(
-    config: ShardConfig, conn: multiprocessing.connection.Connection
+    config: ServerConfig,
+    replicas: int,
+    conn: multiprocessing.connection.Connection,
 ) -> None:
     """One shard process: boot, report addresses, serve until told to stop.
 
@@ -162,12 +164,12 @@ def _shard_entry(
     end) is the shutdown signal.
     """
     try:
-        runtime = ShardRuntime(config)
+        runtime = ShardRuntime(config, replicas)
     except BaseException as error:
         conn.send({"error": f"{type(error).__name__}: {error}"})
         raise
     try:
-        conn.send(runtime.addresses.to_dict())
+        conn.send(runtime.addresses)
         try:
             conn.recv()
         except EOFError:
@@ -202,7 +204,7 @@ class ClusterSupervisor:
                 parent, child = context.Pipe()
                 process = context.Process(
                     target=_shard_entry,
-                    args=(config.shard_config(shard_id), child),
+                    args=(config.shard_config(shard_id), config.replicas, child),
                     name=f"dkb-shard-{shard_id}",
                     daemon=True,
                 )
@@ -217,11 +219,11 @@ class ClusterSupervisor:
                         f"{boot_timeout}s"
                     )
                 payload = pipe.recv()
-                if "error" in payload:
+                if not isinstance(payload, ShardAddresses):
                     raise RuntimeError(
                         f"shard {shard_id} failed to boot: {payload['error']}"
                     )
-                self.shards.append(ShardAddresses.from_dict(payload))
+                self.shards.append(payload)
             self.router = ClusterRouter(
                 config.router_config(self.shards)
             ).start()
@@ -242,7 +244,7 @@ class ClusterSupervisor:
         """A JSON-friendly picture of the running topology."""
         return {
             "router": list(self.address),
-            "shards": [addresses.to_dict() for addresses in self.shards],
+            "shards": [asdict(addresses) for addresses in self.shards],
             "partition": self.config.spec.to_dict(),
             "replicas": self.config.replicas,
         }

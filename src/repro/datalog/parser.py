@@ -253,8 +253,3 @@ def iter_clauses(text: str) -> Iterator[Clause]:
     stream = _TokenStream(text)
     while not stream.exhausted:
         yield _parse_one_clause(stream)
-
-
-def format_clause(clause: Clause) -> str:
-    """Render a clause in concrete syntax that :func:`parse_clause` round-trips."""
-    return str(clause)

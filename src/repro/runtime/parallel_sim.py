@@ -28,7 +28,7 @@ from typing import Sequence
 
 import heapq
 
-from ..obs.trace import StatementRecord, Tracer
+from ..obs.trace import StatementRecord
 from .context import PHASE_RHS_EVAL, PHASE_TEMP_TABLES, PHASE_TERMINATION
 
 
@@ -117,8 +117,3 @@ def lfp_phase_events(trace: Sequence[StatementRecord]) -> list[StatementRecord]:
     """Only the events of the three LFP phases (drops setup/answer noise)."""
     wanted = (PHASE_RHS_EVAL, PHASE_TEMP_TABLES, PHASE_TERMINATION)
     return [e for e in trace if e.phase in wanted]
-
-
-def simulate_from_tracer(tracer: Tracer, workers: int) -> SimulatedSchedule:
-    """Replay the statement stream a :class:`~repro.obs.Tracer` collected."""
-    return simulate_parallel_lfp(tracer.statements, workers)

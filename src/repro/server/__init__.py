@@ -17,7 +17,8 @@ Layers:
 * :mod:`~repro.server.pool` — the session pool: single writer, many
   snapshot readers, monotonic D/KB version persisted in the catalog;
 * :mod:`~repro.server.cache` — the versioned query-result cache;
-* :mod:`~repro.server.service` — the ``ThreadingTCPServer`` service;
+* :mod:`~repro.server.service` — the protocol core (``LineServer``), which
+  the cluster router shares, and the server role on it (``DkbServer``);
 * :mod:`~repro.server.client` — a blocking client;
 * :mod:`~repro.server.loadgen` — a multi-process closed-loop load
   generator reporting throughput and latency percentiles.

@@ -117,16 +117,18 @@ def serve_main(argv: "list[str] | None" = None) -> int:
         metrics_port=arguments.metrics_port,
     )
     server = DkbServer(config)
-    host, port = server.address
-    print(
-        f"serving {arguments.db} on {host}:{port} "
-        f"({config.readers} reader sessions, cache={config.cache_size})"
-    )
-    if server.exporter is not None:
-        mhost, mport = server.exporter.address
-        print(f"metrics: http://{mhost}:{mport}/metrics")
+    # Install the SIGTERM handler before announcing the address: a client
+    # that reads the announcement may stop the server at once.
     with sigterm_interrupts():
         try:
+            host, port = server.address
+            print(
+                f"serving {arguments.db} on {host}:{port} "
+                f"({config.readers} reader sessions, cache={config.cache_size})"
+            )
+            if server.exporter is not None:
+                mhost, mport = server.exporter.address
+                print(f"metrics: http://{mhost}:{mport}/metrics")
             server.serve_forever()
         except KeyboardInterrupt:
             print("\nshutting down")

@@ -32,7 +32,6 @@ Concurrency discipline (single-writer / multi-reader):
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 from contextlib import contextmanager
@@ -490,14 +489,6 @@ class SessionPool:
         if self.cache is not None:
             state["cache"] = self.cache.snapshot()
         return state
-
-
-# Re-exported for tests that build pools from an existing TestbedConfig.
-def reader_config_of(pool: SessionPool) -> TestbedConfig:
-    """The TestbedConfig the pool's reader sessions were built with."""
-    return dataclasses.replace(
-        pool._sessions[0].testbed.config
-    )
 
 
 __all__ = [

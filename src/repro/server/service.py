@@ -1,11 +1,18 @@
-"""The concurrent query server: a threaded TCP service over a SessionPool.
+"""The line-protocol core and the concurrent query server built on it.
 
-Connection model (the classic RDBMS connection-slot discipline): a client
-connection checks one reader session out of the pool for its whole
-lifetime, so ``readers`` bounds the number of simultaneously *connected*
-clients, and admission control (bounded wait queue + ``SERVER_BUSY``
-shedding) governs the connect path.  Requests on an admitted connection
-then run one at a time in that connection's handler thread.
+:class:`LineServer` is the one protocol core: a threaded TCP listener that
+reads request lines, decodes, validates and dispatches them to a *role*,
+maps what the role raises to a structured error code, and records every
+request.  Two roles run on it: :class:`DkbServer` here (a single server, or
+one shard of a cluster) and :class:`~repro.cluster.router.ClusterRouter`.
+
+Connection model of the server role (the classic RDBMS connection-slot
+discipline): a client connection checks one reader session out of the
+pool for its whole lifetime, so ``readers`` bounds the number of
+simultaneously *connected* clients, and admission control (bounded wait
+queue + ``SERVER_BUSY`` shedding) governs the connect path.  Requests on
+an admitted connection then run one at a time in that connection's
+handler thread.
 
 Updates do not consume the connection's reader session — they funnel
 through the pool's single writer under the writer lock, each bumping the
@@ -17,9 +24,10 @@ from __future__ import annotations
 import socketserver
 import threading
 import time
-from contextlib import ExitStack
-from dataclasses import dataclass, field
-from typing import Any, BinaryIO, Optional
+from abc import ABC, abstractmethod
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass
+from typing import Any, BinaryIO, ContextManager, Iterator, Optional, TypeVar
 
 from ..errors import ParseError, TestbedError
 from ..km.partition import PartitionSpec
@@ -29,6 +37,7 @@ from ..obs.metrics import REQUEST_SECONDS_BUCKETS, MetricsRegistry
 from ..runtime.program import DEFAULT_STRATEGY, LfpStrategy
 from .admission import AdmissionError
 from .cache import VersionedResultCache
+from .client import ServerError
 from .pool import ReaderSession, SessionPool, StaleSnapshot
 from .protocol import (
     PROTOCOL_VERSION,
@@ -99,30 +108,61 @@ class ServerConfig:
     replication_poll: float = 0.25
     metrics_port: Optional[int] = None
 
-    pool_kwargs: dict[str, Any] = field(default_factory=dict, compare=False)
-
     def __post_init__(self) -> None:
         if self.role not in ("primary", "replica"):
             raise ValueError(f"role must be primary or replica: {self.role!r}")
 
 
+#: Exception class -> reply code and message prefix, first match wins; a
+#: ``None`` code keeps the one the error carries.  One table for both roles:
+#: a shard raises the first five, the router also forwards a backend's
+#: structured ``ServerError`` and maps the transport failures after it.
+_ERROR_CODES: tuple[tuple[type[Exception], Optional[str], str], ...] = (
+    (ProtocolError, None, ""),
+    (ServerError, None, ""),
+    (AdmissionError, None, ""),
+    (ParseError, ErrorCode.BAD_REQUEST, ""),
+    (TestbedError, ErrorCode.EVALUATION_ERROR, ""),
+    (TimeoutError, ErrorCode.TIMEOUT, "backend did not reply in time: "),
+    (ConnectionError, ErrorCode.INTERNAL, "backend unreachable: "),
+)
+
+
+def _error_reply(request_id: Any, error: Exception) -> dict[str, Any]:
+    """The structured reply for an exception raised while serving."""
+    for kind, code, prefix in _ERROR_CODES:
+        if isinstance(error, kind):
+            return error_reply(
+                request_id,
+                code or getattr(error, "code"),
+                prefix + getattr(error, "message", str(error)),
+                getattr(error, "details", None),
+            )
+    return error_reply(
+        request_id, ErrorCode.INTERNAL, f"{type(error).__name__}: {error}"
+    )
+
+
 class _Handler(socketserver.StreamRequestHandler):
-    """One client connection: check out a session, then serve line requests."""
+    """One client connection: the role's connection context, then line
+    requests until EOF."""
 
     server: "_TcpServer"
 
     def handle(self) -> None:
-        dkb = self.server.dkb
+        role = self.server.role
         try:
-            with dkb.pool.reader(dkb.config.session_timeout) as session:
-                dkb.metrics.counter("server.connections").inc()
-                self._serve(session)
+            with role.connection() as connection:
+                self._serve(role, connection)
         except AdmissionError as error:
-            dkb.metrics.counter("server.busy").inc()
+            role.metrics.counter(f"{role.kind}.busy").inc()
             self._send(error_reply(None, error.code, str(error)))
 
-    def _serve(self, session: ReaderSession) -> None:
-        dkb = self.server.dkb
+    def _serve(self, role: "LineServer", connection: Any) -> None:
+        metrics = role.metrics
+        requests = f"{role.kind}.requests"
+        errors = f"{role.kind}.errors"
+        seconds = f"{role.kind}.request_seconds"
         while True:
             try:
                 line = self.rfile.readline()
@@ -138,40 +178,15 @@ class _Handler(socketserver.StreamRequestHandler):
                 message = decode_line(line)
                 request_id = message.get("id")
                 validate_request(message)
-                reply = dkb.dispatch(message, session)
+                reply = role.dispatch(message, connection)
                 reply["id"] = request_id
-            except ProtocolError as error:
-                reply = error_reply(
-                    request_id, error.code, error.message, error.details
-                )
-            except StaleSnapshot as error:
-                reply = error_reply(
-                    request_id,
-                    ErrorCode.STALE_REPLICA,
-                    str(error),
-                    dkb.stale_details(error),
-                )
-            except AdmissionError as error:
-                reply = error_reply(request_id, error.code, str(error))
-            except ParseError as error:
-                reply = error_reply(request_id, ErrorCode.BAD_REQUEST, str(error))
-            except TestbedError as error:
-                reply = error_reply(
-                    request_id, ErrorCode.EVALUATION_ERROR, str(error)
-                )
-            except Exception as error:  # pragma: no cover - defensive
-                reply = error_reply(
-                    request_id,
-                    ErrorCode.INTERNAL,
-                    f"{type(error).__name__}: {error}",
-                )
+            except Exception as error:
+                reply = _error_reply(request_id, error)
             elapsed = time.perf_counter() - started
-            dkb.metrics.counter("server.requests").inc()
+            metrics.counter(requests).inc()
             if not reply.get("ok"):
-                dkb.metrics.counter("server.errors").inc()
-            dkb.metrics.histogram(
-                "server.request_seconds", REQUEST_SECONDS_BUCKETS
-            ).observe(elapsed)
+                metrics.counter(errors).inc()
+            metrics.histogram(seconds, REQUEST_SECONDS_BUCKETS).observe(elapsed)
             if not self._send(reply):
                 return
 
@@ -188,70 +203,82 @@ class _Handler(socketserver.StreamRequestHandler):
 class _TcpServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
-    dkb: "DkbServer"
+    role: "LineServer"
 
 
-class DkbServer:
-    """The multi-session D/KBMS service.
+class LineServer(ABC):
+    """The protocol core: a threaded TCP listener serving line requests.
 
-    Owns the metrics registry, the versioned result cache, and the session
-    pool; serves the wire protocol of :mod:`repro.server.protocol` on a TCP
-    socket.  Use as a context manager, or call :meth:`start` / :meth:`close`.
+    Each client connection is served under the context the role's
+    :meth:`connection` returns; each request line is decoded, validated,
+    handed to :meth:`dispatch`, and an exception it raises is answered
+    through one error table.  A role (:class:`DkbServer`, the cluster
+    router) supplies those two methods plus the resources it serves from;
+    this class owns the socket, the serve thread, the ``/metrics``
+    exporter and the ``<kind>.requests`` / ``.errors`` / ``.busy`` /
+    ``.request_seconds`` series.  Use as a context manager, or call
+    :meth:`start` / :meth:`close`.
     """
 
-    def __init__(self, config: ServerConfig) -> None:
-        self.config = config
+    #: Metric-name prefix of the role's request series.
+    kind: str
+    #: Counters touched at exporter boot besides the request series.
+    series: tuple[str, ...] = ()
+
+    def __init__(
+        self, host: str, port: int, metrics_port: Optional[int]
+    ) -> None:
         self.metrics = MetricsRegistry()
-        self.cache: Optional[VersionedResultCache] = (
-            VersionedResultCache(config.cache_size, metrics=self.metrics)
-            if config.cache_size > 0
-            else None
-        )
         self.exporter: Optional[MetricsExporter] = None
         self._thread: Optional[threading.Thread] = None
         self._serving = False  # not-shared: set before any serve loop runs
         # Bind first; if anything after the bind fails, close what was
-        # opened (socket, pool, exporter thread) before re-raising.
+        # opened (socket, the role's resources, exporter thread) before
+        # re-raising.  What was opened is closed again, last first, by
+        # close().
         with ExitStack() as opened:
-            self._tcp = _TcpServer((config.host, config.port), _Handler)
+            self._tcp = _TcpServer((host, port), _Handler)
             opened.callback(self._tcp.server_close)
-            self._tcp.dkb = self
-            self.pool = SessionPool(
-                config.path,
-                readers=config.readers,
-                max_waiters=config.max_waiters,
-                session_timeout=config.session_timeout,
-                cache=self.cache,
-                metrics=self.metrics,
-                trace=config.trace,
-                partition=config.partition,
-                shard_index=config.shard_id,
-                **config.pool_kwargs,
-            )
-            opened.callback(self.pool.close)
-            if config.metrics_port is not None:
+            self._tcp.role = self
+            self._open(opened)
+            if metrics_port is not None:
                 # Touch the lazily-created series so the first scrape shows
                 # each one at zero: a scraper's rate() over a series that
                 # first appears at 1 never counts that first increment.
-                for name in (
-                    "server.requests",
-                    "server.errors",
-                    "server.busy",
-                    "server.cache.hits",
-                    "server.cache.misses",
-                ):
+                for name in (f"{self.kind}.requests", f"{self.kind}.errors", *self.series):
                     self.metrics.counter(name)
                 self.metrics.histogram(
-                    "server.request_seconds", REQUEST_SECONDS_BUCKETS
+                    f"{self.kind}.request_seconds", REQUEST_SECONDS_BUCKETS
                 )
-                self.exporter = (
-                    MetricsExporter(config.host, config.metrics_port)
-                    .add_source(self.metrics, self._identity())
-                    .add_refresher(self._refresh_gauges)
-                    .start()
-                )
-            opened.pop_all()
+                self.exporter = self._export(
+                    MetricsExporter(host, metrics_port)
+                ).start()
+                opened.callback(self.exporter.close)
+            self._opened = opened.pop_all()
         self.started_at = time.time()
+
+    # -- the role ----------------------------------------------------------
+
+    @abstractmethod
+    def _open(self, opened: ExitStack) -> None:
+        """Open what the role serves from, registering each closer."""
+
+    @abstractmethod
+    def _export(self, exporter: MetricsExporter) -> MetricsExporter:
+        """Add the role's sources to its (not yet started) exporter."""
+
+    @abstractmethod
+    def connection(self) -> ContextManager[Any]:
+        """The context one client connection is served under.
+
+        An :class:`~repro.server.admission.AdmissionError` on entry refuses
+        the connection: it is answered with the error's code and counted as
+        ``<kind>.busy``, not as a request.
+        """
+
+    @abstractmethod
+    def dispatch(self, message: dict[str, Any], connection: Any) -> dict[str, Any]:
+        """Serve one validated request; returns the success reply."""
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -261,15 +288,15 @@ class DkbServer:
         host, port = self._tcp.server_address[:2]
         return str(host), int(port)
 
-    def start(self) -> "DkbServer":
+    def start(self: _Role) -> _Role:
         """Serve in a background thread; returns self for chaining."""
         if self._thread is not None:
-            raise RuntimeError("server already started")
+            raise RuntimeError(f"{self.kind} already started")
         self._serving = True
         self._thread = threading.Thread(
             target=self._tcp.serve_forever,
             kwargs={"poll_interval": 0.05},
-            name="dkb-server",
+            name=f"dkb-{self.kind}",
             daemon=True,
         )
         self._thread.start()
@@ -281,7 +308,7 @@ class DkbServer:
         self._tcp.serve_forever(poll_interval=0.05)
 
     def close(self) -> None:
-        """Stop accepting, join the serve thread, close the pool.
+        """Stop accepting, join the serve thread, close what was opened.
 
         ``shutdown()`` waits for a running serve loop, so it is only asked
         of a server that was started: closing one that never served
@@ -289,51 +316,88 @@ class DkbServer:
         """
         if self._serving:
             self._tcp.shutdown()
-        self._tcp.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-        if self.exporter is not None:
-            self.exporter.close()
-        self.pool.close()
+        self._opened.close()
 
-    def __enter__(self) -> "DkbServer":
+    def stats(self) -> dict[str, Any]:
+        """What every role's ``stats`` payload carries."""
+        payload = {
+            "protocol": PROTOCOL_VERSION,
+            "uptime_seconds": time.time() - self.started_at,
+            "metrics": self.metrics.snapshot(),
+        }
+        if self.exporter is not None:
+            payload["metrics_address"] = list(self.exporter.address)
+        return payload
+
+    def __enter__(self: _Role) -> _Role:
         return self.start()
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+
+_Role = TypeVar("_Role", bound=LineServer)
+
+
+class DkbServer(LineServer):
+    """The multi-session D/KBMS service: the shard role of the core.
+
+    Owns the versioned result cache and the session pool; a client
+    connection holds one reader session for its lifetime.
+    """
+
+    kind = "server"
+    series = ("server.busy", "server.cache.hits", "server.cache.misses")
+
+    def __init__(self, config: ServerConfig) -> None:
+        self.config = config
+        super().__init__(config.host, config.port, config.metrics_port)
+
+    def _open(self, opened: ExitStack) -> None:
+        config = self.config
+        self.cache: Optional[VersionedResultCache] = (
+            VersionedResultCache(config.cache_size, metrics=self.metrics)
+            if config.cache_size > 0
+            else None
+        )
+        self.pool = SessionPool(
+            config.path,
+            readers=config.readers,
+            max_waiters=config.max_waiters,
+            session_timeout=config.session_timeout,
+            cache=self.cache,
+            metrics=self.metrics,
+            trace=config.trace,
+            partition=config.partition,
+            shard_index=config.shard_id,
+        )
+        opened.callback(self.pool.close)
+
+    def _export(self, exporter: MetricsExporter) -> MetricsExporter:
+        return exporter.add_source(self.metrics, self._identity()).add_refresher(
+            self._refresh_gauges
+        )
+
+    @contextmanager
+    def connection(self) -> Iterator[ReaderSession]:
+        """Check a reader session out under admission control."""
+        with self.pool.reader(self.config.session_timeout) as session:
+            self.metrics.counter("server.connections").inc()
+            yield session
+
     def _refresh_gauges(self) -> None:
         """Pre-scrape hook: mirror point-in-time state into gauges."""
         admission = self.pool.admission.snapshot()
-        self.metrics.gauge("server.admission.in_use").set(
-            float(admission["in_use"] or 0)
-        )
-        self.metrics.gauge("server.admission.waiting").set(
-            float(admission["waiting"] or 0)
-        )
-        self.metrics.gauge("server.admission.slots").set(
-            float(admission["slots"] or 0)
-        )
-        self.metrics.gauge("server.admission.max_waiters").set(
-            float(admission["max_waiters"] or 0)
-        )
+        for name in ("in_use", "waiting", "slots", "max_waiters"):
+            self.metrics.gauge(f"server.admission.{name}").set(
+                float(admission[name] or 0)
+            )
         self.metrics.gauge("server.dkb_version").set(float(self.pool.version()))
 
-    # -- request dispatch --------------------------------------------------
-
     # -- cluster helpers ---------------------------------------------------
-
-    def stale_details(self, error: StaleSnapshot) -> dict[str, Any]:
-        """The structured hint payload of a ``STALE_REPLICA`` reply."""
-        details: dict[str, Any] = {
-            "version": error.version,
-            "min_version": error.min_version,
-            "retry_after": self.config.replication_poll,
-        }
-        if self.config.leader is not None:
-            details["leader"] = list(self.config.leader)
-        return details
 
     def _check_shard(self, message: dict[str, Any]) -> None:
         """Refuse requests addressed to a different shard (retryable)."""
@@ -432,16 +496,28 @@ class DkbServer:
                 ErrorCode.BAD_REQUEST,
                 f"unknown strategy {strategy_name!r}; expected one of: {known}",
             ) from None
-        result = session.query(
-            message["q"],
-            bindings=message.get("bindings"),
-            strategy=strategy,
-            optimize=message.get("optimize", DEFAULT_OPTIMIZE),
-            use_views=message.get("use_views", True),
-            use_cache=message.get("use_cache", True),
-            timeout=self.config.request_timeout,
-            min_version=message.get("min_version"),
-        )
+        try:
+            result = session.query(
+                message["q"],
+                bindings=message.get("bindings"),
+                strategy=strategy,
+                optimize=message.get("optimize", DEFAULT_OPTIMIZE),
+                use_views=message.get("use_views", True),
+                use_cache=message.get("use_cache", True),
+                timeout=self.config.request_timeout,
+                min_version=message.get("min_version"),
+            )
+        except StaleSnapshot as error:
+            details: dict[str, Any] = {
+                "version": error.version,
+                "min_version": error.min_version,
+                "retry_after": self.config.replication_poll,
+            }
+            if self.config.leader is not None:
+                details["leader"] = list(self.config.leader)
+            raise ProtocolError(
+                ErrorCode.STALE_REPLICA, str(error), details
+            ) from None
         return ok_reply(
             message.get("id"),
             rows=[list(row) for row in result.rows],
@@ -495,13 +571,8 @@ class DkbServer:
         ``session`` is the requesting connection's; see
         :meth:`SessionPool.snapshot`.
         """
-        payload = {
-            "protocol": PROTOCOL_VERSION,
-            "uptime_seconds": time.time() - self.started_at,
+        return {
+            **super().stats(),
             "pool": self.pool.snapshot(session),
-            "metrics": self.metrics.snapshot(),
             **self._identity(),
         }
-        if self.exporter is not None:
-            payload["metrics_address"] = list(self.exporter.address)
-        return payload

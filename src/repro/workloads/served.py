@@ -90,6 +90,9 @@ def wait_for_replicas(client: "DkbClient", timeout: float = 30.0) -> None:
             for name, shard in shards.items()
             if any(
                 replica.get("watermark") is None
+                # The router's stats walk could not read a busy or
+                # unreachable primary: its version is unknown.
+                or shard["primary"] is None
                 or replica["watermark"] < shard["primary"]["pool"]["version"]
                 for replica in shard["replicas"]
             )

@@ -370,6 +370,36 @@ class TestBlockingUnderLock:
         assert findings
         assert any("execute" in f.message for f in findings)
 
+    def test_blocking_through_a_calls_result(self):
+        report = check(
+            """
+            import threading
+
+            class Client:
+                def __init__(self, sock):
+                    self._sock = sock
+
+                def ping(self):
+                    return self._sock.recv(64)
+
+            class Pool:
+                def client(self, name) -> "Client":
+                    return Client(None)
+
+            class Scraper:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._pool = Pool()
+
+                def scrape(self):
+                    with self._lock:
+                        return self._pool.client("a").ping()
+            """
+        )
+        (finding,) = report.by_code(BLOCKING_UNDER_LOCK)
+        assert "Client.ping()" in finding.message
+        assert "recv" in finding.message
+
     def test_blocking_outside_lock_is_clean(self):
         report = check(
             """

@@ -9,18 +9,18 @@ import time
 
 import pytest
 
-from repro.cluster import router as router_module
 from repro.cluster.partition import Partitioner
 from repro.cluster.router import ClusterRouter, RouterConfig
 from repro.cluster.shard import ShardAddresses
 from repro.km.partition import PartitionSpec
+from repro.server import service
 
 
 def router_config(**overrides) -> RouterConfig:
     """One shard whose address is never dialled by these tests."""
     return RouterConfig(
         partitioner=Partitioner(PartitionSpec(shards=1)),
-        shards=(ShardAddresses(0, ("127.0.0.1", 1)),),
+        shards=(ShardAddresses(0, ("127.0.0.1", 1), readers=1),),
         **overrides,
     )
 
@@ -46,14 +46,14 @@ def test_close_after_start_still_stops_serving():
 
 
 def test_exporter_bind_failure_closes_the_router_socket(monkeypatch):
-    sockets: list[router_module._RouterTcpServer] = []
+    sockets: list[service._TcpServer] = []
 
-    class RecordingTcpServer(router_module._RouterTcpServer):
+    class RecordingTcpServer(service._TcpServer):
         def server_close(self):
             sockets.append(self)
             super().server_close()
 
-    monkeypatch.setattr(router_module, "_RouterTcpServer", RecordingTcpServer)
+    monkeypatch.setattr(service, "_TcpServer", RecordingTcpServer)
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as holder:
         holder.bind(("127.0.0.1", 0))
         holder.listen(1)

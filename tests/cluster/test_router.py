@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.cluster import ReadPolicy
@@ -55,6 +58,74 @@ class TestRouterBasics:
             reply = client.insert("parent", [["g0_3", "g0_4"]])
             assert reply["shards"] == [spec.shard_of_key("g0_3")]
             assert reply["count"] == 1
+
+    def test_empty_update_answers_the_witnessed_versions(self, make_cluster):
+        # A single server answers an empty update with its version; the
+        # router, where no shard writes, with the versions it witnessed.
+        cluster = make_cluster()
+        with cluster.client() as client:
+            seed(client)
+            witnessed = client.ping()["versions"]
+            reply = client.insert("parent", [])
+            assert reply["count"] == 0
+            assert reply["versions"] == witnessed
+            assert reply["version"] == min(witnessed.values())
+
+    def test_router_connections_share_backend_connections(
+        self, make_cluster, spec
+    ):
+        cluster = make_cluster()
+        owner = spec.shard_of_key("g1_1")
+        with cluster.client() as first:
+            seed(first)
+            assert first.query("?- ancestor('g1_1', Y).")["shards"] == [owner]
+        with cluster.client() as second:
+            assert second.query("?- ancestor('g1_1', Y).")["shards"] == [owner]
+        primary = cluster.shards[owner].primary
+        assert primary.metrics.counter("server.connections").value == 1
+
+    def test_concurrent_connections_share_the_pool_safely(self, make_cluster):
+        # More router connections than cores and than a shard has readers,
+        # with a short switch interval: two threads handed the same backend
+        # connection would read each other's replies, and a pool opening
+        # more connections than the shard admits would stall at admission.
+        cluster = make_cluster()
+        with cluster.client() as client:
+            seed(client)
+        workers = 8
+        failures: list[str] = []
+
+        def reader(index: int) -> None:
+            group = f"g{index % len(CHAINS)}"
+            expected = [[f"{group}_2"], [f"{group}_3"]]
+            try:
+                with cluster.client(timeout=20.0) as client:
+                    for _ in range(15):
+                        rows = client.query(f"?- ancestor('{group}_1', Y).")["rows"]
+                        if sorted(rows) != expected:
+                            failures.append(f"{group}: {rows}")
+                    client.stats()
+            except Exception as error:  # reported below, not swallowed
+                failures.append(f"{group}: {error!r}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(index,), daemon=True)
+                for index in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        for runtime in cluster.shards:
+            connections = runtime.primary.metrics.counter("server.connections")
+            assert connections.value <= cluster.config.readers < workers
 
     def test_broadcast_update_counts_one_copy(self, make_cluster):
         cluster = make_cluster()

@@ -40,3 +40,12 @@ def test_caught_up_replicas_return_at_once():
     started = time.monotonic()
     wait_for_replicas(StubRouter(7), timeout=0.2)
     assert time.monotonic() - started < 0.1
+
+
+def test_an_unread_primary_counts_as_lagging():
+    router = StubRouter(7)
+    stats = router.stats()
+    stats["stats"]["shards"]["1"]["primary"] = None  # busy or down
+    router.stats = lambda: stats
+    with pytest.raises(TimeoutError, match=r"shard\(s\) 1 did not reach"):
+        wait_for_replicas(router, timeout=0.2)

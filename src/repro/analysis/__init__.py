@@ -24,6 +24,7 @@ from .engine import (
     analysis_pass,
     analyze,
     registered_passes,
+    run_passes,
 )
 
 __all__ = [
@@ -38,4 +39,5 @@ __all__ = [
     "analysis_pass",
     "analyze",
     "registered_passes",
+    "run_passes",
 ]

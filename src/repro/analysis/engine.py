@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from ..datalog.clauses import Clause, Program, Query
 from ..datalog.pcg import PredicateConnectionGraph
-from ..errors import TestbedError
+from ..datalog.typecheck import _VALID_TYPES, TypeEnvironment, infer_types
+from ..errors import TestbedError, TypeInferenceError
 from .codes import INTERNAL_ERROR
 from .diagnostics import Diagnostic, DiagnosticReport, Severity
 
@@ -116,6 +117,19 @@ class AnalysisConfig:
         return tuple(n for n in names if n not in self.disabled)
 
 
+@dataclass(frozen=True)
+class TypeInference:
+    """The program's type inference, as the types pass reports it.
+
+    ``conflicts`` holds ``(index, clause, error)`` for every clause whose
+    constraints contradict the clauses accepted before it (entry order);
+    ``environment`` is inferred from the other clauses.
+    """
+
+    environment: TypeEnvironment
+    conflicts: tuple[tuple[int, Clause, TypeInferenceError], ...]
+
+
 @dataclass
 class AnalysisContext:
     """Everything a pass may look at, with shared caches.
@@ -136,12 +150,39 @@ class AnalysisContext:
     partition: "PartitionSpec | None" = None
     _pcg: PredicateConnectionGraph | None = field(default=None, repr=False)
     _clause_index: dict[Clause, int] | None = field(default=None, repr=False)
+    _types: TypeInference | None = field(default=None, repr=False)
 
     def pcg(self) -> PredicateConnectionGraph:
         """The predicate connection graph of the program's rules (cached)."""
         if self._pcg is None:
             self._pcg = PredicateConnectionGraph(self.program.rules)
         return self._pcg
+
+    def types(self) -> TypeInference:
+        """Type inference over the program against its valid base types (cached).
+
+        One inference when the program is consistent: inference is
+        unification, so a consistent program has consistent prefixes and
+        the per-clause fold would exclude nothing.  Only when it raises are
+        the clauses folded in one at a time, each conflicting clause
+        excluded and recorded, so a conflict names the clause at fault.
+        Undefined predicates are tolerated (the definedness pass reports
+        them).
+        """
+        if self._types is None:
+            base_types = {
+                p: tuple(columns)
+                for p, columns in self.base_types.items()
+                if set(columns) <= _VALID_TYPES
+            }
+            try:
+                environment = infer_types(
+                    self.program, base_types, allow_undefined=True
+                )
+                self._types = TypeInference(environment, ())
+            except TypeInferenceError:
+                self._types = _fold_types(self.program, base_types)
+        return self._types
 
     def index_of(self, clause: Clause) -> int | None:
         """Position of ``clause`` in the program (entry order), if present."""
@@ -162,6 +203,25 @@ class AnalysisContext:
         if self.config.dictionary_defines:
             known.update(self.dictionary_types)
         return known
+
+
+def _fold_types(
+    program: Program, base_types: Mapping[str, Sequence[str]]
+) -> TypeInference:
+    """Infer clause by clause, excluding each clause that conflicts."""
+    environment = infer_types(Program(), base_types)
+    kept: list[Clause] = []
+    conflicts: list[tuple[int, Clause, TypeInferenceError]] = []
+    for index, clause in enumerate(program):
+        try:
+            environment = infer_types(
+                Program([*kept, clause]), base_types, allow_undefined=True
+            )
+        except TypeInferenceError as error:
+            conflicts.append((index, clause, error))
+        else:
+            kept.append(clause)
+    return TypeInference(environment, tuple(conflicts))
 
 
 def analyze(
@@ -208,14 +268,25 @@ def analyze(
             base_types = catalog.types_of(sorted(referenced))
         else:
             base_types = {}
-    context = AnalysisContext(
-        program=program,
-        query=query,
-        base_types=base_types,
-        dictionary_types=dictionary_types or {},
-        config=config,
-        partition=partition,
+    return run_passes(
+        AnalysisContext(
+            program=program,
+            query=query,
+            base_types=base_types,
+            dictionary_types=dictionary_types or {},
+            config=config,
+            partition=partition,
+        )
     )
+
+
+def run_passes(context: AnalysisContext) -> DiagnosticReport:
+    """Run ``context.config``'s passes over ``context`` (see :func:`analyze`).
+
+    The caller keeps ``context`` and with it the passes' cached results,
+    such as :meth:`AnalysisContext.types`.
+    """
+    config = context.config
     names = config.selected()
     diagnostics: list[Diagnostic] = []
     for name in names:

@@ -17,16 +17,12 @@ from typing import Iterator
 
 from ..datalog import safety
 from ..datalog.adornment import FREE, adorn_program
-from ..datalog.clauses import Clause, Program
+from ..datalog.clauses import Clause
 from ..datalog.pcg import PredicateConnectionGraph
 from ..datalog.stratify import has_negation
 from ..datalog.subsumption import is_tautology, subsumes
 from ..datalog.terms import Variable
-from ..datalog.typecheck import (
-    _VALID_TYPES,
-    check_query_types,
-    infer_types,
-)
+from ..datalog.typecheck import _VALID_TYPES, check_query_types
 from ..dbms.sqlgen import compile_rule_body
 from ..errors import (
     CodeGenerationError,
@@ -159,16 +155,14 @@ def _cycle_through(
 def check_types(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     """DK003 — type conflicts, aggregated per clause.
 
-    Clauses are folded into the inference one at a time (entry order); a
-    clause whose constraints contradict the accepted prefix is reported and
-    *excluded*, so one bad rule does not drown every later rule in
-    follow-on conflicts.  The surviving environment is then cross-checked
-    against the intensional dictionary and the query constants, exactly as
-    the Semantic Checker does.
+    A clause whose constraints contradict the clauses accepted before it
+    (entry order) is reported and *excluded*, so one bad rule does not
+    drown every later rule in follow-on conflicts
+    (:meth:`AnalysisContext.types`).  The surviving environment is then
+    cross-checked against the intensional dictionary and the query
+    constants, exactly as the Semantic Checker does.
     """
-    base_types: dict[str, tuple[str, ...]] = {}
     for predicate, columns in ctx.base_types.items():
-        columns = tuple(columns)
         bad = [c for c in columns if c not in _VALID_TYPES]
         if bad:
             yield Diagnostic(
@@ -177,35 +171,20 @@ def check_types(ctx: AnalysisContext) -> Iterator[Diagnostic]:
                 f"relation {predicate!r} declares unsupported types {bad}",
                 predicate=predicate,
             )
-        else:
-            base_types[predicate] = columns
 
-    kept: list[Clause] = []
-    for index, clause in enumerate(ctx.program):
-        try:
-            infer_types(
-                Program([*kept, clause]), base_types, allow_undefined=True
-            )
-        except TypeInferenceError as error:
-            yield Diagnostic(
-                codes.TYPE_CONFLICT,
-                Severity.ERROR,
-                str(error),
-                predicate=clause.head_predicate,
-                clause=clause,
-                clause_index=index,
-                hint="make the rules defining the predicate agree on one "
-                "column type",
-            )
-        else:
-            kept.append(clause)
-
-    try:
-        environment = infer_types(
-            Program(kept), base_types, allow_undefined=True
+    inference = ctx.types()
+    for index, clause, error in inference.conflicts:
+        yield Diagnostic(
+            codes.TYPE_CONFLICT,
+            Severity.ERROR,
+            str(error),
+            predicate=clause.head_predicate,
+            clause=clause,
+            clause_index=index,
+            hint="make the rules defining the predicate agree on one "
+            "column type",
         )
-    except TypeInferenceError:  # pragma: no cover - kept clauses are clean
-        return
+    environment = inference.environment
 
     for predicate, recorded in sorted(ctx.dictionary_types.items()):
         if predicate in environment:

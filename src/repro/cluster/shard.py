@@ -54,8 +54,13 @@ class ShardRuntime:
                 # The first sync (inside start()) writes a complete copy of
                 # the primary — catalog included — before the replica's own
                 # pool opens, so the replica never serves a half-built file.
+                # replica.* metrics land in the primary's registry, which
+                # its ``stats`` op and ``/metrics`` exporter publish.
                 replicator = Replicator(
-                    config.path, path, poll_interval=config.replication_poll
+                    config.path,
+                    path,
+                    poll_interval=config.replication_poll,
+                    metrics=self.primary.metrics,
                 ).start()
                 self.replicators.append(replicator)
                 replica = replace(

@@ -9,6 +9,7 @@ node's dependencies are computed first.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -99,20 +100,21 @@ def evaluation_order(graph: EvaluationGraph) -> list[EvaluationNode]:
         TestbedError: if the graph is cyclic, which indicates a bug in
             clique construction (the evaluation graph must be a DAG).
     """
-    remaining_deps: dict[int, set[int]] = {
-        i: graph.dependencies_of(i) for i in range(len(graph.nodes))
-    }
-    ready = sorted(i for i, deps in remaining_deps.items() if not deps)
+    # Kahn's algorithm; the min-heap takes the smallest ready index first.
+    pending = [0] * len(graph.nodes)
+    dependents: dict[int, list[int]] = {}
+    for node, dependency in graph.edges:
+        pending[node] += 1
+        dependents.setdefault(dependency, []).append(node)
+    ready = [i for i, count in enumerate(pending) if not count]
     order: list[int] = []
     while ready:
-        index = ready.pop(0)
+        index = heapq.heappop(ready)
         order.append(index)
-        for dependent in sorted(graph.dependents_of(index)):
-            deps = remaining_deps[dependent]
-            deps.discard(index)
-            if not deps and dependent not in order and dependent not in ready:
-                ready.append(dependent)
-        ready.sort()
+        for dependent in dependents.get(index, ()):
+            pending[dependent] -= 1
+            if not pending[dependent]:
+                heapq.heappush(ready, dependent)
     if len(order) != len(graph.nodes):
         raise TestbedError("evaluation graph is cyclic; clique detection failed")
     return [graph.nodes[i] for i in order]

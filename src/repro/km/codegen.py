@@ -10,13 +10,16 @@ Here the program fragment is Python source built the same way: a ``SPEC``
 literal carrying exactly those data structures (including the generated SQL
 text per rule, for inspection), followed by a call to the run-time library's
 :func:`link_program`.  The Query Compiler byte-compiles and executes the
-fragment — the measured ``t_gencompile`` of Test 3.  For the default
+fragment — the measured ``t_gencompile`` of Test 3.  The SPEC is written on
+one line with ``repr``; :func:`pretty_fragment` lays it out for a reader
+(``Testbed.explain``), at display time only.  For the default
 ``LFP_CTE`` strategy, linking also builds the plan's one-statement form
 (:func:`repro.runtime.lfp_cte.fuse_program`), once per compiled plan.
 """
 
 from __future__ import annotations
 
+import ast
 import pprint
 from typing import Mapping, Sequence
 
@@ -98,8 +101,22 @@ def generate_fragment(
         ),
         "factored": factored,
     }
-    literal = pprint.pformat(spec, width=88, sort_dicts=False)
+    return _fragment(repr(spec))
+
+
+def _fragment(literal: str) -> str:
     return f"{FRAGMENT_HEADER}SPEC = {literal}\n\nPROGRAM = link_program(SPEC)\n"
+
+
+def pretty_fragment(source: str) -> str:
+    """The fragment ``source`` with its one-line SPEC pretty-printed.
+
+    ``eval`` of either literal gives the same dict: only the layout differs.
+    """
+    prefix = "SPEC = "
+    line = next(line for line in source.splitlines() if line.startswith(prefix))
+    spec = ast.literal_eval(line[len(prefix) :])
+    return _fragment(pprint.pformat(spec, width=88, sort_dicts=False))
 
 
 def link_program(spec: Mapping) -> QueryProgram:

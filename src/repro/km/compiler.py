@@ -260,13 +260,14 @@ class QueryCompiler:
 
         # -- code generation, compile, link -------------------------------------
         with database.span("gencompile", "compile") as span:
+            program_derived = rules_for_program.derived_predicates
             base_predicates = frozenset(
                 p for p in referenced if p not in derived
             ) | frozenset(
                 p
                 for clause in rules_for_program
                 for p in clause.body_predicates
-                if p not in rules_for_program.derived_predicates
+                if p not in program_derived
                 and p not in seed_facts
                 and (seed is None or p != seed.predicate)
             )

@@ -29,10 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..analysis import SEMANTIC_PASSES, AnalysisConfig, DiagnosticReport, analyze
+from ..analysis import (
+    SEMANTIC_PASSES,
+    AnalysisConfig,
+    AnalysisContext,
+    DiagnosticReport,
+    run_passes,
+)
 from ..analysis import codes as diagnostic_codes
 from ..datalog.clauses import Program, Query
-from ..datalog.typecheck import TypeEnvironment, infer_types
+from ..datalog.typecheck import TypeEnvironment
 from ..errors import (
     SafetyError,
     SemanticError,
@@ -135,18 +141,15 @@ def check_semantics(
         SafetyError: when a relevant rule is unsafe.
         StratificationError: when negation occurs inside recursion.
     """
-    report = analyze(
-        rules,
-        query,
-        config=SEMANTIC_CONFIG,
-        base_types=base_types,
-        dictionary_types=dictionary_types or {},
+    context = AnalysisContext(
+        rules, query, base_types, dictionary_types or {}, SEMANTIC_CONFIG
     )
-    raise_semantic_errors(report)
-    # The error passes found nothing, so full inference cannot conflict.
-    environment = infer_types(rules, base_types)
+    raise_semantic_errors(run_passes(context))
+    # The error passes found nothing: no clause conflicted, every base
+    # type is valid and every predicate is defined, so the types pass's
+    # inference is the whole program's.
     return SemanticReport(
-        environment,
+        context.types().environment,
         frozenset(rules.derived_predicates),
         frozenset(set(base_types)),
     )

@@ -46,6 +46,7 @@ from ..maintenance.registry import (
 )
 from ..obs.trace import Span, Tracer
 from ..runtime.program import DEFAULT_STRATEGY, ExecutionResult, LfpStrategy
+from .codegen import pretty_fragment
 from .compiler import CompilationResult, QueryCompiler
 from .config import TestbedConfig
 from .constraints import assert_consistent, check_consistency
@@ -159,7 +160,8 @@ class Testbed:
         self.views = MaterializedViewRegistry(self.database)
         self.maintenance_policy = config.maintenance_policy
         self.maintenance_log: list[MaintenanceResult] = []
-        self._view_plans: dict[str, MaintenancePlan] = {}
+        # view -> (the stored-rule stamp it was built under, its plan)
+        self._view_plans: dict[str, tuple[int, MaintenancePlan]] = {}
         self.last_query_span: Span | None = None
         if config.trace:
             self.enable_tracing()
@@ -364,8 +366,7 @@ class Testbed:
             raise CatalogError(
                 f"{predicate!r} is already materialized; use refresh"
             )
-        plan = self._build_plan(predicate)
-        self._register_plan(predicate, plan)
+        plan = self._register_plan(predicate)
         with self.database.span("materialize", "maintenance") as span:
             total = full_refresh(self.database, plan, self._tables_of(plan))
             self.views.mark_group_fresh(predicate)
@@ -402,8 +403,7 @@ class Testbed:
             targets = [v.predicate for v in self.views.views()]
         results: list[MaintenanceResult] = []
         for view in targets:
-            plan = self._build_plan(view)
-            self._register_plan(view, plan)
+            plan = self._register_plan(view)
             with self.database.span("refresh", "maintenance") as span:
                 total = full_refresh(self.database, plan, self._tables_of(plan))
                 self.views.mark_group_fresh(view)
@@ -449,18 +449,36 @@ class Testbed:
         )
         return build_plan(predicate, compilation)
 
-    def _register_plan(self, view: str, plan: MaintenancePlan) -> None:
+    def _rule_stamp(self) -> int:
+        """The stored rule base's stamp (``RULE_STAMP_SQL``), one SELECT."""
+        ((stamp,),) = self.database.execute(f"SELECT {RULE_STAMP_SQL}")
+        return stamp or 0
+
+    def _register_plan(self, view: str) -> MaintenancePlan:
+        stamp = self._rule_stamp()
+        plan = self._build_plan(view)
         self.views.register_view(
             view, {p: plan.types[p] for p in plan.derived}, plan.base
         )
-        self._view_plans[view] = plan
-
-    def _plan_for(self, view: str) -> MaintenancePlan:
-        plan = self._view_plans.get(view)
-        if plan is None:
-            plan = self._build_plan(view)
-            self._view_plans[view] = plan
+        self._view_plans[view] = (stamp, plan)
         return plan
+
+    def _plans_for(self, views: Sequence[str]) -> list[MaintenancePlan]:
+        """The views' maintenance plans, rebuilt where stored rules moved.
+
+        Another handle on the same file may have stored rules since a plan
+        was built here (and refreshed the view, so it is fresh again): a
+        plan is reused only under the stamp it was built under.
+        """
+        stamp = self._rule_stamp()
+        plans = []
+        for view in views:
+            cached = self._view_plans.get(view)
+            if cached is None or cached[0] != stamp:
+                cached = (stamp, self._build_plan(view))
+                self._view_plans[view] = cached
+            plans.append(cached[1])
+        return plans
 
     def _tables_of(self, plan: MaintenancePlan) -> dict[str, str]:
         return plan.table_of(fact_table_name, view_table_name)
@@ -497,7 +515,7 @@ class Testbed:
     def _maintain_inserts(
         self, predicate: str, rows: list[tuple], views: list[str]
     ) -> int:
-        plans = [self._plan_for(v) for v in views]
+        plans = self._plans_for(views)
         merged = merge_plans(plans)
         stage = self._stage_rows(predicate, rows, keep_existing=False)
         count = self.catalog.insert_facts(predicate, rows)
@@ -531,7 +549,7 @@ class Testbed:
     def _maintain_deletes(
         self, predicate: str, rows: list[tuple], views: list[str]
     ) -> int:
-        plans = [self._plan_for(v) for v in views]
+        plans = self._plans_for(views)
         merged = merge_plans(plans)
         stage = self._stage_rows(predicate, rows, keep_existing=True)
         decision = self.maintenance_policy.decide(
@@ -891,5 +909,6 @@ class Testbed:
     def explain(
         self, query: Union[Query, str], optimize: Union[bool, str] = DEFAULT_OPTIMIZE
     ) -> str:
-        """The generated program fragment for a query (demonstration aid)."""
-        return self.compile_query(query, optimize).fragment_source
+        """The generated program fragment for a query (demonstration aid),
+        its SPEC pretty-printed."""
+        return pretty_fragment(self.compile_query(query, optimize).fragment_source)

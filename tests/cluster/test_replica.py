@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.cluster import Replicator
+from repro.cluster import PartitionSpec, Replicator, TablePartition
 from repro.server import (
     DkbClient,
     SessionPool,
@@ -128,3 +128,17 @@ class TestReplicaServer:
             reply = client.query("?- ancestor('a', Y).", min_version=floor)
             assert reply["version"] == floor
             assert ["e"] in reply["rows"]
+
+
+class TestShardReplicaMetrics:
+    def test_primary_stats_export_replica_copies(self, make_cluster):
+        one_shard = PartitionSpec(shards=1, tables={"parent": TablePartition(0)})
+        with make_cluster(replicas=1, partition=one_shard) as cluster:
+            with cluster.client() as client:
+                client.insert("parent", [["a", "b"]])
+            cluster.sync_replicas()
+            host, port = cluster.shards[0].addresses.primary
+            with DkbClient(host, port) as client:
+                metrics = client.stats()["stats"]["metrics"]
+            assert metrics["counters"]["replica.copies"] >= 1
+            assert metrics["gauges"]["replica.lag"] >= 0

@@ -1,7 +1,10 @@
 """Unit tests for the query compilation pipeline."""
 
+import sys
+
 import pytest
 
+from repro.datalog import typecheck
 from repro.km.session import Testbed
 from repro.runtime.program import LfpStrategy
 from repro.workloads.rulegen import make_rule_base
@@ -74,6 +77,40 @@ class TestCompile:
         heads = {c.head_predicate for c in result.relevant_rules}
         for module in rule_base.filler_modules:
             assert not heads & set(module.predicates)
+
+
+def chain_rules(name, length, step):
+    """``name_p0`` composes ``step`` ``length`` times, one rule per link."""
+    rules = [
+        f"{name}_p{i}(X, Y) :- {name}_p{i + 1}(X, Z), {step}(Z, Y)."
+        for i in range(length - 1)
+    ]
+    rules.append(f"{name}_p{length - 1}(X, Y) :- {step}(X, Y).")
+    return "\n".join(rules)
+
+
+class TestColdCompileWork:
+    def test_one_type_inference_per_cold_compile(self, testbed, monkeypatch):
+        # The stored 40-rule chain of the ledger's compile_rulebase workload:
+        # a cold compile infers the relevant rules' types once, not once
+        # per rule.
+        testbed.define_base_relation("q_b", ("TEXT", "TEXT"))
+        testbed.define(chain_rules("q", 40, "q_b"))
+        testbed.update_stored_dkb()
+        original = typecheck.infer_types
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            name = getattr(module, "__name__", "")
+            if name.startswith("repro") and vars(module).get("infer_types") is original:
+                monkeypatch.setattr(module, "infer_types", counting)
+        result = testbed.compile_query("?- q_p0('c0', Y).")
+        assert result.counts["relevant_rules"] == 40
+        assert len(calls) <= 1
 
 
 class TestWorkspaceStoredInterplay:

@@ -195,3 +195,26 @@ class TestPersistence:
             # rule base.
             tb.delete_facts("parent", [("b", "c")])
             assert rows_of(tb, "?- anc(X, Y).") == [("a", "b")]
+
+
+class TestTwoHandles:
+    def test_rules_stored_by_another_handle_reach_maintenance(self, tmp_path):
+        # B's maintenance plan for ancestor predates A's new step rule: a
+        # step insert through B must not go through the old plan.
+        from repro.km.session import Testbed
+        from repro.workloads.queries import ANCESTOR_RULES
+
+        path = str(tmp_path / "dkb.sqlite")
+        with Testbed(path) as a, Testbed(path) as b:
+            a.define(ANCESTOR_RULES)
+            a.define_base_relation("parent", ("TEXT", "TEXT"))
+            a.define_base_relation("step", ("TEXT", "TEXT"))
+            a.update_stored_dkb()
+            b.materialize("ancestor")
+            a.define("ancestor(X, Y) :- step(X, Y).")
+            a.update_stored_dkb()
+            a.refresh("ancestor")
+            b.load_facts("step", [("n0", "n1")])
+            for handle in (a, b):
+                assert rows_of(handle, "?- ancestor(X, Y).") == [("n0", "n1")]
+                assert slow_rows(handle, "?- ancestor(X, Y).") == [("n0", "n1")]

@@ -1,9 +1,16 @@
-"""Property-based tests: PCG algorithms against NetworkX as an oracle."""
+"""Property-based tests: PCG algorithms against NetworkX as an oracle, and
+the evaluation order against the order enumerator."""
 
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datalog.evalgraph import (
+    EvaluationGraph,
+    PredicateNode,
+    all_evaluation_orders,
+    evaluation_order,
+)
 from repro.datalog.pcg import PredicateConnectionGraph
 
 nodes = st.sampled_from([f"p{i}" for i in range(8)])
@@ -90,3 +97,24 @@ class TestStronglyConnectedComponents:
         for head, body in edge_list:
             assert position[body] <= position[head]
 
+
+
+class TestEvaluationOrder:
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200)
+    def test_is_the_first_order_the_enumerator_yields(self, size, pairs, rng):
+        # The sort takes the smallest ready node index each step, so it is
+        # the lexicographically first of all evaluation orders.
+        rank = list(range(size))
+        rng.shuffle(rank)
+        edges = frozenset(
+            (a, b) for a, b in pairs if a < size and b < size and rank[a] > rank[b]
+        )
+        graph = EvaluationGraph(
+            tuple(PredicateNode(f"p{i}", ()) for i in range(size)), edges
+        )
+        assert evaluation_order(graph) == all_evaluation_orders(graph, limit=1)[0]

@@ -34,11 +34,6 @@ class BackendCapabilities:
         supports_recursive_cte: ``WITH RECURSIVE`` is available, so a whole
             plan of linear cliques can be evaluated in one statement
             (:mod:`repro.runtime.lfp_cte`).
-        supports_wal: write-ahead-log journalling (the concurrent query
-            server's reader/writer mode) can be enabled.
-        supports_temp_namespace: a per-connection ``temp.`` namespace exists
-            and shadows same-named main-database tables — required by
-            ``ConnectionOptions(temp_derived=True)`` reader sessions.
         supports_deadline: a running statement can be aborted once a
             deadline passes (:meth:`SqlBackend.set_deadline`, the query
             server's per-request budget).  Without it
@@ -62,8 +57,6 @@ class BackendCapabilities:
     """
 
     supports_recursive_cte: bool = True
-    supports_wal: bool = False
-    supports_temp_namespace: bool = False
     supports_deadline: bool = False
     supports_shared_cursors: bool = False
     supports_snapshot_copy: bool = False
@@ -82,6 +75,10 @@ class SqlBackend(abc.ABC):
     name: ClassVar[str]
     #: Engine feature flags, used by the evaluation strategies.
     capabilities: ClassVar[BackendCapabilities]
+    #: Query returning one ``(name,)`` row per table or index, permanent or
+    #: temporary, named in the ``{in}`` list
+    #: (:meth:`~repro.dbms.engine.Database.existing_names`).
+    existing_names_sql: ClassVar[str]
 
     @abc.abstractmethod
     def connect(self, path: str, options: "ConnectionOptions") -> Any:
@@ -89,8 +86,8 @@ class SqlBackend(abc.ABC):
 
         Raises:
             EvaluationError: when ``options`` asks for a feature the engine
-                does not support (e.g. WAL journalling), or the optional
-                driver package is not installed.
+                does not support (e.g. a private ``temp`` namespace), or the
+                optional driver package is not installed.
         """
 
     @property
@@ -139,10 +136,6 @@ class SqlBackend(abc.ABC):
         )
 
     # -- catalog introspection ----------------------------------------------
-
-    @abc.abstractmethod
-    def table_exists_query(self, name: str) -> tuple[str, tuple]:
-        """``(sql, parameters)`` returning a row iff table ``name`` exists."""
 
     @abc.abstractmethod
     def table_names_query(self) -> str:

@@ -10,9 +10,9 @@ differs is everything around them, captured in the capability flags:
 * ``rowcount`` is unreliable for DML, so per-statement ``rows_changed``
   statistics are best-effort (counts stay comparable *within* a backend,
   which is all the A/B benches compare);
-* WAL journalling and the ``temp.``-qualified namespace of reader sessions
-  are SQLite-specific; the server's pooled connection options are rejected
-  at connect time rather than silently misbehaving;
+* the ``temp.``-qualified namespace of reader sessions is SQLite-specific;
+  the server's reader connection options are rejected at connect time
+  rather than silently misbehaving;
 * there is no progress-handler hook, so a running statement outlives a
   :meth:`~repro.dbms.engine.Database.deadline` (``supports_deadline`` is
   False); the deadline still stops the next statement from starting.
@@ -46,9 +46,12 @@ class DuckDbBackend(SqlBackend):
     name = "duckdb"
     capabilities = BackendCapabilities(
         supports_recursive_cte=True,
-        supports_wal=False,
-        supports_temp_namespace=False,
         supports_shared_cursors=False,
+    )
+    existing_names_sql = (
+        "SELECT table_name FROM information_schema.tables "
+        "WHERE table_name IN ({in}) UNION ALL "
+        "SELECT index_name FROM duckdb_indexes() WHERE index_name IN ({in})"
     )
 
     def _module(self) -> Any:
@@ -62,11 +65,6 @@ class DuckDbBackend(SqlBackend):
 
     def connect(self, path: str, options: "ConnectionOptions") -> Any:
         duckdb = self._module()
-        if options.wal:
-            raise EvaluationError(
-                "the duckdb backend does not support WAL connection options; "
-                "the query server's pooled sessions require backend='sqlite'"
-            )
         if options.temp_derived:
             raise EvaluationError(
                 "the duckdb backend has no connection-private temp namespace "
@@ -102,13 +100,6 @@ class DuckDbBackend(SqlBackend):
             connection.rollback()
         except self.driver_errors:
             pass
-
-    def table_exists_query(self, name: str) -> tuple[str, tuple]:
-        return (
-            "SELECT table_name FROM information_schema.tables "
-            "WHERE table_name = ?",
-            (name,),
-        )
 
     def table_names_query(self) -> str:
         return (

@@ -1,10 +1,10 @@
 """The SQLite backend: the testbed's default (and reference) engine.
 
 This is the connection-management code factored out of the original
-single-engine ``repro.dbms.engine``; its observable behaviour — the pragmas
-issued at connect time, the statements generated for catalog probes, the
-exception types wrapped — is byte-for-byte what the seed implementation
-did, so traced statement sequences on the default backend are unchanged.
+single-engine ``repro.dbms.engine``: the pragmas issued at connect time,
+the statements generated for catalog probes, the exception types wrapped.
+An in-memory database is opened as the seed implementation opened it; a
+file is journalled in WAL.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ class SqliteBackend(SqlBackend):
     name = "sqlite"
     capabilities = BackendCapabilities(
         supports_recursive_cte=True,
-        supports_wal=True,
-        supports_temp_namespace=True,
         supports_deadline=True,
         supports_shared_cursors=True,
         supports_snapshot_copy=True,
@@ -39,16 +37,22 @@ class SqliteBackend(SqlBackend):
         # later releases and most builds allow more, none fewer.
         max_host_parameters=999,
     )
+    existing_names_sql = (
+        "SELECT name FROM sqlite_master WHERE name IN ({in}) UNION ALL "
+        "SELECT name FROM sqlite_temp_master WHERE name IN ({in})"
+    )
 
     def connect(self, path: str, options: "ConnectionOptions") -> Any:
         connection = sqlite3.connect(
             path, check_same_thread=options.check_same_thread
         )
         connection.execute("PRAGMA synchronous = OFF")
-        if options.wal:
-            connection.execute("PRAGMA journal_mode = WAL")
-        else:
-            connection.execute("PRAGMA journal_mode = MEMORY")
+        # A file is journalled in WAL: a process killed mid-transaction
+        # leaves the last commit, and readers keep snapshots while one
+        # writer commits.  Without fsync (synchronous = OFF) that holds
+        # against a process kill, not against power loss.
+        journal = "MEMORY" if path == ":memory:" else "WAL"
+        connection.execute(f"PRAGMA journal_mode = {journal}")
         if options.busy_timeout_ms:
             connection.execute(
                 f"PRAGMA busy_timeout = {int(options.busy_timeout_ms)}"
@@ -75,14 +79,6 @@ class SqliteBackend(SqlBackend):
         expires = deadline
         connection.set_progress_handler(
             lambda: time.perf_counter() >= expires, DEADLINE_CHECK_STEPS
-        )
-
-    def table_exists_query(self, name: str) -> tuple[str, tuple]:
-        return (
-            "SELECT name FROM sqlite_master WHERE type = 'table' AND name = ? "
-            "UNION ALL "
-            "SELECT name FROM sqlite_temp_master WHERE type = 'table' AND name = ?",
-            (name, name),
         )
 
     def table_names_query(self) -> str:

@@ -4,7 +4,8 @@ The paper's testbed stores facts as ordinary database relations and keeps
 their schemas in catalog relations.  :class:`ExtensionalCatalog` manages the
 fact tables (named ``e_<predicate>``) and the dictionary tables
 ``epredicates``/``ecolumns``, which the Knowledge Manager reads during type
-checking.
+checking.  The dictionary tables are declared in :mod:`repro.dbms.schema`
+and created by :func:`~repro.dbms.schema.open_dkb`.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from typing import Hashable, Iterable, Sequence
 
 from ..errors import CatalogError
 from .engine import Database
-from .schema import RelationSchema, quote_identifier
+from .schema import ECOLUMNS, EPREDICATES, RelationSchema, quote_identifier
 
-EPREDICATES = "epredicates"
-ECOLUMNS = "ecolumns"
 FACT_TABLE_PREFIX = "e_"
 
 #: Scalar subqueries whose values move when *any* handle on the database
@@ -47,24 +46,6 @@ class ExtensionalCatalog:
         # under, and those relations.
         self._stamp: Hashable = None
         self._confirmed: set[str] = set()
-        self._ensure_dictionary()
-
-    def _ensure_dictionary(self) -> None:
-        if self.database.table_exists(EPREDICATES):
-            return
-        self.database.execute(
-            f"CREATE TABLE {EPREDICATES} ("
-            "predname TEXT PRIMARY KEY, arity INTEGER NOT NULL)"
-        )
-        self.database.execute(
-            f"CREATE TABLE {ECOLUMNS} ("
-            "predname TEXT NOT NULL, colnumber INTEGER NOT NULL, "
-            "coltype TEXT NOT NULL, PRIMARY KEY (predname, colnumber))"
-        )
-        # The paper indexes its dictionary relations so dictionary reads stay
-        # insensitive to catalog size (Test 2).
-        self.database.create_index("idx_ecolumns_pred", ECOLUMNS, ["predname"])
-        self.database.commit()
 
     def create_relation(
         self, predicate: str, types: Sequence[str], indexed: bool = True

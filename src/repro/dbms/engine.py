@@ -37,18 +37,16 @@ DEFAULT_STATEMENT_CACHE_SIZE = 128
 
 @dataclass(frozen=True)
 class ConnectionOptions:
-    """How the underlying SQLite connection is opened and journalled.
+    """How the underlying SQLite connection is opened.
 
-    The defaults reproduce the seed single-session behaviour exactly
-    (``journal_mode = MEMORY``, same-thread enforcement, permanent derived
-    relations).  The concurrent query server opens its pooled handles with
-    :meth:`writer` / :meth:`reader` instead.
+    The journal mode is not an option: the backend journals a file in WAL,
+    the mode that survives a process kill and lets one writer commit while
+    readers hold consistent snapshots, and ``:memory:`` in memory.  The
+    defaults keep the seed single-session behaviour (same-thread
+    enforcement, permanent derived relations).  The concurrent query server
+    opens its pooled handles with :meth:`writer` / :meth:`reader` instead.
 
     Attributes:
-        wal: open the database in write-ahead-log journal mode, the mode
-            that lets one writer commit while readers hold consistent
-            snapshots.  Requires an on-disk path (``:memory:`` databases
-            have no WAL).
         busy_timeout_ms: how long SQLite retries a locked database before
             giving up (``PRAGMA busy_timeout``); ``0`` keeps SQLite's
             fail-fast default.
@@ -65,7 +63,6 @@ class ConnectionOptions:
             private storage.
     """
 
-    wal: bool = False
     busy_timeout_ms: int = 0
     check_same_thread: bool = True
     temp_derived: bool = False
@@ -73,13 +70,12 @@ class ConnectionOptions:
     @classmethod
     def writer(cls, busy_timeout_ms: int = 10_000) -> "ConnectionOptions":
         """Options for the query server's single writer session."""
-        return cls(wal=True, busy_timeout_ms=busy_timeout_ms, check_same_thread=False)
+        return cls(busy_timeout_ms=busy_timeout_ms, check_same_thread=False)
 
     @classmethod
     def reader(cls, busy_timeout_ms: int = 10_000) -> "ConnectionOptions":
         """Options for a pooled reader session (snapshot reads only)."""
         return cls(
-            wal=True,
             busy_timeout_ms=busy_timeout_ms,
             check_same_thread=False,
             temp_derived=True,
@@ -284,9 +280,9 @@ class Database:
                 cache; ``0`` disables caching (every statement
                 re-prepares).  Forced off on backends whose cursors do not
                 share connection state (``supports_shared_cursors``).
-            options: connection-level knobs (journal mode, busy timeout,
-                thread affinity, private derived relations); the default
-                reproduces the seed single-session behaviour.
+            options: connection-level knobs (busy timeout, thread
+                affinity, private derived relations); the default keeps the
+                seed single-session behaviour.
             backend: which engine to open — a registry name
                 (``"sqlite"``, ``"duckdb"``), a
                 :class:`~repro.dbms.backends.SqlBackend` instance, or
@@ -614,9 +610,14 @@ class Database:
         self.execute(f"DROP TABLE {clause}{qualifier}{quote_identifier(name)}")
 
     def table_exists(self, name: str) -> bool:
-        """Whether a (permanent or temporary) table ``name`` exists."""
-        sql, parameters = self.backend.table_exists_query(name)
-        return bool(self.execute(sql, parameters))
+        """Whether a (permanent or temporary) table or index ``name`` exists."""
+        return bool(self.existing_names([name]))
+
+    def existing_names(self, names: Sequence[str]) -> set[str]:
+        """Which of ``names`` exist as a table or index (permanent or
+        temporary), by one statement."""
+        rows = self.execute_in(self.backend.existing_names_sql, names)
+        return {name for (name,) in rows}
 
     def table_names(self) -> list[str]:
         """All permanent table names."""

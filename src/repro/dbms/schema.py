@@ -1,16 +1,21 @@
-"""Relation schemas for the testbed's DBMS layer.
+"""Relation schemas for the testbed's DBMS layer, and the D/KB file format.
 
 Every relation the testbed materialises — base relations, derived-predicate
 results, magic predicates, temporaries — uses positional column names
 ``c0 .. c{n-1}``; the logical column names live in the data dictionaries,
 mirroring how the paper's testbed keeps schema information in catalog
-relations rather than in the storage layer.
+relations rather than in the storage layer.  Those catalog relations and
+their indexes are declared once, at the end of this module, and
+:func:`open_dkb` is the only code that creates them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - engine imports this module
+    from .engine import Database
 
 _VALID_TYPES = frozenset(("TEXT", "INTEGER"))
 
@@ -98,3 +103,90 @@ def validate_row(schema: RelationSchema, row: Sequence) -> None:
             raise ValueError(f"value {value!r} is not INTEGER in {schema.name!r}")
         if ctype == "TEXT" and not isinstance(value, str):
             raise ValueError(f"value {value!r} is not TEXT in {schema.name!r}")
+
+
+# -- the D/KB file format ------------------------------------------------------
+
+EPREDICATES = "epredicates"
+ECOLUMNS = "ecolumns"
+IPREDICATES = "ipredicates"
+ICOLUMNS = "icolumns"
+RULESOURCE = "rulesource"
+REACHABLEPREDS = "reachablepreds"
+MVIEWS = "mviews"
+MVIEWCOLUMNS = "mviewcolumns"
+MVIEWDEPS = "mviewdeps"
+DKB_VERSION_TABLE = "dkbversion"
+
+_DICTIONARY_PREDICATES = "predname TEXT PRIMARY KEY, arity INTEGER NOT NULL"
+_DICTIONARY_COLUMNS = (
+    "predname TEXT NOT NULL, colnumber INTEGER NOT NULL, "
+    "coltype TEXT NOT NULL, PRIMARY KEY (predname, colnumber)"
+)
+
+#: Every catalog relation of a D/KB, name -> column definitions: the
+#: extensional dictionary, the stored D/KB (section 3.2.3: the intensional
+#: dictionary, the rule source and its compiled form), the view dictionary
+#: and the D/KB version counter.
+CATALOG_RELATIONS: dict[str, str] = {
+    EPREDICATES: _DICTIONARY_PREDICATES,
+    ECOLUMNS: _DICTIONARY_COLUMNS,
+    IPREDICATES: _DICTIONARY_PREDICATES,
+    ICOLUMNS: _DICTIONARY_COLUMNS,
+    RULESOURCE: (
+        "ruleid INTEGER PRIMARY KEY AUTOINCREMENT, "
+        "headpredname TEXT NOT NULL, ruletext TEXT NOT NULL UNIQUE"
+    ),
+    REACHABLEPREDS: (
+        "frompredname TEXT NOT NULL, topredname TEXT NOT NULL, "
+        "PRIMARY KEY (frompredname, topredname)"
+    ),
+    MVIEWS: (
+        "predname TEXT PRIMARY KEY, arity INTEGER NOT NULL, "
+        "isview INTEGER NOT NULL, fresh INTEGER NOT NULL, epoch INTEGER NOT NULL"
+    ),
+    MVIEWCOLUMNS: _DICTIONARY_COLUMNS,
+    MVIEWDEPS: (
+        "viewpred TEXT NOT NULL, depname TEXT NOT NULL, "
+        "depkind TEXT NOT NULL, PRIMARY KEY (viewpred, depname, depkind)"
+    ),
+    DKB_VERSION_TABLE: (
+        "id INTEGER PRIMARY KEY CHECK (id = 1), version INTEGER NOT NULL"
+    ),
+}
+
+#: Every catalog index, name -> (relation, column).  The paper indexes its
+#: dictionary relations so dictionary reads stay insensitive to catalog size
+#: (Test 2), and "both rulesource and reachablepreds are indexed" (section
+#: 4.1) for relevant-rule extraction.
+CATALOG_INDEXES: dict[str, tuple[str, str]] = {
+    "idx_ecolumns_pred": (ECOLUMNS, "predname"),
+    "idx_rulesource_head": (RULESOURCE, "headpredname"),
+    "idx_reachable_from": (REACHABLEPREDS, "frompredname"),
+    "idx_reachable_to": (REACHABLEPREDS, "topredname"),
+    "idx_icolumns_pred": (ICOLUMNS, "predname"),
+    "idx_mviewdeps_dep": (MVIEWDEPS, "depname"),
+}
+
+
+def open_dkb(database: "Database") -> None:
+    """Make ``database`` hold every catalog relation and index of a D/KB.
+
+    One statement reads which declared names exist.  A complete D/KB is
+    left as it is: no DDL, no write transaction.  Otherwise every relation
+    and index is created ``IF NOT EXISTS`` in one transaction, with the
+    ``dkbversion`` row at version 0, so a fresh file and one a crash left
+    with part of an older catalog both end complete, or unchanged.
+    """
+    names = [*CATALOG_RELATIONS, *CATALOG_INDEXES]
+    if len(database.existing_names(names)) == len(names):
+        return
+    with database.transaction():
+        for name, columns in CATALOG_RELATIONS.items():
+            database.execute(f"CREATE TABLE IF NOT EXISTS {name} ({columns})")
+        for name, (relation, column) in CATALOG_INDEXES.items():
+            database.create_index(name, relation, [column])
+        database.execute(
+            f"INSERT INTO {DKB_VERSION_TABLE} SELECT 1, 0 "
+            f"WHERE NOT EXISTS (SELECT 1 FROM {DKB_VERSION_TABLE})"
+        )

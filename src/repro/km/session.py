@@ -28,6 +28,7 @@ from ..dbms.catalog import (
     fact_table_name,
 )
 from ..dbms.engine import Database
+from ..dbms.schema import open_dkb
 from ..dbms.sqlgen import compile_rule_body, delete_probed_sql
 from ..errors import CatalogError, EvaluationError, SemanticError
 from ..maintenance.delta import propagate_inserts
@@ -150,6 +151,7 @@ class Testbed:
             options=config.connection,
             backend=config.backend,
         )
+        open_dkb(self.database)
         self.catalog = ExtensionalCatalog(self.database)
         self.stored = StoredDKB(
             self.database, compiled_storage=config.compiled_rule_storage

@@ -33,12 +33,8 @@ from ..datalog.clauses import Clause, Program
 from ..datalog.parser import parse_clause
 from ..datalog.pcg import PredicateConnectionGraph
 from ..dbms.engine import Database
+from ..dbms.schema import ICOLUMNS, IPREDICATES, REACHABLEPREDS, RULESOURCE
 from ..errors import UpdateError
-
-IPREDICATES = "ipredicates"
-ICOLUMNS = "icolumns"
-RULESOURCE = "rulesource"
-REACHABLEPREDS = "reachablepreds"
 
 #: Scalar subquery that moves whenever any handle on the database stores a
 #: rule: ``rulesource`` is append-only and ``ruleid`` is AUTOINCREMENT, so
@@ -52,39 +48,6 @@ class StoredDKB:
     def __init__(self, database: Database, compiled_storage: bool = True):
         self.database = database
         self.compiled_storage = compiled_storage
-        self._ensure_tables()
-
-    def _ensure_tables(self) -> None:
-        if self.database.table_exists(RULESOURCE):
-            return
-        self.database.execute(
-            f"CREATE TABLE {IPREDICATES} ("
-            "predname TEXT PRIMARY KEY, arity INTEGER NOT NULL)"
-        )
-        self.database.execute(
-            f"CREATE TABLE {ICOLUMNS} ("
-            "predname TEXT NOT NULL, colnumber INTEGER NOT NULL, "
-            "coltype TEXT NOT NULL, PRIMARY KEY (predname, colnumber))"
-        )
-        self.database.execute(
-            f"CREATE TABLE {RULESOURCE} ("
-            "ruleid INTEGER PRIMARY KEY AUTOINCREMENT, "
-            "headpredname TEXT NOT NULL, ruletext TEXT NOT NULL UNIQUE)"
-        )
-        self.database.execute(
-            f"CREATE TABLE {REACHABLEPREDS} ("
-            "frompredname TEXT NOT NULL, topredname TEXT NOT NULL, "
-            "PRIMARY KEY (frompredname, topredname))"
-        )
-        # "To speed up the execution of this query, both rulesource and
-        # reachablepreds are indexed" (section 4.1).
-        self.database.create_index("idx_rulesource_head", RULESOURCE, ["headpredname"])
-        self.database.create_index(
-            "idx_reachable_from", REACHABLEPREDS, ["frompredname"]
-        )
-        self.database.create_index("idx_reachable_to", REACHABLEPREDS, ["topredname"])
-        self.database.create_index("idx_icolumns_pred", ICOLUMNS, ["predname"])
-        self.database.commit()
 
     # -- extraction (query compilation path) ---------------------------------
 

@@ -26,12 +26,15 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ..dbms.engine import Database
-from ..dbms.schema import RelationSchema, quote_identifier
+from ..dbms.schema import (
+    MVIEWCOLUMNS,
+    MVIEWDEPS,
+    MVIEWS,
+    RelationSchema,
+    quote_identifier,
+)
 from ..errors import CatalogError
 
-MVIEWS = "mviews"
-MVIEWCOLUMNS = "mviewcolumns"
-MVIEWDEPS = "mviewdeps"
 VIEW_TABLE_PREFIX = "mv_"
 
 #: Whether any view is registered, as one SQL expression: the query path
@@ -63,29 +66,6 @@ class MaterializedViewRegistry:
 
     def __init__(self, database: Database):
         self.database = database
-        self._ensure_dictionary()
-
-    def _ensure_dictionary(self) -> None:
-        if self.database.table_exists(MVIEWS):
-            return
-        self.database.execute(
-            f"CREATE TABLE {MVIEWS} ("
-            "predname TEXT PRIMARY KEY, arity INTEGER NOT NULL, "
-            "isview INTEGER NOT NULL, fresh INTEGER NOT NULL, "
-            "epoch INTEGER NOT NULL)"
-        )
-        self.database.execute(
-            f"CREATE TABLE {MVIEWCOLUMNS} ("
-            "predname TEXT NOT NULL, colnumber INTEGER NOT NULL, "
-            "coltype TEXT NOT NULL, PRIMARY KEY (predname, colnumber))"
-        )
-        self.database.execute(
-            f"CREATE TABLE {MVIEWDEPS} ("
-            "viewpred TEXT NOT NULL, depname TEXT NOT NULL, "
-            "depkind TEXT NOT NULL, PRIMARY KEY (viewpred, depname, depkind))"
-        )
-        self.database.create_index("idx_mviewdeps_dep", MVIEWDEPS, ["depname"])
-        self.database.commit()
 
     # -- registration -------------------------------------------------------
 

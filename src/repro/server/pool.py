@@ -40,6 +40,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..analysis import DiagnosticReport
 from ..dbms.engine import ConnectionOptions, Database
+from ..dbms.schema import DKB_VERSION_TABLE
 from ..errors import EvaluationError, TestbedError
 from ..km.config import TestbedConfig
 from ..km.partition import PartitionSpec
@@ -55,9 +56,6 @@ from .cache import (
     canonical_query,
 )
 from .protocol import ErrorCode
-
-#: The catalog relation persisting the D/KB generation counter.
-DKB_VERSION_TABLE = "dkbversion"
 
 
 class RequestTimeout(AdmissionError):
@@ -96,28 +94,11 @@ class ReadResult:
     answered_from_view: bool = False
 
 
-def ensure_version_table(database: Database) -> None:
-    """Create the ``dkbversion`` catalog relation if missing (version 0)."""
-    database.execute(
-        f"CREATE TABLE IF NOT EXISTS {DKB_VERSION_TABLE} "
-        "(id INTEGER PRIMARY KEY CHECK (id = 1), version INTEGER NOT NULL)"
-    )
-    database.execute(
-        f"INSERT OR IGNORE INTO {DKB_VERSION_TABLE} VALUES (1, 0)"
-    )
-    database.commit()
-
-
 def read_version(database: Database) -> int:
     """The D/KB version visible to ``database``'s current snapshot."""
     rows = database.execute(
         f"SELECT version FROM {DKB_VERSION_TABLE} WHERE id = 1"
     )
-    if not rows:
-        raise EvaluationError(
-            f"{DKB_VERSION_TABLE} catalog relation is missing; "
-            "was this D/KB initialised by a SessionPool?"
-        )
     return int(rows[0][0])
 
 
@@ -275,9 +256,9 @@ class SessionPool:
         self._writer_lock = threading.Lock()  # serializes: one writer transaction at a time is the point
         self._closed = False  # not-shared: close() runs after request traffic stops
         self._written = threading.local()  # not-shared: per-thread by construction
-        # The writer session initialises every catalog relation (extensional
-        # dictionary, stored D/KB, view registry, version counter) before
-        # any reader opens, so readers never attempt catalog DDL.
+        # The writer session opens the D/KB first, completing its catalog
+        # if the file lacks any of it, so every reader finds a complete
+        # catalog and opens it without DDL or a write transaction.
         self.writer = Testbed(
             TestbedConfig(
                 path=path,
@@ -287,7 +268,6 @@ class SessionPool:
                 shard_index=shard_index,
             )
         )
-        ensure_version_table(self.writer.database)
         reader_config = TestbedConfig(
             path=path,
             connection=ConnectionOptions.reader(),
@@ -499,7 +479,6 @@ __all__ = [
     "SessionPool",
     "StaleSnapshot",
     "canonical_query",
-    "ensure_version_table",
     "read_version",
     "TestbedError",
 ]

@@ -6,6 +6,7 @@ import pytest
 
 from repro.dbms.catalog import ExtensionalCatalog
 from repro.dbms.engine import Database
+from repro.dbms.schema import open_dkb
 from repro.km.session import Testbed
 from repro.workloads.queries import ANCESTOR_RULES
 
@@ -20,7 +21,8 @@ def database():
 
 @pytest.fixture
 def catalog(database):
-    """An extensional catalog over the fresh DBMS."""
+    """An extensional catalog over the fresh DBMS, opened as a D/KB."""
+    open_dkb(database)
     return ExtensionalCatalog(database)
 
 

@@ -15,7 +15,7 @@ from repro.dbms.backends import (
     registered_backends,
 )
 from repro.dbms.backends.duck import duckdb_available
-from repro.dbms.engine import ConnectionOptions, Database
+from repro.dbms.engine import Database
 from repro.errors import EvaluationError
 
 HAS_DUCKDB = duckdb_available()
@@ -52,8 +52,6 @@ class TestCapabilities:
         caps = SqliteBackend.capabilities
         assert caps.supports_recursive_cte
         assert caps.supports_shared_cursors
-        assert caps.supports_wal
-        assert caps.supports_temp_namespace
         assert caps.supports_deadline
 
     def test_duckdb_capabilities(self):
@@ -61,8 +59,6 @@ class TestCapabilities:
         assert caps.supports_recursive_cte
         # Cursors clone the connection, so the statement cache stands down.
         assert not caps.supports_shared_cursors
-        assert not caps.supports_wal
-        assert not caps.supports_temp_namespace
         # No progress handler: only the check at statement start applies.
         assert not caps.supports_deadline
 
@@ -90,11 +86,6 @@ class TestDuckDbGating:
             assert "t" in db.table_names()
         finally:
             db.close()
-
-    @pytest.mark.skipif(not HAS_DUCKDB, reason="duckdb not installed")
-    def test_duckdb_rejects_wal(self):
-        with pytest.raises(EvaluationError, match="WAL"):
-            Database(backend="duckdb", options=ConnectionOptions(wal=True))
 
 
 class TestSqliteBackendEquivalence:

@@ -3,7 +3,15 @@
 import pytest
 
 from repro.dbms.catalog import ExtensionalCatalog, fact_table_name
+from repro.dbms.schema import open_dkb
 from repro.errors import CatalogError
+
+
+@pytest.fixture
+def database(database):
+    """The fresh in-memory DBMS, opened as a D/KB."""
+    open_dkb(database)
+    return database
 
 
 class TestRelationLifecycle:

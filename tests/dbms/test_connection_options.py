@@ -21,7 +21,6 @@ def disk_path(tmp_path):
 class TestDefaults:
     def test_default_options_object(self):
         options = ConnectionOptions()
-        assert not options.wal
         assert options.busy_timeout_ms == 0
         assert options.check_same_thread
         assert not options.temp_derived

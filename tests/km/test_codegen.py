@@ -4,9 +4,18 @@ import pytest
 
 from repro.datalog.evalgraph import build_evaluation_graph, evaluation_order
 from repro.datalog.parser import parse_program, parse_query
+from repro.dbms.schema import open_dkb
 from repro.km.codegen import compile_and_link, generate_fragment, link_program
 from repro.runtime.program import LfpStrategy, QueryProgram
 from repro.errors import CodeGenerationError
+
+
+@pytest.fixture
+def database(database):
+    """The fresh in-memory DBMS, opened as a D/KB."""
+    open_dkb(database)
+    return database
+
 
 RULES = parse_program(
     "anc(X, Y) :- par(X, Y). anc(X, Y) :- par(X, Z), anc(Z, Y)."

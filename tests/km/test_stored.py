@@ -4,6 +4,7 @@ import pytest
 
 from repro.datalog.parser import parse_clause, parse_program
 from repro.datalog.pcg import PredicateConnectionGraph
+from repro.dbms.schema import open_dkb
 from repro.km.stored import StoredDKB
 from repro.errors import UpdateError
 
@@ -25,6 +26,13 @@ def transitive_closure(edges):
         if grown == pairs:
             return pairs
         pairs = grown
+
+
+@pytest.fixture
+def database(database):
+    """The fresh in-memory DBMS, opened as a D/KB."""
+    open_dkb(database)
+    return database
 
 
 @pytest.fixture

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.dbms.schema import open_dkb
 from repro.maintenance.registry import MaterializedViewRegistry, view_table_name
 
 
 @pytest.fixture
 def registry(database):
+    open_dkb(database)
     return MaterializedViewRegistry(database)
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.datalog.evalgraph import build_evaluation_graph, evaluation_order
 from repro.datalog.parser import parse_program, parse_query
 from repro.dbms.catalog import ExtensionalCatalog
+from repro.dbms.schema import open_dkb
 from repro.errors import EvaluationError
 from repro.runtime.program import (
     ExecutionResult,
@@ -28,6 +29,7 @@ def build_program(rules_text, query_text, types, base, **kwargs):
 
 @pytest.fixture
 def loaded(database):
+    open_dkb(database)
     catalog = ExtensionalCatalog(database)
     catalog.create_relation("edge", ("TEXT", "TEXT"))
     catalog.insert_facts("edge", [("a", "b"), ("b", "c")])

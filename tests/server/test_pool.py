@@ -8,11 +8,7 @@ import pytest
 
 from repro.errors import TestbedError
 from repro.server import ServerBusy, SessionPool, VersionedResultCache
-from repro.server.pool import (
-    DKB_VERSION_TABLE,
-    RequestTimeout,
-    read_version,
-)
+from repro.server.pool import DKB_VERSION_TABLE, RequestTimeout
 
 ANCESTOR_ALL = "?- ancestor(X, Y)."
 ANCESTOR_JOHN = "?- ancestor('john', Y)."
@@ -194,18 +190,6 @@ def test_load_facts_creates_relation_on_first_use(dkb_path):
         pool.load_facts("edge", [(1, 2), (2, 3)])
         result = pool.query("?- edge(X, Y).")
         assert set(result.rows) == {(1, 2), (2, 3)}
-
-
-def test_read_version_requires_initialised_dkb(tmp_path, pool):
-    from repro.dbms.engine import Database
-    from repro.errors import EvaluationError
-
-    db = Database(os.path.join(tmp_path, "bare.sqlite"))
-    try:
-        with pytest.raises(EvaluationError):
-            read_version(db)
-    finally:
-        db.close()
 
 
 def test_default_read_creates_no_temp_table(pool):
